@@ -34,6 +34,7 @@ from .geometry import (
     make_pair_configuration,
 )
 from .mcsim import (
+    AuditFailure,
     MCConfig,
     MCState,
     MoveStats,

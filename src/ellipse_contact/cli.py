@@ -374,6 +374,9 @@ def cmd_simulate(args) -> int:
     except mcsim.PackingInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except mcsim.AuditFailure as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     print(_json17(summary))
     return EXIT_OK
 

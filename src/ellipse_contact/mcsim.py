@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .geometry import EllipseShape, PairConfiguration, UnitVec2
 
 __all__ = [
     "PackingInfeasible",
+    "AuditFailure",
     "HEX_PACKING_LIMIT",
     "MCConfig",
     "MCState",
@@ -51,6 +53,10 @@ _RENORM_EVERY = 1_000_000  # rotation moves between orientation renormalizations
 
 class PackingInfeasible(ValueError):
     """Requested density cannot be realized (bound or lattice construction)."""
+
+
+class AuditFailure(AssertionError):
+    """The per-sweep overlap audit found overlapping pairs."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,11 @@ class MCConfig:
             raise ValueError("species fractions must be non-negative")
         if self.max_translation < 0.0 or self.max_rotation < 0.0:
             raise ValueError("move amplitudes must be non-negative")
+        if self.sweeps < 1 or self.sample_every < 1:
+            raise ValueError(
+                f"sweeps and sample_every must be >= 1, got {self.sweeps} "
+                f"and {self.sample_every}"
+            )
         if not self.periodic:
             raise ValueError("only periodic boxes are supported")
         lx, ly = self.box
@@ -131,7 +142,6 @@ class MCState:
     species_index: np.ndarray  # (N,)
     shapes: tuple[EllipseShape, ...]
     box: tuple[float, float]
-    cell_size: float
     n_cells: tuple[int, int]
     cell_members: list[list[int]]
     cell_of: np.ndarray  # (N,)
@@ -141,8 +151,9 @@ class MCState:
     def n_particles(self) -> int:
         return len(self.positions)
 
-    def shape_of(self, i: int) -> EllipseShape:
-        return self.shapes[self.species_index[i]]
+    def particle_shapes(self) -> list[EllipseShape]:
+        """The shape of every particle, in index order."""
+        return [self.shapes[k] for k in self.species_index.tolist()]
 
     def cell_index(self, x: float, y: float) -> int:
         nx, ny = self.n_cells
@@ -176,35 +187,67 @@ class MCState:
         self.cell_of[i] = new_cell
 
 
-def _min_image(dx: float, dy: float, lx: float, ly: float) -> tuple[float, float]:
-    dx -= lx * round(dx / lx)
-    dy -= ly * round(dy / ly)
-    return dx, dy
+# prefilter band edges, relative; _pair_clear says why they keep verdicts exact
+_CLEAR_BAND = 1.0 + 4.0 * TANGENT_RTOL
+_OVERLAP_BAND = 1.0 - 4.0 * TANGENT_RTOL
 
 
 def _pair_clear(
     shape_i: EllipseShape,
     shape_j: EllipseShape,
-    ui: tuple[float, float],
-    uj: tuple[float, float],
+    ui: Sequence[float],
+    uj: Sequence[float],
     dx: float,
     dy: float,
 ) -> bool:
     """True when the pair does not overlap (tangency counts as clear).
 
-    The bound b_i+b_j <= d <= a_i+a_j lets cheap separation checks decide
-    most pairs; only the annulus in between calls the contact kernel.  The
-    prefilter bands keep the strict-inequality semantics of the kernel
-    verdict, so cell-list and brute-force decisions agree exactly.
+    ui and uj are the major-axis directions and (dx, dy) the minimum-image
+    separation.  The verdict is the kernel's,
+    sep >= d * (1 - TANGENT_RTOL), and a ladder of bounds on the contact
+    distance d settles most pairs before the kernel runs:
+
+      1. reach: d <= a_i + a_j, so a pair at least that far apart is clear;
+      2. core: d >= b_i + b_j, so a pair inside that is overlapping;
+      3. upper bound: d <= h_i(u) + h_j(u), the support functions along the
+         unit center line u, h = sqrt(a^2 c^2 + b^2 s^2) with c = k.u and
+         s = k x u;
+      4. lower bound: d >= r_i(u) + r_j(u), the radial extents along u,
+         r = ab / sqrt(b^2 c^2 + a^2 s^2);
+      5. the contact kernel for the annulus between the two.
+
+    Steps 2-4 decide only outside a band of 4 * TANGENT_RTOL (relative),
+    three times wider than the kernel's tangency band and far wider than
+    the kernel's error (under 1e-11 relative up to aspect 20) and the drift
+    of orientation vectors between renormalizations, so every decision
+    matches the kernel verdict exactly and cell-list, brute-force and audit
+    checks agree.
     """
     sep_sq = dx * dx + dy * dy
-    reach = shape_i.a + shape_j.a
+    ai, bi, aj, bj = shape_i.a, shape_i.b, shape_j.a, shape_j.b
+    reach = ai + aj
     if sep_sq >= reach * reach:
         return True
-    core = shape_i.b + shape_j.b
-    if sep_sq < core * core * (1.0 - 4.0 * TANGENT_RTOL):
+    core = bi + bj
+    if sep_sq < core * core * _OVERLAP_BAND:
         return False
     sep = math.sqrt(sep_sq)
+    cx, cy = dx / sep, dy / sep
+    kx, ky = ui
+    ci, si = kx * cx + ky * cy, kx * cy - ky * cx
+    kx, ky = uj
+    cj, sj = kx * cx + ky * cy, kx * cy - ky * cx
+    aci, bsi = ai * ci, bi * si
+    acj, bsj = aj * cj, bj * sj
+    h = math.sqrt(aci * aci + bsi * bsi) + math.sqrt(acj * acj + bsj * bsj)
+    if sep >= h * _CLEAR_BAND:
+        return True
+    bci, asi = bi * ci, ai * si
+    bcj, asj = bj * cj, aj * sj
+    r = (ai * bi / math.sqrt(bci * bci + asi * asi)
+         + aj * bj / math.sqrt(bcj * bcj + asj * asj))
+    if sep < r * _OVERLAP_BAND:
+        return False
     cfg = PairConfiguration(
         shape_i,
         shape_j,
@@ -214,24 +257,6 @@ def _pair_clear(
     )
     d = closest_approach(cfg).d
     return sep >= d * (1.0 - TANGENT_RTOL)
-
-
-def _state_pair_clear(state: MCState, i: int, j: int) -> bool:
-    lx, ly = state.box
-    dx, dy = _min_image(
-        state.positions[j, 0] - state.positions[i, 0],
-        state.positions[j, 1] - state.positions[i, 1],
-        lx,
-        ly,
-    )
-    return _pair_clear(
-        state.shape_of(i),
-        state.shape_of(j),
-        (state.orientations[i, 0], state.orientations[i, 1]),
-        (state.orientations[j, 0], state.orientations[j, 1]),
-        dx,
-        dy,
-    )
 
 
 def init_state(cfg: MCConfig) -> MCState:
@@ -294,7 +319,6 @@ def init_state(cfg: MCConfig) -> MCState:
         species_index=species_index,
         shapes=shapes,
         box=cfg.box,
-        cell_size=reach,
         n_cells=(nx, ny),
         cell_members=[[] for _ in range(nx * ny)],
         cell_of=np.zeros(n, dtype=np.int64),
@@ -314,52 +338,56 @@ def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveSta
     """One sweep: a translation-plus-rotation trial per particle.
 
     Acceptance requires the trial to be clear of every cell-list neighbor;
-    the state never contains an overlapping pair.
+    the state never contains an overlapping pair.  The sweep works on Python
+    floats read from the arrays once, and writes back accepted moves.  Each
+    move consumes three uniform doubles (x, y, angle), drawn for the whole
+    sweep at once and scaled as Generator.uniform scales them.
     """
     lx, ly = state.box
     sweep_stats = MoveStats()
     n = state.n_particles()
+    xs = state.positions[:, 0].tolist()
+    ys = state.positions[:, 1].tolist()
+    orient = state.orientations.tolist()
+    shapes = state.particle_shapes()
+    t_low, r_low = -cfg.max_translation, -cfg.max_rotation
+    t_range = cfg.max_translation - t_low
+    r_range = cfg.max_rotation - r_low
+    draws = rng.random(3 * n).tolist()
     for i in range(n):
-        disp = rng.uniform(-cfg.max_translation, cfg.max_translation, 2)
-        angle = rng.uniform(-cfg.max_rotation, cfg.max_rotation)
-        x = (state.positions[i, 0] + disp[0]) % lx
-        y = (state.positions[i, 1] + disp[1]) % ly
+        x = (xs[i] + (t_low + t_range * draws[3 * i])) % lx
+        y = (ys[i] + (t_low + t_range * draws[3 * i + 1])) % ly
+        angle = r_low + r_range * draws[3 * i + 2]
         c, s = math.cos(angle), math.sin(angle)
-        ux0, uy0 = state.orientations[i]
-        ux, uy = c * ux0 - s * uy0, s * ux0 + c * uy0
+        ux0, uy0 = orient[i]
+        ui = (c * ux0 - s * uy0, s * ux0 + c * uy0)
 
-        shape_i = state.shape_of(i)
+        shape_i = shapes[i]
         ok = True
         for j in state.neighbor_candidates(x, y):
             if j == i:
                 continue
-            dx, dy = _min_image(
-                state.positions[j, 0] - x, state.positions[j, 1] - y, lx, ly
-            )
-            if not _pair_clear(
-                shape_i,
-                state.shape_of(j),
-                (ux, uy),
-                (state.orientations[j, 0], state.orientations[j, 1]),
-                dx,
-                dy,
-            ):
+            dx = xs[j] - x
+            dy = ys[j] - y
+            dx -= lx * round(dx / lx)
+            dy -= ly * round(dy / ly)
+            if not _pair_clear(shape_i, shapes[j], ui, orient[j], dx, dy):
                 ok = False
                 break
 
         sweep_stats.attempted += 1
         if ok:
             sweep_stats.accepted += 1
-            state.positions[i, 0] = x
-            state.positions[i, 1] = y
-            state.orientations[i, 0] = ux
-            state.orientations[i, 1] = uy
+            xs[i], ys[i], orient[i] = x, y, ui
+            state.positions[i] = x, y
+            state.orientations[i] = ui
             state.move_to_cell(i, state.cell_index(x, y))
 
         state.rotations_since_renorm += 1
         if state.rotations_since_renorm >= _RENORM_EVERY:
             norms = np.hypot(state.orientations[:, 0], state.orientations[:, 1])
             state.orientations /= norms[:, None]
+            orient = state.orientations.tolist()
             state.rotations_since_renorm = 0
 
     state.stats.attempted += sweep_stats.attempted
@@ -394,9 +422,13 @@ def audit_overlaps(state: MCState) -> list[tuple[int, int]]:
     sep_sq = dx * dx + dy * dy
     reach = max(s.a for s in state.shapes) * 2.0
     ii, jj = np.nonzero(np.triu(sep_sq < reach * reach, k=1))
+    shapes = state.particle_shapes()
+    orient = state.orientations.tolist()
     bad = []
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if not _state_pair_clear(state, i, j):
+    for i, j, pdx, pdy in zip(
+        ii.tolist(), jj.tolist(), dx[ii, jj].tolist(), dy[ii, jj].tolist()
+    ):
+        if not _pair_clear(shapes[i], shapes[j], orient[i], orient[j], pdx, pdy):
             bad.append((i, j))
     return bad
 
@@ -463,12 +495,13 @@ def run_simulation(
     """Drive a full run, streaming snapshot records to ``trajectory``
     (any file-like object) as JSON lines and returning the summary dict.
 
-    With audit=True an all-pairs overlap check runs after every sweep and
-    any hit aborts the run; audit_failures lands in the summary either way.
+    With audit=True an all-pairs overlap check runs after every sweep.  Any
+    hit ends the run: the summary, with the sweeps completed and
+    audit_failures counting the overlapping pairs, is written and then
+    AuditFailure is raised.
     """
     state = init_state(cfg)
     rng = np.random.default_rng(cfg.seed)
-    audit_failures = 0
 
     def write(record: dict) -> None:
         trajectory.write(json.dumps(record) + "\n")
@@ -482,29 +515,32 @@ def run_simulation(
             "acceptance": acceptance,
         }
 
+    def summary(sweeps: int, audit_failures: int) -> dict:
+        record = {
+            "summary": True,
+            "sweeps": sweeps,
+            "n_particles": cfg.n_particles,
+            "packing_fraction": cfg.packing_fraction(),
+            "attempted": state.stats.attempted,
+            "accepted": state.stats.accepted,
+            "acceptance": state.stats.acceptance,
+            "S": order_parameter(state),
+            "audit_failures": audit_failures,
+        }
+        write(record)
+        return record
+
     write(snapshot(0, 0.0))
     for sweep in range(1, cfg.sweeps + 1):
         stats = mc_sweep(state, cfg, rng)
         if audit:
             bad = audit_overlaps(state)
             if bad:
-                audit_failures += len(bad)
-                raise AssertionError(
+                summary(sweep, len(bad))
+                raise AuditFailure(
                     f"overlap audit failed at sweep {sweep}: pairs {bad[:5]}"
                 )
         if sweep % cfg.sample_every == 0 or sweep == cfg.sweeps:
             write(snapshot(sweep, stats.acceptance))
 
-    summary = {
-        "summary": True,
-        "sweeps": cfg.sweeps,
-        "n_particles": cfg.n_particles,
-        "packing_fraction": cfg.packing_fraction(),
-        "attempted": state.stats.attempted,
-        "accepted": state.stats.accepted,
-        "acceptance": state.stats.acceptance,
-        "S": order_parameter(state),
-        "audit_failures": audit_failures,
-    }
-    write(summary)
-    return summary
+    return summary(cfg.sweeps, 0)

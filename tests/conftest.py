@@ -5,6 +5,7 @@ import pytest
 
 from ellipse_contact import (
     EllipseShape,
+    mcsim,
     PairConfiguration,
     SymMat2,
     UnitVec2,
@@ -33,3 +34,24 @@ def random_pair(rng: np.random.Generator, max_aspect: float = 10.0) -> PairConfi
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def plant_overlap(monkeypatch):
+    """Call with a sweep number n: from then on mc_sweep, after its n-th
+    call, moves particle 1 onto particle 0."""
+
+    def plant(sweep_no):
+        real_sweep = mcsim.mc_sweep
+        calls = []
+
+        def sweep(state, cfg, rng):
+            stats = real_sweep(state, cfg, rng)
+            calls.append(None)
+            if len(calls) == sweep_no:
+                state.positions[1] = state.positions[0]
+            return stats
+
+        monkeypatch.setattr(mcsim, "mc_sweep", sweep)
+
+    return plant

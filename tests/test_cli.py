@@ -319,6 +319,52 @@ def test_simulate_infeasible_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def write_run_config(path, **overrides):
+    record = {
+        "n_particles": 12,
+        "species": [{"a": 2.0, "b": 1.0, "fraction": 1.0}],
+        "box": [30.0, 30.0],
+        "max_translation": 0.3,
+        "max_rotation_deg": 15.0,
+        "seed": 11,
+        "sweeps": 5,
+        "sample_every": 1,
+    }
+    record.update(overrides)
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def test_simulate_bad_sweep_counts_exit_2(tmp_path, capsys):
+    for key, value in (("sample_every", 0), ("sweeps", -2)):
+        cfgp = write_run_config(tmp_path / "run.json", **{key: value})
+        outp = tmp_path / "t.jsonl"
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", cfgp, "--output", str(outp),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not outp.exists()
+
+
+def test_simulate_audit_failure_exit_1(tmp_path, capsys, plant_overlap):
+    plant_overlap(2)
+    outp = tmp_path / "t.jsonl"
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", write_run_config(tmp_path / "run.json"),
+        "--output", str(outp), "--audit",
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("verification failed:")
+    summary = json.loads(outp.read_text().strip().splitlines()[-1])
+    assert summary["summary"] is True
+    assert summary["audit_failures"] >= 1
+
+
 def test_console_script_installed():
     result = subprocess.run(
         [sys.executable, "-m", "ellipse_contact.cli", "distance",

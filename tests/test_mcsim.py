@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ellipse_contact import (
+    AuditFailure,
     EllipseShape,
     MCConfig,
     PackingInfeasible,
@@ -49,6 +50,16 @@ def test_config_validation():
         )  # fractions don't sum to 1
     with pytest.raises(ValueError):
         config(shape=EllipseShape(6.0, 3.0), n=1, packing=0.5)  # box < 4a
+    with pytest.raises(ValueError):
+        config(sweeps=0)
+    with pytest.raises(ValueError):
+        config(sweeps=-2)
+    with pytest.raises(ValueError):
+        MCConfig(
+            n_particles=4, species=((EllipseShape(1, 1), 1.0),),
+            box=(20.0, 20.0), max_translation=0.1, max_rotation=0.1,
+            seed=1, sweeps=3, sample_every=0,
+        )
 
 
 def test_species_counts_largest_remainder():
@@ -126,24 +137,29 @@ def test_hard_core_integrity_and_audit():
 def test_cell_list_matches_brute_force_decisions():
     # freeze a state mid-run, then re-evaluate every particle's clearance
     # with the cell list against an all-pairs scan
-    from ellipse_contact.mcsim import _state_pair_clear
+    from ellipse_contact.mcsim import _pair_clear
 
     cfg = config(n=40, packing=0.35, sweeps=10, seed=3)
     state = init_state(cfg)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.sweeps):
         mc_sweep(state, cfg, rng)
+    lx, ly = state.box
+    shapes = state.particle_shapes()
+    pos = state.positions.tolist()
+    orient = state.orientations.tolist()
+
+    def clear(i, j):
+        dx = pos[j][0] - pos[i][0]
+        dy = pos[j][1] - pos[i][1]
+        dx -= lx * round(dx / lx)
+        dy -= ly * round(dy / ly)
+        return _pair_clear(shapes[i], shapes[j], orient[i], orient[j], dx, dy)
+
     for i in range(state.n_particles()):
-        cand = set(state.neighbor_candidates(
-            state.positions[i, 0], state.positions[i, 1]
-        ))
-        cell_clear = all(
-            _state_pair_clear(state, i, j) for j in cand if j != i
-        )
-        brute_clear = all(
-            _state_pair_clear(state, i, j)
-            for j in range(state.n_particles()) if j != i
-        )
+        cand = set(state.neighbor_candidates(*pos[i]))
+        cell_clear = all(clear(i, j) for j in cand if j != i)
+        brute_clear = all(clear(i, j) for j in range(state.n_particles()) if j != i)
         assert cell_clear == brute_clear
 
 
@@ -275,6 +291,20 @@ def test_trajectory_format(tmp_path):
     assert records[-1]["summary"] is True
     assert records[-1]["audit_failures"] == 0
     assert summary["sweeps"] == 10
+
+
+def test_audit_failure_writes_summary_then_raises(plant_overlap):
+    plant_overlap(3)
+    cfg = config(n=12, packing=0.2, sweeps=10, seed=8)
+    out = io.StringIO()
+    with pytest.raises(AuditFailure):
+        run_simulation(cfg, out, audit=True)
+    assert issubclass(AuditFailure, AssertionError)
+    last = json.loads(out.getvalue().strip().splitlines()[-1])
+    assert last["summary"] is True
+    assert last["sweeps"] == 3
+    assert last["audit_failures"] >= 1
+    assert last["attempted"] == 3 * 12
 
 
 def test_load_config_json(tmp_path):
