@@ -3,10 +3,7 @@ contact point, overlap predicate, excluded area, and a Monte Carlo driver.
 """
 
 from .analysis import (
-    AdaptiveLimitReached,
     LocusCurve,
-    QuadratureScheme,
-    QuadratureSpec,
     contact_locus,
     excluded_area,
     excluded_boundary,

@@ -1,19 +1,24 @@
-"""Excluded-area quadrature and contact-locus curves on top of the kernel.
+"""Excluded area and contact-locus curves.
 
-The excluded area of a pair at fixed orientations is half the integral of
-the squared contact distance over the center-line direction.  The
-integrand is smooth and 2*pi-periodic, so the fixed trapezoid rule
-converges spectrally and is the default; Gauss-Legendre panels and
-adaptive Simpson are kept for cross-checks and for near-degenerate aspect
-ratios where curvature spikes.  Sums are accumulated with math.fsum, so a
-result at a fixed panel count is reproducible bit for bit.
+The excluded region of a pair at fixed orientations is the Minkowski sum
+K1 + (-K2); an ellipse is centrally symmetric, so -K2 = K2.  Its area is
+A1 + A2 + 2W with the mixed area W = (1/2) * integral of h1 * rho2 over
+the normal angle, where h1 is the support function of ellipse 1 and rho2
+the radius of curvature of ellipse 2 at the same outward normal (Santalo,
+Integral Geometry and Geometric Probability, 1976; for hard ellipses,
+Vieillard-Baron, J. Chem. Phys. 56, 4729 (1972)).  Both are closed forms
+of the normal angle, so the area needs no contact distance and no
+quartic.  The integrand is smooth and 2*pi-periodic, so the trapezoid rule
+converges spectrally; the sum is accumulated with math.fsum, so a result
+at a fixed node count is reproducible bit for bit.
+
+The excluded boundary and the contact locus sample the contact kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,37 +26,15 @@ from .contact import closest_approach, contact_point
 from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2
 
 __all__ = [
-    "AdaptiveLimitReached",
-    "QuadratureScheme",
-    "QuadratureSpec",
+    "MIN_SAMPLES",
     "LocusCurve",
     "excluded_area",
     "excluded_boundary",
     "contact_locus",
 ]
 
-
-class AdaptiveLimitReached(ArithmeticError):
-    """Adaptive Simpson hit its recursion limit before the tolerance."""
-
-
-class QuadratureScheme(Enum):
-    FIXED_TRAPEZOID = "fixed-trapezoid"
-    GAUSS_LEGENDRE_PANELS = "gauss-legendre"
-    ADAPTIVE_SIMPSON = "adaptive-simpson"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    scheme: QuadratureScheme = QuadratureScheme.FIXED_TRAPEZOID
-    panels: int = 2048
-    abs_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.panels < 16:
-            raise ValueError("panels must be at least 16")
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
+# fewest quadrature nodes or curve samples any function here accepts
+MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -86,29 +69,11 @@ def _distance_of_angle(
     return d
 
 
-def _adaptive_simpson(f, lo, hi, tol, max_depth=28):
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        if depth >= max_depth:
-            raise AdaptiveLimitReached(
-                f"recursion depth {max_depth} reached on [{a}, {b}]"
-            )
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth + 1
-        )
-
-    m = 0.5 * (lo + hi)
-    fa, fm, fb = f(lo), f(m), f(hi)
-    return recurse(lo, hi, fa, fm, fb, simpson(lo, hi, fa, fm, fb), tol, 0)
+def _support(shape: EllipseShape, k: UnitVec2, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
+    """Support function h(n) = sqrt(a^2 (n.k)^2 + b^2 (n.k_perp)^2)."""
+    along = nx * k.x + ny * k.y
+    across = ny * k.x - nx * k.y
+    return np.sqrt((shape.a * along) ** 2 + (shape.b * across) ** 2)
 
 
 def excluded_area(
@@ -116,28 +81,23 @@ def excluded_area(
     shape2: EllipseShape,
     k1: UnitVec2,
     k2: UnitVec2,
-    spec: QuadratureSpec = QuadratureSpec(),
+    panels: int = 2048,
 ) -> float:
-    """Area of center positions of shape2 excluded by overlap with shape1:
-    one half of the integral of d(theta)^2 over the full circle."""
-    d = _distance_of_angle(shape1, shape2, k1, k2)
-    f = lambda theta: d(theta) ** 2
+    """Area of center positions of shape2 excluded by overlap with shape1.
 
-    if spec.scheme is QuadratureScheme.FIXED_TRAPEZOID:
-        h = 2.0 * math.pi / spec.panels
-        return 0.5 * h * math.fsum(f(j * h) for j in range(spec.panels))
-    if spec.scheme is QuadratureScheme.GAUSS_LEGENDRE_PANELS:
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        h = 2.0 * math.pi / spec.panels
-        terms = []
-        for j in range(spec.panels):
-            a = j * h
-            mid, half = a + 0.5 * h, 0.5 * h
-            terms.extend(
-                0.5 * half * w * f(mid + half * x) for x, w in zip(nodes, weights)
-            )
-        return math.fsum(terms)
-    return 0.5 * _adaptive_simpson(f, 0.0, 2.0 * math.pi, spec.abs_tol)
+    The area of the Minkowski sum K1 + (-K2), with -K2 = K2 because an
+    ellipse is centrally symmetric: A1 + A2 + integral of h1 * rho2 over
+    the normal angle, where rho2 = (a2 b2)^2 / h2^3.  ``panels`` is the
+    number of trapezoid nodes; no contact distance is computed.
+    """
+    if panels < MIN_SAMPLES:
+        raise ValueError(f"panels must be at least {MIN_SAMPLES}")
+    step = 2.0 * math.pi / panels
+    theta = step * np.arange(panels)
+    nx, ny = np.cos(theta), np.sin(theta)
+    h2 = _support(shape2, k2, nx, ny)
+    terms = _support(shape1, k1, nx, ny) * ((shape2.a * shape2.b) ** 2 / h2**3)
+    return shape1.area() + shape2.area() + step * math.fsum(terms.tolist())
 
 
 def excluded_boundary(
@@ -149,8 +109,8 @@ def excluded_boundary(
 ) -> LocusCurve:
     """The curve traced by the center of shape2 as it slides around shape1
     staying tangent: the boundary of the excluded area."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     d = _distance_of_angle(shape1, shape2, k1, k2)
     samples = []
     for j in range(n):
@@ -169,8 +129,8 @@ def contact_locus(
 ) -> LocusCurve:
     """The contact point's trace as shape1 spins in place while shape2 keeps
     its orientation and stays tangent along the fixed center line."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     samples = []
     for j in range(n):
         theta = 2.0 * math.pi * j / n

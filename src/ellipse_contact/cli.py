@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 
+# excluded_area holds a few float arrays of this length: ~8 MB each
+MAX_PANELS = 1 << 20
+
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -258,30 +261,45 @@ def cmd_batch(args) -> int:
             rejects.close()
 
 
-def _scheme_from_name(name: str) -> analysis.QuadratureScheme:
-    return {
-        "trapezoid": analysis.QuadratureScheme.FIXED_TRAPEZOID,
-        "gauss": analysis.QuadratureScheme.GAUSS_LEGENDRE_PANELS,
-        "adaptive": analysis.QuadratureScheme.ADAPTIVE_SIMPSON,
-    }[name]
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def _parse_sweep(text: str) -> tuple[float, float, float]:
+    """START:STOP:STEP in degrees; ValueError with a one-line reason."""
+    try:
+        start, stop, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError("--sweep expects START:STOP:STEP") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("--sweep START, STOP and STEP must be finite")
+    if step <= 0.0:
+        raise ValueError("--sweep STEP must be positive")
+    if start > stop:
+        raise ValueError("--sweep START must not exceed STOP")
+    if start + step == start or stop + step == stop:
+        # the accumulated angle would stop advancing before it passes STOP
+        raise ValueError("--sweep STEP is too small to advance the angle")
+    return start, stop, step
 
 
 def cmd_excluded_area(args) -> int:
     cfg = _pair_from_args(args)
-    spec = analysis.QuadratureSpec(
-        scheme=_scheme_from_name(args.scheme), panels=args.panels, abs_tol=args.tol
-    )
+    if not analysis.MIN_SAMPLES <= args.panels <= MAX_PANELS:
+        return _input_error(
+            f"--panels must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}"
+        )
 
     def area_at(angle_deg: float) -> float:
         k2 = UnitVec2.from_angle(math.radians(args.theta1 + angle_deg))
-        return analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, spec)
+        return analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, args.panels)
 
     if args.sweep:
         try:
-            start, stop, step = (float(x) for x in args.sweep.split(":"))
-        except ValueError:
-            print("error: --sweep expects START:STOP:STEP", file=sys.stderr)
-            return EXIT_INPUT
+            start, stop, step = _parse_sweep(args.sweep)
+        except ValueError as exc:
+            return _input_error(str(exc))
         out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
         try:
             print("angle_deg,area", file=out)
@@ -297,7 +315,7 @@ def cmd_excluded_area(args) -> int:
     if args.angle is None:
         # fall back to the orientation difference given by the theta flags
         k2 = UnitVec2.from_angle(math.radians(args.theta2))
-        value = analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, spec)
+        value = analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, args.panels)
     else:
         value = area_at(args.angle)
     print(_f17(value))
@@ -331,6 +349,8 @@ def _write_curve(
 
 def cmd_boundary(args) -> int:
     cfg = _pair_from_args(args)
+    if args.n < analysis.MIN_SAMPLES:
+        return _input_error(f"--n must be at least {analysis.MIN_SAMPLES}")
     curve = analysis.excluded_boundary(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, args.n)
     _write_curve(curve, args.output, "theta_d_deg", args.json)
     return EXIT_OK
@@ -338,6 +358,8 @@ def cmd_boundary(args) -> int:
 
 def cmd_locus(args) -> int:
     cfg = _pair_from_args(args)
+    if args.n < analysis.MIN_SAMPLES:
+        return _input_error(f"--n must be at least {analysis.MIN_SAMPLES}")
     curve = analysis.contact_locus(cfg.shape1, cfg.shape2, cfg.k2, cfg.dhat, args.n)
     _write_curve(curve, args.output, "theta1_deg", args.json)
     return EXIT_OK
@@ -418,11 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", type=float, default=None,
                    help="angle between major axes, degrees")
     p.add_argument("--sweep", default=None, help="START:STOP:STEP angle sweep, degrees")
-    p.add_argument("--panels", type=int, default=2048)
-    p.add_argument("--scheme", choices=("trapezoid", "gauss", "adaptive"),
-                   default="trapezoid")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="absolute tolerance (adaptive scheme)")
+    p.add_argument("--panels", type=int, default=2048,
+                   help="quadrature nodes over the normal angle (default 2048)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_excluded_area)
 

@@ -13,14 +13,27 @@ The solver is defensive in layers:
    when the radicand is real (the principal complex branch would select a
    complex resolvent root there);
 2. the designated sign assembly is tried first; when it yields the wrong
-   root (it does for a few percent of extreme-anisotropy inputs) the other
-   Ferrari sign assemblies are enumerated - still closed form;
+   root, or none, the other Ferrari sign assemblies are enumerated - still
+   closed form.  That happens often: for 782 of the 4,925 quartics (15.9%)
+   that closest_approach solves over oracle.stratified_configurations(5000,
+   seed=11), and for 24.5% of those from its two uniform strata (the
+   command at the end counts it);
 3. each candidate is polished by Newton steps with a compensated Horner
    evaluation, clamped to the bracket, and accepted only if the stated
    residual test passes;
 4. if every closed-form candidate fails, all four roots are computed by a
    companion-matrix method and the unique in-bracket real root is taken;
    zero or several such roots raise NoPhysicalRoot instead of guessing.
+
+Rejections of the designated assembly, from the root of a checkout:
+
+PYTHONPATH=src python3 -c "
+import math; from ellipse_contact import contact as C, oracle, quartic as Q
+s, n = C.solve_contact_quartic, []
+C.solve_contact_quartic = lambda c, d: (n.append(Q._accept(
+    c, Q._ferrari_candidates(c)[0], math.sqrt(1 + d)) is None), s(c, d))[1]
+[C.closest_approach(g) for g in oracle.stratified_configurations(5000, seed=11)]
+print(sum(n), len(n))"
 """
 
 from __future__ import annotations
@@ -243,6 +256,19 @@ def _ferrari_candidates(
     return designated, others, inter
 
 
+def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
+    """The candidate q, polished and clamped to [1, hi], if it lies in the
+    bracket and passes the residual test; otherwise None."""
+    if q is None or not (1.0 - BRACKET_TOL <= q <= hi + BRACKET_TOL):
+        return None
+    q = _polish(c, min(max(q, 1.0), hi))
+    q = min(max(q, 1.0), hi)
+    res = abs(_horner_compensated(c.as_tuple(), q))
+    if res <= RESIDUAL_RTOL * max(abs(c.a) * q**4, abs(c.e)):
+        return q
+    return None
+
+
 def solve_contact_quartic(
     c: QuarticCoeffs, delta: float
 ) -> tuple[float, FerrariIntermediates]:
@@ -253,21 +279,10 @@ def solve_contact_quartic(
     """
     hi = math.sqrt(1.0 + delta)
     designated, others, inter = _ferrari_candidates(c)
-
-    def accept(q: float | None) -> float | None:
-        if q is None or not (1.0 - BRACKET_TOL <= q <= hi + BRACKET_TOL):
-            return None
-        q = _polish(c, min(max(q, 1.0), hi))
-        q = min(max(q, 1.0), hi)
-        res = abs(_horner_compensated(c.as_tuple(), q))
-        if res <= RESIDUAL_RTOL * max(abs(c.a) * q**4, abs(c.e)):
-            return q
-        return None
-
-    q = accept(designated)
+    q = _accept(c, designated, hi)
     if q is None:
         for r in others:
-            q = accept(r)
+            q = _accept(c, r, hi)
             if q is not None:
                 break
     if q is not None:

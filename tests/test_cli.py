@@ -1,16 +1,39 @@
 import csv
 import json
 import math
+import signal
 import subprocess
 import sys
+import time
+
+import pytest
 
 from ellipse_contact.cli import main
+
+PAIR_21 = ("--a1", "2", "--b1", "1", "--a2", "2", "--b2", "1")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_bounded(capsys, *argv, seconds=5.0):
+    """run_cli, but a call that outlives ``seconds`` raises instead of
+    hanging the suite; returns the elapsed time as a fourth value."""
+    def expire(signum, frame):
+        raise TimeoutError(f"cli.main{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out, err, time.monotonic() - start
 
 
 def test_distance_circles(capsys):
@@ -228,6 +251,42 @@ def test_excluded_area_sweep(tmp_path, capsys):
     assert len(lines) == 5  # 0, 30, 60, 90
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == sorted(values)  # monotone in the angle
+
+
+@pytest.mark.parametrize("sweep", [
+    "0:90:0",        # zero step
+    "0:90:-5",       # negative step
+    "0:90:nan",      # nan step
+    "nan:90:5",
+    "0:inf:5",
+    "90:0:5",        # START > STOP
+    "1e20:1e20:1",   # STEP below the spacing of doubles at START
+])
+def test_excluded_area_bad_sweep_exit_2(capsys, sweep):
+    code, out, err, elapsed = run_cli_bounded(
+        capsys, "excluded-area", *PAIR_21, "--sweep", sweep,
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("excluded-area", *PAIR_21, "--panels", "8"),
+    ("excluded-area", *PAIR_21, "--panels", "8", "--sweep", "0:90:30"),
+    ("excluded-area", *PAIR_21, "--panels", str(10**8)),
+    ("boundary", *PAIR_21, "--n", "8"),
+    ("locus", *PAIR_21, "--n", "8"),
+])
+def test_bad_sample_count_exit_2(capsys, argv):
+    code, out, err, elapsed = run_cli_bounded(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert elapsed < 5.0
 
 
 def test_boundary_and_locus(tmp_path, capsys):
