@@ -17,7 +17,6 @@ from .contact import (
     contact_point,
     overlap,
     tangency_residuals,
-    transformed_distance,
 )
 from .geometry import (
     DegenerateShape,
@@ -54,19 +53,11 @@ from .oracle import (
     verify_random,
 )
 from .quartic import (
-    FerrariBranch,
-    FerrariIntermediates,
     NoPhysicalRoot,
     QuarticCoeffs,
     quartic_coefficients,
     solve_contact_quartic,
 )
-from .transform import (
-    ScalingTransform,
-    TransformBranch,
-    TransformedPair,
-    scaling_transform,
-    transformed_pair,
-)
+from .transform import TransformedPair, transformed_pair
 
 __version__ = "0.1.0"

@@ -22,14 +22,7 @@ from .contact import (
     overlap,
     tangency_residuals,
 )
-from .geometry import (
-    DegenerateShape,
-    UnitVec2,
-    Vec2,
-    ZeroVector,
-    make_pair_configuration,
-)
-from .quartic import NoPhysicalRoot
+from .geometry import UnitVec2, Vec2, make_pair_configuration
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -227,8 +220,7 @@ def cmd_batch(args) -> int:
                             if k not in _BATCH_FIELDS and k not in extra_fields:
                                 extra_fields.append(k)
                         continue
-                    except (DegenerateShape, ZeroVector, NoPhysicalRoot,
-                            ValueError, KeyError, TypeError) as exc:
+                    except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
                         err = str(exc)
                 rejected += 1
                 print(f"line {lineno}: {err}", file=rejects)
@@ -484,11 +476,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateShape, ZeroVector, ConcentricCenters) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # bad shapes and directions, NoPhysicalRoot, and the overflow, zero
+        # division or math domain errors of non-finite or extreme inputs
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NoPhysicalRoot as exc:
-        print(f"error: NoPhysicalRoot: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

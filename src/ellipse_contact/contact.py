@@ -23,14 +23,13 @@ from .geometry import (
     ellipse_matrix,
 )
 from .quartic import quartic_coefficients, solve_contact_quartic
-from .transform import TransformBranch, TransformedPair, transformed_pair
+from .transform import ContactBranch, TransformedPair, transformed_pair
 
 __all__ = [
     "ConcentricCenters",
     "ContactBranch",
     "ContactSolution",
     "OverlapVerdict",
-    "transformed_distance",
     "closest_approach",
     "contact_point",
     "overlap",
@@ -50,14 +49,6 @@ TANGENT_RTOL = 1e-9
 
 class ConcentricCenters(ValueError):
     """Center separation is (numerically) zero; the pair always overlaps."""
-
-
-class ContactBranch(Enum):
-    GENERAL = "general"
-    CIRCLE_LIKE = "circle-like"
-    PHI_RIGHT_ANGLE = "phi-right-angle"
-    PARALLEL_AXES_2A = "parallel-axes-2a"
-    PARALLEL_AXES_2B = "parallel-axes-2b"
 
 
 class OverlapVerdict(Enum):
@@ -114,7 +105,7 @@ def _distance_pieces(
         return 1.0 + tp.a2p, q, _sign(tp.sin_phi), 0.0, ContactBranch.PHI_RIGHT_ANGLE
     tan2phi = (tp.sin_phi * tp.sin_phi) / (tp.cos_phi * tp.cos_phi)
     coeffs = quartic_coefficients(tp.b2p, tp.delta, tan2phi)
-    q, _ = solve_contact_quartic(coeffs, tp.delta)
+    q = solve_contact_quartic(coeffs, tp.delta)
     big_x = 1.0 + tp.b2p * (1.0 + tp.delta) / q
     big_y = 1.0 + tp.b2p / q
     tan_psi = abs(tp.sin_phi / tp.cos_phi) * big_y / big_x
@@ -123,27 +114,14 @@ def _distance_pieces(
     cos_psi = _sign(tp.cos_phi) / norm
     frac = (tan_psi / norm) ** 2
     d_prime = math.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
-    if tp.branch is TransformBranch.PARALLEL_AXES_2A:
-        branch = ContactBranch.PARALLEL_AXES_2A
-    elif tp.branch is TransformBranch.PARALLEL_AXES_2B:
-        branch = ContactBranch.PARALLEL_AXES_2B
-    else:
-        branch = ContactBranch.GENERAL
-    return d_prime, q, sin_psi, cos_psi, branch
-
-
-def transformed_distance(tp: TransformedPair) -> tuple[float, float]:
-    """Distance of closest approach of the unit circle and the transformed
-    ellipse along the transformed center line, with the quartic root q."""
-    d_prime, q, _, _, _ = _distance_pieces(tp)
-    return d_prime, q
+    return d_prime, q, sin_psi, cos_psi, tp.branch
 
 
 def _gamma_components(cfg: PairConfiguration, tp: TransformedPair) -> tuple[float, float]:
     """(sin gamma, cos gamma): rotation from the (k1 +/- k2) basis to the
     eigenbasis.  Conventional identity values where that basis degenerates."""
-    if tp.branch is not TransformBranch.GENERAL:
-        if tp.branch is TransformBranch.PARALLEL_AXES_2A:
+    if tp.branch is not ContactBranch.GENERAL:
+        if tp.branch is ContactBranch.PARALLEL_AXES_2A:
             return 0.0, 1.0
         return 1.0, 0.0
     k1, k2 = cfg.k1, cfg.k2

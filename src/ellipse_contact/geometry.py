@@ -43,39 +43,12 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite vector components ({self.x}, {self.y})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def dot(self, other) -> float:
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other) -> float:
         """z-component of the 3D cross product (signed parallelogram area)."""
         return self.x * other.y - self.y * other.x
 
-    def perp(self) -> "Vec2":
-        """Counter-clockwise quarter turn."""
-        return Vec2(-self.y, self.x)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -101,28 +74,11 @@ class UnitVec2:
     def from_angle(cls, theta: float) -> "UnitVec2":
         return cls(math.cos(theta), math.sin(theta))
 
-    def __neg__(self) -> "UnitVec2":
-        return UnitVec2(-self.x, -self.y)
-
     def dot(self, other) -> float:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other) -> float:
-        return self.x * other.y - self.y * other.x
-
-    def perp(self) -> "UnitVec2":
-        """Counter-clockwise quarter turn (still unit length)."""
-        return UnitVec2(-self.y, self.x)
-
-    def rotated(self, theta: float) -> "UnitVec2":
-        c, s = math.cos(theta), math.sin(theta)
-        return UnitVec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
     def vec(self) -> Vec2:
         return Vec2(self.x, self.y)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
@@ -155,12 +111,6 @@ class EllipseShape:
         # (1 - b/a)(1 + b/a) keeps full precision for near-circular shapes
         r = self.b / self.a
         return (1.0 - r) * (1.0 + r)
-
-    def eccentricity(self) -> float:
-        return math.sqrt(self.eccentricity_sq())
-
-    def is_circle(self) -> bool:
-        return self.a == self.b
 
     def area(self) -> float:
         return math.pi * self.a * self.b
@@ -196,9 +146,6 @@ class SymMat2:
         return (
             self.m11 * v.x * v.x + 2.0 * self.m12 * v.x * v.y + self.m22 * v.y * v.y
         )
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m12
 
 
 def _as_vec(v) -> Vec2:

@@ -72,7 +72,6 @@ class MCConfig:
     seed: int
     sweeps: int
     sample_every: int = 100
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if self.n_particles < 1:
@@ -91,8 +90,6 @@ class MCConfig:
                 f"sweeps and sample_every must be >= 1, got {self.sweeps} "
                 f"and {self.sample_every}"
             )
-        if not self.periodic:
-            raise ValueError("only periodic boxes are supported")
         lx, ly = self.box
         reach = 2.0 * max(s.a for s, _ in self.species)
         if lx < 2.0 * reach or ly < 2.0 * reach:

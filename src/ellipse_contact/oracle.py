@@ -307,7 +307,15 @@ def verify_random(
     workers: int | None = None,
 ) -> VerifyReport:
     """Compare the analytic distance against the oracle on the stratified
-    stream; a trial fails when the relative error exceeds the tolerance."""
+    stream; a trial fails when the relative error exceeds the tolerance.
+
+    Raises ValueError for fewer than one trial or a tolerance that is not
+    a finite non-negative number, either of which would pass vacuously.
+    """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     workers = default_workers() if workers is None else max(1, workers)
     pairs: list[tuple[float, float]] = []
     root_failures = 0
@@ -340,7 +348,7 @@ def verify_random(
     return VerifyReport(
         trials=trials,
         max_rel_err=max_err,
-        mean_rel_err=total / max(1, trials),
+        mean_rel_err=total / trials,
         failures=failures,
         root_failures=root_failures,
     )

@@ -23,7 +23,8 @@ The solver is defensive in layers:
    residual test passes;
 4. if every closed-form candidate fails, all four roots are computed by a
    companion-matrix method and the unique in-bracket real root is taken;
-   zero or several such roots raise NoPhysicalRoot instead of guessing.
+   zero or several such roots raise NoPhysicalRoot instead of guessing;
+   that root must pass the same polish, clamp and residual test.
 
 Rejections of the designated assembly, from the root of a checkout:
 
@@ -40,15 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "NoPhysicalRoot",
     "QuarticCoeffs",
-    "FerrariBranch",
-    "FerrariIntermediates",
     "quartic_coefficients",
     "solve_contact_quartic",
 ]
@@ -85,32 +83,6 @@ class QuarticCoeffs:
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e)
-
-
-class FerrariBranch(Enum):
-    GENERAL_U = "general-u"
-    U_ZERO = "u-zero"
-    BETA_ZERO = "beta-zero"
-
-
-@dataclass(frozen=True)
-class FerrariIntermediates:
-    """Resolvent-cubic quantities, kept for diagnostics and tests.
-
-    resolvent_p/resolvent_q are the depressed-cubic coefficients, u the
-    cube-root term (real and imaginary parts; imaginary only in the
-    three-real-roots case), y the resolvent root actually used.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    resolvent_p: float
-    resolvent_q: float
-    u_re: float
-    u_im: float
-    y: float
-    branch: FerrariBranch
 
 
 def quartic_coefficients(b2p: float, delta: float, tan2phi: float) -> QuarticCoeffs:
@@ -179,10 +151,8 @@ def _polish(c: QuarticCoeffs, q: float, iters: int = 3) -> float:
     return q
 
 
-def _ferrari_candidates(
-    c: QuarticCoeffs,
-) -> tuple[float | None, list[float], FerrariIntermediates]:
-    """All real Ferrari root assemblies; first element is the designated one."""
+def _ferrari_candidates(c: QuarticCoeffs) -> tuple[float | None, list[float]]:
+    """All real Ferrari root assemblies: (designated, others)."""
     a, b = c.a, c.b
     alpha = -3.0 * b * b / (8.0 * a * a) + c.c / a
     beta = b**3 / (8.0 * a**3) - b * c.c / (2.0 * a * a) + c.d / a
@@ -199,47 +169,38 @@ def _ferrari_candidates(
         shift = -b / (4.0 * a)
         r_hi = shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0))
         r_lo = shift + math.sqrt(max((-alpha - inner) / 2.0, 0.0))
-        inter = FerrariIntermediates(
-            alpha, beta, gamma, 0.0, 0.0, 0.0, 0.0, 0.0, FerrariBranch.BETA_ZERO
-        )
-        return r_hi, [r_lo], inter
+        return r_hi, [r_lo]
 
     p = -alpha * alpha / 12.0 - gamma
     q = -(alpha**3) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
     disc = q * q / 4.0 + p**3 / 27.0
-    branch = FerrariBranch.GENERAL_U
     if disc >= 0.0:
         s = math.sqrt(disc)
         # (-q/2 + s)(-q/2 - s) = -p^3/27 rewrites away the cancellation
         w = (-q / 2.0 + s) if q <= 0.0 else (p**3) / (27.0 * (q / 2.0 + s))
         u = _cbrt(w)
-        u_re, u_im = u, 0.0
         if abs(u) < 1e-12 * max(1.0, abs(q) ** (1.0 / 3.0)):
-            branch = FerrariBranch.U_ZERO
             y = -5.0 / 6.0 * alpha - _cbrt(q)
         else:
             y = -5.0 / 6.0 * alpha + u - p / (3.0 * u)
     else:
         # three real resolvent roots: u is complex, y = -5a/6 + 2 Re(u)
         uc = complex(-q / 2.0, math.sqrt(-disc)) ** (1.0 / 3.0)
-        u_re, u_im = uc.real, uc.imag
         yc = -5.0 / 6.0 * alpha + uc - p / (3.0 * uc)
         y = yc.real
-
-    inter = FerrariIntermediates(alpha, beta, gamma, p, q, u_re, u_im, y, branch)
 
     s1 = alpha + 2.0 * y
     if -1e-12 < s1 < 0.0:
         s1 = 0.0
     if s1 < 0.0:
-        return None, [], inter
+        return None, []
     big_w = math.sqrt(s1)
     shift = -b / (4.0 * a)
     if big_w == 0.0:
         # alpha + 2y = 0 implies beta = 0; already handled above, but kept
         # for rounding safety
         inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
-        return shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0)), [], inter
+        return shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0)), []
 
     designated = None
     others: list[float] = []
@@ -253,7 +214,7 @@ def _ferrari_candidates(
                     designated = r
                 else:
                     others.append(r)
-    return designated, others, inter
+    return designated, others
 
 
 def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
@@ -269,24 +230,19 @@ def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
     return None
 
 
-def solve_contact_quartic(
-    c: QuarticCoeffs, delta: float
-) -> tuple[float, FerrariIntermediates]:
-    """The unique real root in [1, sqrt(1+delta)], and the Ferrari record.
+def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
+    """The unique real root in [1, sqrt(1+delta)].
 
     Raises NoPhysicalRoot when neither the closed form nor the fallback
-    all-roots method produces exactly one in-bracket real root.
+    all-roots method produces exactly one in-bracket real root that passes
+    the residual test.
     """
     hi = math.sqrt(1.0 + delta)
-    designated, others, inter = _ferrari_candidates(c)
-    q = _accept(c, designated, hi)
-    if q is None:
-        for r in others:
-            q = _accept(c, r, hi)
-            if q is not None:
-                break
-    if q is not None:
-        return q, inter
+    designated, others = _ferrari_candidates(c)
+    for r in (designated, *others):
+        q = _accept(c, r, hi)
+        if q is not None:
+            return q
 
     # defensive path: companion-matrix roots, then demand uniqueness
     roots = np.roots(c.as_tuple())
@@ -301,11 +257,10 @@ def solve_contact_quartic(
             f"{len(in_bracket)} bracket roots for coefficients {c.as_tuple()}, "
             f"delta={delta!r}"
         )
-    q = _polish(c, min(max(in_bracket[0], 1.0), hi))
-    q = min(max(q, 1.0), hi)
-    res = abs(_horner_compensated(c.as_tuple(), q))
-    if res > RESIDUAL_RTOL * max(abs(c.a) * q**4, abs(c.e)):
+    q = _accept(c, in_bracket[0], hi)
+    if q is None:
         raise NoPhysicalRoot(
-            f"fallback root {q!r} fails the residual test for {c.as_tuple()}"
+            f"fallback root {in_bracket[0]!r} fails the residual test for "
+            f"{c.as_tuple()}"
         )
-    return q, inter
+    return q

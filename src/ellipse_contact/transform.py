@@ -31,48 +31,28 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2
+from .geometry import PairConfiguration, UnitVec2
 
 __all__ = [
-    "TransformBranch",
-    "ScalingTransform",
+    "ContactBranch",
     "TransformedPair",
-    "scaling_transform",
     "transformed_pair",
 ]
 
 
-class TransformBranch(Enum):
-    GENERAL = "general"
-    PARALLEL_AXES_2A = "parallel-axes-2a"
-    PARALLEL_AXES_2B = "parallel-axes-2b"
+class ContactBranch(Enum):
+    """Which formula path answers a closest-approach call.
 
-
-@dataclass(frozen=True)
-class ScalingTransform:
-    """Linear map sending ellipse 1 to the unit circle.
-
-    apply() scales by 1/a1 along k1 and 1/b1 across it; inverse_apply()
-    undoes it.  eta = a1/b1 - 1 is zero exactly when shape1 is a circle.
+    transformed_pair tags GENERAL or one of the exactly-parallel-axes
+    branches; the contact stage may replace that tag with CIRCLE_LIKE or
+    PHI_RIGHT_ANGLE when it resolves the pair without the quartic.
     """
 
-    b1: float
-    eta: float
-    k1: UnitVec2
-
-    def apply(self, v) -> Vec2:
-        # (v + (b1/a1 - 1)(k1.v) k1) / b1 with b1/a1 - 1 = -eta/(1 + eta)
-        shrink = -self.eta / (1.0 + self.eta)
-        t = shrink * (self.k1.x * v.x + self.k1.y * v.y)
-        return Vec2((v.x + t * self.k1.x) / self.b1, (v.y + t * self.k1.y) / self.b1)
-
-    def inverse_apply(self, v) -> Vec2:
-        t = self.eta * (self.k1.x * v.x + self.k1.y * v.y)
-        return Vec2(self.b1 * (v.x + t * self.k1.x), self.b1 * (v.y + t * self.k1.y))
-
-
-def scaling_transform(shape1: EllipseShape, k1: UnitVec2) -> ScalingTransform:
-    return ScalingTransform(b1=shape1.b, eta=shape1.a / shape1.b - 1.0, k1=k1)
+    GENERAL = "general"
+    CIRCLE_LIKE = "circle-like"
+    PHI_RIGHT_ANGLE = "phi-right-angle"
+    PARALLEL_AXES_2A = "parallel-axes-2a"
+    PARALLEL_AXES_2B = "parallel-axes-2b"
 
 
 @dataclass(frozen=True)
@@ -103,7 +83,7 @@ class TransformedPair:
     cos_phi: float
     sin_phi: float
     dhat_scale: float
-    branch: TransformBranch
+    branch: ContactBranch
 
 
 def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
@@ -152,13 +132,13 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
         # axes exactly parallel in floating point; k1 and its perp are the
         # exact eigenvectors, paired by the diagonal comparison
         if a11 >= a22:
-            branch = TransformBranch.PARALLEL_AXES_2A
+            branch = ContactBranch.PARALLEL_AXES_2A
             kpx, kpy = k1.x, k1.y
         else:
-            branch = TransformBranch.PARALLEL_AXES_2B
+            branch = ContactBranch.PARALLEL_AXES_2B
             kpx, kpy = -k1.y, k1.x
     else:
-        branch = TransformBranch.GENERAL
+        branch = ContactBranch.GENERAL
         inv = 1.0 / math.sqrt(2.0 * p2)
         upx, upy = sx * inv, sy * inv
         umx, umy = -upy, upx  # exact quarter turn keeps the basis orthonormal

@@ -16,6 +16,17 @@ def mat_as_array(m: SymMat2) -> np.ndarray:
     return np.array([[m.m11, m.m12], [m.m12, m.m22]])
 
 
+def flipped(u: UnitVec2) -> UnitVec2:
+    """The opposite direction, -u."""
+    return UnitVec2(-u.x, -u.y)
+
+
+def rotated(u: UnitVec2, theta: float) -> UnitVec2:
+    """u turned counter-clockwise by theta radians."""
+    c, s = math.cos(theta), math.sin(theta)
+    return UnitVec2(c * u.x - s * u.y, s * u.x + c * u.y)
+
+
 def random_pair(rng: np.random.Generator, max_aspect: float = 10.0) -> PairConfiguration:
     """Uniform, non-adversarial random configuration."""
     def shape():

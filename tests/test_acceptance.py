@@ -31,6 +31,7 @@ from ellipse_contact.oracle import (
     stratified_configuration,
     verify_random,
 )
+from conftest import flipped, rotated
 
 SEED = 20250810
 N_SWEEP = 10_000
@@ -180,7 +181,7 @@ def test_criterion_6_quartic_vs_all_roots():
         delta = 10.0 ** rng.uniform(-8.0, 3.2)
         tan2phi = math.tan(rng.uniform(0.0, math.pi / 2 * 0.9999)) ** 2
         coeffs = quartic_coefficients(b2p, delta, tan2phi)
-        q, _ = solve_contact_quartic(coeffs, delta)
+        q = solve_contact_quartic(coeffs, delta)
         hi = math.sqrt(1.0 + delta)
         in_bracket = [
             r.real
@@ -282,11 +283,11 @@ def test_criterion_9_invariance_suite():
     for _ in range(1000):  # rotation
         cfg = random_cfg()
         th = rng.uniform(0.0, 2.0 * math.pi)
-        rotated = PairConfiguration(
+        turned = PairConfiguration(
             cfg.shape1, cfg.shape2,
-            cfg.k1.rotated(th), cfg.k2.rotated(th), cfg.dhat.rotated(th),
+            rotated(cfg.k1, th), rotated(cfg.k2, th), rotated(cfg.dhat, th),
         )
-        sol0, sol1 = closest_approach(cfg), closest_approach(rotated)
+        sol0, sol1 = closest_approach(cfg), closest_approach(turned)
         assert abs(sol0.d - sol1.d) <= 1e-10 * sol0.d
         c, s = math.cos(th), math.sin(th)
         rx = c * sol0.contact_point.x - s * sol0.contact_point.y
@@ -308,12 +309,12 @@ def test_criterion_9_invariance_suite():
     for _ in range(1000):  # sign flips
         cfg = random_cfg()
         d0 = closest_approach(cfg).d
-        for flipped in (
-            PairConfiguration(cfg.shape1, cfg.shape2, -cfg.k1, cfg.k2, cfg.dhat),
-            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, -cfg.k2, cfg.dhat),
-            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, -cfg.dhat),
+        for other in (
+            PairConfiguration(cfg.shape1, cfg.shape2, flipped(cfg.k1), cfg.k2, cfg.dhat),
+            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, flipped(cfg.k2), cfg.dhat),
+            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, flipped(cfg.dhat)),
         ):
-            assert abs(closest_approach(flipped).d - d0) <= 1e-10 * d0
+            assert abs(closest_approach(other).d - d0) <= 1e-10 * d0
 
     for i in range(1000):  # scaling
         cfg = random_cfg()

@@ -23,6 +23,12 @@ def k_at(deg):
     return UnitVec2.from_angle(math.radians(deg))
 
 
+def _gap(pts, i):
+    """Distance from curve point i to the next one, wrapping around."""
+    p, q = pts[i], pts[(i + 1) % len(pts)]
+    return math.hypot(q.x - p.x, q.y - p.y)
+
+
 def d2_area(shape1, shape2, k1, k2, panels=2048):
     """The excluded area from the contact kernel: one half of the integral
     of d(theta)^2 over the center-line direction, by the fixed trapezoid
@@ -163,11 +169,11 @@ def test_boundary_continuity():
     curve = excluded_boundary(E21, E21, X, k_at(30.0), 512)
     pts = curve.points()
     perimeter = sum(
-        (pts[(i + 1) % len(pts)] - pts[i]).norm() for i in range(len(pts))
+        _gap(pts, i) for i in range(len(pts))
     )
     limit = perimeter / len(pts) * 10.0
     for i in range(len(pts)):
-        gap = (pts[(i + 1) % len(pts)] - pts[i]).norm()
+        gap = _gap(pts, i)
         assert gap < limit
 
 
@@ -192,11 +198,11 @@ def test_locus_continuity():
     curve = contact_locus(E21, EllipseShape(1.5, 0.5), k_at(20.0), X, 512)
     pts = curve.points()
     perimeter = sum(
-        (pts[(i + 1) % len(pts)] - pts[i]).norm() for i in range(len(pts))
+        _gap(pts, i) for i in range(len(pts))
     )
     limit = perimeter / len(pts) * 10.0
     for i in range(len(pts)):
-        assert (pts[(i + 1) % len(pts)] - pts[i]).norm() < limit
+        assert _gap(pts, i) < limit
 
 
 def test_locus_sample_count_validation():

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ellipse_contact.cli import main
 
@@ -34,6 +36,18 @@ def run_cli_bounded(capsys, *argv, seconds=5.0):
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     return code, out, err, time.monotonic() - start
+
+
+def assert_input_error(capsys, *argv):
+    """Exit 2 within the time bound, nothing on stdout, and one ``error:``
+    line on stderr, which is returned."""
+    code, out, err, elapsed = run_cli_bounded(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert elapsed < 5.0
+    return err
 
 
 def test_distance_circles(capsys):
@@ -188,6 +202,31 @@ def test_batch_rejects_bad_rows(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 2
 
 
+def test_batch_rejects_arithmetic_rows(tmp_path, capsys):
+    inp = tmp_path / "in.csv"
+    outp = tmp_path / "out.csv"
+    rej = tmp_path / "rej.txt"
+    inp.write_text(
+        "a1,b1,a2,b2,theta1,theta2,theta_d\n"
+        "2,1,2,1,0,30,10\n"
+        "1e308,1,2,1,0,0,0\n"            # OverflowError
+        "2,1e-300,2,1e-300,0,0,0\n"      # ZeroDivisionError
+        "2,1,2,1,inf,0,0\n"              # math domain error
+        "1,1,1,1,0,0,0\n"
+        "2,1,3,1,0,90,45\n"
+        "2,1,2,1,0,0,0\n"
+    )
+    code, _, _ = run_cli(
+        capsys, "batch", "--input", str(inp), "--output", str(outp),
+        "--rejects", str(rej),
+    )
+    assert code == 0  # 3 of 7 rejected: not over the half threshold
+    lines = rej.read_text().strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["line 3", "line 4", "line 5"]
+    with open(outp, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 4
+
+
 def test_batch_majority_rejected_exit_2(tmp_path, capsys):
     inp = tmp_path / "in.csv"
     inp.write_text(
@@ -263,14 +302,7 @@ def test_excluded_area_sweep(tmp_path, capsys):
     "1e20:1e20:1",   # STEP below the spacing of doubles at START
 ])
 def test_excluded_area_bad_sweep_exit_2(capsys, sweep):
-    code, out, err, elapsed = run_cli_bounded(
-        capsys, "excluded-area", *PAIR_21, "--sweep", sweep,
-    )
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error:")
-    assert elapsed < 5.0
+    assert_input_error(capsys, "excluded-area", *PAIR_21, "--sweep", sweep)
 
 
 @pytest.mark.parametrize("argv", [
@@ -281,12 +313,7 @@ def test_excluded_area_bad_sweep_exit_2(capsys, sweep):
     ("locus", *PAIR_21, "--n", "8"),
 ])
 def test_bad_sample_count_exit_2(capsys, argv):
-    code, out, err, elapsed = run_cli_bounded(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error:")
-    assert elapsed < 5.0
+    assert_input_error(capsys, *argv)
 
 
 def test_boundary_and_locus(tmp_path, capsys):
@@ -335,6 +362,80 @@ def test_verify_zero_tolerance_exit_1(capsys):
         capsys, "verify", "--trials", "10", "--seed", "7", "--tol", "0"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--trials", "0"),
+    ("verify", "--trials", "-1"),
+    ("verify", "--trials", "2", "--tol", "nan"),
+    ("verify", "--trials", "2", "--tol", "inf"),
+    ("verify", "--trials", "2", "--tol=-1e-7"),
+])
+def test_verify_vacuous_run_exit_2(capsys, argv):
+    # no trials, or a tolerance no error can exceed, would pass on no work
+    assert assert_input_error(capsys, *argv).startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("overlap", *PAIR_21, "--sep", "nan"),
+    ("overlap", *PAIR_21, "--sep", "inf"),
+    ("excluded-area", *PAIR_21, "--angle", "inf"),
+    ("distance", *PAIR_21, "--theta-d", "inf"),
+    ("verify", "--samples", "10"),
+    ("distance", "--a1", "1e308", "--b1", "1", "--a2", "2", "--b2", "1"),
+    ("distance", "--a1", "2", "--b1", "1e-300", "--a2", "2", "--b2", "1e-300"),
+])
+def test_arithmetic_input_errors_exit_2(capsys, argv):
+    # each raised ValueError or ArithmeticError inside the command
+    assert_input_error(capsys, *argv)
+
+
+LENGTHS = st.sampled_from([
+    5e-324, 1e-308, 1e-300, 1e-160, 1e-3, 0.5, 1.0, 2.0, 7.5, 1e3,
+    1e160, 1e300, 1e308, 1.7976931348623157e308, 0.0, -1.0, math.inf, math.nan,
+]) | st.floats(1e-3, 1e3)
+ANGLES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 1e300, -1e300, 1e16, 0.0, 30.0, -45.0,
+    90.0, 180.0, 5e-324,
+]) | st.floats(-720.0, 720.0)
+
+
+@st.composite
+def fuzzed_command(draw):
+    command = draw(st.sampled_from(
+        ["distance", "contact", "overlap", "excluded-area", "boundary", "locus"]
+    ))
+    a1, b1 = sorted(draw(st.tuples(LENGTHS, LENGTHS)), reverse=True)
+    a2, b2 = sorted(draw(st.tuples(LENGTHS, LENGTHS)), reverse=True)
+    argv = [command]
+    # the --flag=value form keeps argparse from reading -inf as a flag
+    for flag, value in (("a1", a1), ("b1", b1), ("a2", a2), ("b2", b2)):
+        argv.append(f"--{flag}={value!r}")
+    for flag in ("theta1", "theta2"):
+        argv.append(f"--{flag}={draw(ANGLES)!r}")
+    if command in ("distance", "contact", "overlap", "locus"):
+        argv.append(f"--theta-d={draw(ANGLES)!r}")
+    if command == "overlap":
+        argv.append(f"--sep={draw(LENGTHS)!r}")
+    if command == "excluded-area":
+        argv += [f"--angle={draw(ANGLES)!r}", "--panels", "64"]
+    if command in ("boundary", "locus"):
+        argv += ["--n", "16"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzzed_command())
+def test_fuzzed_geometry_commands_exit_0_or_2(capsys, argv):
+    # any exception escaping main fails the test with its traceback
+    code, out, err, elapsed = run_cli_bounded(capsys, *argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+    assert elapsed < 5.0
 
 
 def test_simulate_command(tmp_path, capsys):

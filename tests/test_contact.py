@@ -17,11 +17,10 @@ from ellipse_contact import (
     oracle_distance,
     overlap,
     tangency_residuals,
-    transformed_distance,
     transformed_pair,
 )
 from ellipse_contact.oracle import OracleSettings, stratified_configuration
-from conftest import random_pair
+from conftest import flipped, random_pair, rotated
 
 
 def pair(a1, b1, a2, b2, th1, th2, thd):
@@ -37,7 +36,8 @@ def test_transformed_distance_circle_case():
     # delta = 0: both shapes circles, any direction
     cfg = pair(1.0, 1.0, 2.0, 2.0, 0.1, 0.9, 0.4)
     tp = transformed_pair(cfg)
-    d_prime, q = transformed_distance(tp)
+    sol = closest_approach(cfg)
+    d_prime, q = sol.d_prime, sol.q
     assert math.isclose(d_prime, 1.0 + tp.b2p, rel_tol=1e-15)
     assert q == 1.0
     assert math.isclose(d_prime, 3.0, rel_tol=1e-12)  # b2p = r2/r1 = 2
@@ -46,7 +46,8 @@ def test_transformed_distance_circle_case():
     cfg = pair(1.0, 1.0, 0.5, 0.5, 0.3, 1.0, 2.0)
     tp = transformed_pair(cfg)
     assert tp.delta < 1e-12 and math.isclose(tp.b2p, 0.5, rel_tol=1e-12)
-    d_prime, q = transformed_distance(tp)
+    sol = closest_approach(cfg)
+    d_prime, q = sol.d_prime, sol.q
     assert math.isclose(d_prime, 1.5, rel_tol=1e-12)
 
 
@@ -57,7 +58,8 @@ def test_transformed_distance_right_angle_half_b2p():
     assert math.isclose(tp.delta, 3.0, rel_tol=1e-12)
     assert math.isclose(tp.b2p, 0.5, rel_tol=1e-12)
     assert abs(tp.cos_phi) < 1e-12
-    d_prime, q = transformed_distance(tp)
+    sol = closest_approach(cfg)
+    d_prime, q = sol.d_prime, sol.q
     assert math.isclose(d_prime, 2.0, rel_tol=1e-12)
     assert math.isclose(q, 2.0, rel_tol=1e-12)
 
@@ -70,7 +72,8 @@ def test_transformed_distance_phi_right_angle():
     tp = transformed_pair(cfg)
     assert abs(tp.cos_phi) < 1e-12
     assert math.isclose(tp.delta, 3.0, rel_tol=1e-12)
-    d_prime, q = transformed_distance(tp)
+    sol = closest_approach(cfg)
+    d_prime, q = sol.d_prime, sol.q
     assert math.isclose(d_prime, 1.0 + tp.a2p, rel_tol=1e-12)
     assert math.isclose(d_prime, 3.0, rel_tol=1e-12)
     assert math.isclose(q, 2.0, rel_tol=1e-12)
@@ -86,7 +89,7 @@ def test_transformed_distance_against_circle_ellipse_oracle(rng):
         tp = transformed_pair(cfg)
         if tp.delta < 1e-9 or abs(tp.cos_phi) < 1e-9:
             continue
-        d_prime, _ = transformed_distance(tp)
+        d_prime = closest_approach(cfg).d_prime
         # reconstruct the transformed scene: unit circle vs ellipse
         # (a2p, b2p) with major axis kminus, center line along
         # cos_phi*kplus + sin_phi*kminus
@@ -182,7 +185,8 @@ def test_tangency_residuals_random(rng):
         m2 = ellipse_matrix(cfg.shape2, cfg.k2)
         rc = sol.contact_point
         p2 = Vec2(rc.x - sol.d * cfg.dhat.x, rc.y - sol.d * cfg.dhat.y)
-        assert m1.apply(rc).dot(m2.apply(p2)) < 0.0
+        n1, n2 = m1.apply(rc), m2.apply(p2)
+        assert n1.x * n2.x + n1.y * n2.y < 0.0
 
 
 def test_contact_point_psi_gamma_form(rng):
@@ -200,7 +204,7 @@ def test_contact_point_psi_gamma_form(rng):
             continue
         k1, k2 = cfg.k1, cfg.k2
         if k1.dot(k2) < 0.0:
-            k2 = -k2
+            k2 = flipped(k2)
         c = k1.dot(k2)
         if 1.0 - c * c < 1e-12:
             continue
@@ -266,11 +270,11 @@ def test_rotation_covariance(rng):
     for _ in range(200):
         cfg = random_pair(rng)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        rotated = PairConfiguration(
+        turned = PairConfiguration(
             cfg.shape1, cfg.shape2,
-            cfg.k1.rotated(th), cfg.k2.rotated(th), cfg.dhat.rotated(th),
+            rotated(cfg.k1, th), rotated(cfg.k2, th), rotated(cfg.dhat, th),
         )
-        sol0, sol1 = closest_approach(cfg), closest_approach(rotated)
+        sol0, sol1 = closest_approach(cfg), closest_approach(turned)
         assert abs(sol1.d - sol0.d) <= 1e-10 * sol0.d
         c, s = math.cos(th), math.sin(th)
         rx = c * sol0.contact_point.x - s * sol0.contact_point.y
@@ -301,12 +305,12 @@ def test_sign_flip_invariance(rng):
     for _ in range(200):
         cfg = random_pair(rng)
         sol0 = closest_approach(cfg)
-        for flipped in (
-            PairConfiguration(cfg.shape1, cfg.shape2, -cfg.k1, cfg.k2, cfg.dhat),
-            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, -cfg.k2, cfg.dhat),
-            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, -cfg.dhat),
+        for other in (
+            PairConfiguration(cfg.shape1, cfg.shape2, flipped(cfg.k1), cfg.k2, cfg.dhat),
+            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, flipped(cfg.k2), cfg.dhat),
+            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, flipped(cfg.dhat)),
         ):
-            assert abs(closest_approach(flipped).d - sol0.d) <= 1e-10 * sol0.d
+            assert abs(closest_approach(other).d - sol0.d) <= 1e-10 * sol0.d
 
 
 # --- branch straddle --------------------------------------------------------

@@ -94,3 +94,16 @@ def test_verify_parallel_consistent():
     parallel = verify_random(trials=24, seed=9, tolerance=1e-7, workers=2)
     assert serial.max_rel_err == parallel.max_rel_err
     assert serial.mean_rel_err == parallel.mean_rel_err
+
+
+@pytest.mark.parametrize("trials, tolerance", [
+    (0, 1e-7),
+    (-1, 1e-7),
+    (2, float("nan")),
+    (2, float("inf")),
+    (2, -1e-7),
+])
+def test_verify_rejects_vacuous_runs(trials, tolerance):
+    # no trials, or a tolerance no error can exceed, would pass on no work
+    with pytest.raises(ValueError):
+        verify_random(trials=trials, seed=3, tolerance=tolerance, workers=1)

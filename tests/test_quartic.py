@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellipse_contact import (
-    FerrariBranch,
     NoPhysicalRoot,
     QuarticCoeffs,
+    closest_approach,
+    oracle_distance,
     oracle_quartic_roots,
     quartic_coefficients,
     solve_contact_quartic,
+    stratified_configuration,
+    tangency_residuals,
 )
+from ellipse_contact import quartic
 
 
 def random_inputs(rng):
@@ -67,9 +71,8 @@ def test_coefficient_sign_pattern(b2p, delta, tan2phi):
 
 def test_circle_case_root():
     c = quartic_coefficients(1.0, 0.0, 0.0)
-    q, inter = solve_contact_quartic(c, 0.0)
+    q = solve_contact_quartic(c, 0.0)
     assert math.isclose(q, 1.0, rel_tol=1e-14)
-    assert inter.branch in (FerrariBranch.GENERAL_U, FerrariBranch.U_ZERO)
 
 
 def in_bracket_oracle_root(c: QuarticCoeffs, delta: float) -> list[float]:
@@ -86,7 +89,7 @@ def test_ferrari_matches_oracle(rng):
     for _ in range(5000):
         b2p, delta, tan2phi = random_inputs(rng)
         c = quartic_coefficients(b2p, delta, tan2phi)
-        q, _ = solve_contact_quartic(c, delta)
+        q = solve_contact_quartic(c, delta)
         bracket = in_bracket_oracle_root(c, delta)
         assert len(bracket) == 1
         assert abs(q - bracket[0]) <= 1e-9 * bracket[0]
@@ -97,34 +100,64 @@ def test_residual_bound(rng):
     for _ in range(2000):
         b2p, delta, tan2phi = random_inputs(rng)
         c = quartic_coefficients(b2p, delta, tan2phi)
-        q, _ = solve_contact_quartic(c, delta)
+        q = solve_contact_quartic(c, delta)
         assert abs(c.evaluate(q)) <= 1e-8 * max(abs(c.a) * q**4, abs(c.e))
 
 
-def test_complex_resolvent_consistency(rng):
-    # when the cube-root term is complex, y = -5a/6 + u - p/(3u) must be
-    # real: |u|^2 = -p^3/27 makes -p/(3u) the conjugate of u
-    seen_complex = 0
+class _CountingRoots:
+    """Stands in for numpy inside quartic: counts the companion-matrix
+    fallback's calls, and makes them fail when forbidden."""
+
+    def __init__(self, allow: bool) -> None:
+        self.allow = allow
+        self.calls = 0
+
+    def roots(self, coeffs):
+        self.calls += 1
+        if not self.allow:
+            raise AssertionError(f"companion-matrix fallback reached for {coeffs}")
+        return np.roots(coeffs)
+
+
+def extreme_inputs(rng):
+    b2p = 10.0 ** rng.uniform(-2.5, -0.5)
+    delta = 10.0 ** rng.uniform(1.5, 3.2)
+    tan2phi = math.tan(rng.uniform(0.2, math.pi / 2.0 * 0.999)) ** 2
+    return b2p, delta, tan2phi
+
+
+@pytest.mark.parametrize("inputs", [random_inputs, extreme_inputs], ids=["uniform", "extreme"])
+def test_ferrari_solves_without_fallback(rng, monkeypatch, inputs):
+    # the closed form alone must answer every quartic of these streams;
+    # with the fallback live, a broken Ferrari assembly would go unseen
+    monkeypatch.setattr(quartic, "np", _CountingRoots(allow=False))
     for _ in range(3000):
-        b2p, delta, tan2phi = random_inputs(rng)
+        b2p, delta, tan2phi = inputs(rng)
         c = quartic_coefficients(b2p, delta, tan2phi)
-        q, inter = solve_contact_quartic(c, delta)
-        if inter.u_im != 0.0:
-            seen_complex += 1
-            u = complex(inter.u_re, inter.u_im)
-            y_complex = (
-                -5.0 / 6.0 * inter.alpha + u - inter.resolvent_p / (3.0 * u)
-            )
-            assert abs(y_complex.imag) <= 1e-9 * max(1.0, abs(y_complex.real))
-    assert seen_complex > 0  # the casus irreducibilis is generic here
+        q = solve_contact_quartic(c, delta)
+        bracket = in_bracket_oracle_root(c, delta)
+        assert len(bracket) == 1
+        assert abs(q - bracket[0]) <= 1e-9 * bracket[0]
+
+
+def test_fallback_success_path(monkeypatch):
+    # the one configuration of 20,000 at seed 11 that every closed-form
+    # assembly misses; the companion-matrix root must still be accepted
+    counter = _CountingRoots(allow=True)
+    monkeypatch.setattr(quartic, "np", counter)
+    cfg = stratified_configuration(11, 14928)
+    sol = closest_approach(cfg)
+    assert counter.calls == 1
+    d_oracle = oracle_distance(cfg)
+    assert abs(sol.d - d_oracle) <= 1e-9 * d_oracle
+    assert max(tangency_residuals(cfg, sol)) <= 1e-9
 
 
 def test_beta_zero_branch():
     # beta = 0 never arises from valid contact geometry; exercise the
     # branch with a synthetic biquadratic -(q^2-1)(q^2-4), bracket [1, 1.5]
     c = QuarticCoeffs(-1.0, 0.0, 5.0, 0.0, -4.0)
-    q, inter = solve_contact_quartic(c, 1.25)
-    assert inter.branch is FerrariBranch.BETA_ZERO
+    q = solve_contact_quartic(c, 1.25)
     assert math.isclose(q, 1.0, rel_tol=1e-12)
 
 
@@ -141,8 +174,7 @@ def test_u_zero_branch():
     real = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
     target = real[0]
     delta = target * target * 1.21 - 1.0
-    q, inter = solve_contact_quartic(c, delta)
-    assert inter.branch is FerrariBranch.U_ZERO
+    q = solve_contact_quartic(c, delta)
     assert math.isclose(q, target, rel_tol=1e-10)
 
 
@@ -172,11 +204,9 @@ def test_extreme_anisotropy_sweep(rng):
     # the designated sign assembly fails for a visible fraction of these;
     # the solver must still land on the unique bracket root every time
     for _ in range(3000):
-        b2p = 10.0 ** rng.uniform(-2.5, -0.5)
-        delta = 10.0 ** rng.uniform(1.5, 3.2)
-        tan2phi = math.tan(rng.uniform(0.2, math.pi / 2.0 * 0.999)) ** 2
+        b2p, delta, tan2phi = extreme_inputs(rng)
         c = quartic_coefficients(b2p, delta, tan2phi)
-        q, _ = solve_contact_quartic(c, delta)
+        q = solve_contact_quartic(c, delta)
         bracket = in_bracket_oracle_root(c, delta)
         assert len(bracket) == 1
         assert abs(q - bracket[0]) <= 1e-9 * bracket[0]

@@ -3,16 +3,14 @@ import math
 import numpy as np
 
 from ellipse_contact import (
+    ContactBranch,
     EllipseShape,
     PairConfiguration,
-    TransformBranch,
     UnitVec2,
-    Vec2,
     ellipse_matrix,
-    scaling_transform,
     transformed_pair,
 )
-from conftest import mat_as_array, random_pair
+from conftest import flipped, mat_as_array, random_pair, rotated
 from ellipse_contact.oracle import stratified_configuration
 
 
@@ -32,31 +30,36 @@ def eigen_oracle(cfg):
     return a_prime, lam, vecs
 
 
+def _scaled_dhat(shape, k1, dhat):
+    """|T dhat| as transformed_pair computes it, for a unit ellipse 2."""
+    cfg = PairConfiguration(shape, EllipseShape(1.0, 1.0), k1, k1, dhat)
+    return transformed_pair(cfg).dhat_scale
+
+
 def test_scaling_transform_circle():
-    t = scaling_transform(EllipseShape(3.0, 3.0), UnitVec2(1.0, 0.0))
-    v = t.apply(Vec2(3.0, -6.0))
-    assert math.isclose(v.x, 1.0, rel_tol=1e-15)
-    assert math.isclose(v.y, -2.0, rel_tol=1e-15)
+    # a circle of radius 3 scales every direction by 1/3
+    for theta in (0.0, 0.7, 2.0):
+        got = _scaled_dhat(EllipseShape(3.0, 3.0), UnitVec2(1.0, 0.0), UnitVec2.from_angle(theta))
+        assert math.isclose(got, 1.0 / 3.0, rel_tol=1e-15)
 
 
 def test_scaling_transform_maps_boundary_to_unit_circle():
-    t = scaling_transform(EllipseShape(2.0, 1.0), UnitVec2(1.0, 0.0))
-    assert t.apply(Vec2(2.0, 0.0)).as_tuple() == (1.0, 0.0)
-    assert t.apply(Vec2(0.0, 1.0)).as_tuple() == (0.0, 1.0)
-    assert t.apply(Vec2(1.0, 1.0)).as_tuple() == (0.5, 1.0)
+    # T scales by 1/a1 along k1 and 1/b1 across it: (2,0) -> (1,0),
+    # (0,1) -> (0,1) and (1,1) -> (0.5,1) for the (2,1) ellipse along x
+    shape, k1 = EllipseShape(2.0, 1.0), UnitVec2(1.0, 0.0)
+    assert _scaled_dhat(shape, k1, UnitVec2(1.0, 0.0)) == 0.5
+    assert _scaled_dhat(shape, k1, UnitVec2(0.0, 1.0)) == 1.0
+    got = _scaled_dhat(shape, k1, UnitVec2(1.0, 1.0))
+    assert math.isclose(got, math.hypot(0.5, 1.0) / math.sqrt(2.0), rel_tol=1e-15)
 
 
-def test_scaling_roundtrip_and_unit_image(rng):
+def test_scaling_unit_image(rng):
+    # T^-1 A1 T^-1 = I: the inverse scaling the kernel maps back through
+    # sends the unit circle onto ellipse 1
     for _ in range(200):
         a = rng.uniform(0.5, 5.0)
         shape = EllipseShape(a, a * rng.uniform(0.05, 1.0))
         k1 = UnitVec2.from_angle(rng.uniform(0.0, 2.0 * math.pi))
-        t = scaling_transform(shape, k1)
-        v = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        w = t.apply(t.inverse_apply(v))
-        assert abs(w.x - v.x) <= 1e-12 * max(1.0, abs(v.x))
-        assert abs(w.y - v.y) <= 1e-12 * max(1.0, abs(v.y))
-        # T^-1 A1 T^-1 = I
         m1 = mat_as_array(ellipse_matrix(shape, k1))
         k1v = np.array([k1.x, k1.y])
         t_inv = shape.b * (np.eye(2) + (shape.a / shape.b - 1.0) * np.outer(k1v, k1v))
@@ -91,7 +94,7 @@ def test_parallel_case_phi_zero():
         UnitVec2(1.0, 0.0), UnitVec2(1.0, 0.0), UnitVec2(1.0, 0.0),
     )
     tp = transformed_pair(cfg)
-    assert tp.branch in (TransformBranch.PARALLEL_AXES_2A, TransformBranch.PARALLEL_AXES_2B)
+    assert tp.branch in (ContactBranch.PARALLEL_AXES_2A, ContactBranch.PARALLEL_AXES_2B)
     assert math.isclose(abs(tp.cos_phi), 1.0, rel_tol=1e-12)
     # the parallel-limit closed form: (b1/a1)(k1.d)/sqrt(1-e1^2 (k1.d)^2)
     e1sq = cfg.shape1.eccentricity_sq()
@@ -106,7 +109,7 @@ def test_antiparallel_axes_canonicalized():
     )
     cfg_anti = PairConfiguration(
         cfg_par.shape1, cfg_par.shape2,
-        cfg_par.k1, -cfg_par.k2, cfg_par.dhat,
+        cfg_par.k1, flipped(cfg_par.k2), cfg_par.dhat,
     )
     tp_par, tp_anti = transformed_pair(cfg_par), transformed_pair(cfg_anti)
     assert tp_anti.branch == tp_par.branch
@@ -183,11 +186,11 @@ def test_global_rotation_invariance(rng):
     for _ in range(300):
         cfg = random_pair(rng)
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        rotated = PairConfiguration(
+        turned = PairConfiguration(
             cfg.shape1, cfg.shape2,
-            cfg.k1.rotated(angle), cfg.k2.rotated(angle), cfg.dhat.rotated(angle),
+            rotated(cfg.k1, angle), rotated(cfg.k2, angle), rotated(cfg.dhat, angle),
         )
-        tp0, tp1 = transformed_pair(cfg), transformed_pair(rotated)
+        tp0, tp1 = transformed_pair(cfg), transformed_pair(turned)
         assert math.isclose(tp0.lambda_plus, tp1.lambda_plus, rel_tol=1e-10)
         assert math.isclose(tp0.lambda_minus, tp1.lambda_minus, rel_tol=1e-10)
         assert abs(tp0.delta - tp1.delta) <= 1e-10 * (1.0 + tp0.delta)
@@ -198,12 +201,12 @@ def test_sign_flip_invariance(rng):
     for _ in range(300):
         cfg = random_pair(rng)
         tp0 = transformed_pair(cfg)
-        for flipped in (
-            PairConfiguration(cfg.shape1, cfg.shape2, -cfg.k1, cfg.k2, cfg.dhat),
-            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, -cfg.k2, cfg.dhat),
-            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, -cfg.dhat),
+        for other in (
+            PairConfiguration(cfg.shape1, cfg.shape2, flipped(cfg.k1), cfg.k2, cfg.dhat),
+            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, flipped(cfg.k2), cfg.dhat),
+            PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, flipped(cfg.dhat)),
         ):
-            tp1 = transformed_pair(flipped)
+            tp1 = transformed_pair(other)
             assert math.isclose(tp0.lambda_plus, tp1.lambda_plus, rel_tol=1e-10)
             assert abs(tp0.delta - tp1.delta) <= 1e-10 * (1.0 + tp0.delta)
             assert abs(tp0.cos_phi**2 - tp1.cos_phi**2) < 1e-10
