@@ -88,16 +88,22 @@ def excluded_area(
     The area of the Minkowski sum K1 + (-K2), with -K2 = K2 because an
     ellipse is centrally symmetric: A1 + A2 + integral of h1 * rho2 over
     the normal angle, where rho2 = (a2 b2)^2 / h2^3.  ``panels`` is the
-    number of trapezoid nodes; no contact distance is computed.
+    number of trapezoid nodes; no contact distance is computed.  Raises
+    OverflowError when the area is not finite, as for semi-axes near 1e160.
     """
     if panels < MIN_SAMPLES:
         raise ValueError(f"panels must be at least {MIN_SAMPLES}")
     step = 2.0 * math.pi / panels
     theta = step * np.arange(panels)
     nx, ny = np.cos(theta), np.sin(theta)
-    h2 = _support(shape2, k2, nx, ny)
-    terms = _support(shape1, k1, nx, ny) * ((shape2.a * shape2.b) ** 2 / h2**3)
-    return shape1.area() + shape2.area() + step * math.fsum(terms.tolist())
+    # an overflow shows up as a non-finite area below, not as warnings
+    with np.errstate(all="ignore"):
+        h2 = _support(shape2, k2, nx, ny)
+        terms = _support(shape1, k1, nx, ny) * ((shape2.a * shape2.b) ** 2 / h2**3)
+    area = shape1.area() + shape2.area() + step * math.fsum(terms.tolist())
+    if not math.isfinite(area):
+        raise OverflowError(f"excluded area is not finite ({area!r})")
+    return area
 
 
 def excluded_boundary(

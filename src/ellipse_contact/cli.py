@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -395,7 +396,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ellipse-contact",
         description="Analytic contact distance, overlap and excluded area "
@@ -406,18 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="distance of closest approach along a direction")
     _add_pair_args(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("contact", help="contact point and normal at tangency")
     _add_pair_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_contact)
 
     p = sub.add_parser("overlap", help="overlap verdict at a given separation")
     _add_pair_args(p)
     p.add_argument("--sep", type=float, required=True, help="center separation")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("batch", help="process a CSV or JSONL file of configurations")
     p.add_argument("--input", required=True)
@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--rejects", default=None,
                    help="write rejected line numbers here instead of stderr")
-    p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("excluded-area", help="excluded area at one angle or a sweep")
     _add_pair_args(p, with_dhat=False)
@@ -435,21 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panels", type=int, default=2048,
                    help="quadrature nodes over the normal angle (default 2048)")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_excluded_area)
 
     p = sub.add_parser("boundary", help="excluded-area boundary curve as CSV")
     _add_pair_args(p, with_dhat=False)
     p.add_argument("--n", type=int, default=720)
     p.add_argument("--output", default=None)
     p.add_argument("--json", action="store_true", help="JSON curve payload")
-    p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("locus", help="contact-point locus as ellipse 1 rotates")
     _add_pair_args(p)
     p.add_argument("--n", type=int, default=720)
     p.add_argument("--output", default=None)
     p.add_argument("--json", action="store_true", help="JSON curve payload")
-    p.set_defaults(func=cmd_locus)
 
     p = sub.add_parser("verify", help="compare the kernel against the brute-force oracle")
     p.add_argument("--trials", type=int, default=1000)
@@ -459,23 +455,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle boundary samples per ellipse")
     p.add_argument("--workers", type=int, default=None,
                    help="process count (default: ELLIPSE_CONTACT_THREADS or 1)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run the hard-ellipse Monte Carlo driver")
     p.add_argument("--config", required=True, help="JSON or key=value run file")
     p.add_argument("--output", required=True, help="trajectory JSONL path")
     p.add_argument("--audit", action="store_true",
                    help="all-pairs overlap audit after every sweep")
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced module attribute is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, ArithmeticError) as exc:
         # bad shapes and directions, NoPhysicalRoot, and the overflow, zero
         # division or math domain errors of non-finite or extreme inputs

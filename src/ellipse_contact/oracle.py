@@ -6,6 +6,12 @@ come from bisecting an overlap predicate built on dense boundary sampling
 missed), and quartic roots come from the companion-matrix method.  The
 oracle is allowed to be orders of magnitude slower than the kernel; it is
 used by the test suite and the ``verify`` CLI command, never in a hot path.
+
+Only the sampling is vectorised: the tables and each t-profile are numpy
+arrays over the boundary samples (4,096 by default), while the refinement
+of the sampled minimum works on Python floats, since numpy costs more than
+the arithmetic on 2-vectors.  A bisection step samples the second boundary
+only when the first does not already show overlap.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ class NonConvergence(ArithmeticError):
     """The oracle failed to bracket or converge within its iteration budget."""
 
 
+# each boundary holds a few float tables of this length: ~8 MB each
+MAX_BOUNDARY_SAMPLES = 1 << 20
+
+
 @dataclass(frozen=True)
 class OracleSettings:
     boundary_samples: int = 4096
@@ -46,8 +56,10 @@ class OracleSettings:
     refine_iters: int = 64
 
     def __post_init__(self) -> None:
-        if self.boundary_samples < 64:
-            raise ValueError("boundary_samples must be at least 64")
+        if not 64 <= self.boundary_samples <= MAX_BOUNDARY_SAMPLES:
+            raise ValueError(
+                f"boundary_samples must be between 64 and {MAX_BOUNDARY_SAMPLES}"
+            )
         if self.bisection_tol <= 0.0 or self.refine_iters <= 0:
             raise ValueError("tolerances and iteration counts must be positive")
 
@@ -62,41 +74,59 @@ class _SampledBoundary:
     tables.  The sampled minimum is then refined on the continuous
     parameter by guarded Newton (analytic derivatives) with golden-section
     fallback, because a grid minimum alone cannot certify grazing contact.
+
+    The form entries (m00, m01, m11), the shift s and the axis k are plain
+    floats: a refinement step is a few dozen scalar operations, and each
+    form value is written out as x*(m00*x + m01*y) + y*(m01*x + m11*y).
     """
 
-    def __init__(self, shape: EllipseShape, axis: UnitVec2, other: np.ndarray,
-                 shift: np.ndarray, n: int) -> None:
+    def __init__(self, shape: EllipseShape, axis: UnitVec2,
+                 form: tuple[float, float, float], shift: tuple[float, float],
+                 n: int) -> None:
         self.a, self.b = shape.a, shape.b
-        self.k = np.array([axis.x, axis.y])
-        self.kp = np.array([-axis.y, axis.x])
-        self.other = other
-        self.shift = shift  # separation direction as seen from this boundary
+        self.kx, self.ky = axis.x, axis.y
+        self.m00, self.m01, self.m11 = m00, m01, m11 = form
+        # separation direction as seen from this boundary
+        self.sx, self.sy = sx, sy = shift
         u = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         self.u = u
         self.du = 2.0 * math.pi / n
-        pts = np.outer(self.a * np.cos(u), self.k) + np.outer(self.b * np.sin(u), self.kp)
-        self.const = np.einsum("ij,jk,ik->i", pts, other, pts)
-        self.lin = pts @ (other @ shift)
-        self.quad = float(shift @ other @ shift)
+        ac = self.a * np.cos(u)
+        bs = self.b * np.sin(u)
+        x = ac * self.kx - bs * self.ky
+        y = ac * self.ky + bs * self.kx
+        self.const = x * (m00 * x + m01 * y) + y * (m01 * x + m11 * y)
+        self.lin = x * (m00 * sx + m01 * sy) + y * (m01 * sx + m11 * sy)
+        self.quad = sx * (m00 * sx + m01 * sy) + sy * (m01 * sx + m11 * sy)
 
     def _value(self, u: float, t: float) -> float:
-        p = (self.a * math.cos(u)) * self.k + (self.b * math.sin(u)) * self.kp + t * self.shift
-        return float(p @ self.other @ p)
+        ac = self.a * math.cos(u)
+        bs = self.b * math.sin(u)
+        x = ac * self.kx - bs * self.ky + t * self.sx
+        y = ac * self.ky + bs * self.kx + t * self.sy
+        return x * (self.m00 * x + self.m01 * y) + y * (self.m01 * x + self.m11 * y)
 
     def _refined_min(self, t: float, i: int) -> float:
         """Minimum of f(., t) near grid index i on the continuous parameter."""
-        lo = self.u[i] - self.du
-        hi = self.u[i] + self.du
-        u = self.u[i]
-        other, k, kp, a, b = self.other, self.k, self.kp, self.a, self.b
-        ts = t * self.shift
+        u = float(self.u[i])
+        lo = u - self.du
+        hi = u + self.du
+        a, b, kx, ky = self.a, self.b, self.kx, self.ky
+        m00, m01, m11 = self.m00, self.m01, self.m11
+        tx, ty = t * self.sx, t * self.sy
         for _ in range(12):
             cu, su = math.cos(u), math.sin(u)
-            p = (a * cu) * k + (b * su) * kp + ts
-            dp = (-a * su) * k + (b * cu) * kp
-            mp = other @ p
-            f1 = 2.0 * float(dp @ mp)
-            f2 = 2.0 * (float(dp @ other @ dp) - float(((a * cu) * k + (b * su) * kp) @ mp))
+            # q = p(u) on the boundary, p = q + t*s, dp = dp/du
+            qx = (a * cu) * kx - (b * su) * ky
+            qy = (a * cu) * ky + (b * su) * kx
+            px, py = qx + tx, qy + ty
+            dx = (-a * su) * kx - (b * cu) * ky
+            dy = (-a * su) * ky + (b * cu) * kx
+            mx = m00 * px + m01 * py
+            my = m01 * px + m11 * py
+            f1 = 2.0 * (dx * mx + dy * my)
+            f2 = 2.0 * ((dx * (m00 * dx + m01 * dy) + dy * (m01 * dx + m11 * dy))
+                        - (qx * mx + qy * my))
             if f2 <= 0.0:
                 break
             step = f1 / f2
@@ -131,10 +161,16 @@ class _SampledBoundary:
         return m
 
 
-def _form_array(shape: EllipseShape, axis: UnitVec2) -> np.ndarray:
+def _form_entries(shape: EllipseShape, axis: UnitVec2) -> tuple[float, float, float]:
+    """Entries m00, m01, m11 of the symmetric form (I - e^2 k k^T) / b^2."""
     e2 = shape.eccentricity_sq()
-    k = np.array([axis.x, axis.y])
-    return (np.eye(2) - e2 * np.outer(k, k)) / (shape.b * shape.b)
+    kx, ky = axis.x, axis.y
+    b2 = shape.b * shape.b
+    return (
+        (1.0 - e2 * (kx * kx)) / b2,
+        -e2 * (kx * ky) / b2,
+        (1.0 - e2 * (ky * ky)) / b2,
+    )
 
 
 def oracle_distance(cfg: PairConfiguration, settings: OracleSettings = OracleSettings()) -> float:
@@ -145,19 +181,22 @@ def oracle_distance(cfg: PairConfiguration, settings: OracleSettings = OracleSet
     tested against the other ellipse so one-sided containment cannot fool
     the predicate.
     """
-    m1 = _form_array(cfg.shape1, cfg.k1)
-    m2 = _form_array(cfg.shape2, cfg.k2)
-    dv = np.array([cfg.dhat.x, cfg.dhat.y])
+    dx, dy = cfg.dhat.x, cfg.dhat.y
     n = settings.boundary_samples
     # boundary of 1 relative to the center of 2 sits at -t*dhat, and vice versa
-    b1 = _SampledBoundary(cfg.shape1, cfg.k1, m2, -dv, n)
-    b2 = _SampledBoundary(cfg.shape2, cfg.k2, m1, dv, n)
+    b1 = _SampledBoundary(cfg.shape1, cfg.k1, _form_entries(cfg.shape2, cfg.k2), (-dx, -dy), n)
+    b2 = _SampledBoundary(cfg.shape2, cfg.k2, _form_entries(cfg.shape1, cfg.k1), (dx, dy), n)
 
     lo = (cfg.shape1.b + cfg.shape2.b) * (1.0 - 1e-6)
     hi = (cfg.shape1.a + cfg.shape2.a) * (1.0 + 1e-6)
 
     def overlapping(t: float) -> bool:
-        return min(b1.min_form(t), b2.min_form(t)) < 1.0
+        # min(m1, m2) < 1.0, NaN included, without sampling boundary 2
+        # when boundary 1 already decides
+        m1 = b1.min_form(t)
+        if m1 < 1.0:
+            return True
+        return m1 >= 1.0 and b2.min_form(t) < 1.0
 
     if not overlapping(lo) or overlapping(hi):
         raise NonConvergence("bisection bracket does not straddle the contact")

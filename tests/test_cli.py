@@ -5,11 +5,13 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ellipse_contact import cli
 from ellipse_contact.cli import main
 
 PAIR_21 = ("--a1", "2", "--b1", "1", "--a2", "2", "--b2", "1")
@@ -23,7 +25,8 @@ def run_cli(capsys, *argv):
 
 def run_cli_bounded(capsys, *argv, seconds=5.0):
     """run_cli, but a call that outlives ``seconds`` raises instead of
-    hanging the suite; returns the elapsed time as a fourth value."""
+    hanging the suite, and a RuntimeWarning (which a user would see on
+    stderr) fails; returns the elapsed time as a fourth value."""
     def expire(signum, frame):
         raise TimeoutError(f"cli.main{argv} ran past {seconds} s")
 
@@ -31,10 +34,14 @@ def run_cli_bounded(capsys, *argv, seconds=5.0):
     signal.setitimer(signal.ITIMER_REAL, seconds)
     start = time.monotonic()
     try:
-        code, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, f"cli.main{argv} warned: {runtime}"
     return code, out, err, time.monotonic() - start
 
 
@@ -384,6 +391,12 @@ def test_verify_vacuous_run_exit_2(capsys, argv):
     ("verify", "--samples", "10"),
     ("distance", "--a1", "1e308", "--b1", "1", "--a2", "2", "--b2", "1"),
     ("distance", "--a1", "2", "--b1", "1e-300", "--a2", "2", "--b2", "1e-300"),
+    # the area overflows to inf; the second one used to warn on the way
+    ("excluded-area", "--a1", "1e160", "--b1", "1e160", "--a2", "2", "--b2", "1"),
+    ("excluded-area", "--a1", "1e300", "--b1", "1", "--a2", "1e300", "--b2", "1"),
+    # rejected before any oracle table is allocated
+    ("verify", "--trials", "1", "--samples", str((1 << 20) + 1)),
+    ("verify", "--trials", "1", "--samples", "2000000000"),
 ])
 def test_arithmetic_input_errors_exit_2(capsys, argv):
     # each raised ValueError or ArithmeticError inside the command
@@ -435,6 +448,8 @@ def test_fuzzed_geometry_commands_exit_0_or_2(capsys, argv):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
+    else:
+        assert "inf" not in out.lower() and "nan" not in out.lower()
     assert elapsed < 5.0
 
 
@@ -533,3 +548,20 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert math.isclose(json.loads(result.stdout)["d"], 2.0, rel_tol=1e-12)
+
+
+def test_main_dispatches_through_module_globals(monkeypatch, capsys):
+    # a replaced cmd_* attribute is the one main runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_distance", lambda args: seen.append(args.a1) or 0)
+    assert main(["distance", *PAIR_21]) == 0
+    assert seen == [2.0]
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["distance", *PAIR_21]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

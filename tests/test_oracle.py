@@ -10,7 +10,11 @@ from ellipse_contact import (
     oracle_circle_ellipse_distance,
     oracle_distance,
 )
-from ellipse_contact.oracle import stratified_configuration, verify_random
+from ellipse_contact.oracle import (
+    MAX_BOUNDARY_SAMPLES,
+    stratified_configuration,
+    verify_random,
+)
 
 
 def test_settings_validation():
@@ -20,6 +24,11 @@ def test_settings_validation():
         OracleSettings(bisection_tol=0.0)
     with pytest.raises(ValueError):
         OracleSettings(refine_iters=0)
+    # the sample cap is checked before any table is built
+    OracleSettings(boundary_samples=MAX_BOUNDARY_SAMPLES)
+    for samples in (MAX_BOUNDARY_SAMPLES + 1, 2_000_000_000):
+        with pytest.raises(ValueError):
+            OracleSettings(boundary_samples=samples)
 
 
 def test_two_circles():
