@@ -8,6 +8,7 @@ from .analysis import (
     excluded_area,
     excluded_boundary,
 )
+from .bulk import ContactArrays, contact_arrays, unit_vectors
 from .contact import (
     ConcentricCenters,
     ContactBranch,

@@ -47,17 +47,6 @@ class LocusCurve:
     def points(self) -> list[Vec2]:
         return [p for _, p in self.samples]
 
-    def enclosed_area(self) -> float:
-        """Shoelace area of the polygon through the samples."""
-        pts = self.points()
-        n = len(pts)
-        return 0.5 * abs(
-            math.fsum(
-                pts[i].x * pts[(i + 1) % n].y - pts[(i + 1) % n].x * pts[i].y
-                for i in range(n)
-            )
-        )
-
 
 def _distance_of_angle(
     shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: UnitVec2

@@ -13,9 +13,14 @@ import csv
 import functools
 import json
 import math
+import operator
+import shutil
 import sys
+import tempfile
 
-from . import analysis, mcsim, oracle
+import numpy as np
+
+from . import analysis, bulk, mcsim, oracle
 from .contact import (
     ConcentricCenters,
     OverlapVerdict,
@@ -154,9 +159,14 @@ _BATCH_FIELDS = ("a1", "b1", "a2", "b2", "theta1", "theta2", "theta_d")
 _RESULT_FIELDS = (
     "d", "d_prime", "q", "branch", "rc_x", "rc_y", "residual_e1", "residual_e2",
 )
+# rows that batch reads, computes and writes per step
+BATCH_CHUNK = 1024
+# an input file that cannot be read or decoded; the output stays untouched
+_READ_ERRORS = (OSError, ValueError, csv.Error)
 
 
-def _process_batch_row(row: dict) -> dict:
+def _process_batch_row(row: dict) -> tuple:
+    """The _RESULT_FIELDS values of one row through the scalar API."""
     cfg = make_pair_configuration(
         float(row["a1"]), float(row["b1"]), float(row["a2"]), float(row["b2"]),
         UnitVec2.from_angle(math.radians(float(row["theta1"]))),
@@ -165,86 +175,170 @@ def _process_batch_row(row: dict) -> dict:
     )
     sol = closest_approach(cfg)
     r1, r2, _ = tangency_residuals(cfg, sol)
-    out = dict(row)
-    out.update(
-        d=sol.d, d_prime=sol.d_prime, q=sol.q, branch=sol.branch.value,
-        rc_x=sol.contact_point.x, rc_y=sol.contact_point.y,
-        residual_e1=r1, residual_e2=r2,
+    return (
+        sol.d, sol.d_prime, sol.q, sol.branch.value,
+        sol.contact_point.x, sol.contact_point.y, r1, r2,
     )
-    return out
 
 
-def _iter_batch_rows(path: str, fmt: str):
-    """Yield (line_number, row_dict or None, error or None)."""
-    if fmt == "jsonl":
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    missing = [k for k in _BATCH_FIELDS if k not in row]
-                    if missing:
-                        raise KeyError(f"missing fields {missing}")
-                    yield lineno, row, None
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    yield lineno, None, str(exc)
-        return
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(
-            k not in reader.fieldnames for k in _BATCH_FIELDS
-        ):
-            raise ValueError(
-                f"CSV header must contain {', '.join(_BATCH_FIELDS)}"
-            )
-        for lineno, row in enumerate(reader, 2):  # header is line 1
+def _iter_batch_chunks(path: str, fmt: str):
+    """Yield lists of at most BATCH_CHUNK (line number, row dict or None,
+    error or None) triples.  On a read error the rows read before it are
+    yielded first, then the error is raised."""
+    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        chunk = []
+        try:
+            for item in (_jsonl_rows if fmt == "jsonl" else _csv_rows)(fh):
+                chunk.append(item)
+                if len(chunk) == BATCH_CHUNK:
+                    yield chunk
+                    chunk = []
+        except _READ_ERRORS:
+            if chunk:
+                yield chunk
+            raise
+        if chunk:
+            yield chunk
+
+
+def _jsonl_rows(fh):
+    for lineno, line in enumerate(fh, 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            missing = [k for k in _BATCH_FIELDS if k not in row]
+            if missing:
+                raise KeyError(f"missing fields {missing}")
+            yield lineno, row, None
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            yield lineno, None, str(exc)
+
+
+def _csv_rows(fh):
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or any(k not in reader.fieldnames for k in _BATCH_FIELDS):
+        raise ValueError(f"CSV header must contain {', '.join(_BATCH_FIELDS)}")
+    width = len(reader.fieldnames)
+    for lineno, row in enumerate(reader, 2):  # header is line 1
+        if None in row:  # DictReader files the fields beyond the header here
+            yield lineno, None, f"{width + len(row[None])} fields for {width} header columns"
+        else:
             yield lineno, row, None
 
 
+def _batch_results(chunk: list):
+    """(line number, row, results or None, error or None) for each entry of
+    a chunk, in order.  Rows go through bulk.contact_arrays together; the
+    rows it leaves to the scalar path, and rows whose fields do not parse,
+    go through _process_batch_row, which gives the same floats or raises."""
+    fields = operator.itemgetter(*_BATCH_FIELDS)
+    todo = [i for i, (_, _, err) in enumerate(chunk) if err is None]
+    try:
+        values = [list(map(float, col)) for col in zip(*(fields(chunk[i][1]) for i in todo))]
+    except (ValueError, ArithmeticError, KeyError, TypeError):
+        # some row does not parse: keep those that do, a row at a time
+        todo, values = [], []
+        for i, (_, row, err) in enumerate(chunk):
+            if err is None:
+                try:
+                    values.append([float(x) for x in fields(row)])
+                    todo.append(i)
+                except (ValueError, ArithmeticError, KeyError, TypeError):
+                    pass
+        values = list(zip(*values))
+    results: list = [None] * len(chunk)
+    if todo:
+        a1, b1, a2, b2, t1, t2, td = np.array(values, dtype=np.float64)
+        res = bulk.contact_arrays(
+            a1, b1, a2, b2,
+            *bulk.unit_vectors(t1), *bulk.unit_vectors(t2), *bulk.unit_vectors(td),
+        )
+        branch = [bulk.BRANCHES[code].value for code in res.branch.tolist()]
+        rows = zip(
+            res.d.tolist(), res.d_prime.tolist(), res.q.tolist(), branch,
+            res.rc_x.tolist(), res.rc_y.tolist(),
+            res.residual_e1.tolist(), res.residual_e2.tolist(),
+        )
+        for i, result, scalar in zip(todo, rows, res.scalar.tolist()):
+            if not scalar:
+                results[i] = result
+    for (lineno, row, err), result in zip(chunk, results):
+        if err is None and result is None:
+            try:
+                result = _process_batch_row(row)
+            except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
+                err = str(exc)
+        yield lineno, row, result, err
+
+
+def _write_csv_rows(body, header: list, outs: list) -> None:
+    """CSV lines of the output records, as csv.writer writes them."""
+    floats = set(_RESULT_FIELDS) - {"branch"}
+    line = ",".join("%.17g" if k in floats else "%s" for k in header) + "\r\n"
+    pick = operator.itemgetter(*header)
+    text = "".join([line % pick(out) for out in outs])
+    n = len(outs)
+    # the plain join is what csv.writer writes unless a field holds a comma,
+    # a quote or a line break (it quotes those) or is None (it writes "",
+    # the join "None")
+    if (
+        text.count(",") == n * (len(header) - 1) and text.count("\n") == n
+        and text.count("\r") == n and '"' not in text and "None" not in text
+    ):
+        body.write(text)
+    else:
+        csv.writer(body).writerows(
+            [_f17(out[k]) if isinstance(out[k], float) else out.get(k, "") for k in header]
+            for out in outs
+        )
+
+
 def cmd_batch(args) -> int:
-    fmt = args.format
+    """Rows are read, computed and written BATCH_CHUNK at a time.  The
+    output goes to a temporary file first, so an unreadable input leaves
+    --output untouched; the CSV header is written last because its extra
+    columns appear only when some row is accepted."""
+    csv_format = args.format == "csv"
+    newline = "" if csv_format else None
+    header = None
+    total = rejected = 0
     rejects = open(args.rejects, "w", encoding="utf-8") if args.rejects else sys.stderr
     try:
-        rows_out = []
-        extra_fields: list[str] = []
-        total = rejected = 0
-        try:
-            row_iter = _iter_batch_rows(args.input, fmt)
-            for lineno, row, err in row_iter:
-                total += 1
-                if err is None:
-                    try:
-                        out = _process_batch_row(row)
-                        rows_out.append(out)
-                        for k in row:
-                            if k not in _BATCH_FIELDS and k not in extra_fields:
-                                extra_fields.append(k)
-                        continue
-                    except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
-                        err = str(exc)
-                rejected += 1
-                print(f"line {lineno}: {err}", file=rejects)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline=newline) as body:
+            chunks = _iter_batch_chunks(args.input, args.format)
+            while True:
+                try:
+                    chunk = next(chunks, None)
+                except _READ_ERRORS as exc:
+                    return _input_error(str(exc))
+                if chunk is None:
+                    break
+                outs = []
+                for lineno, row, result, err in _batch_results(chunk):
+                    total += 1
+                    if err is None:
+                        out = dict(row)
+                        out.update(zip(_RESULT_FIELDS, result))
+                        outs.append(out)
+                        if header is None:
+                            extra = [k for k in row if k not in _BATCH_FIELDS]
+                            header = extra + list(_BATCH_FIELDS) + list(_RESULT_FIELDS)
+                    else:
+                        rejected += 1
+                        print(f"line {lineno}: {err}", file=rejects)
+                if not outs:
+                    continue
+                if csv_format:
+                    _write_csv_rows(body, header, outs)
+                else:
+                    body.write("".join([_json17(out) + "\n" for out in outs]))
 
-        if fmt == "jsonl":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                for out in rows_out:
-                    fh.write(_json17(out) + "\n")
-        else:
-            header = list(extra_fields) + list(_BATCH_FIELDS) + list(_RESULT_FIELDS)
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for out in rows_out:
-                    writer.writerow(
-                        [
-                            _f17(out[k]) if isinstance(out[k], float) else out.get(k, "")
-                            for k in header
-                        ]
-                    )
+            body.seek(0)
+            with open(args.output, "w", encoding="utf-8", newline=newline) as fh:
+                if csv_format:
+                    csv.writer(fh).writerow(header or _BATCH_FIELDS + _RESULT_FIELDS)
+                shutil.copyfileobj(body, fh)
         if total and rejected * 2 > total:
             print(f"error: {rejected}/{total} rows rejected", file=sys.stderr)
             return EXIT_INPUT
@@ -380,7 +474,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         cfg = mcsim.load_mc_config(args.config)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, IndexError) as exc:
         print(f"error: bad run configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -471,9 +565,10 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValueError, ArithmeticError) as exc:
-        # bad shapes and directions, NoPhysicalRoot, and the overflow, zero
-        # division or math domain errors of non-finite or extreme inputs
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # bad shapes and directions, NoPhysicalRoot, the overflow, zero
+        # division or math domain errors of non-finite or extreme inputs,
+        # and files that cannot be opened
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -249,10 +249,14 @@ def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
 # ---------------------------------------------------------------------------
 # stratified random configurations
 
-def _random_shape(rng: np.random.Generator, max_aspect: float) -> EllipseShape:
-    scale = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-    aspect = math.exp(rng.uniform(0.0, math.log(max_aspect)))
+def _random_shape(uniform, max_aspect: float) -> EllipseShape:
+    scale = math.exp(uniform(math.log(0.3), math.log(3.0)))
+    aspect = math.exp(uniform(0.0, math.log(max_aspect)))
     return EllipseShape(scale * aspect, scale)
+
+
+# most doubles one configuration consumes (stratum 1: 7 + 4)
+_DRAWS = 11
 
 
 def stratified_configuration(
@@ -266,29 +270,36 @@ def stratified_configuration(
     over-sampled so every branch of the kernel sees real coverage.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    # the doubles are drawn at once; Generator.uniform(lo, hi) is exactly
+    # lo + (hi - lo) * random(), so the stream is that of one call per value
+    draws = iter(rng.random(_DRAWS).tolist())
+
+    def uniform(lo: float = 0.0, hi: float = 1.0) -> float:
+        return lo + (hi - lo) * next(draws)
+
     stratum = index % 5
-    s1 = _random_shape(rng, max_aspect)
-    s2 = _random_shape(rng, max_aspect)
-    th1 = rng.uniform(0.0, 2.0 * math.pi)
-    th2 = rng.uniform(0.0, 2.0 * math.pi)
-    thd = rng.uniform(0.0, 2.0 * math.pi)
+    s1 = _random_shape(uniform, max_aspect)
+    s2 = _random_shape(uniform, max_aspect)
+    th1 = uniform(0.0, 2.0 * math.pi)
+    th2 = uniform(0.0, 2.0 * math.pi)
+    thd = uniform(0.0, 2.0 * math.pi)
     if stratum == 0:
-        eps = 10.0 ** rng.uniform(-18.0, -4.0)
-        if rng.uniform() < 0.25:
+        eps = 10.0 ** uniform(-18.0, -4.0)
+        if uniform() < 0.25:
             eps = 0.0
-        th2 = th1 + eps + (math.pi if rng.uniform() < 0.5 else 0.0)
+        th2 = th1 + eps + (math.pi if uniform() < 0.5 else 0.0)
     elif stratum == 1:
         # center line close to the first axis' normal; half the time the
         # axes are near-parallel too, which drives phi toward pi/2
-        thd = th1 + 0.5 * math.pi + (10.0 ** rng.uniform(-18.0, -4.0)
-                                     if rng.uniform() < 0.5 else 0.0)
-        if rng.uniform() < 0.5:
-            th2 = th1 + 10.0 ** rng.uniform(-18.0, -4.0)
+        thd = th1 + 0.5 * math.pi + (10.0 ** uniform(-18.0, -4.0)
+                                     if uniform() < 0.5 else 0.0)
+        if uniform() < 0.5:
+            th2 = th1 + 10.0 ** uniform(-18.0, -4.0)
     elif stratum == 2:
         # eccentricity below 1e-4 for one or both shapes
-        s1 = EllipseShape(s1.a, s1.a * (1.0 - rng.uniform(0.0, 5e-9)))
-        if rng.uniform() < 0.5:
-            s2 = EllipseShape(s2.a, s2.a * (1.0 - rng.uniform(0.0, 5e-9)))
+        s1 = EllipseShape(s1.a, s1.a * (1.0 - uniform(0.0, 5e-9)))
+        if uniform() < 0.5:
+            s2 = EllipseShape(s2.a, s2.a * (1.0 - uniform(0.0, 5e-9)))
     k1 = UnitVec2.from_angle(th1)
     if stratum == 0 and th2 == th1:
         k2 = k1  # bit-identical axes hit the exact-parallel branch

@@ -75,9 +75,6 @@ class QuarticCoeffs:
     d: float
     e: float
 
-    def evaluate(self, q: float) -> float:
-        return (((self.a * q + self.b) * q + self.c) * q + self.d) * q + self.e
-
     def derivative(self, q: float) -> float:
         return ((4.0 * self.a * q + 3.0 * self.b) * q + 2.0 * self.c) * q + self.d
 
@@ -151,6 +148,27 @@ def _polish(c: QuarticCoeffs, q: float, iters: int = 3) -> float:
     return q
 
 
+def _resolvent_root(alpha: float, beta: float, gamma: float) -> float:
+    """A real root y of the resolvent cubic of the depressed quartic
+    (coefficients alpha, beta, gamma), by Cardano.  The scalar solver and
+    the array kernel (bulk.py) both call it, one float at a time."""
+    p = -alpha * alpha / 12.0 - gamma
+    q = -(alpha**3) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
+    disc = q * q / 4.0 + p**3 / 27.0
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        # (-q/2 + s)(-q/2 - s) = -p^3/27 rewrites away the cancellation
+        w = (-q / 2.0 + s) if q <= 0.0 else (p**3) / (27.0 * (q / 2.0 + s))
+        u = _cbrt(w)
+        if abs(u) < 1e-12 * max(1.0, abs(q) ** (1.0 / 3.0)):
+            return -5.0 / 6.0 * alpha - _cbrt(q)
+        return -5.0 / 6.0 * alpha + u - p / (3.0 * u)
+    # three real resolvent roots: u is complex, y = -5a/6 + 2 Re(u)
+    uc = complex(-q / 2.0, math.sqrt(-disc)) ** (1.0 / 3.0)
+    yc = -5.0 / 6.0 * alpha + uc - p / (3.0 * uc)
+    return yc.real
+
+
 def _ferrari_candidates(c: QuarticCoeffs) -> tuple[float | None, list[float]]:
     """All real Ferrari root assemblies: (designated, others)."""
     a, b = c.a, c.b
@@ -171,24 +189,7 @@ def _ferrari_candidates(c: QuarticCoeffs) -> tuple[float | None, list[float]]:
         r_lo = shift + math.sqrt(max((-alpha - inner) / 2.0, 0.0))
         return r_hi, [r_lo]
 
-    p = -alpha * alpha / 12.0 - gamma
-    q = -(alpha**3) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
-    disc = q * q / 4.0 + p**3 / 27.0
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        # (-q/2 + s)(-q/2 - s) = -p^3/27 rewrites away the cancellation
-        w = (-q / 2.0 + s) if q <= 0.0 else (p**3) / (27.0 * (q / 2.0 + s))
-        u = _cbrt(w)
-        if abs(u) < 1e-12 * max(1.0, abs(q) ** (1.0 / 3.0)):
-            y = -5.0 / 6.0 * alpha - _cbrt(q)
-        else:
-            y = -5.0 / 6.0 * alpha + u - p / (3.0 * u)
-    else:
-        # three real resolvent roots: u is complex, y = -5a/6 + 2 Re(u)
-        uc = complex(-q / 2.0, math.sqrt(-disc)) ** (1.0 / 3.0)
-        yc = -5.0 / 6.0 * alpha + uc - p / (3.0 * uc)
-        y = yc.real
-
+    y = _resolvent_root(alpha, beta, gamma)
     s1 = alpha + 2.0 * y
     if -1e-12 < s1 < 0.0:
         s1 = 0.0

@@ -1,4 +1,7 @@
 import math
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from ellipse_contact import (
     SymMat2,
     UnitVec2,
 )
+from ellipse_contact.cli import main
 
 
 def mat_as_array(m: SymMat2) -> np.ndarray:
@@ -66,3 +70,43 @@ def plant_overlap(monkeypatch):
         monkeypatch.setattr(mcsim, "mc_sweep", sweep)
 
     return plant
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_cli_bounded(capsys, *argv, seconds=5.0):
+    """run_cli, but a call that outlives ``seconds`` raises instead of
+    hanging the suite, and a RuntimeWarning (which a user would see on
+    stderr) fails; returns the elapsed time as a fourth value."""
+    def expire(signum, frame):
+        raise TimeoutError(f"cli.main{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, f"cli.main{argv} warned: {runtime}"
+    return code, out, err, time.monotonic() - start
+
+
+def assert_input_error(capsys, *argv):
+    """Exit 2 within the time bound, nothing on stdout, and one ``error:``
+    line on stderr, which is returned."""
+    code, out, err, elapsed = run_cli_bounded(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert elapsed < 5.0
+    return err

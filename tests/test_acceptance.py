@@ -171,30 +171,69 @@ def test_criterion_5_special_cases_and_straddles():
 
 # --- 6: quartic validation ---------------------------------------------------
 
+ROOTS_CHUNK = 10_000
+
+
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The four roots of each row of an (N, 5) coefficient array: the
+    eigenvalues of the companion matrices np.roots builds, one stacked
+    np.linalg.eigvals call per ROOTS_CHUNK rows."""
+    out = []
+    for lo in range(0, len(coeffs), ROOTS_CHUNK):
+        c = coeffs[lo:lo + ROOTS_CHUNK]
+        companion = np.zeros((len(c), 4, 4))
+        companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+        companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+        out.append(np.linalg.eigvals(companion))
+    return np.concatenate(out)
+
+
+def test_companion_roots_match_oracle():
+    # the batched roots are the roots oracle_quartic_roots finds
+    rng = np.random.default_rng(SEED + 6)
+    coeffs = []
+    for _ in range(2000):
+        b2p = 10.0 ** rng.uniform(-2.5, 1.0)
+        delta = 10.0 ** rng.uniform(-8.0, 3.2)
+        tan2phi = math.tan(rng.uniform(0.0, math.pi / 2 * 0.9999)) ** 2
+        coeffs.append(quartic_coefficients(b2p, delta, tan2phi))
+    roots = companion_roots(np.array([c.as_tuple() for c in coeffs]))
+    for c, got in zip(coeffs, roots):
+        expect = np.array(oracle_quartic_roots(c))
+        assert np.all(abs(got - expect) <= 1e-12 * np.maximum(1.0, abs(expect)))
+
+
 def test_criterion_6_quartic_vs_all_roots():
     rng = np.random.default_rng(SEED)
     trials = 100_000
-    multi_root = 0
-    worst = 0.0
+    coeffs, his, qs = [], [], []
     for _ in range(trials):
         b2p = 10.0 ** rng.uniform(-2.5, 1.0)
         delta = 10.0 ** rng.uniform(-8.0, 3.2)
         tan2phi = math.tan(rng.uniform(0.0, math.pi / 2 * 0.9999)) ** 2
-        coeffs = quartic_coefficients(b2p, delta, tan2phi)
-        q = solve_contact_quartic(coeffs, delta)
-        hi = math.sqrt(1.0 + delta)
-        in_bracket = [
-            r.real
-            for r in oracle_quartic_roots(coeffs)
-            if abs(r.imag) <= 1e-9 * max(1.0, abs(r))
-            and 1.0 - 1e-9 <= r.real <= hi + 1e-9
-        ]
-        if len(in_bracket) != 1:
-            multi_root += 1
-            print(f"counterexample: {coeffs.as_tuple()} bracket roots {in_bracket}")
-            continue
-        worst = max(worst, abs(q - in_bracket[0]) / in_bracket[0])
+        c = quartic_coefficients(b2p, delta, tan2phi)
+        qs.append(solve_contact_quartic(c, delta))
+        his.append(math.sqrt(1.0 + delta))
+        coeffs.append(c.as_tuple())
+    co = np.array(coeffs)
+    roots = companion_roots(co)
+    # oracle_quartic_roots' residual check on every root
+    res = abs((((co[:, :1] * roots + co[:, 1:2]) * roots + co[:, 2:3]) * roots
+               + co[:, 3:4]) * roots + co[:, 4:])
+    scale = np.max([abs(co[:, i:i + 1]) * abs(roots) ** (4 - i) for i in range(5)], axis=0)
+    assert np.all(res <= 1e-9 * np.maximum(scale, abs(co[:, 4:]))), "companion residual"
+    hi = np.array(his)[:, None]
+    in_bracket = (
+        (abs(roots.imag) <= 1e-9 * np.maximum(1.0, abs(roots)))
+        & (1.0 - 1e-9 <= roots.real) & (roots.real <= hi + 1e-9)
+    )
+    counts = in_bracket.sum(axis=1)
+    multi_root = int(np.count_nonzero(counts != 1))
+    for i in np.flatnonzero(counts != 1)[:20]:
+        print(f"counterexample: {coeffs[i]} bracket roots {roots[i][in_bracket[i]].real}")
     assert multi_root == 0, f"{multi_root} trials without a unique bracket root"
+    root = np.where(in_bracket, roots.real, 0.0).sum(axis=1)
+    worst = float(np.max(abs(np.array(qs) - root) / root))
     assert worst <= 1e-9
     report(
         6,

@@ -1,60 +1,18 @@
 import csv
 import json
 import math
-import signal
 import subprocess
 import sys
-import time
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_input_error, run_cli, run_cli_bounded
 from ellipse_contact import cli
 from ellipse_contact.cli import main
 
 PAIR_21 = ("--a1", "2", "--b1", "1", "--a2", "2", "--b2", "1")
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def run_cli_bounded(capsys, *argv, seconds=5.0):
-    """run_cli, but a call that outlives ``seconds`` raises instead of
-    hanging the suite, and a RuntimeWarning (which a user would see on
-    stderr) fails; returns the elapsed time as a fourth value."""
-    def expire(signum, frame):
-        raise TimeoutError(f"cli.main{argv} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    start = time.monotonic()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, *argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not runtime, f"cli.main{argv} warned: {runtime}"
-    return code, out, err, time.monotonic() - start
-
-
-def assert_input_error(capsys, *argv):
-    """Exit 2 within the time bound, nothing on stdout, and one ``error:``
-    line on stderr, which is returned."""
-    code, out, err, elapsed = run_cli_bounded(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error:")
-    assert elapsed < 5.0
-    return err
 
 
 def test_distance_circles(capsys):
@@ -234,6 +192,32 @@ def test_batch_rejects_arithmetic_rows(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 4
 
 
+def test_batch_rejects_surplus_field_rows(tmp_path, capsys):
+    # csv.DictReader would file the eighth field under the key None and
+    # break the output header; the row is rejected on its own line instead
+    inp = tmp_path / "in.csv"
+    outp = tmp_path / "out.csv"
+    rej = tmp_path / "rej.txt"
+    inp.write_text(
+        "a1,b1,a2,b2,theta1,theta2,theta_d\n"
+        "2,1,2,1,0,30,10,5\n"
+        "2,1,2,1,0,30,10\n"
+        "1,1,1,1,0,0,0\n"
+    )
+    code, _, _ = run_cli(
+        capsys, "batch", "--input", str(inp), "--output", str(outp),
+        "--rejects", str(rej),
+    )
+    assert code == 0
+    assert rej.read_text() == "line 2: 8 fields for 7 header columns\n"
+    lines = outp.read_text().splitlines()
+    assert lines[0] == (
+        "a1,b1,a2,b2,theta1,theta2,theta_d,"
+        "d,d_prime,q,branch,rc_x,rc_y,residual_e1,residual_e2"
+    )
+    assert len(lines) == 3
+
+
 def test_batch_majority_rejected_exit_2(tmp_path, capsys):
     inp = tmp_path / "in.csv"
     inp.write_text(
@@ -265,6 +249,36 @@ def test_batch_jsonl(tmp_path, capsys):
     records = [json.loads(line) for line in outp.read_text().splitlines()]
     assert len(records) == 1
     assert math.isclose(records[0]["d"], 4.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("batch", "--input", "{dir}/in.csv", "--output", "{dir}/missing/x.csv"),
+    ("batch", "--input", "{dir}/in.csv", "--output", "{dir}/x.csv",
+     "--rejects", "{dir}/missing/r"),
+    ("excluded-area", *PAIR_21, "--sweep", "0:90:45", "--output", "{dir}/missing/a"),
+    ("boundary", *PAIR_21, "--n", "16", "--output", "{dir}/missing/b"),
+    ("locus", *PAIR_21, "--n", "16", "--output", "{dir}/missing/l"),
+    ("simulate", "--config", "{dir}/run.json", "--output", "{dir}/missing/t.jsonl"),
+])
+def test_unwritable_file_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "in.csv").write_text("a1,b1,a2,b2,theta1,theta2,theta_d\n2,1,2,1,0,30,10\n")
+    write_run_config(tmp_path / "run.json")
+    err = assert_input_error(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert "FileNotFoundError" in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"species": 5},                 # TypeError: not iterable
+    {"species": [[2, 1, 1.0]]},     # TypeError: list indices
+    {"box": [20]},                  # IndexError
+])
+def test_simulate_malformed_config_exit_2(tmp_path, capsys, override):
+    cfgp = write_run_config(tmp_path / "run.json", **override)
+    err = assert_input_error(
+        capsys, "simulate", "--config", cfgp, "--output", str(tmp_path / "t.jsonl"),
+    )
+    assert err.startswith("error: bad run configuration:")
 
 
 def test_excluded_area_single(capsys):

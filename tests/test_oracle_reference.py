@@ -8,6 +8,10 @@ build may fuse a 2-vector product into one rounding, so a form value can
 differ from the reference in its last bit; a bisection verdict only turns
 on whether that value is below 1.0, so the distances must agree bit for
 bit.
+
+The stratified stream is also kept in its original form, one
+Generator.uniform call per value; the production code draws the same
+doubles in one call and must build the same configurations bit for bit.
 """
 
 import math
@@ -138,7 +142,59 @@ def outcome(fn, *args):
 
 
 # ---------------------------------------------------------------------------
+# reference stratified stream
+
+def ref_random_shape(rng, max_aspect):
+    scale = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+    aspect = math.exp(rng.uniform(0.0, math.log(max_aspect)))
+    return EllipseShape(scale * aspect, scale)
+
+
+def ref_stratified_configuration(seed, index, max_aspect=20.0):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    stratum = index % 5
+    s1 = ref_random_shape(rng, max_aspect)
+    s2 = ref_random_shape(rng, max_aspect)
+    th1 = rng.uniform(0.0, 2.0 * math.pi)
+    th2 = rng.uniform(0.0, 2.0 * math.pi)
+    thd = rng.uniform(0.0, 2.0 * math.pi)
+    if stratum == 0:
+        eps = 10.0 ** rng.uniform(-18.0, -4.0)
+        if rng.uniform() < 0.25:
+            eps = 0.0
+        th2 = th1 + eps + (math.pi if rng.uniform() < 0.5 else 0.0)
+    elif stratum == 1:
+        thd = th1 + 0.5 * math.pi + (10.0 ** rng.uniform(-18.0, -4.0)
+                                     if rng.uniform() < 0.5 else 0.0)
+        if rng.uniform() < 0.5:
+            th2 = th1 + 10.0 ** rng.uniform(-18.0, -4.0)
+    elif stratum == 2:
+        s1 = EllipseShape(s1.a, s1.a * (1.0 - rng.uniform(0.0, 5e-9)))
+        if rng.uniform() < 0.5:
+            s2 = EllipseShape(s2.a, s2.a * (1.0 - rng.uniform(0.0, 5e-9)))
+    k1 = UnitVec2.from_angle(th1)
+    if stratum == 0 and th2 == th1:
+        k2 = k1
+    else:
+        k2 = UnitVec2.from_angle(th2)
+    return PairConfiguration(s1, s2, k1, k2, UnitVec2.from_angle(thd))
+
+
+# ---------------------------------------------------------------------------
 # tests
+
+@pytest.mark.parametrize("seed, max_aspect", [(3, 20.0), (11, 20.0), (3, 1000.0), (11, 1000.0)])
+def test_stratified_stream_matches_reference(seed, max_aspect):
+    def values(cfg):
+        return tuple(v.hex() for v in (
+            cfg.shape1.a, cfg.shape1.b, cfg.shape2.a, cfg.shape2.b, cfg.k1.x, cfg.k1.y,
+            cfg.k2.x, cfg.k2.y, cfg.dhat.x, cfg.dhat.y,
+        ))
+
+    for i in range(5000):
+        expect = values(ref_stratified_configuration(seed, i, max_aspect))
+        assert values(stratified_configuration(seed, i, max_aspect)) == expect, i
+
 
 @pytest.mark.parametrize("seed, settings", [
     (3, OracleSettings()),
