@@ -8,7 +8,7 @@ from .analysis import (
     excluded_area,
     excluded_boundary,
 )
-from .bulk import ContactArrays, contact_arrays, unit_vectors
+from .bulk import ContactArrays, contact_arrays
 from .contact import (
     ConcentricCenters,
     ContactBranch,

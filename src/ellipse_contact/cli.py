@@ -159,6 +159,8 @@ _BATCH_FIELDS = ("a1", "b1", "a2", "b2", "theta1", "theta2", "theta_d")
 _RESULT_FIELDS = (
     "d", "d_prime", "q", "branch", "rc_x", "rc_y", "residual_e1", "residual_e2",
 )
+# format() specs that write _RESULT_FIELDS to CSV as _f17 does; the branch is text
+_RESULT_CSV_SPECS = tuple("" if k == "branch" else ".17g" for k in _RESULT_FIELDS)
 # rows that batch reads, computes and writes per step
 BATCH_CHUNK = 1024
 # an input file that cannot be read or decoded; the output stays untouched
@@ -233,23 +235,17 @@ def _batch_results(chunk: list):
     rows it leaves to the scalar path, and rows whose fields do not parse,
     go through _process_batch_row, which gives the same floats or raises."""
     fields = operator.itemgetter(*_BATCH_FIELDS)
-    todo = [i for i, (_, _, err) in enumerate(chunk) if err is None]
-    try:
-        values = [list(map(float, col)) for col in zip(*(fields(chunk[i][1]) for i in todo))]
-    except (ValueError, ArithmeticError, KeyError, TypeError):
-        # some row does not parse: keep those that do, a row at a time
-        todo, values = [], []
-        for i, (_, row, err) in enumerate(chunk):
-            if err is None:
-                try:
-                    values.append([float(x) for x in fields(row)])
-                    todo.append(i)
-                except (ValueError, ArithmeticError, KeyError, TypeError):
-                    pass
-        values = list(zip(*values))
+    todo, values = [], []
+    for i, (_, row, err) in enumerate(chunk):
+        if err is None:
+            try:
+                values.append(list(map(float, fields(row))))
+                todo.append(i)
+            except (ValueError, ArithmeticError, KeyError, TypeError):
+                pass
     results: list = [None] * len(chunk)
     if todo:
-        a1, b1, a2, b2, t1, t2, td = np.array(values, dtype=np.float64)
+        a1, b1, a2, b2, t1, t2, td = np.array(values, dtype=np.float64).T
         res = bulk.contact_arrays(
             a1, b1, a2, b2,
             *bulk.unit_vectors(t1), *bulk.unit_vectors(t2), *bulk.unit_vectors(td),
@@ -270,28 +266,6 @@ def _batch_results(chunk: list):
             except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
                 err = str(exc)
         yield lineno, row, result, err
-
-
-def _write_csv_rows(body, header: list, outs: list) -> None:
-    """CSV lines of the output records, as csv.writer writes them."""
-    floats = set(_RESULT_FIELDS) - {"branch"}
-    line = ",".join("%.17g" if k in floats else "%s" for k in header) + "\r\n"
-    pick = operator.itemgetter(*header)
-    text = "".join([line % pick(out) for out in outs])
-    n = len(outs)
-    # the plain join is what csv.writer writes unless a field holds a comma,
-    # a quote or a line break (it quotes those) or is None (it writes "",
-    # the join "None")
-    if (
-        text.count(",") == n * (len(header) - 1) and text.count("\n") == n
-        and text.count("\r") == n and '"' not in text and "None" not in text
-    ):
-        body.write(text)
-    else:
-        csv.writer(body).writerows(
-            [_f17(out[k]) if isinstance(out[k], float) else out.get(k, "") for k in header]
-            for out in outs
-        )
 
 
 def cmd_batch(args) -> int:
@@ -319,6 +293,8 @@ def cmd_batch(args) -> int:
                     total += 1
                     if err is None:
                         out = dict(row)
+                        if csv_format:
+                            result = map(format, result, _RESULT_CSV_SPECS)
                         out.update(zip(_RESULT_FIELDS, result))
                         outs.append(out)
                         if header is None:
@@ -330,7 +306,8 @@ def cmd_batch(args) -> int:
                 if not outs:
                     continue
                 if csv_format:
-                    _write_csv_rows(body, header, outs)
+                    # the row values are strings or None, the results formatted above
+                    csv.writer(body).writerows(map(operator.itemgetter(*header), outs))
                 else:
                     body.write("".join([_json17(out) + "\n" for out in outs]))
 

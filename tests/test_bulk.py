@@ -332,17 +332,21 @@ def batch_input(draw):
     fmt = draw(st.sampled_from(["csv", "jsonl"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = list(FIELDS)
-    if draw(st.booleans()):
-        columns.insert(draw(st.integers(0, len(columns))), "id")
+    # an extra column is echoed; one named like a result column holds the result
+    extra = draw(st.sampled_from([None, "id", "d"]))
+    if extra:
+        columns.insert(draw(st.integers(0, len(columns))), extra)
     lines = []
     for i in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(["good", "good", "fuzzed", "short", "blank", "junk"]))
         b1, a1, b2, a2 = np.sort(rng.uniform(0.1, 10.0, 2)).tolist() + np.sort(
             rng.uniform(0.1, 10.0, 2)).tolist()
         values = [a1, b1, a2, b2, *rng.uniform(-720.0, 720.0, 3).tolist()]
-        # ids that the csv module must quote take its slow path
+        # some ids the csv module must quote
         ident = draw(ID_VALUES)
-        row = dict(zip(FIELDS, map(repr, values)), id=f"r{i}" if ident is None else ident)
+        row = dict(zip(FIELDS, map(repr, values)))
+        if extra:
+            row[extra] = f"r{i}" if ident is None else ident
         if kind == "fuzzed":
             for k in draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3)):
                 row[k] = draw(FUZZ_VALUES)
