@@ -42,10 +42,6 @@ class LocusCurve:
     """A closed plot-ready curve: (sweep angle, point) samples."""
 
     samples: list[tuple[float, Vec2]]
-    closed: bool = True
-
-    def points(self) -> list[Vec2]:
-        return [p for _, p in self.samples]
 
 
 def _distance_of_angle(
@@ -112,7 +108,7 @@ def excluded_boundary(
         theta = 2.0 * math.pi * j / n
         dist = d(theta)
         samples.append((theta, Vec2(dist * math.cos(theta), dist * math.sin(theta))))
-    return LocusCurve(samples=samples, closed=True)
+    return LocusCurve(samples=samples)
 
 
 def contact_locus(
@@ -132,4 +128,4 @@ def contact_locus(
         cfg = PairConfiguration(shape1, shape2, UnitVec2.from_angle(theta), k2, dhat)
         rc, _ = contact_point(cfg)
         samples.append((theta, rc))
-    return LocusCurve(samples=samples, closed=True)
+    return LocusCurve(samples=samples)

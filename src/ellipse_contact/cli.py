@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Angles cross this boundary in degrees and are converted to unit vectors
-immediately; nothing downstream sees an angle.  Numeric JSON output is
-printed with 17 significant digits so every value round-trips losslessly.
+immediately; nothing downstream sees an angle.  Every float is written
+as its shortest round-trip repr, through json.dumps, csv.writer or print,
+so every value parses back to the same float.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
 
@@ -36,29 +37,6 @@ EXIT_INPUT = 2
 
 # excluded_area holds a few float arrays of this length: ~8 MB each
 MAX_PANELS = 1 << 20
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json17(obj) -> str:
-    """JSON with floats at 17 significant digits (lossless round-trip)."""
-    if isinstance(obj, float):
-        return _f17(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int,)):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json17(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json17(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _add_pair_args(p: argparse.ArgumentParser, with_dhat: bool = True) -> None:
@@ -101,15 +79,12 @@ def _solution_record(cfg, sol) -> dict:
 
 def _print_record(record: dict, as_json: bool) -> None:
     if as_json:
-        print(_json17(record))
+        print(json.dumps(record))
         return
     for key, value in record.items():
-        if isinstance(value, float):
-            print(f"{key:15s} {_f17(value)}")
-        elif isinstance(value, list):
-            print(f"{key:15s} ({', '.join(_f17(v) for v in value)})")
-        else:
-            print(f"{key:15s} {value}")
+        if isinstance(value, list):
+            value = f"({', '.join(map(str, value))})"
+        print(f"{key:15s} {value}")
 
 
 def cmd_distance(args) -> int:
@@ -159,8 +134,6 @@ _BATCH_FIELDS = ("a1", "b1", "a2", "b2", "theta1", "theta2", "theta_d")
 _RESULT_FIELDS = (
     "d", "d_prime", "q", "branch", "rc_x", "rc_y", "residual_e1", "residual_e2",
 )
-# format() specs that write _RESULT_FIELDS to CSV as _f17 does; the branch is text
-_RESULT_CSV_SPECS = tuple("" if k == "branch" else ".17g" for k in _RESULT_FIELDS)
 # rows that batch reads, computes and writes per step
 BATCH_CHUNK = 1024
 # an input file that cannot be read or decoded; the output stays untouched
@@ -222,7 +195,8 @@ def _csv_rows(fh):
     if reader.fieldnames is None or any(k not in reader.fieldnames for k in _BATCH_FIELDS):
         raise ValueError(f"CSV header must contain {', '.join(_BATCH_FIELDS)}")
     width = len(reader.fieldnames)
-    for lineno, row in enumerate(reader, 2):  # header is line 1
+    for row in reader:
+        lineno = reader.line_num  # the file line the record ends on
         if None in row:  # DictReader files the fields beyond the header here
             yield lineno, None, f"{width + len(row[None])} fields for {width} header columns"
         else:
@@ -293,8 +267,6 @@ def cmd_batch(args) -> int:
                     total += 1
                     if err is None:
                         out = dict(row)
-                        if csv_format:
-                            result = map(format, result, _RESULT_CSV_SPECS)
                         out.update(zip(_RESULT_FIELDS, result))
                         outs.append(out)
                         if header is None:
@@ -306,10 +278,9 @@ def cmd_batch(args) -> int:
                 if not outs:
                     continue
                 if csv_format:
-                    # the row values are strings or None, the results formatted above
                     csv.writer(body).writerows(map(operator.itemgetter(*header), outs))
                 else:
-                    body.write("".join([_json17(out) + "\n" for out in outs]))
+                    body.write("".join([json.dumps(out) + "\n" for out in outs]))
 
             body.seek(0)
             with open(args.output, "w", encoding="utf-8", newline=newline) as fh:
@@ -369,7 +340,7 @@ def cmd_excluded_area(args) -> int:
             print("angle_deg,area", file=out)
             angle = start
             while angle <= stop + 1e-12:
-                print(f"{_f17(angle)},{_f17(area_at(angle))}", file=out)
+                print(f"{angle},{area_at(angle)}", file=out)
                 angle += step
         finally:
             if args.output is not None:
@@ -382,7 +353,7 @@ def cmd_excluded_area(args) -> int:
         value = analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, args.panels)
     else:
         value = area_at(args.angle)
-    print(_f17(value))
+    print(value)
     return EXIT_OK
 
 
@@ -394,18 +365,15 @@ def _write_curve(
         if as_json:
             payload = {
                 "angle_label": angle_label,
-                "closed": curve.closed,
                 "samples": [
                     [math.degrees(theta), p.x, p.y] for theta, p in curve.samples
                 ],
             }
-            print(_json17(payload), file=out)
+            print(json.dumps(payload), file=out)
         else:
             print(f"{angle_label},x,y", file=out)
             for theta, p in curve.samples:
-                print(
-                    f"{_f17(math.degrees(theta))},{_f17(p.x)},{_f17(p.y)}", file=out
-                )
+                print(f"{math.degrees(theta)},{p.x},{p.y}", file=out)
     finally:
         if output is not None:
             out.close()
@@ -439,19 +407,19 @@ def cmd_verify(args) -> int:
         workers=args.workers,
     )
     print(f"trials        {report.trials}")
-    print(f"max rel err   {_f17(report.max_rel_err)}")
-    print(f"mean rel err  {_f17(report.mean_rel_err)}")
+    print(f"max rel err   {report.max_rel_err}")
+    print(f"mean rel err  {report.mean_rel_err}")
     print(f"root failures {report.root_failures}")
     print(f"failures      {len(report.failures)}")
     for idx, err in report.failures[:20]:
-        print(f"  trial {idx}: rel err {_f17(err)}")
+        print(f"  trial {idx}: rel err {err}")
     return EXIT_OK if not report.failures else EXIT_VERIFY_FAIL
 
 
 def cmd_simulate(args) -> int:
     try:
         cfg = mcsim.load_mc_config(args.config)
-    except (OSError, KeyError, ValueError, TypeError, IndexError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, IndexError, ArithmeticError) as exc:
         print(f"error: bad run configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -463,7 +431,7 @@ def cmd_simulate(args) -> int:
     except mcsim.AuditFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    print(_json17(summary))
+    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -524,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--samples", type=int, default=4096,
                    help="oracle boundary samples per ellipse")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: ELLIPSE_CONTACT_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process count (default 1)")
 
     p = sub.add_parser("simulate", help="run the hard-ellipse Monte Carlo driver")
     p.add_argument("--config", required=True, help="JSON or key=value run file")

@@ -12,8 +12,8 @@ Conventions:
     particles visited in index order;
   * the cell size is at least max(a_i + a_j) over species pairs, so any
     overlapping pair is always within adjacent cells (the kernel bound
-    d <= a1 + a2 makes this safe); grids thinner than 3 cells fall back to
-    all-pairs;
+    d <= a1 + a2 makes this safe); a grid has at most 4N + 9 cells, and
+    grids thinner than 3 cells fall back to all-pairs;
   * a fixed seed reproduces the trajectory bit for bit.
 """
 
@@ -79,24 +79,32 @@ class MCConfig:
         if not self.species:
             raise ValueError("need at least one species")
         total = math.fsum(f for _, f in self.species)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
             raise ValueError(f"species fractions sum to {total!r}, not 1")
         if min(f for _, f in self.species) < 0.0:
             raise ValueError("species fractions must be non-negative")
-        if self.max_translation < 0.0 or self.max_rotation < 0.0:
-            raise ValueError("move amplitudes must be non-negative")
+        amplitudes = (self.max_translation, self.max_rotation)
+        # a move is drawn from [-x, x], so its width 2x must be finite too
+        if not all(x >= 0.0 and math.isfinite(2.0 * x) for x in amplitudes):
+            raise ValueError(
+                f"move amplitudes must be >= 0 with [-x, x] finite, got {amplitudes}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sweeps < 1 or self.sample_every < 1:
             raise ValueError(
                 f"sweeps and sample_every must be >= 1, got {self.sweeps} "
                 f"and {self.sample_every}"
             )
         lx, ly = self.box
+        if not (math.isfinite(lx) and math.isfinite(ly)):
+            raise ValueError(f"box {self.box} must be finite")
         reach = 2.0 * max(s.a for s, _ in self.species)
         if lx < 2.0 * reach or ly < 2.0 * reach:
             raise ValueError(
                 f"box {self.box} too small for minimum image; need >= {2.0 * reach}"
             )
-        if self.packing_fraction() >= HEX_PACKING_LIMIT:
+        if not self.packing_fraction() < HEX_PACKING_LIMIT:  # NaN included
             raise PackingInfeasible(
                 f"packing fraction {self.packing_fraction():.4f} exceeds "
                 f"{HEX_PACKING_LIMIT:.4f}"
@@ -310,6 +318,11 @@ def init_state(cfg: MCConfig) -> MCState:
     reach = 2.0 * max_a
     nx = max(1, int(lx / reach))
     ny = max(1, int(ly / reach))
+    # a dilute box gains nothing from more cells than particles, and a box
+    # of 1e6 around (2,1) ellipses would ask for 6e10 cell lists; halving
+    # keeps the cells at least reach wide
+    while nx * ny > 4 * n + 9:
+        nx, ny = max(1, nx // 2), max(1, ny // 2)
     state = MCState(
         positions=positions,
         orientations=orientations,
@@ -416,7 +429,8 @@ def audit_overlaps(state: MCState) -> list[tuple[int, int]]:
     dy = pos[:, 1][None, :] - pos[:, 1][:, None]
     dx -= lx * np.round(dx / lx)
     dy -= ly * np.round(dy / ly)
-    sep_sq = dx * dx + dy * dy
+    with np.errstate(over="ignore"):  # inf: a pair in a huge box, out of reach
+        sep_sq = dx * dx + dy * dy
     reach = max(s.a for s in state.shapes) * 2.0
     ii, jj = np.nonzero(np.triu(sep_sq < reach * reach, k=1))
     shapes = state.particle_shapes()

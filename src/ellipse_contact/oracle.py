@@ -17,7 +17,6 @@ only when the first does not already show overlap.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -340,21 +339,13 @@ def _verify_chunk(args: tuple[int, int, int, float, OracleSettings]) -> list[tup
     return out
 
 
-def default_workers() -> int:
-    env = os.environ.get("ELLIPSE_CONTACT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def verify_random(
     trials: int,
     seed: int,
     tolerance: float = 1e-7,
     settings: OracleSettings = OracleSettings(),
     max_aspect: float = 20.0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> VerifyReport:
     """Compare the analytic distance against the oracle on the stratified
     stream; a trial fails when the relative error exceeds the tolerance.
@@ -366,7 +357,7 @@ def verify_random(
         raise ValueError(f"need at least one trial, got {trials}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = max(1, workers)
     pairs: list[tuple[float, float]] = []
     root_failures = 0
     if workers == 1:

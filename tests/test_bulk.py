@@ -28,7 +28,6 @@ from ellipse_contact import (
 )
 from ellipse_contact import cli
 from ellipse_contact.bulk import BRANCHES, contact_arrays, unit_vectors
-from ellipse_contact.cli import _f17, _json17
 
 
 def scalar_row(a1, b1, a2, b2, k1, k2, dhat):
@@ -234,8 +233,8 @@ def reference_batch(path, output, fmt, rejects_path):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or any(k not in reader.fieldnames for k in FIELDS):
                 raise ValueError(f"CSV header must contain {', '.join(FIELDS)}")
-            for lineno, row in enumerate(reader, 2):
-                yield lineno, row, None
+            for row in reader:
+                yield reader.line_num, row, None
 
     with open(rejects_path, "w", encoding="utf-8") as rejects:
         rows_out, extra = [], []
@@ -257,17 +256,14 @@ def reference_batch(path, output, fmt, rejects_path):
     if fmt == "jsonl":
         with open(output, "w", encoding="utf-8") as fh:
             for out in rows_out:
-                fh.write(_json17(out) + "\n")
+                fh.write(json.dumps(out) + "\n")
     else:
         header = extra + list(FIELDS) + list(RESULTS)
         with open(output, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for out in rows_out:
-                writer.writerow([
-                    _f17(out[k]) if isinstance(out[k], float) else out.get(k, "")
-                    for k in header
-                ])
+                writer.writerow([out.get(k, "") for k in header])
     return 2 if total and rejected * 2 > total else 0
 
 

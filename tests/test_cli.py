@@ -218,6 +218,29 @@ def test_batch_rejects_surplus_field_rows(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_batch_rejects_report_file_lines(tmp_path, capsys):
+    # a blank line and a quoted two-line field: each reject names the file
+    # line its record ends on, not its record count
+    inp = tmp_path / "in.csv"
+    rej = tmp_path / "rej.txt"
+    inp.write_text(
+        "id,a1,b1,a2,b2,theta1,theta2,theta_d\n"
+        "\n"
+        "r1,2,3,1,1,0,0,0\n"
+        '"two\nlines",x,1,1,1,0,0,0\n'
+        "r3,2,1,2,1,0,0,0\n"
+        "r4,1,1,1,1,0,0,0\n"
+    )
+    code, _, _ = run_cli(
+        capsys, "batch", "--input", str(inp), "--output", str(tmp_path / "out.csv"),
+        "--rejects", str(rej),
+    )
+    assert code == 0
+    assert [line.split(":")[0] for line in rej.read_text().splitlines()] == [
+        "line 3", "line 5",
+    ]
+
+
 def test_batch_majority_rejected_exit_2(tmp_path, capsys):
     inp = tmp_path / "in.csv"
     inp.write_text(
@@ -272,6 +295,14 @@ def test_unwritable_file_exit_2(tmp_path, capsys, argv):
     {"species": 5},                 # TypeError: not iterable
     {"species": [[2, 1, 1.0]]},     # TypeError: list indices
     {"box": [20]},                  # IndexError
+    {"max_rotation_deg": math.nan},
+    {"max_rotation_deg": math.inf},
+    {"max_translation": math.nan},
+    {"max_translation": 1e308},     # finite, but 2x overflows the move range
+    {"box": [math.nan, 30.0]},
+    {"box": [math.inf, math.inf]},
+    {"seed": -1},
+    {"n_particles": math.inf},      # OverflowError
 ])
 def test_simulate_malformed_config_exit_2(tmp_path, capsys, override):
     cfgp = write_run_config(tmp_path / "run.json", **override)
@@ -279,6 +310,7 @@ def test_simulate_malformed_config_exit_2(tmp_path, capsys, override):
         capsys, "simulate", "--config", cfgp, "--output", str(tmp_path / "t.jsonl"),
     )
     assert err.startswith("error: bad run configuration:")
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_excluded_area_single(capsys):
@@ -366,7 +398,6 @@ def test_boundary_json_payload(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["closed"] is True
     assert len(payload["samples"]) == 32
     for theta, x, y in payload["samples"]:
         assert math.isclose(math.hypot(x, y), 2.0, rel_tol=1e-9)
@@ -552,6 +583,171 @@ def test_simulate_audit_failure_exit_1(tmp_path, capsys, plant_overlap):
     summary = json.loads(outp.read_text().strip().splitlines()[-1])
     assert summary["summary"] is True
     assert summary["audit_failures"] >= 1
+
+
+RUN_VALUES = {
+    "n_particles": [12, 1, 16, 0, -3, 2.5, "8", None, True, math.nan, math.inf],
+    "species": [
+        [{"a": 2.0, "b": 1.0, "fraction": 1.0}],
+        [{"a": 1.5, "b": 0.5, "fraction": 0.5}, {"a": 1.0, "b": 1.0, "fraction": 0.5}],
+        [{"a": 1e-300, "b": 1e-300, "fraction": 1.0}],
+        [{"a": math.nan, "b": 1.0, "fraction": 1.0}],
+        [{"a": 2.0, "b": 0.0, "fraction": 1.0}],
+        [{"a": 2.0, "b": 1.0, "fraction": math.nan}],
+        [{"a": 2.0, "b": 1.0, "fraction": math.inf},
+         {"a": 2.0, "b": 1.0, "fraction": -math.inf}],
+        [{"a": 2.0, "b": 1.0, "fraction": 0.5}],
+        [{"a": "x", "b": 1, "fraction": 1}],
+        {"a": 2.0, "b": 1.0, "fraction": 1.0},
+        [], 5, "2:1:1", None, [[2, 1, 1.0]],
+    ],
+    "box": [
+        [30.0, 30.0], [12.0, 40.0], [1e300, 1e300], [math.nan, 30.0],
+        [math.inf, math.inf], [0, 0], [-30, 30], [20], "30", None, [30, "y"],
+    ],
+    "max_translation": [
+        0.3, 0.0, 5.0, 1e308, -1.0, math.nan, math.inf, -math.inf, "x", None, [1],
+    ],
+    "max_rotation_deg": [15.0, 0, 360, 1e300, -5.0, math.nan, math.inf, True, "x"],
+    "seed": [11, 0, -1, 2.5, 10**30, "7", None, math.nan],
+    "sweeps": [3, 1, 0, -2, 2.5, math.nan, "2"],
+    "sample_every": [1, 2, 0, -1, math.inf],
+}
+
+
+@st.composite
+def run_file(draw):
+    """A JSON run file of at most 16 particles and 3 sweeps: a valid one
+    with up to three keys valid otherwise, oddly typed, non-finite, zero or
+    negative, and maybe one key missing."""
+    record = {key: values[0] for key, values in RUN_VALUES.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(RUN_VALUES)), max_size=3, unique=True)):
+        record[key] = draw(st.sampled_from(RUN_VALUES[key]))
+    if draw(st.integers(0, 3)) == 0:
+        del record[draw(st.sampled_from(sorted(RUN_VALUES)))]
+    return record
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record=run_file(), audit=st.booleans())
+def test_fuzzed_run_files_exit_0_or_2(tmp_path, capsys, record, audit):
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps(record))
+    outp = tmp_path / "t.jsonl"
+    outp.unlink(missing_ok=True)
+    argv = ["simulate", "--config", str(cfgp), "--output", str(outp)]
+    code, out, err, elapsed = run_cli_bounded(capsys, *argv + ["--audit"] * audit)
+    assert code in (0, 2)
+    assert len(err.splitlines()) <= 1
+    assert elapsed < 5.0
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+    else:
+        summary = json.loads(out)
+        assert summary["summary"] is True
+        assert "NaN" not in out and "Infinity" not in out
+        assert out == outp.read_text().splitlines(keepends=True)[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--a1", "1", "--b1", "1", "--a2", "1", "--b2", "1", "--json"),
+    ("distance", *PAIR_21, "--theta2", "30", "--theta-d", "10", "--json"),
+    ("contact", *PAIR_21, "--theta2", "90", "--json"),
+    ("overlap", *PAIR_21, "--sep", "4", "--json"),
+    ("overlap", *PAIR_21, "--sep", "0", "--json"),
+    ("boundary", "--a1", "1", "--b1", "1", "--a2", "1", "--b2", "1", "--n", "16", "--json"),
+    ("locus", *PAIR_21, "--n", "16", "--json"),
+])
+def test_json_output_parses(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    json.loads(out)
+
+
+def test_zero_and_integral_floats_stay_floats(capsys):
+    # circles meeting tip to tip: d is exactly 2, the normal (1, 0) and the
+    # residuals 0; the old 17-digit writer printed them as the ints 2, 1, 0
+    _, out, _ = run_cli(
+        capsys, "distance", "--a1", "1", "--b1", "1", "--a2", "1", "--b2", "1", "--json",
+    )
+    record = json.loads(out)
+    assert record["d"] == 2.0 and type(record["d"]) is float
+    assert record["contact_normal"] == [1.0, 0.0]
+    assert all(type(v) is float for v in record["contact_normal"])
+    assert type(record["residual_e1"]) is float
+    _, out, _ = run_cli(capsys, "overlap", *PAIR_21, "--sep", "4", "--json")
+    record = json.loads(out)
+    assert (record["separation"], record["d"]) == (4.0, 4.0)
+    assert type(record["separation"]) is float and type(record["d"]) is float
+    _, out, _ = run_cli(capsys, "boundary", *PAIR_21, "--n", "16", "--json")
+    theta, x, y = json.loads(out)["samples"][0]
+    assert (theta, y) == (0.0, 0.0) and type(theta) is float and type(y) is float
+
+
+def test_simulate_stdout_is_the_trajectory_summary(tmp_path, capsys):
+    # max_translation 0: every move is a pure rotation of a lone-standing
+    # particle, so the acceptance is exactly 1.0
+    outp = tmp_path / "t.jsonl"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--config",
+        write_run_config(tmp_path / "run.json", n_particles=4, max_translation=0.0),
+        "--output", str(outp),
+    )
+    assert code == 0
+    assert out.encode() == outp.read_bytes().splitlines(keepends=True)[-1]
+    summary = json.loads(out)
+    assert summary["acceptance"] == 1.0 and type(summary["acceptance"]) is float
+
+
+def test_batch_jsonl_echoed_non_finite_fields_feed_back(tmp_path, capsys):
+    # NaN and 1e400 (inf) ids are echoed as NaN and Infinity, which
+    # json.loads reads back; the output fed to batch again comes out the same
+    inp = tmp_path / "in.jsonl"
+    row = {"a1": 2, "b1": 1, "a2": 2, "b2": 1, "theta1": 0, "theta2": 30, "theta_d": 10}
+    inp.write_text('{"id": NaN, %s\n{"id": 1e400, %s\n' % ((json.dumps(row)[1:],) * 2))
+    outputs = [tmp_path / "once.jsonl", tmp_path / "twice.jsonl"]
+    for src, dst in zip([inp] + outputs, outputs):
+        code, _, err = run_cli(
+            capsys, "batch", "--input", str(src), "--output", str(dst), "--format", "jsonl",
+        )
+        assert (code, err) == (0, "")
+    records = [json.loads(line) for line in outputs[0].read_text().splitlines()]
+    assert math.isnan(records[0]["id"]) and records[1]["id"] == math.inf
+    assert '"id": NaN' in outputs[0].read_text()
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
+
+
+def test_distance_text_output_round_trips(capsys):
+    from ellipse_contact import (
+        UnitVec2, closest_approach, make_pair_configuration, tangency_residuals,
+    )
+
+    _, out, _ = run_cli(
+        capsys, "distance", *PAIR_21, "--theta1", "12.5", "--theta2", "73.1",
+        "--theta-d", "41.7",
+    )
+    text = dict(line.split(None, 1) for line in out.splitlines())
+    cfg = make_pair_configuration(
+        2, 1, 2, 1,
+        UnitVec2.from_angle(math.radians(12.5)),
+        UnitVec2.from_angle(math.radians(73.1)),
+        UnitVec2.from_angle(math.radians(41.7)),
+    )
+    sol = closest_approach(cfg)
+    r1, r2, cross = tangency_residuals(cfg, sol)
+    expect = {
+        "d": sol.d, "d_prime": sol.d_prime, "q": sol.q,
+        "residual_e1": r1, "residual_e2": r2, "normal_cross": cross,
+    }
+    for key, value in expect.items():
+        assert float(text[key]).hex() == value.hex()
+    for key, vec in (("contact_point", sol.contact_point), ("contact_normal", sol.contact_normal)):
+        x, y = (float(v) for v in text[key].strip("()").split(","))
+        assert (x.hex(), y.hex()) == (vec.x.hex(), vec.y.hex())
+    assert text["branch"] == sol.branch.value
 
 
 def test_console_script_installed():

@@ -178,6 +178,33 @@ def test_cells_cover_all_particles():
         )
 
 
+def test_dilute_box_grid_is_capped():
+    # a side of 4,000 would be 1,000 cells of width 2a = 4 per side
+    huge = MCConfig(
+        n_particles=4, species=((EllipseShape(2.0, 1.0), 1.0),), box=(4e3, 4e3),
+        max_translation=0.3, max_rotation=0.3, seed=3, sweeps=2,
+    )
+    assert math.prod(init_state(huge).n_cells) <= 4 * 4 + 9
+    run_simulation(huge, io.StringIO(), audit=True)
+    # a capped grid still offers every particle within reach as a candidate
+    cfg = config(n=16, packing=0.02, max_translation=3.0, seed=4)
+    state = init_state(cfg)
+    assert int(cfg.box[0] / 4.0) ** 2 > math.prod(state.n_cells)
+    rng = np.random.default_rng(cfg.seed)
+    lx, ly = state.box
+    for _ in range(20):
+        mc_sweep(state, cfg, rng)
+        pos = state.positions
+        for i in range(16):
+            cand = set(state.neighbor_candidates(*pos[i]))
+            for j in range(16):
+                dx, dy = pos[j] - pos[i]
+                dx -= lx * round(dx / lx)
+                dy -= ly * round(dy / ly)
+                if math.hypot(dx, dy) < 4.0:
+                    assert j in cand
+
+
 def test_determinism_bit_exact():
     cfg = config(n=20, packing=0.3, sweeps=15, seed=123)
     out1, out2 = io.StringIO(), io.StringIO()
