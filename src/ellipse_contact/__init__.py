@@ -2,12 +2,7 @@
 contact point, overlap predicate, excluded area, and a Monte Carlo driver.
 """
 
-from .analysis import (
-    LocusCurve,
-    contact_locus,
-    excluded_area,
-    excluded_boundary,
-)
+from .analysis import contact_locus, excluded_area, excluded_boundary
 from .bulk import ContactArrays, contact_arrays
 from .contact import (
     ConcentricCenters,

@@ -18,7 +18,6 @@ The excluded boundary and the contact locus sample the contact kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2
 
 __all__ = [
     "MIN_SAMPLES",
-    "LocusCurve",
     "excluded_area",
     "excluded_boundary",
     "contact_locus",
@@ -35,23 +33,6 @@ __all__ = [
 
 # fewest quadrature nodes or curve samples any function here accepts
 MIN_SAMPLES = 16
-
-
-@dataclass(frozen=True)
-class LocusCurve:
-    """A closed plot-ready curve: (sweep angle, point) samples."""
-
-    samples: list[tuple[float, Vec2]]
-
-
-def _distance_of_angle(
-    shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: UnitVec2
-):
-    def d(theta: float) -> float:
-        cfg = PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(theta))
-        return closest_approach(cfg).d
-
-    return d
 
 
 def _support(shape: EllipseShape, k: UnitVec2, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
@@ -97,18 +78,19 @@ def excluded_boundary(
     k1: UnitVec2,
     k2: UnitVec2,
     n: int,
-) -> LocusCurve:
+) -> list[tuple[float, Vec2]]:
     """The curve traced by the center of shape2 as it slides around shape1
-    staying tangent: the boundary of the excluded area."""
+    staying tangent, the boundary of the excluded area, as n closed-curve
+    samples (center-line angle, point)."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    d = _distance_of_angle(shape1, shape2, k1, k2)
     samples = []
     for j in range(n):
         theta = 2.0 * math.pi * j / n
-        dist = d(theta)
+        cfg = PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(theta))
+        dist = closest_approach(cfg).d
         samples.append((theta, Vec2(dist * math.cos(theta), dist * math.sin(theta))))
-    return LocusCurve(samples=samples)
+    return samples
 
 
 def contact_locus(
@@ -117,9 +99,10 @@ def contact_locus(
     k2: UnitVec2,
     dhat: UnitVec2,
     n: int,
-) -> LocusCurve:
+) -> list[tuple[float, Vec2]]:
     """The contact point's trace as shape1 spins in place while shape2 keeps
-    its orientation and stays tangent along the fixed center line."""
+    its orientation and stays tangent along the fixed center line, as n
+    closed-curve samples (angle of shape1's major axis, point)."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     samples = []
@@ -128,4 +111,4 @@ def contact_locus(
         cfg = PairConfiguration(shape1, shape2, UnitVec2.from_angle(theta), k2, dhat)
         rc, _ = contact_point(cfg)
         samples.append((theta, rc))
-    return LocusCurve(samples=samples)
+    return samples

@@ -34,8 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
+from .geometry import _ellipse_form
 from .quartic import (
     BRACKET_TOL,
+    POLISH_STEPS,
     RESIDUAL_RTOL,
     QuarticCoeffs,
     _horner_compensated,
@@ -119,7 +121,7 @@ def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray, bad: np.ndarray):
     q = _py_min(_py_max(q, 1.0), hi)
     co = c.as_tuple()
     active = np.ones(len(q), dtype=bool)
-    for _ in range(3):  # quartic._polish
+    for _ in range(POLISH_STEPS):  # quartic._polish
         f = _horner_compensated(co, q)
         fp = c.derivative(q)
         active &= fp != 0.0
@@ -186,9 +188,9 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     candidates[1] = (np.where(biq, r_lo, candidates[1][0]), biq | candidates[1][1])
 
     # every in-bracket candidate of every row goes through one _accept call
-    # (it has no side effects); then, per row in the scalar order, the
-    # first accepted candidate wins, and a q**4 that raises before it is
-    # where the scalar code raises
+    # (it has no side effects), concatenated in the scalar order; per row
+    # the first candidate that is accepted, or whose q**4 raises (where the
+    # scalar code raises), decides
     tried = [
         np.flatnonzero(exists & ~bad & (1.0 - BRACKET_TOL <= r) & (r <= hi + BRACKET_TOL))
         for r, exists in candidates
@@ -200,18 +202,12 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
         np.concatenate([r[t] for (r, _), t in zip(candidates, tried)]),
         hi[rows], raised,
     )
+    decided = np.flatnonzero(raised | ok)
+    win = decided[np.unique(rows[decided], return_index=True)[1]]
     q = np.full(len(bad), math.nan)
-    done = bad.copy()
-    start = 0
-    for t in tried:
-        part = slice(start, start + len(t))
-        start += len(t)
-        fresh = ~done[t]
-        bad[t[fresh & raised[part]]] = True
-        win = fresh & ~raised[part] & ok[part]
-        q[t[win]] = got[part][win]
-        done[t[fresh & (raised[part] | ok[part])]] = True
-    bad |= ~done  # no closed-form candidate: the companion-matrix fallback
+    q[rows[win]] = np.where(raised[win], math.nan, got[win])
+    # a raise, or no closed-form candidate (the companion-matrix fallback)
+    bad |= np.isnan(q)
     return q
 
 
@@ -310,8 +306,8 @@ def _solve(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy):
 
     # tangency_residuals (with the unflipped k2), and the checks that
     # UnitVec2(normal), Vec2 and the residuals' normal cross product make
-    m11, m12, m22 = _ellipse_matrix(a1, b1, k1x, k1y)
-    n11, n12, n22 = _ellipse_matrix(a2, b2, k2x, k2y)
+    m11, m12, m22 = _ellipse_form(a1, b1, k1x, k1y)
+    n11, n12, n22 = _ellipse_form(a2, b2, k2x, k2y)
     p2x = rc_x - d * dhx
     p2y = rc_y - d * dhy
     r1 = abs(m11 * rc_x * rc_x + 2.0 * m12 * rc_x * rc_y + m22 * rc_y * rc_y - 1.0)
@@ -389,10 +385,3 @@ def _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
     kplus, kminus = _unit(kpx, kpy, bad), _unit(kmx, kmy, bad)
     return eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, kplus, kminus, codes
 
-
-def _ellipse_matrix(a, b, kx, ky):
-    """geometry.ellipse_matrix over arrays: (m11, m12, m22)."""
-    r = b / a
-    e2 = (1.0 - r) * (1.0 + r)
-    f = 1.0 / (b * b)
-    return f * (1.0 - e2 * kx * kx), f * (-e2 * kx * ky), f * (1.0 - e2 * ky * ky)

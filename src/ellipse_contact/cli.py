@@ -35,7 +35,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 
-# excluded_area holds a few float arrays of this length: ~8 MB each
+# largest --panels and --n: excluded_area holds a few float arrays of this
+# length (~8 MB each); a curve holds this many points
 MAX_PANELS = 1 << 20
 
 
@@ -358,7 +359,7 @@ def cmd_excluded_area(args) -> int:
 
 
 def _write_curve(
-    curve: analysis.LocusCurve, output, angle_label: str, as_json: bool
+    curve: list[tuple[float, Vec2]], output, angle_label: str, as_json: bool
 ) -> None:
     out = sys.stdout if output is None else open(output, "w", encoding="utf-8")
     try:
@@ -366,13 +367,13 @@ def _write_curve(
             payload = {
                 "angle_label": angle_label,
                 "samples": [
-                    [math.degrees(theta), p.x, p.y] for theta, p in curve.samples
+                    [math.degrees(theta), p.x, p.y] for theta, p in curve
                 ],
             }
             print(json.dumps(payload), file=out)
         else:
             print(f"{angle_label},x,y", file=out)
-            for theta, p in curve.samples:
+            for theta, p in curve:
                 print(f"{math.degrees(theta)},{p.x},{p.y}", file=out)
     finally:
         if output is not None:
@@ -381,8 +382,8 @@ def _write_curve(
 
 def cmd_boundary(args) -> int:
     cfg = _pair_from_args(args)
-    if args.n < analysis.MIN_SAMPLES:
-        return _input_error(f"--n must be at least {analysis.MIN_SAMPLES}")
+    if not analysis.MIN_SAMPLES <= args.n <= MAX_PANELS:
+        return _input_error(f"--n must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}")
     curve = analysis.excluded_boundary(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, args.n)
     _write_curve(curve, args.output, "theta_d_deg", args.json)
     return EXIT_OK
@@ -390,8 +391,8 @@ def cmd_boundary(args) -> int:
 
 def cmd_locus(args) -> int:
     cfg = _pair_from_args(args)
-    if args.n < analysis.MIN_SAMPLES:
-        return _input_error(f"--n must be at least {analysis.MIN_SAMPLES}")
+    if not analysis.MIN_SAMPLES <= args.n <= MAX_PANELS:
+        return _input_error(f"--n must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}")
     curve = analysis.contact_locus(cfg.shape1, cfg.shape2, cfg.k2, cfg.dhat, args.n)
     _write_curve(curve, args.output, "theta1_deg", args.json)
     return EXIT_OK

@@ -117,27 +117,6 @@ def _distance_pieces(
     return d_prime, q, sin_psi, cos_psi, tp.branch
 
 
-def _gamma_components(cfg: PairConfiguration, tp: TransformedPair) -> tuple[float, float]:
-    """(sin gamma, cos gamma): rotation from the (k1 +/- k2) basis to the
-    eigenbasis.  Conventional identity values where that basis degenerates."""
-    if tp.branch is not ContactBranch.GENERAL:
-        if tp.branch is ContactBranch.PARALLEL_AXES_2A:
-            return 0.0, 1.0
-        return 1.0, 0.0
-    k1, k2 = cfg.k1, cfg.k2
-    if k1.dot(k2) < 0.0:
-        k2 = UnitVec2(-k2.x, -k2.y)
-    sx, sy = k1.x + k2.x, k1.y + k2.y
-    dx, dy = k1.x - k2.x, k1.y - k2.y
-    sn = math.hypot(sx, sy)
-    dn = math.hypot(dx, dy)
-    if sn == 0.0 or dn == 0.0:
-        return 0.0, 1.0
-    cos_gamma = (tp.kplus.x * sx + tp.kplus.y * sy) / sn
-    sin_gamma = (tp.kplus.x * dx + tp.kplus.y * dy) / dn
-    return sin_gamma, cos_gamma
-
-
 def closest_approach(cfg: PairConfiguration) -> ContactSolution:
     """Distance of closest approach of the two ellipse centers along dhat,
     together with the contact point and normal.  Deterministic: the same
@@ -162,15 +141,14 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         )
 
     normal_vec = ellipse_matrix(cfg.shape1, k1).apply(rc)
-    sin_gamma, cos_gamma = _gamma_components(cfg, tp)
     return ContactSolution(
         d=d,
         d_prime=d_prime,
         q=q,
         sin_psi=sin_psi,
         cos_psi=cos_psi,
-        sin_gamma=sin_gamma,
-        cos_gamma=cos_gamma,
+        sin_gamma=tp.sin_gamma,
+        cos_gamma=tp.cos_gamma,
         contact_point=rc,
         contact_normal=UnitVec2(normal_vec.x, normal_vec.y),
         branch=branch,

@@ -181,16 +181,20 @@ def make_pair_configuration(
     )
 
 
+def _ellipse_form(a, b, kx, ky):
+    """Entries (m11, m12, m22) of M = (I - e^2 kk) / b^2 for semi-axes a, b
+    and major-axis direction (kx, ky): Python floats or numpy arrays, with
+    the same operations in the same order either way."""
+    r = b / a
+    e2 = (1.0 - r) * (1.0 + r)  # eccentricity_sq()
+    f = 1.0 / (b * b)
+    return f * (1.0 - e2 * kx * kx), f * (-e2 * kx * ky), f * (1.0 - e2 * ky * ky)
+
+
 def ellipse_matrix(shape: EllipseShape, k: UnitVec2) -> SymMat2:
     """Quadratic form M of the ellipse boundary: p.M.p = 1.
 
     M = (I - e^2 kk) / b^2, so k.M.k = 1/a^2 and kperp.M.kperp = 1/b^2;
     M is symmetric positive definite for every valid shape.
     """
-    e2 = shape.eccentricity_sq()
-    f = 1.0 / (shape.b * shape.b)
-    return SymMat2(
-        m11=f * (1.0 - e2 * k.x * k.x),
-        m12=f * (-e2 * k.x * k.y),
-        m22=f * (1.0 - e2 * k.y * k.y),
-    )
+    return SymMat2(*_ellipse_form(shape.a, shape.b, k.x, k.y))

@@ -49,6 +49,7 @@ __all__ = [
 HEX_PACKING_LIMIT = math.pi / (2.0 * math.sqrt(3.0))
 
 _RENORM_EVERY = 1_000_000  # rotation moves between orientation renormalizations
+_AUDIT_BLOCK = 256  # rows of the pair table audit_overlaps holds at once
 
 
 class PackingInfeasible(ValueError):
@@ -418,29 +419,33 @@ def order_parameter(state: MCState) -> float:
 def audit_overlaps(state: MCState) -> list[tuple[int, int]]:
     """All-pairs overlap audit under minimum image; empty list = clean.
 
-    Pair separations are prefiltered in a vectorized pass; only pairs
-    within kernel range are checked individually, with the same predicate
-    the sweep uses, so audit and cell-list decisions cannot diverge.
+    Pair separations are prefiltered in a vectorized pass over blocks of
+    _AUDIT_BLOCK rows of the pair table (i < j), so memory stays linear
+    in N; only pairs within kernel range are checked individually, with
+    the same predicate the sweep uses, so audit and cell-list decisions
+    cannot diverge.  Pairs are listed in (i, j) order.
     """
     n = state.n_particles()
     lx, ly = state.box
-    pos = state.positions
-    dx = pos[:, 0][None, :] - pos[:, 0][:, None]
-    dy = pos[:, 1][None, :] - pos[:, 1][:, None]
-    dx -= lx * np.round(dx / lx)
-    dy -= ly * np.round(dy / ly)
-    with np.errstate(over="ignore"):  # inf: a pair in a huge box, out of reach
-        sep_sq = dx * dx + dy * dy
+    px, py = state.positions[:, 0], state.positions[:, 1]
     reach = max(s.a for s in state.shapes) * 2.0
-    ii, jj = np.nonzero(np.triu(sep_sq < reach * reach, k=1))
     shapes = state.particle_shapes()
     orient = state.orientations.tolist()
     bad = []
-    for i, j, pdx, pdy in zip(
-        ii.tolist(), jj.tolist(), dx[ii, jj].tolist(), dy[ii, jj].tolist()
-    ):
-        if not _pair_clear(shapes[i], shapes[j], orient[i], orient[j], pdx, pdy):
-            bad.append((i, j))
+    for lo in range(0, n, _AUDIT_BLOCK):
+        # the block's rows against columns lo..n-1, which hold every j > i
+        dx = px[lo:] - px[lo:lo + _AUDIT_BLOCK, None]
+        dy = py[lo:] - py[lo:lo + _AUDIT_BLOCK, None]
+        dx -= lx * np.round(dx / lx)
+        dy -= ly * np.round(dy / ly)
+        with np.errstate(over="ignore"):  # inf: a pair in a huge box, out of reach
+            sep_sq = dx * dx + dy * dy
+        ii, jj = np.nonzero(np.triu(sep_sq < reach * reach, k=1))
+        for i, j, pdx, pdy in zip(
+            (ii + lo).tolist(), (jj + lo).tolist(), dx[ii, jj].tolist(), dy[ii, jj].tolist()
+        ):
+            if not _pair_clear(shapes[i], shapes[j], orient[i], orient[j], pdx, pdy):
+                bad.append((i, j))
     return bad
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -46,6 +47,9 @@ class NonConvergence(ArithmeticError):
 
 # each boundary holds a few float tables of this length: ~8 MB each
 MAX_BOUNDARY_SAMPLES = 1 << 20
+# a sampled minimum of the form within this of 1 is refined on the
+# continuous parameter
+_REFINE_BAND = 5e-2
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,11 @@ class _SampledBoundary:
                 v2 = self._value(x2, t)
         return min(v1, v2)
 
-    def min_form(self, t: float, refine_band: float = 5e-2) -> float:
+    def min_form(self, t: float) -> float:
         profile = self.const + (2.0 * t) * self.lin
         i = int(np.argmin(profile))
         m = float(profile[i]) + t * t * self.quad
-        if abs(m - 1.0) < refine_band:
+        if abs(m - 1.0) < _REFINE_BAND:
             m = self._refined_min(t, i)
         return m
 
@@ -326,17 +330,15 @@ class VerifyReport:
     root_failures: int
 
 
-def _verify_chunk(args: tuple[int, int, int, float, OracleSettings]) -> list[tuple[float, float]]:
-    seed, start, count, max_aspect, settings = args
-    out = []
-    for i in range(start, start + count):
-        cfg = stratified_configuration(seed, i, max_aspect)
-        try:
-            d_analytic = closest_approach(cfg).d
-        except NoPhysicalRoot:
-            d_analytic = math.nan
-        out.append((d_analytic, oracle_distance(cfg, settings)))
-    return out
+def _verify_trial(seed: int, settings: OracleSettings, i: int) -> tuple[float, float]:
+    """(analytic, oracle) distance of trial i; nan where the kernel raises
+    NoPhysicalRoot."""
+    cfg = stratified_configuration(seed, i)
+    try:
+        d_analytic = closest_approach(cfg).d
+    except NoPhysicalRoot:
+        d_analytic = math.nan
+    return d_analytic, oracle_distance(cfg, settings)
 
 
 def verify_random(
@@ -344,7 +346,6 @@ def verify_random(
     seed: int,
     tolerance: float = 1e-7,
     settings: OracleSettings = OracleSettings(),
-    max_aspect: float = 20.0,
     workers: int = 1,
 ) -> VerifyReport:
     """Compare the analytic distance against the oracle on the stratified
@@ -358,20 +359,15 @@ def verify_random(
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     workers = max(1, workers)
-    pairs: list[tuple[float, float]] = []
-    root_failures = 0
+    trial = partial(_verify_trial, seed, settings)
     if workers == 1:
-        pairs = _verify_chunk((seed, 0, trials, max_aspect, settings))
+        pairs = list(map(trial, range(trials)))
     else:
         chunk = max(1, (trials + workers * 4 - 1) // (workers * 4))
-        tasks = [
-            (seed, start, min(chunk, trials - start), max_aspect, settings)
-            for start in range(0, trials, chunk)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_verify_chunk, tasks):
-                pairs.extend(part)
+            pairs = list(pool.map(trial, range(trials), chunksize=chunk))
 
+    root_failures = 0
     failures: list[tuple[int, float]] = []
     total = 0.0
     max_err = 0.0

@@ -55,6 +55,8 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 # bracket [1, sqrt(1+delta)] is enforced with this slack before clamping
 BRACKET_TOL = 1e-9
+# Newton steps that polish a candidate root
+POLISH_STEPS = 3
 
 
 class NoPhysicalRoot(ArithmeticError):
@@ -137,9 +139,9 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish(c: QuarticCoeffs, q: float, iters: int = 3) -> float:
+def _polish(c: QuarticCoeffs, q: float) -> float:
     co = c.as_tuple()
-    for _ in range(iters):
+    for _ in range(POLISH_STEPS):
         f = _horner_compensated(co, q)
         fp = c.derivative(q)
         if fp == 0.0:

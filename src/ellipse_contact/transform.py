@@ -68,6 +68,9 @@ class TransformedPair:
     transformed ellipse is a circle).  cos_phi/sin_phi are the components
     of the transformed center-line direction on kplus/kminus, and
     dhat_scale is |T dhat| (the final distance divides by it).
+    sin_gamma/cos_gamma rotate the (k1+k2, k1-k2) basis onto the
+    eigenbasis; the parallel-axes branches, where that basis degenerates,
+    carry the identity (2A) or the quarter turn (2B).
     """
 
     a11: float
@@ -83,6 +86,8 @@ class TransformedPair:
     cos_phi: float
     sin_phi: float
     dhat_scale: float
+    sin_gamma: float
+    cos_gamma: float
     branch: ContactBranch
 
 
@@ -134,9 +139,11 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
         if a11 >= a22:
             branch = ContactBranch.PARALLEL_AXES_2A
             kpx, kpy = k1.x, k1.y
+            sin_gamma, cos_gamma = 0.0, 1.0
         else:
             branch = ContactBranch.PARALLEL_AXES_2B
             kpx, kpy = -k1.y, k1.x
+            sin_gamma, cos_gamma = 1.0, 0.0
     else:
         branch = ContactBranch.GENERAL
         inv = 1.0 / math.sqrt(2.0 * p2)
@@ -158,6 +165,11 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
     kn = math.hypot(kpx, kpy)
     kpx, kpy = kpx / kn, kpy / kn
     kmx, kmy = -kpy, kpx
+    kplus = UnitVec2(kpx, kpy)
+    if branch is ContactBranch.GENERAL:
+        # m2 * p2 != 0, so neither basis vector has zero length
+        cos_gamma = (kplus.x * sx + kplus.y * sy) / math.hypot(sx, sy)
+        sin_gamma = (kplus.x * dx + kplus.y * dy) / math.hypot(dx, dy)
 
     cos_phi = kpx * dpx + kpy * dpy
     sin_phi = kmx * dpx + kmy * dpy
@@ -168,7 +180,7 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
         a12=a12,
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        kplus=UnitVec2(kpx, kpy),
+        kplus=kplus,
         kminus=UnitVec2(kmx, kmy),
         a2p=a2p,
         b2p=b2p,
@@ -176,5 +188,7 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
         cos_phi=cos_phi,
         sin_phi=sin_phi,
         dhat_scale=dhat_scale,
+        sin_gamma=sin_gamma,
+        cos_gamma=cos_gamma,
         branch=branch,
     )

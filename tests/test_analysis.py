@@ -25,7 +25,7 @@ def k_at(deg):
 
 def shoelace_area(curve):
     """Area of the polygon through the curve's samples."""
-    pts = [p for _, p in curve.samples]
+    pts = [p for _, p in curve]
     n = len(pts)
     return 0.5 * abs(
         math.fsum(
@@ -159,14 +159,14 @@ def test_determinism_bit_exact():
 def test_boundary_circles():
     c1, c2 = EllipseShape(1.0, 1.0), EllipseShape(0.5, 0.5)
     curve = excluded_boundary(c1, c2, X, X, 64)
-    for theta, p in curve.samples:
+    for theta, p in curve:
         assert abs(p.norm() - 1.5) <= 1e-9
 
 
 def test_boundary_parallel_minkowski():
     curve = excluded_boundary(E21, E21, X, X, 256)
     # Minkowski sum of identical parallel ellipses: same shape, doubled
-    for theta, p in curve.samples:
+    for theta, p in curve:
         val = (p.x / 4.0) ** 2 + (p.y / 2.0) ** 2
         assert abs(val - 1.0) <= 1e-9
 
@@ -179,7 +179,7 @@ def test_boundary_shoelace_matches_area():
 
 def test_boundary_continuity():
     curve = excluded_boundary(E21, E21, X, k_at(30.0), 512)
-    pts = [p for _, p in curve.samples]
+    pts = [p for _, p in curve]
     perimeter = sum(
         _gap(pts, i) for i in range(len(pts))
     )
@@ -192,7 +192,7 @@ def test_boundary_continuity():
 def test_locus_circles_fixed_point():
     c1, c2 = EllipseShape(1.5, 1.5), EllipseShape(1.0, 1.0)
     curve = contact_locus(c1, c2, X, k_at(25.0), 32)
-    for theta, p in curve.samples:
+    for theta, p in curve:
         assert abs(p.x - 1.5 * math.cos(math.radians(25.0))) <= 1e-9
         assert abs(p.y - 1.5 * math.sin(math.radians(25.0))) <= 1e-9
 
@@ -201,14 +201,14 @@ def test_locus_points_on_first_ellipse():
     from ellipse_contact import ellipse_matrix
 
     curve = contact_locus(E21, EllipseShape(1.5, 0.5), k_at(20.0), X, 128)
-    for theta, p in curve.samples:
+    for theta, p in curve:
         m = ellipse_matrix(E21, UnitVec2.from_angle(theta))
         assert abs(m.quadratic_form(p) - 1.0) <= 1e-9
 
 
 def test_locus_continuity():
     curve = contact_locus(E21, EllipseShape(1.5, 0.5), k_at(20.0), X, 512)
-    pts = [p for _, p in curve.samples]
+    pts = [p for _, p in curve]
     perimeter = sum(
         _gap(pts, i) for i in range(len(pts))
     )

@@ -26,8 +26,9 @@ from ellipse_contact import (
     oracle,
     tangency_residuals,
 )
-from ellipse_contact import cli
+from ellipse_contact import bulk, cli, quartic, transformed_pair
 from ellipse_contact.bulk import BRANCHES, contact_arrays, unit_vectors
+from ellipse_contact.contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
 
 
 def scalar_row(a1, b1, a2, b2, k1, k2, dhat):
@@ -104,6 +105,29 @@ def test_contact_arrays_defer_the_fallback_row():
     # np.roots goes to the scalar path
     rows = stream_rows([oracle.stratified_configuration(11, 14928)])
     assert assert_matches_scalar(rows) == [0]
+
+
+def test_assembly_order_matches_scalar_when_several_accepted(monkeypatch):
+    # with these tolerances most quartics have several accepted Ferrari
+    # assemblies, so a row's q depends on the order they are tried in
+    for module in (quartic, bulk):
+        monkeypatch.setattr(module, "RESIDUAL_RTOL", 10.0)
+        monkeypatch.setattr(module, "BRACKET_TOL", 100.0)
+    cfgs = list(oracle.stratified_configurations(3000, seed=11))
+    several = 0
+    for cfg in cfgs:
+        tp = transformed_pair(cfg)
+        if tp.delta < DELTA_CIRCLE_TOL or abs(tp.cos_phi) < COS_PHI_TOL:
+            continue
+        c = quartic.quartic_coefficients(
+            tp.b2p, tp.delta, tp.sin_phi ** 2 / tp.cos_phi ** 2
+        )
+        designated, others = quartic._ferrari_candidates(c)
+        hi = math.sqrt(1.0 + tp.delta)
+        accepted = [quartic._accept(c, r, hi) for r in (designated, *others)]
+        several += sum(q is not None for q in accepted) > 1
+    assert several > 2000
+    assert assert_matches_scalar(stream_rows(cfgs)) == []
 
 
 def edge_rows():

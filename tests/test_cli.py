@@ -364,6 +364,8 @@ def test_excluded_area_bad_sweep_exit_2(capsys, sweep):
     ("excluded-area", *PAIR_21, "--panels", str(10**8)),
     ("boundary", *PAIR_21, "--n", "8"),
     ("locus", *PAIR_21, "--n", "8"),
+    ("boundary", *PAIR_21, "--n", str(10**9)),
+    ("locus", *PAIR_21, "--n", str(10**9)),
 ])
 def test_bad_sample_count_exit_2(capsys, argv):
     assert_input_error(capsys, *argv)

@@ -103,6 +103,65 @@ def test_transformed_distance_against_circle_ellipse_oracle(rng):
         assert abs(got - d_prime) <= 1e-8 * d_prime
 
 
+# --- gamma -------------------------------------------------------------------
+
+def ref_gamma_components(cfg, tp):
+    """(sin gamma, cos gamma) rebuilt from cfg as contact.py computed them
+    before transformed_pair carried them: flip k2, rebuild the (k1 +/- k2)
+    basis and project kplus on it."""
+    if tp.branch is not ContactBranch.GENERAL:
+        if tp.branch is ContactBranch.PARALLEL_AXES_2A:
+            return 0.0, 1.0
+        return 1.0, 0.0
+    k1, k2 = cfg.k1, cfg.k2
+    if k1.dot(k2) < 0.0:
+        k2 = UnitVec2(-k2.x, -k2.y)
+    sx, sy = k1.x + k2.x, k1.y + k2.y
+    dx, dy = k1.x - k2.x, k1.y - k2.y
+    sn = math.hypot(sx, sy)
+    dn = math.hypot(dx, dy)
+    if sn == 0.0 or dn == 0.0:
+        return 0.0, 1.0
+    cos_gamma = (tp.kplus.x * sx + tp.kplus.y * sy) / sn
+    sin_gamma = (tp.kplus.x * dx + tp.kplus.y * dy) / dn
+    return sin_gamma, cos_gamma
+
+
+def gamma_hex(cfg):
+    tp = transformed_pair(cfg)
+    sol = closest_approach(cfg)
+    got = (tp.sin_gamma, tp.cos_gamma, sol.sin_gamma, sol.cos_gamma)
+    expect = ref_gamma_components(cfg, tp)
+    return [v.hex() for v in got], [v.hex() for v in expect * 2], tp.branch
+
+
+def test_gamma_bit_for_bit_on_stratified_stream():
+    from ellipse_contact import stratified_configurations
+
+    for i, cfg in enumerate(stratified_configurations(5000, seed=11)):
+        got, expect, _ = gamma_hex(cfg)
+        assert got == expect, i
+
+
+def test_gamma_bit_for_bit_on_exactly_parallel_axes():
+    seen = set()
+    for deg in (0.0, 30.0, 90.0, 135.0, 180.0, 271.0):
+        k1 = UnitVec2.from_angle(math.radians(deg))
+        for k2, kind in ((k1, "parallel"), (UnitVec2(-k1.x, -k1.y), "anti")):
+            # an eccentric first shape pairs kplus with k1 (2A), a circular
+            # first shape against an eccentric second with k1-perp (2B)
+            for s1, s2 in (((2.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 1.0)),
+                           ((3.0, 1.0), (2.0, 1.5))):
+                cfg = PairConfiguration(EllipseShape(*s1), EllipseShape(*s2), k1, k2,
+                                        UnitVec2.from_angle(0.4))
+                got, expect, branch = gamma_hex(cfg)
+                assert got == expect, (deg, kind, s1, s2)
+                seen.add((kind, branch))
+    for kind in ("parallel", "anti"):
+        assert (kind, ContactBranch.PARALLEL_AXES_2A) in seen
+        assert (kind, ContactBranch.PARALLEL_AXES_2B) in seen
+
+
 # --- physical distance ------------------------------------------------------
 
 def test_two_circles_exact():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ def test_dilute_box_grid_is_capped():
                 dy -= ly * round(dy / ly)
                 if math.hypot(dx, dy) < 4.0:
                     assert j in cand
+
+
+def test_init_state_audit_memory_is_linear():
+    # the lattice audit walks the pair table in row blocks; dense N x N
+    # separation arrays would peak above 120 MB here
+    cfg = config(n=2000, packing=0.2)
+    tracemalloc.start()
+    try:
+        init_state(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_determinism_bit_exact():
