@@ -48,17 +48,14 @@ from .transform import ContactBranch
 __all__ = ["BRANCHES", "ContactArrays", "contact_arrays", "unit_vectors"]
 
 # branch codes index this tuple; scalar-path rows read -1
-BRANCHES = tuple(ContactBranch)
-_GENERAL, _CIRCLE, _RIGHT, _PAR_A, _PAR_B = (
-    BRANCHES.index(b)
-    for b in (
-        ContactBranch.GENERAL,
-        ContactBranch.CIRCLE_LIKE,
-        ContactBranch.PHI_RIGHT_ANGLE,
-        ContactBranch.PARALLEL_AXES_2A,
-        ContactBranch.PARALLEL_AXES_2B,
-    )
+BRANCHES = (
+    ContactBranch.GENERAL,
+    ContactBranch.CIRCLE_LIKE,
+    ContactBranch.PHI_RIGHT_ANGLE,
+    ContactBranch.PARALLEL_AXES_2A,
+    ContactBranch.PARALLEL_AXES_2B,
 )
+_GENERAL, _CIRCLE, _RIGHT, _PAR_A, _PAR_B = range(len(BRANCHES))
 
 
 class ContactArrays(NamedTuple):
@@ -119,15 +116,14 @@ def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray, bad: np.ndarray):
     """quartic._accept over arrays of in-bracket candidates: (polished q,
     accepted mask)."""
     q = _py_min(_py_max(q, 1.0), hi)
-    co = c.as_tuple()
     active = np.ones(len(q), dtype=bool)
     for _ in range(POLISH_STEPS):  # quartic._polish
-        f = _horner_compensated(co, q)
+        f = _horner_compensated(c, q)
         fp = c.derivative(q)
         active &= fp != 0.0
         q = np.where(active, q - f / fp, q)
     q = _py_min(_py_max(q, 1.0), hi)
-    res = abs(_horner_compensated(co, q))
+    res = abs(_horner_compensated(c, q))
     q4 = _each(pow, bad, q, 4)
     return q, res <= RESIDUAL_RTOL * _py_max(abs(c.a) * q4, abs(c.e))
 
@@ -157,7 +153,7 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
         + c.e / a
     )
     shift = -b / (4.0 * a)
-    _flag_nonfinite(bad, *c.as_tuple(), hi, alpha, beta, gamma, shift)
+    _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
     # biquadratic rows: both inner signs are candidates
     biq = abs(beta) < 1e-11 * _py_max(1.0, _each(pow, bad, abs(b / a), 3))
@@ -198,7 +194,7 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     rows = np.concatenate(tried)
     raised = np.zeros(len(rows), dtype=bool)
     got, ok = _accept(
-        QuarticCoeffs(*(x[rows] for x in c.as_tuple())),
+        QuarticCoeffs(*(x[rows] for x in c)),
         np.concatenate([r[t] for (r, _), t in zip(candidates, tried)]),
         hi[rows], raised,
     )

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -25,8 +26,8 @@ from . import analysis, bulk, mcsim, oracle
 from .contact import (
     ConcentricCenters,
     OverlapVerdict,
+    _overlap_distance,
     closest_approach,
-    overlap,
     tangency_residuals,
 )
 from .geometry import UnitVec2, Vec2, make_pair_configuration
@@ -122,8 +123,7 @@ def cmd_overlap(args) -> int:
         args.sep * math.sin(math.radians(args.theta_d)),
     )
     try:
-        verdict = overlap(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, r12)
-        d = closest_approach(cfg).d
+        verdict, d = _overlap_distance(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, r12)
         record = {"verdict": verdict.value, "separation": args.sep, "d": d}
     except ConcentricCenters:
         record = {"verdict": OverlapVerdict.OVERLAPPING.value, "concentric": True}
@@ -137,8 +137,6 @@ _RESULT_FIELDS = (
 )
 # rows that batch reads, computes and writes per step
 BATCH_CHUNK = 1024
-# an input file that cannot be read or decoded; the output stays untouched
-_READ_ERRORS = (OSError, ValueError, csv.Error)
 
 
 def _process_batch_row(row: dict) -> tuple:
@@ -169,7 +167,7 @@ def _iter_batch_chunks(path: str, fmt: str):
                 if len(chunk) == BATCH_CHUNK:
                     yield chunk
                     chunk = []
-        except _READ_ERRORS:
+        except (OSError, ValueError, csv.Error):
             if chunk:
                 yield chunk
             raise
@@ -245,9 +243,10 @@ def _batch_results(chunk: list):
 
 def cmd_batch(args) -> int:
     """Rows are read, computed and written BATCH_CHUNK at a time.  The
-    output goes to a temporary file first, so an unreadable input leaves
-    --output untouched; the CSV header is written last because its extra
-    columns appear only when some row is accepted."""
+    output goes to a temporary file first, so a read error, which reaches
+    main after the rows before it are done, leaves --output untouched; the
+    CSV header is written last because its extra columns appear only when
+    some row is accepted."""
     csv_format = args.format == "csv"
     newline = "" if csv_format else None
     header = None
@@ -255,14 +254,7 @@ def cmd_batch(args) -> int:
     rejects = open(args.rejects, "w", encoding="utf-8") if args.rejects else sys.stderr
     try:
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline=newline) as body:
-            chunks = _iter_batch_chunks(args.input, args.format)
-            while True:
-                try:
-                    chunk = next(chunks, None)
-                except _READ_ERRORS as exc:
-                    return _input_error(str(exc))
-                if chunk is None:
-                    break
+            for chunk in _iter_batch_chunks(args.input, args.format):
                 outs = []
                 for lineno, row, result, err in _batch_results(chunk):
                     total += 1
@@ -289,17 +281,11 @@ def cmd_batch(args) -> int:
                     csv.writer(fh).writerow(header or _BATCH_FIELDS + _RESULT_FIELDS)
                 shutil.copyfileobj(body, fh)
         if total and rejected * 2 > total:
-            print(f"error: {rejected}/{total} rows rejected", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{rejected}/{total} rows rejected")
         return EXIT_OK
     finally:
         if args.rejects:
             rejects.close()
-
-
-def _input_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def _parse_sweep(text: str) -> tuple[float, float, float]:
@@ -320,38 +306,39 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
+def _check_count(flag: str, value: int) -> None:
+    if not analysis.MIN_SAMPLES <= value <= MAX_PANELS:
+        raise ValueError(f"{flag} must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}")
+
+
+def _open_output(path):
+    """The --output file for writing, or stdout (left open) without one."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
 def cmd_excluded_area(args) -> int:
     cfg = _pair_from_args(args)
-    if not analysis.MIN_SAMPLES <= args.panels <= MAX_PANELS:
-        return _input_error(
-            f"--panels must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}"
-        )
+    _check_count("--panels", args.panels)
 
     def area_at(angle_deg: float) -> float:
         k2 = UnitVec2.from_angle(math.radians(args.theta1 + angle_deg))
         return analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, args.panels)
 
     if args.sweep:
-        try:
-            start, stop, step = _parse_sweep(args.sweep)
-        except ValueError as exc:
-            return _input_error(str(exc))
-        out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-        try:
+        start, stop, step = _parse_sweep(args.sweep)
+        with _open_output(args.output) as out:
             print("angle_deg,area", file=out)
             angle = start
             while angle <= stop + 1e-12:
                 print(f"{angle},{area_at(angle)}", file=out)
                 angle += step
-        finally:
-            if args.output is not None:
-                out.close()
         return EXIT_OK
 
     if args.angle is None:
         # fall back to the orientation difference given by the theta flags
-        k2 = UnitVec2.from_angle(math.radians(args.theta2))
-        value = analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, args.panels)
+        value = analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, args.panels)
     else:
         value = area_at(args.angle)
     print(value)
@@ -361,8 +348,7 @@ def cmd_excluded_area(args) -> int:
 def _write_curve(
     curve: list[tuple[float, Vec2]], output, angle_label: str, as_json: bool
 ) -> None:
-    out = sys.stdout if output is None else open(output, "w", encoding="utf-8")
-    try:
+    with _open_output(output) as out:
         if as_json:
             payload = {
                 "angle_label": angle_label,
@@ -375,15 +361,11 @@ def _write_curve(
             print(f"{angle_label},x,y", file=out)
             for theta, p in curve:
                 print(f"{math.degrees(theta)},{p.x},{p.y}", file=out)
-    finally:
-        if output is not None:
-            out.close()
 
 
 def cmd_boundary(args) -> int:
     cfg = _pair_from_args(args)
-    if not analysis.MIN_SAMPLES <= args.n <= MAX_PANELS:
-        return _input_error(f"--n must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}")
+    _check_count("--n", args.n)
     curve = analysis.excluded_boundary(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, args.n)
     _write_curve(curve, args.output, "theta_d_deg", args.json)
     return EXIT_OK
@@ -391,8 +373,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_locus(args) -> int:
     cfg = _pair_from_args(args)
-    if not analysis.MIN_SAMPLES <= args.n <= MAX_PANELS:
-        return _input_error(f"--n must be between {analysis.MIN_SAMPLES} and {MAX_PANELS}")
+    _check_count("--n", args.n)
     curve = analysis.contact_locus(cfg.shape1, cfg.shape2, cfg.k2, cfg.dhat, args.n)
     _write_curve(curve, args.output, "theta1_deg", args.json)
     return EXIT_OK
@@ -426,9 +407,6 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             summary = mcsim.run_simulation(cfg, fh, audit=args.audit)
-    except mcsim.PackingInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except mcsim.AuditFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
@@ -510,10 +488,11 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        # bad shapes and directions, NoPhysicalRoot, the overflow, zero
-        # division or math domain errors of non-finite or extreme inputs,
-        # and files that cannot be opened
+    except (ValueError, ArithmeticError, OSError, csv.Error) as exc:
+        # bad shapes, directions and counts, NoPhysicalRoot, an infeasible
+        # packing, the overflow, zero division or math domain errors of
+        # non-finite or extreme inputs, files that cannot be opened, and
+        # batch input that cannot be read or parsed or is mostly rejected
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -181,6 +181,20 @@ def tangency_residuals(
     return r1, r2, cross
 
 
+def _overlap_distance(shape1, shape2, k1, k2, r12: Vec2) -> tuple[OverlapVerdict, float]:
+    """overlap() and the contact distance along r12 that it compared."""
+    sep = r12.norm()
+    if sep < 1e-14:
+        raise ConcentricCenters(f"center separation {sep!r} is numerically zero")
+    dhat = UnitVec2(r12.x, r12.y)
+    d = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat)).d
+    if abs(sep - d) <= TANGENT_RTOL * d:
+        return OverlapVerdict.TANGENT, d
+    if sep < d:
+        return OverlapVerdict.OVERLAPPING, d
+    return OverlapVerdict.DISJOINT, d
+
+
 def overlap(
     shape1: EllipseShape,
     shape2: EllipseShape,
@@ -195,13 +209,4 @@ def overlap(
     direction.  Separations within TANGENT_RTOL (relative) of the contact
     distance are reported as tangent.
     """
-    sep = r12.norm()
-    if sep < 1e-14:
-        raise ConcentricCenters(f"center separation {sep!r} is numerically zero")
-    dhat = UnitVec2(r12.x, r12.y)
-    sol = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat))
-    if abs(sep - sol.d) <= TANGENT_RTOL * sol.d:
-        return OverlapVerdict.TANGENT
-    if sep < sol.d:
-        return OverlapVerdict.OVERLAPPING
-    return OverlapVerdict.DISJOINT
+    return _overlap_distance(shape1, shape2, k1, k2, r12)[0]

@@ -77,9 +77,6 @@ class UnitVec2:
     def dot(self, other) -> float:
         return self.x * other.x + self.y * other.y
 
-    def vec(self) -> Vec2:
-        return Vec2(self.x, self.y)
-
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
@@ -148,15 +145,6 @@ class SymMat2:
         )
 
 
-def _as_vec(v) -> Vec2:
-    if isinstance(v, Vec2):
-        return v
-    if isinstance(v, UnitVec2):
-        return v.vec()
-    x, y = v
-    return Vec2(float(x), float(y))
-
-
 def make_pair_configuration(
     a1: float,
     b1: float,
@@ -173,12 +161,11 @@ def make_pair_configuration(
     """
     s1 = EllipseShape(float(a1), float(b1))
     s2 = EllipseShape(float(a2), float(b2))
-    u1 = _as_vec(k1)
-    u2 = _as_vec(k2)
-    ud = _as_vec(dhat)
-    return PairConfiguration(
-        s1, s2, UnitVec2(u1.x, u1.y), UnitVec2(u2.x, u2.y), UnitVec2(ud.x, ud.y)
-    )
+    directions = []
+    for v in (k1, k2, dhat):
+        x, y = (v.x, v.y) if isinstance(v, (Vec2, UnitVec2)) else v
+        directions.append(UnitVec2(float(x), float(y)))
+    return PairConfiguration(s1, s2, *directions)
 
 
 def _ellipse_form(a, b, kx, ky):

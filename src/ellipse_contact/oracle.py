@@ -239,12 +239,11 @@ def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
     """All four roots by the companion-matrix method, residual-checked."""
     if c.a == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    roots = [complex(r) for r in np.roots(c.as_tuple())]
-    co = c.as_tuple()
+    roots = [complex(r) for r in np.roots(c)]
     for r in roots:
-        res = abs((((co[0] * r + co[1]) * r + co[2]) * r + co[3]) * r + co[4])
-        scale = max(abs(co[i]) * abs(r) ** (4 - i) for i in range(5))
-        if res > 1e-9 * max(scale, abs(co[4])):
+        res = abs((((c.a * r + c.b) * r + c.c) * r + c.d) * r + c.e)
+        scale = max(abs(c[i]) * abs(r) ** (4 - i) for i in range(5))
+        if res > 1e-9 * max(scale, abs(c.e)):
             raise NonConvergence(f"companion root {r!r} residual {res!r} too large")
     return roots
 

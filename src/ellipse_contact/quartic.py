@@ -40,7 +40,7 @@ print(sum(n), len(n))"
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +67,8 @@ class NoPhysicalRoot(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Coefficients of a*q^4 + b*q^3 + c*q^2 + d*q + e."""
+class QuarticCoeffs(NamedTuple):
+    """Coefficients of a*q^4 + b*q^3 + c*q^2 + d*q + e, highest first."""
 
     a: float
     b: float
@@ -79,9 +78,6 @@ class QuarticCoeffs:
 
     def derivative(self, q: float) -> float:
         return ((4.0 * self.a * q + 3.0 * self.b) * q + 2.0 * self.c) * q + self.d
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.a, self.b, self.c, self.d, self.e)
 
 
 def quartic_coefficients(b2p: float, delta: float, tan2phi: float) -> QuarticCoeffs:
@@ -140,9 +136,8 @@ def _cbrt(x: float) -> float:
 
 
 def _polish(c: QuarticCoeffs, q: float) -> float:
-    co = c.as_tuple()
     for _ in range(POLISH_STEPS):
-        f = _horner_compensated(co, q)
+        f = _horner_compensated(c, q)
         fp = c.derivative(q)
         if fp == 0.0:
             break
@@ -227,7 +222,7 @@ def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
         return None
     q = _polish(c, min(max(q, 1.0), hi))
     q = min(max(q, 1.0), hi)
-    res = abs(_horner_compensated(c.as_tuple(), q))
+    res = abs(_horner_compensated(c, q))
     if res <= RESIDUAL_RTOL * max(abs(c.a) * q**4, abs(c.e)):
         return q
     return None
@@ -248,7 +243,7 @@ def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
             return q
 
     # defensive path: companion-matrix roots, then demand uniqueness
-    roots = np.roots(c.as_tuple())
+    roots = np.roots(c)
     in_bracket = [
         float(r.real)
         for r in roots
@@ -257,13 +252,13 @@ def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
     ]
     if len(in_bracket) != 1:
         raise NoPhysicalRoot(
-            f"{len(in_bracket)} bracket roots for coefficients {c.as_tuple()}, "
+            f"{len(in_bracket)} bracket roots for coefficients {tuple(c)}, "
             f"delta={delta!r}"
         )
     q = _accept(c, in_bracket[0], hi)
     if q is None:
         raise NoPhysicalRoot(
             f"fallback root {in_bracket[0]!r} fails the residual test for "
-            f"{c.as_tuple()}"
+            f"{tuple(c)}"
         )
     return q

@@ -197,7 +197,7 @@ def test_companion_roots_match_oracle():
         delta = 10.0 ** rng.uniform(-8.0, 3.2)
         tan2phi = math.tan(rng.uniform(0.0, math.pi / 2 * 0.9999)) ** 2
         coeffs.append(quartic_coefficients(b2p, delta, tan2phi))
-    roots = companion_roots(np.array([c.as_tuple() for c in coeffs]))
+    roots = companion_roots(np.array([tuple(c) for c in coeffs]))
     for c, got in zip(coeffs, roots):
         expect = np.array(oracle_quartic_roots(c))
         assert np.all(abs(got - expect) <= 1e-12 * np.maximum(1.0, abs(expect)))
@@ -214,7 +214,7 @@ def test_criterion_6_quartic_vs_all_roots():
         c = quartic_coefficients(b2p, delta, tan2phi)
         qs.append(solve_contact_quartic(c, delta))
         his.append(math.sqrt(1.0 + delta))
-        coeffs.append(c.as_tuple())
+        coeffs.append(tuple(c))
     co = np.array(coeffs)
     roots = companion_roots(co)
     # oracle_quartic_roots' residual check on every root

@@ -174,6 +174,11 @@ def test_contact_arrays_leave_invalid_rows():
     assert assert_matches_scalar(rows) == list(range(len(rows)))
 
 
+def test_contact_arrays_unequal_lengths():
+    with pytest.raises(ValueError):
+        contact_arrays(*[[2.0, 2.0]] * 9, [1.0])
+
+
 LENGTHS = st.sampled_from([
     5e-324, 1e-308, 1e-300, 1e-160, 1e-3, 0.5, 1.0, 2.0, 7.5, 1e3,
     1e160, 1e300, 1e308, 0.0, -1.0, math.inf, math.nan,

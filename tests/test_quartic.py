@@ -175,7 +175,7 @@ def test_u_zero_branch():
     # depressed quartic u^4 + alpha u^2 + beta u + gamma, negated so the
     # leading coefficient is -1 like the contact quartic's
     c = QuarticCoeffs(-1.0, 0.0, -alpha, -beta, -gamma)
-    roots = np.roots(c.as_tuple())
+    roots = np.roots(tuple(c))
     real = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
     target = real[0]
     delta = target * target * 1.21 - 1.0
