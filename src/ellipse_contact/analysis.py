@@ -12,7 +12,11 @@ quartic.  The integrand is smooth and 2*pi-periodic, so the trapezoid rule
 converges spectrally; the sum is accumulated with math.fsum, so a result
 at a fixed node count is reproducible bit for bit.
 
-The excluded boundary and the contact locus sample the contact kernel.
+The excluded boundary and the contact locus are the contact kernel at n
+angles: bulk's array core solves each curve bulk.CHUNK_ROWS points at a
+time, with exactly the floats of one closest_approach call per point, and
+the points it leaves to the scalar path go through closest_approach or
+contact_point.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 
 import numpy as np
 
+from . import bulk
 from .contact import closest_approach, contact_point
 from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2
 
@@ -72,6 +77,33 @@ def excluded_area(
     return area
 
 
+def _curve_chunks(shape1, shape2, k1, k2, dhat, n, solve):
+    """The contact kernel at theta_j = 2 pi j / n for j < n, in chunks of
+    at most bulk.CHUNK_ROWS: arrays (theta, cos theta, sin theta, d, rc_x,
+    rc_y).  The direction passed as None is UnitVec2.from_angle(theta_j);
+    the others are used as given, as PairConfiguration uses them.  A row
+    the array core leaves to the scalar path is solve(cfg), which returns
+    the ContactSolution or raises."""
+    for lo in range(0, n, bulk.CHUNK_ROWS):
+        theta = 2.0 * math.pi * np.arange(lo, min(lo + bulk.CHUNK_ROWS, n)) / n
+        rows = len(theta)
+        bad = np.zeros(rows, dtype=bool)
+        with np.errstate(all="ignore"):
+            cos, sin = bulk._each(math.cos, bad, theta), bulk._each(math.sin, bad, theta)
+            turning = bulk._unit(cos, sin, bad)  # UnitVec2.from_angle
+            cols = [np.full(rows, x) for x in (shape1.a, shape1.b, shape2.a, shape2.b)]
+            for v in (k1, k2, dhat):
+                cols += turning if v is None else (np.full(rows, v.x), np.full(rows, v.y))
+            d, _, _, rc_x, rc_y, *_ = bulk._solve_unit(*cols, bad)
+        for j in np.flatnonzero(bad).tolist():
+            turned = UnitVec2.from_angle(theta[j].item())
+            sol = solve(PairConfiguration(
+                shape1, shape2, *(turned if v is None else v for v in (k1, k2, dhat))
+            ))
+            d[j], rc_x[j], rc_y[j] = sol.d, sol.contact_point.x, sol.contact_point.y
+        yield theta, cos, sin, d, rc_x, rc_y
+
+
 def excluded_boundary(
     shape1: EllipseShape,
     shape2: EllipseShape,
@@ -85,11 +117,10 @@ def excluded_boundary(
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     samples = []
-    for j in range(n):
-        theta = 2.0 * math.pi * j / n
-        cfg = PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(theta))
-        dist = closest_approach(cfg).d
-        samples.append((theta, Vec2(dist * math.cos(theta), dist * math.sin(theta))))
+    for theta, cos, sin, d, _, _ in _curve_chunks(
+        shape1, shape2, k1, k2, None, n, closest_approach
+    ):
+        samples += zip(theta.tolist(), map(Vec2, (d * cos).tolist(), (d * sin).tolist()))
     return samples
 
 
@@ -106,9 +137,8 @@ def contact_locus(
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     samples = []
-    for j in range(n):
-        theta = 2.0 * math.pi * j / n
-        cfg = PairConfiguration(shape1, shape2, UnitVec2.from_angle(theta), k2, dhat)
-        rc, _ = contact_point(cfg)
-        samples.append((theta, rc))
+    for theta, _, _, _, rc_x, rc_y in _curve_chunks(
+        shape1, shape2, None, k2, dhat, n, lambda cfg: contact_point(cfg)[1]
+    ):
+        samples += zip(theta.tolist(), map(Vec2, rc_x.tolist(), rc_y.tolist()))
     return samples

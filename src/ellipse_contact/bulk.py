@@ -5,7 +5,10 @@ contact_arrays() evaluates make_pair_configuration + closest_approach +
 tangency_residuals on structure-of-arrays input and returns, for every
 row it resolves, exactly the floats the scalar calls return.  Rows it
 cannot match that way are flagged and left to the scalar path, which then
-gives the result or raises the exception the scalar API raises.
+gives the result or raises the exception the scalar API raises.  Its core,
+_solve_unit(), starts after make_pair_configuration: it takes the unit
+vectors of a PairConfiguration as they are, which is how the curves of
+analysis.py call it.
 
 How the floats stay identical:
 
@@ -45,7 +48,12 @@ from .quartic import (
 )
 from .transform import ContactBranch
 
-__all__ = ["BRANCHES", "ContactArrays", "contact_arrays", "unit_vectors"]
+__all__ = ["BRANCHES", "CHUNK_ROWS", "ContactArrays", "contact_arrays", "unit_vectors"]
+
+# rows per array-kernel evaluation for the callers that stream: batch reads,
+# computes and writes this many rows per step, and a curve solves this many
+# points at a time, so the arrays in memory stay small at any length
+CHUNK_ROWS = 1024
 
 # branch codes index this tuple; scalar-path rows read -1
 BRANCHES = (
@@ -243,7 +251,11 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
         for c in cols[4:]:
             valid &= np.isfinite(c)
         rows = np.flatnonzero(valid)
-        *values, codes, bad = _solve(*(c[rows] for c in cols))
+        a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = (c[rows] for c in cols)
+        bad = np.zeros(len(rows), dtype=bool)
+        # make_pair_configuration
+        k1, k2, dhat = _unit(k1x, k1y, bad), _unit(k2x, k2y, bad), _unit(dx, dy, bad)
+        *values, codes = _solve_unit(a1, b1, a2, b2, *k1, *k2, *dhat, bad)
         rows = rows[~bad]
         for dst, src in zip(out, values):
             dst[rows] = src[~bad]
@@ -253,14 +265,11 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     return ContactArrays(*out[:5], branch, *out[5:], scalar)
 
 
-def _solve(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy):
-    """The scalar pipeline over validated rows; returns the seven float
-    columns, the branch codes and the rows to leave to the scalar path."""
-    bad = np.zeros(len(a1), dtype=bool)
-    # make_pair_configuration
-    k1x, k1y = _unit(k1x, k1y, bad)
-    k2x, k2y = _unit(k2x, k2y, bad)
-    dhx, dhy = _unit(dhx, dhy, bad)
+def _solve_unit(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
+    """closest_approach + tangency_residuals over rows of valid shapes and
+    the unit vectors of their PairConfiguration, used as given (they are
+    not normalised again); returns the seven float columns and the branch
+    codes, and flags in bad the rows to leave to the scalar path."""
     eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, kplus, kminus, codes = (
         _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad)
     )
@@ -315,7 +324,7 @@ def _solve(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy):
     # |n| = 0 or an overflowing hypot would make UnitVec2(normal) raise; a
     # vanishing |n1||n2| would make the cross product divide by zero
     bad |= (big_n == 0.0) | (big_n > 1e307) | (big_n * np.maximum(abs(ox), abs(oy)) < 1e-300)
-    return d, d_prime, q, rc_x, rc_y, r1, r2, codes, bad
+    return d, d_prime, q, rc_x, rc_y, r1, r2, codes
 
 
 def _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):

@@ -36,8 +36,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 
-# largest --panels and --n: excluded_area holds a few float arrays of this
-# length (~8 MB each); a curve holds this many points
+# largest --panels, --n and number of --sweep angles: excluded_area holds a
+# few float arrays of this length (~8 MB each); a curve holds this many
+# points, a sweep this many lines
 MAX_PANELS = 1 << 20
 
 
@@ -135,8 +136,6 @@ _BATCH_FIELDS = ("a1", "b1", "a2", "b2", "theta1", "theta2", "theta_d")
 _RESULT_FIELDS = (
     "d", "d_prime", "q", "branch", "rc_x", "rc_y", "residual_e1", "residual_e2",
 )
-# rows that batch reads, computes and writes per step
-BATCH_CHUNK = 1024
 
 
 def _process_batch_row(row: dict) -> tuple:
@@ -156,7 +155,7 @@ def _process_batch_row(row: dict) -> tuple:
 
 
 def _iter_batch_chunks(path: str, fmt: str):
-    """Yield lists of at most BATCH_CHUNK (line number, row dict or None,
+    """Yield lists of at most bulk.CHUNK_ROWS (line number, row dict or None,
     error or None) triples.  On a read error the rows read before it are
     yielded first, then the error is raised."""
     with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
@@ -164,7 +163,7 @@ def _iter_batch_chunks(path: str, fmt: str):
         try:
             for item in (_jsonl_rows if fmt == "jsonl" else _csv_rows)(fh):
                 chunk.append(item)
-                if len(chunk) == BATCH_CHUNK:
+                if len(chunk) == bulk.CHUNK_ROWS:
                     yield chunk
                     chunk = []
         except (OSError, ValueError, csv.Error):
@@ -242,7 +241,7 @@ def _batch_results(chunk: list):
 
 
 def cmd_batch(args) -> int:
-    """Rows are read, computed and written BATCH_CHUNK at a time.  The
+    """Rows are read, computed and written bulk.CHUNK_ROWS at a time.  The
     output goes to a temporary file first, so a read error, which reaches
     main after the rows before it are done, leaves --output untouched; the
     CSV header is written last because its extra columns appear only when
@@ -303,6 +302,8 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
     if start + step == start or stop + step == stop:
         # the accumulated angle would stop advancing before it passes STOP
         raise ValueError("--sweep STEP is too small to advance the angle")
+    if (stop - start) / step >= MAX_PANELS:
+        raise ValueError(f"--sweep must have at most {MAX_PANELS} angles")
     return start, stop, step
 
 
@@ -328,12 +329,14 @@ def cmd_excluded_area(args) -> int:
 
     if args.sweep:
         start, stop, step = _parse_sweep(args.sweep)
+        # every area first, so an error leaves an existing --output as it was
+        lines = ["angle_deg,area"]
+        angle = start
+        while angle <= stop + 1e-12:
+            lines.append(f"{angle},{area_at(angle)}")
+            angle += step
         with _open_output(args.output) as out:
-            print("angle_deg,area", file=out)
-            angle = start
-            while angle <= stop + 1e-12:
-                print(f"{angle},{area_at(angle)}", file=out)
-                angle += step
+            print("\n".join(lines), file=out)
         return EXIT_OK
 
     if args.angle is None:
@@ -398,6 +401,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not report.failures else EXIT_VERIFY_FAIL
 
 
+class _OpenOnWrite:
+    """A text file that is opened, and so truncated, on the first write:
+    run_simulation writes its first record once init_state has succeeded,
+    so a run that cannot start leaves an existing file as it was."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.file = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8")
+        return self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = mcsim.load_mc_config(args.config)
@@ -405,7 +427,7 @@ def cmd_simulate(args) -> int:
         print(f"error: bad run configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with contextlib.closing(_OpenOnWrite(args.output)) as fh:
             summary = mcsim.run_simulation(cfg, fh, audit=args.audit)
     except mcsim.AuditFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -32,9 +32,10 @@ class ZeroVector(ValueError):
     """A direction was given as a zero or non-finite vector."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec2:
-    """A point or displacement in the plane."""
+    """A point or displacement in the plane.  Slotted: a curve of 2^20
+    points holds that many, at 48 bytes each instead of 88."""
 
     x: float
     y: float

@@ -1,14 +1,19 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellipse_contact import (
+    ContactBranch,
     EllipseShape,
     PairConfiguration,
     UnitVec2,
+    Vec2,
     analysis,
+    bulk,
     contact,
     contact_locus,
     excluded_area,
@@ -44,14 +49,21 @@ def _gap(pts, i):
 def d2_area(shape1, shape2, k1, k2, panels=2048):
     """The excluded area from the contact kernel: one half of the integral
     of d(theta)^2 over the center-line direction, by the fixed trapezoid
-    rule.  It shares no code with the support-function sum."""
+    rule.  It shares no code with the support-function sum.  The distances
+    at theta_j = j * h come from bulk's array core, hex-equal to one
+    closest_approach call each; closest_approach solves the rows the core
+    defers."""
     h = 2.0 * math.pi / panels
-    return 0.5 * h * math.fsum(
-        contact.closest_approach(
-            PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(j * h))
-        ).d ** 2
-        for j in range(panels)
-    )
+    theta = h * np.arange(panels)
+    bad = np.zeros(panels, dtype=bool)
+    with np.errstate(all="ignore"):
+        dhat = bulk._unit(bulk._each(math.cos, bad, theta), bulk._each(math.sin, bad, theta), bad)
+        fixed = (shape1.a, shape1.b, shape2.a, shape2.b, k1.x, k1.y, k2.x, k2.y)
+        d = bulk._solve_unit(*(np.full(panels, x) for x in fixed), *dhat, bad)[0].tolist()
+    for j in np.flatnonzero(bad).tolist():
+        cfg = PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(j * h))
+        d[j] = contact.closest_approach(cfg).d
+    return 0.5 * h * math.fsum(x ** 2 for x in d)
 
 
 def test_panels_validation():
@@ -222,3 +234,148 @@ def test_locus_sample_count_validation():
         contact_locus(E21, E21, X, X, 8)
     with pytest.raises(ValueError):
         excluded_boundary(E21, E21, X, X, 8)
+
+
+def scalar_boundary(shape1, shape2, k1, k2, n, branches):
+    """excluded_boundary as one closest_approach call per sample, the loop
+    the array core replaced; each answering branch is added to branches."""
+    samples = []
+    for j in range(n):
+        theta = 2.0 * math.pi * j / n
+        cfg = PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(theta))
+        sol = contact.closest_approach(cfg)
+        branches[sol.branch] += 1
+        dist = sol.d
+        samples.append((theta, Vec2(dist * math.cos(theta), dist * math.sin(theta))))
+    return samples
+
+
+def scalar_locus(shape1, shape2, k2, dhat, n, branches):
+    """contact_locus as one contact_point call per sample."""
+    samples = []
+    for j in range(n):
+        theta = 2.0 * math.pi * j / n
+        cfg = PairConfiguration(shape1, shape2, UnitVec2.from_angle(theta), k2, dhat)
+        rc, sol = contact.contact_point(cfg)
+        branches[sol.branch] += 1
+        samples.append((theta, rc))
+    return samples
+
+
+def hexed(curve):
+    return [(theta.hex(), p.x.hex(), p.y.hex()) for theta, p in curve]
+
+
+Y = UnitVec2(0.0, 1.0)
+CURVE_KINDS = ("circles", "parallel", "anti-parallel", "right-angle", "general")
+
+
+def curve_pairs(kind, count, seed):
+    """(shape1, shape2, k1, k2, dhat, n) of one kind.  Directions are half
+    UnitVec2(x, y) of arbitrary (x, y), whose renormalised components a
+    second normalisation would change, and half from_angle values."""
+    rng = np.random.default_rng(seed)
+
+    def direction():
+        if rng.random() < 0.5:
+            return UnitVec2(*rng.uniform(-3.0, 3.0, 2).tolist())
+        return UnitVec2.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+
+    for i in range(count):
+        b1, b2 = rng.uniform(0.3, 3.0, 2).tolist()
+        aspect1, aspect2 = rng.uniform(1.0, 20.0, 2).tolist()
+        shape1, shape2 = EllipseShape(b1 * aspect1, b1), EllipseShape(b2 * aspect2, b2)
+        k1, k2, dhat = direction(), direction(), direction()
+        if kind == "circles":
+            shape1, shape2 = EllipseShape(b1, b1), EllipseShape(b2, b2)
+        elif kind == "parallel":
+            k2 = k1
+        elif kind == "anti-parallel":
+            k2 = UnitVec2(-k1.x, -k1.y)
+        elif kind == "right-angle":
+            # axis-aligned, so theta = pi/2 and 3 pi/2 hit cos(phi) ~ 6e-17
+            k1, k2, dhat = (X, Y, Y) if i % 2 else (Y, X, X)
+        yield shape1, shape2, k1, k2, dhat, (16, 97, 720)[i % 3] if i < 6 else (16, 97)[i % 2]
+
+
+@pytest.mark.parametrize("kind", CURVE_KINDS)
+def test_curves_equal_scalar_loop_hex_for_hex(kind):
+    branches = Counter()
+    for shape1, shape2, k1, k2, dhat, n in curve_pairs(kind, 44, CURVE_KINDS.index(kind)):
+        ref = scalar_boundary(shape1, shape2, k1, k2, n, branches)
+        assert hexed(excluded_boundary(shape1, shape2, k1, k2, n)) == hexed(ref)
+        ref = scalar_locus(shape1, shape2, k2, dhat, n, branches)
+        assert hexed(contact_locus(shape1, shape2, k2, dhat, n)) == hexed(ref)
+    expect = {
+        "circles": {ContactBranch.CIRCLE_LIKE},
+        "parallel": {ContactBranch.PARALLEL_AXES_2A, ContactBranch.PARALLEL_AXES_2B},
+        "anti-parallel": {ContactBranch.PARALLEL_AXES_2A, ContactBranch.PARALLEL_AXES_2B},
+        "right-angle": {ContactBranch.PHI_RIGHT_ANGLE},
+        "general": {ContactBranch.GENERAL},
+    }[kind]
+    assert expect <= set(branches), branches
+
+
+def counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends each call's arguments
+    to calls."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+CURVE_ARGS = (E21, EllipseShape(1.5, 0.4), k_at(20.0), k_at(75.0), k_at(-40.0))
+
+
+def both_curves(n):
+    shape1, shape2, k1, k2, dhat = CURVE_ARGS
+    return (
+        hexed(excluded_boundary(shape1, shape2, k1, k2, n)),
+        hexed(contact_locus(shape1, shape2, k2, dhat, n)),
+    )
+
+
+def test_curves_solve_deferred_rows_with_the_scalar_kernel(monkeypatch):
+    n = 2500
+    expect = both_curves(n)
+    real = bulk._solve_unit
+
+    def defer_every_third(*args):
+        out = real(*args)
+        args[-1][::3] = True
+        for column in out[:7]:
+            column[::3] = math.nan  # as the core leaves a row it cannot solve
+        return out
+
+    monkeypatch.setattr(bulk, "_solve_unit", defer_every_third)
+    boundary_calls, locus_calls = [], []
+    counting(monkeypatch, analysis, "closest_approach", boundary_calls)
+    counting(monkeypatch, analysis, "contact_point", locus_calls)
+    assert both_curves(n) == expect
+    # every third row of each chunk, and no other
+    deferred = sum(-(-min(bulk.CHUNK_ROWS, n - lo) // 3) for lo in range(0, n, bulk.CHUNK_ROWS))
+    assert len(boundary_calls) == len(locus_calls) == deferred
+
+
+def test_curves_make_no_scalar_kernel_call(monkeypatch):
+    n = 2500
+    core_rows, scalar = [], []
+    real = bulk._solve_unit
+
+    def core(*args):
+        core_rows.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(bulk, "_solve_unit", core)
+    counting(monkeypatch, analysis, "closest_approach", scalar)
+    counting(monkeypatch, analysis, "contact_point", scalar)
+    counting(monkeypatch, contact, "closest_approach", scalar)
+    boundary, locus = both_curves(n)
+    assert len(boundary) == len(locus) == n
+    assert scalar == []
+    assert sum(core_rows) == 2 * n
+    assert max(core_rows) <= bulk.CHUNK_ROWS

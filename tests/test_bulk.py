@@ -303,15 +303,15 @@ def run_both(tmp_path, capsys, text, fmt, chunk=None):
     inp.write_text(text, encoding="utf-8")
     files = {side: (tmp_path / f"{side}.out", tmp_path / f"{side}.rej") for side in ("new", "ref")}
     expect = reference_batch(inp, files["ref"][0], fmt, files["ref"][1])
-    saved = cli.BATCH_CHUNK
-    cli.BATCH_CHUNK = chunk or saved
+    saved = bulk.CHUNK_ROWS
+    bulk.CHUNK_ROWS = chunk or saved
     try:
         code, out, err, elapsed = run_cli_bounded(
             capsys, "batch", "--input", str(inp), "--output", str(files["new"][0]),
             "--format", fmt, "--rejects", str(files["new"][1]),
         )
     finally:
-        cli.BATCH_CHUNK = saved
+        bulk.CHUNK_ROWS = saved
     assert elapsed < 5.0
     assert code == expect and code in (0, 2)
     assert out == ""

@@ -405,6 +405,7 @@ def test_excluded_area_sweep(tmp_path, capsys):
     "0:inf:5",
     "90:0:5",        # START > STOP
     "1e20:1e20:1",   # STEP below the spacing of doubles at START
+    "0:1e9:1",       # more angles than MAX_PANELS
     "0:90",
     "a:b:c",
 ])
@@ -606,6 +607,27 @@ def test_simulate_infeasible_exit_2(tmp_path, capsys):
         "--output", str(tmp_path / "t.jsonl"),
     )
     assert code == 2
+
+
+def test_excluded_area_exit_2_leaves_output(tmp_path, capsys):
+    # the first area of the sweep overflows; the file must not be truncated
+    outp = tmp_path / "areas.csv"
+    outp.write_text("previous\n")
+    err = assert_input_error(
+        capsys, "excluded-area", "--a1", "1e160", "--b1", "1e160", "--a2", "2", "--b2", "1",
+        "--sweep", "0:90:45", "--output", str(outp),
+    )
+    assert err.startswith("error: OverflowError:")
+    assert outp.read_text() == "previous\n"
+
+
+def test_simulate_infeasible_exit_2_leaves_output(tmp_path, capsys):
+    outp = tmp_path / "t.jsonl"
+    outp.write_text("previous\n")
+    cfgp = write_run_config(tmp_path / "run.json", n_particles=64, box=[22.0, 22.0])
+    err = assert_input_error(capsys, "simulate", "--config", cfgp, "--output", str(outp))
+    assert err.startswith("error: PackingInfeasible:")
+    assert outp.read_text() == "previous\n"
 
 
 def write_run_config(path, **overrides):
