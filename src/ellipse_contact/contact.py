@@ -188,6 +188,10 @@ def _overlap_distance(shape1, shape2, k1, k2, r12: Vec2) -> tuple[OverlapVerdict
         raise ConcentricCenters(f"center separation {sep!r} is numerically zero")
     dhat = UnitVec2(r12.x, r12.y)
     d = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat)).d
+    if not math.isfinite(d):
+        # semi-axis ratios near 1e160 overflow the transformed form; a nan d
+        # would compare false both ways and read as disjoint
+        raise OverflowError(f"contact distance is not finite ({d!r})")
     if abs(sep - d) <= TANGENT_RTOL * d:
         return OverlapVerdict.TANGENT, d
     if sep < d:
@@ -207,6 +211,7 @@ def overlap(
     Two ellipses at fixed orientations overlap exactly when their center
     separation is below the contact distance along the separation
     direction.  Separations within TANGENT_RTOL (relative) of the contact
-    distance are reported as tangent.
+    distance are reported as tangent.  OverflowError when that distance
+    is not finite, as for a semi-axis ratio near 1e160.
     """
     return _overlap_distance(shape1, shape2, k1, k2, r12)[0]

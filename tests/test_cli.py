@@ -568,6 +568,15 @@ def test_fuzzed_geometry_commands_exit_0_or_2(capsys, argv):
     assert elapsed < 5.0
 
 
+def test_overlap_non_finite_distance_exit_2(capsys):
+    # found by the fuzz above: the nan contact distance printed as "d nan"
+    err = assert_input_error(
+        capsys, "overlap", "--a1=1.0", "--b1=1.0", "--a2=0.001", "--b2=1e-160",
+        "--theta1=-1e+300", "--theta2=-1e+300", "--theta-d=-1e+300", "--sep=0.001",
+    )
+    assert err.startswith("error: OverflowError:")
+
+
 def test_simulate_command(tmp_path, capsys):
     cfgp = tmp_path / "run.json"
     cfgp.write_text(json.dumps({

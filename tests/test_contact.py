@@ -452,6 +452,15 @@ def test_overlap_concentric():
         overlap(e, e, k, k, Vec2(0.0, 1e-15))
 
 
+def test_overlap_non_finite_distance_raises():
+    # b2 = 1e-160 squares below the doubles and the transformed form is nan;
+    # along the shared axis no quartic is solved, and the nan distance that
+    # comes out must not read as disjoint
+    k = UnitVec2(1.0, 0.0)
+    with pytest.raises(OverflowError):
+        overlap(EllipseShape(1.0, 1.0), EllipseShape(1e-3, 1e-160), k, k, Vec2(1e-3, 0.0))
+
+
 def overlap_by_sampling(cfg, sep, n=4096):
     """Membership-sampling oracle: boundary of each ellipse against the
     other's form, both directions."""
