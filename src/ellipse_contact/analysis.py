@@ -1,16 +1,13 @@
 """Excluded area and contact-locus curves.
 
 The excluded region of a pair at fixed orientations is the Minkowski sum
-K1 + (-K2); an ellipse is centrally symmetric, so -K2 = K2.  Its area is
-A1 + A2 + 2W with the mixed area W = (1/2) * integral of h1 * rho2 over
-the normal angle, where h1 is the support function of ellipse 1 and rho2
-the radius of curvature of ellipse 2 at the same outward normal (Santalo,
-Integral Geometry and Geometric Probability, 1976; for hard ellipses,
-Vieillard-Baron, J. Chem. Phys. 56, 4729 (1972)).  Both are closed forms
-of the normal angle, so the area needs no contact distance and no
-quartic.  The integrand is smooth and 2*pi-periodic, so the trapezoid rule
-converges spectrally; the sum is accumulated with math.fsum, so a result
-at a fixed node count is reproducible bit for bit.
+K1 + (-K2) = K1 + K2, an ellipse being centrally symmetric.  Its area is
+A1 + A2 + 2W(K1, K2), W the mixed area (Santalo, Integral Geometry and
+Geometric Probability, 1976; Vieillard-Baron, J. Chem. Phys. 56, 4729
+(1972)).  W(K, L) = |det A| W(A^-1 K, A^-1 L), and W(K, D) = P(K) / 2
+for the unit disk D and the perimeter P (Cauchy).  With T the map that
+takes ellipse 2 onto D, A_ex = A1 + A2 + a2 b2 P(T E1): one perimeter,
+by the arithmetic-geometric mean, and no contact distance.
 
 The excluded boundary and the contact locus are the contact kernel at n
 angles: bulk's array core solves each curve bulk.CHUNK_ROWS points at a
@@ -36,42 +33,44 @@ __all__ = [
     "contact_locus",
 ]
 
-# fewest quadrature nodes or curve samples any function here accepts
+# fewest curve samples any function here accepts
 MIN_SAMPLES = 16
 
 
-def _support(shape: EllipseShape, k: UnitVec2, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
-    """Support function h(n) = sqrt(a^2 (n.k)^2 + b^2 (n.k_perp)^2)."""
-    along = nx * k.x + ny * k.y
-    across = ny * k.x - nx * k.y
-    return np.sqrt((shape.a * along) ** 2 + (shape.b * across) ** 2)
+def _unit_perimeter(r: float) -> float:
+    """Perimeter of the ellipse with semi-axes 1 and r in (0, 1 + ulp]:
+    2 pi (1 - sum of 2^(n-1) c_n^2) / M(1, r), c_0^2 = 1 - r^2 and
+    c_(n+1) = (a_n - b_n) / 2.  Once c_n <= 2^-27 a_n, what is left is
+    below 2^-54; any positive double r gets there within 13 steps."""
+    a, b = 1.0, r
+    total, weight, c2 = 1.0, 0.5, (1.0 - r) * (1.0 + r)
+    for _ in range(32):
+        total -= weight * c2
+        if c2 <= 2.0**-54 * a * a:
+            return 2.0 * math.pi * total / a
+        a, b, c2 = 0.5 * (a + b), math.sqrt(a * b), (0.5 * (a - b)) ** 2
+        weight *= 2.0
+    raise OverflowError(f"semi-axis ratio {r!r} is out of float range")
 
 
-def excluded_area(
-    shape1: EllipseShape,
-    shape2: EllipseShape,
-    k1: UnitVec2,
-    k2: UnitVec2,
-    panels: int = 2048,
-) -> float:
+def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: UnitVec2) -> float:
     """Area of center positions of shape2 excluded by overlap with shape1.
 
-    The area of the Minkowski sum K1 + (-K2), with -K2 = K2 because an
-    ellipse is centrally symmetric: A1 + A2 + integral of h1 * rho2 over
-    the normal angle, where rho2 = (a2 b2)^2 / h2^3.  ``panels`` is the
-    number of trapezoid nodes; no contact distance is computed.  Raises
-    OverflowError when the area is not finite, as for semi-axes near 1e160.
+    T E1 has the semi-axes s1 >= s2, the singular values of
+    M = diag(1/a2, 1/b2) R(theta1 - theta2) diag(a1, b1): s1 from two
+    hypots, which do not cancel, and s2 = det M / s1.  Raises
+    OverflowError when the area or s1/s2 leaves float range, as for
+    semi-axes near 1e160.
     """
-    if panels < MIN_SAMPLES:
-        raise ValueError(f"panels must be at least {MIN_SAMPLES}")
-    step = 2.0 * math.pi / panels
-    theta = step * np.arange(panels)
-    nx, ny = np.cos(theta), np.sin(theta)
-    # an overflow shows up as a non-finite area below, not as warnings
-    with np.errstate(all="ignore"):
-        h2 = _support(shape2, k2, nx, ny)
-        terms = _support(shape1, k1, nx, ny) * ((shape2.a * shape2.b) ** 2 / h2**3)
-    area = shape1.area() + shape2.area() + step * math.fsum(terms.tolist())
+    c = k1.x * k2.x + k1.y * k2.y  # cos(theta1 - theta2)
+    s = k1.y * k2.x - k1.x * k2.y  # sin(theta1 - theta2)
+    m00, m01 = c * shape1.a / shape2.a, -s * shape1.b / shape2.a
+    m10, m11 = s * shape1.a / shape2.b, c * shape1.b / shape2.b
+    s1 = 0.5 * (math.hypot(m00 + m11, m10 - m01) + math.hypot(m00 - m11, m10 + m01))
+    # s2 / s1 in this order stays in range: s1 >= a1 / a2
+    ratio = shape1.a / shape2.a / s1 * (shape1.b / shape2.b) / s1
+    mixed = shape2.a * shape2.b * s1 * _unit_perimeter(ratio)
+    area = shape1.area() + shape2.area() + mixed
     if not math.isfinite(area):
         raise OverflowError(f"excluded area is not finite ({area!r})")
     return area

@@ -36,9 +36,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 
-# largest --panels, --n and number of --sweep angles: excluded_area holds a
-# few float arrays of this length (~8 MB each); a curve holds this many
-# points, a sweep this many lines
+# largest --n and number of --sweep angles: a curve holds this many points,
+# a sweep this many lines (--panels, which no longer sets anything, is
+# still held to the same range)
 MAX_PANELS = 1 << 20
 
 
@@ -300,7 +300,7 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
     if start > stop:
         raise ValueError("--sweep START must not exceed STOP")
     if start + step == start or stop + step == stop:
-        # the accumulated angle would stop advancing before it passes STOP
+        # the angles START + i * STEP would repeat near START or STOP
         raise ValueError("--sweep STEP is too small to advance the angle")
     if (stop - start) / step >= MAX_PANELS:
         raise ValueError(f"--sweep must have at most {MAX_PANELS} angles")
@@ -321,30 +321,27 @@ def _open_output(path):
 
 def cmd_excluded_area(args) -> int:
     cfg = _pair_from_args(args)
+    # still range-checked, though the closed-form area uses no nodes
     _check_count("--panels", args.panels)
 
     def area_at(angle_deg: float) -> float:
         k2 = UnitVec2.from_angle(math.radians(args.theta1 + angle_deg))
-        return analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2, args.panels)
+        return analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, k2)
 
+    # every area first, so an error leaves an existing --output as it was
     if args.sweep:
         start, stop, step = _parse_sweep(args.sweep)
-        # every area first, so an error leaves an existing --output as it was
-        lines = ["angle_deg,area"]
-        angle = start
-        while angle <= stop + 1e-12:
+        lines, i = ["angle_deg,area"], 0
+        while (angle := start + i * step) <= stop + 1e-12:
             lines.append(f"{angle},{area_at(angle)}")
-            angle += step
-        with _open_output(args.output) as out:
-            print("\n".join(lines), file=out)
-        return EXIT_OK
-
-    if args.angle is None:
+            i += 1
+    elif args.angle is None:
         # fall back to the orientation difference given by the theta flags
-        value = analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, args.panels)
+        lines = [f"{analysis.excluded_area(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2)}"]
     else:
-        value = area_at(args.angle)
-    print(value)
+        lines = [f"{area_at(args.angle)}"]
+    with _open_output(args.output) as out:
+        print("\n".join(lines), file=out)
     return EXIT_OK
 
 
@@ -472,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="angle between major axes, degrees")
     p.add_argument("--sweep", default=None, help="START:STOP:STEP angle sweep, degrees")
     p.add_argument("--panels", type=int, default=2048,
-                   help="quadrature nodes over the normal angle (default 2048)")
+                   help="ignored: the area is in closed form; still checked "
+                   "to lie in [16, 2^20] (default 2048)")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("boundary", help="excluded-area boundary curve as CSV")

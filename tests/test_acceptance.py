@@ -51,7 +51,7 @@ def test_criterion_1_excluded_area_values():
     got = {}
     for deg, expect in ((30.0, 26.4), (45.0, 27.6), (90.0, 29.7)):
         k2 = UnitVec2.from_angle(math.radians(deg))
-        got[deg] = excluded_area(E21, E21, X_AXIS, k2, panels=2048)
+        got[deg] = excluded_area(E21, E21, X_AXIS, k2)
         assert abs(got[deg] - expect) <= 0.05, (deg, got[deg])
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -64,12 +64,12 @@ def test_criterion_1_excluded_area_values():
 
 
 def test_criterion_2_closed_forms():
-    a0 = excluded_area(E21, E21, X_AXIS, X_AXIS, panels=2048)
+    a0 = excluded_area(E21, E21, X_AXIS, X_AXIS)
     assert abs(a0 - 8.0 * math.pi) <= 1e-6 * 8.0 * math.pi
     r1, r2 = 1.3, 0.6
     ac = excluded_area(
         EllipseShape(r1, r1), EllipseShape(r2, r2),
-        X_AXIS, UnitVec2.from_angle(1.0), panels=2048,
+        X_AXIS, UnitVec2.from_angle(1.0),
     )
     expect = math.pi * (r1 + r2) ** 2
     assert abs(ac - expect) <= 1e-9 * expect
@@ -248,7 +248,7 @@ def test_criterion_7_monotonic_in_angle():
     values = []
     for j in range(91):
         k2 = UnitVec2.from_angle(math.radians(float(j)))
-        values.append(excluded_area(E21, E21, X_AXIS, k2, panels=512))
+        values.append(excluded_area(E21, E21, X_AXIS, k2))
     diffs = [b - a for a, b in zip(values, values[1:])]
     assert min(diffs) >= -1e-9, f"decrease of {min(diffs)} found"
     report(7, f"A_ex non-decreasing over 91 angles (min step {min(diffs):.2e})")

@@ -66,10 +66,71 @@ def d2_area(shape1, shape2, k1, k2, panels=2048):
     return 0.5 * h * math.fsum(x ** 2 for x in d)
 
 
-def test_panels_validation():
-    with pytest.raises(ValueError):
-        excluded_area(E21, E21, X, X, panels=8)
-    excluded_area(E21, E21, X, X, panels=analysis.MIN_SAMPLES)
+def support_area(shape1, shape2, k1, k2, panels):
+    """The excluded area by the quadrature the closed form replaced: A1 + A2
+    plus the trapezoid sum of h1 * rho2 over the normal angle, where h is
+    the support function and rho2 = (a2 b2)^2 / h2^3 the radius of
+    curvature of ellipse 2 at the same normal (Vieillard-Baron 1972).  It
+    converges spectrally, slower as the aspect grows: at 2,048 panels it
+    is 45% low at aspect 1,000."""
+    step = 2.0 * math.pi / panels
+    theta = step * np.arange(panels)
+    nx, ny = np.cos(theta), np.sin(theta)
+
+    def support(shape, k):
+        return np.hypot(shape.a * (nx * k.x + ny * k.y), shape.b * (ny * k.x - nx * k.y))
+
+    terms = support(shape1, k1) * (shape2.a * shape2.b) ** 2 / support(shape2, k2) ** 3
+    return shape1.area() + shape2.area() + step * math.fsum(terms.tolist())
+
+
+def mp_area(shape1, shape2, k1, k2, mp):
+    """A1 + A2 + a2 b2 P(T E1) in 40 digits: the semi-axes of T E1 from
+    mpmath's SVD, its perimeter 4 s1 E(1 - (s2/s1)^2) from mpmath's ellipe."""
+    with mp.workdps(40):
+        a1, b1, a2, b2 = (mp.mpf(x) for x in (shape1.a, shape1.b, shape2.a, shape2.b))
+        c = mp.mpf(k1.x) * k2.x + mp.mpf(k1.y) * k2.y
+        s = mp.mpf(k1.y) * k2.x - mp.mpf(k1.x) * k2.y
+        m = mp.matrix([[c * a1 / a2, -s * b1 / a2], [s * a1 / b2, c * b1 / b2]])
+        s2, s1 = sorted(mp.svd_r(m, compute_uv=False))
+        perimeter = 4 * s1 * mp.ellipe(1 - (s2 / s1) ** 2)
+        return mp.pi * (a1 * b1 + a2 * b2) + a2 * b2 * perimeter
+
+
+def random_shapes(rng, max_aspect, n):
+    """n (shape1, shape2, k1, k2): ellipse 1 of aspect max_aspect, ellipse 2
+    of log-uniform aspect up to it, minor axes log-uniform in [0.3, 3]."""
+    for _ in range(n):
+        b1, b2 = np.exp(rng.uniform(math.log(0.3), math.log(3.0), 2)).tolist()
+        aspect2 = math.exp(rng.uniform(0.0, math.log(max_aspect)))
+        th1, th2 = rng.uniform(0.0, 2.0 * math.pi, 2).tolist()
+        yield (EllipseShape(b1 * max_aspect, b1), EllipseShape(b2 * aspect2, b2),
+               UnitVec2.from_angle(th1), UnitVec2.from_angle(th2))
+
+
+def test_closed_form_matches_support_sum():
+    # at 2^14 panels the sum has converged up to aspect 20
+    rng = np.random.default_rng(11)
+    cases = list(random_shapes(rng, 20.0, 200))
+    cases.append((EllipseShape(60.0, 3.0), EllipseShape(6.0, 0.3), X, k_at(90.0)))
+    for args in cases:
+        ref = support_area(*args, panels=1 << 14)
+        assert abs(excluded_area(*args) - ref) <= 1e-13 * ref, args
+
+
+@pytest.mark.parametrize("aspect", [20.0, 1e3, 1e4])
+def test_closed_form_matches_mpmath(aspect):
+    mp = pytest.importorskip("mpmath")
+    for args in random_shapes(np.random.default_rng(int(aspect)), aspect, 16):
+        ref = mp_area(*args, mp)
+        assert abs(excluded_area(*args) - ref) <= 1e-13 * ref, args
+
+
+def test_closed_form_matches_converged_sum_at_aspect_1000():
+    # the sum needs ~2^17 panels here; at 2,048 it is 45% low
+    args = (EllipseShape(1000.0, 1.0), EllipseShape(700.0, 0.7), k_at(17.0), k_at(63.0))
+    ref = support_area(*args, panels=1 << 17)
+    assert abs(excluded_area(*args) - ref) <= 1e-12 * ref
 
 
 def test_circles_closed_form():
@@ -111,11 +172,11 @@ def test_parallel_identical_exact(aspect, deg):
     assert abs(a - expect) <= 1e-12 * expect
 
 
-# The d^2 trapezoid resolves the tips of thin ellipses more slowly than the
-# support-function sum: at 2,048 panels it is itself off by up to 6e-8 for
-# aspect-20 pairs ten times apart in size (the first example).  At 8,192
-# panels it has converged (a 32,768-panel run moves it by < 4e-14) and
-# differs from the sum by at most ~5e-12, the contact kernel's own error.
+# The d^2 trapezoid resolves the tips of thin ellipses slowly: at 2,048
+# panels it is itself off by up to 6e-8 for aspect-20 pairs ten times apart
+# in size (the first example).  At 8,192 panels it has converged (a
+# 32,768-panel run moves it by < 4e-14) and differs from the closed form by
+# at most ~5e-12, the contact kernel's own error.
 @settings(max_examples=10, deadline=None)
 @given(
     b1=st.floats(0.3, 3.0),
@@ -146,12 +207,6 @@ def test_excluded_area_calls_no_kernel(monkeypatch):
     monkeypatch.setattr(analysis, "closest_approach", forbidden)
     monkeypatch.setattr(contact, "closest_approach", forbidden)
     assert abs(excluded_area(*args) - ref) <= 1e-9 * ref
-
-
-def test_panel_refinement_converges():
-    a1 = excluded_area(E21, E21, X, k_at(30.0), panels=1024)
-    a2 = excluded_area(E21, E21, X, k_at(30.0), panels=2048)
-    assert abs(a2 - a1) <= 1e-6 * a1
 
 
 def test_exchange_symmetry():

@@ -397,6 +397,63 @@ def test_excluded_area_sweep(tmp_path, capsys):
     assert values == sorted(values)  # monotone in the angle
 
 
+def test_excluded_area_huge_finite_pair(capsys):
+    # the quadrature overflowed here; the true area, 4 pi 1e300, is finite
+    code, out, _ = run_cli(
+        capsys, "excluded-area", "--a1", "1e300", "--b1", "1", "--a2", "1e300", "--b2", "1",
+    )
+    assert code == 0
+    expect = 4.0 * math.pi * 1e300
+    assert abs(float(out) - expect) <= 1e-12 * expect
+
+
+def test_excluded_area_aspect_1000(capsys):
+    # the 2,048-panel quadrature printed 1113407.3015332143 here, 45% low
+    code, out, _ = run_cli(
+        capsys, "excluded-area", "--a1", "1000", "--b1", "1", "--a2", "700", "--b2", "0.7",
+        "--theta1", "17.188733853924695", "--theta2", "63.02535746439056",
+    )
+    assert code == 0
+    assert abs(float(out) - 2013279.92224690) <= 1e-12 * 2013279.92224690
+
+
+@pytest.mark.parametrize("angle", [(), ("--angle", "30")])
+def test_excluded_area_single_value_to_output(tmp_path, capsys, angle):
+    outp = tmp_path / "area.txt"
+    code, out, _ = run_cli(
+        capsys, "excluded-area", *PAIR_21, "--theta2", "30", *angle, "--output", str(outp),
+    )
+    assert code == 0 and out == ""
+    assert abs(float(outp.read_text()) - 26.4) <= 0.05
+
+
+def test_excluded_area_single_value_exit_2_leaves_output(tmp_path, capsys):
+    outp = tmp_path / "area.txt"
+    outp.write_text("previous\n")
+    err = assert_input_error(
+        capsys, "excluded-area", "--a1", "1e160", "--b1", "1e160", "--a2", "2", "--b2", "1",
+        "--angle", "0", "--output", str(outp),
+    )
+    assert err.startswith("error: OverflowError:")
+    assert outp.read_text() == "previous\n"
+
+
+@pytest.mark.parametrize("sweep, rows, last", [
+    ("0:90:0.1", 901, "90.0"),
+    ("0:1000:0.01", 100001, "1000.0"),
+])
+def test_excluded_area_sweep_reaches_stop(tmp_path, capsys, sweep, rows, last):
+    # angle i is START + i * STEP; an accumulated angle drifted below STOP
+    outp = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "excluded-area", *PAIR_21, "--sweep", sweep, "--output", str(outp),
+    )
+    assert code == 0
+    lines = outp.read_text().splitlines()[1:]
+    assert len(lines) == rows
+    assert lines[-1].split(",")[0] == last
+
+
 @pytest.mark.parametrize("sweep", [
     "0:90:0",        # zero step
     "0:90:-5",       # negative step
@@ -506,9 +563,10 @@ def test_verify_vacuous_run_exit_2(capsys, argv):
     ("verify", "--samples", "10"),
     ("distance", "--a1", "1e308", "--b1", "1", "--a2", "2", "--b2", "1"),
     ("distance", "--a1", "2", "--b1", "1e-300", "--a2", "2", "--b2", "1e-300"),
-    # the area overflows to inf; the second one used to warn on the way
+    # the area overflows to inf
     ("excluded-area", "--a1", "1e160", "--b1", "1e160", "--a2", "2", "--b2", "1"),
-    ("excluded-area", "--a1", "1e300", "--b1", "1", "--a2", "1e300", "--b2", "1"),
+    # the mapped ellipse's semi-axis ratio, 1e-400, underflows to 0
+    ("excluded-area", "--a1", "1e200", "--b1", "1e-200", "--a2", "1", "--b2", "1"),
     # rejected before any oracle table is allocated
     ("verify", "--trials", "1", "--samples", str((1 << 20) + 1)),
     ("verify", "--trials", "1", "--samples", "2000000000"),
