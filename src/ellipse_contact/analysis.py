@@ -38,10 +38,13 @@ MIN_SAMPLES = 16
 
 
 def _unit_perimeter(r: float) -> float:
-    """Perimeter of the ellipse with semi-axes 1 and r in (0, 1 + ulp]:
+    """Perimeter of the ellipse with semi-axes 1 and r in [0, 1 + ulp]:
     2 pi (1 - sum of 2^(n-1) c_n^2) / M(1, r), c_0^2 = 1 - r^2 and
     c_(n+1) = (a_n - b_n) / 2.  Once c_n <= 2^-27 a_n, what is left is
-    below 2^-54; any positive double r gets there within 13 steps."""
+    below 2^-54; any positive double r gets there within 13 steps.  A ratio
+    that underflowed to 0 is a segment, 4 + O(r^2 log r) = 4."""
+    if r == 0.0:
+        return 4.0
     a, b = 1.0, r
     total, weight, c2 = 1.0, 0.5, (1.0 - r) * (1.0 + r)
     for _ in range(32):
@@ -50,7 +53,7 @@ def _unit_perimeter(r: float) -> float:
             return 2.0 * math.pi * total / a
         a, b, c2 = 0.5 * (a + b), math.sqrt(a * b), (0.5 * (a - b)) ** 2
         weight *= 2.0
-    raise OverflowError(f"semi-axis ratio {r!r} is out of float range")
+    raise OverflowError(f"excluded area is out of float range (semi-axis ratio {r!r})")
 
 
 def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: UnitVec2) -> float:
@@ -59,8 +62,8 @@ def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: 
     T E1 has the semi-axes s1 >= s2, the singular values of
     M = diag(1/a2, 1/b2) R(theta1 - theta2) diag(a1, b1): s1 from two
     hypots, which do not cancel, and s2 = det M / s1.  Raises
-    OverflowError when the area or s1/s2 leaves float range, as for
-    semi-axes near 1e160.
+    OverflowError when the area is out of float range, as for semi-axes
+    near 1e160.
     """
     c = k1.x * k2.x + k1.y * k2.y  # cos(theta1 - theta2)
     s = k1.y * k2.x - k1.x * k2.y  # sin(theta1 - theta2)

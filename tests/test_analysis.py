@@ -67,8 +67,8 @@ def d2_area(shape1, shape2, k1, k2, panels=2048):
 
 
 def support_area(shape1, shape2, k1, k2, panels):
-    """The excluded area by the quadrature the closed form replaced: A1 + A2
-    plus the trapezoid sum of h1 * rho2 over the normal angle, where h is
+    """The excluded area by quadrature, sharing no code with the closed form:
+    A1 + A2 plus the trapezoid sum of h1 * rho2 over the normal angle, h
     the support function and rho2 = (a2 b2)^2 / h2^3 the radius of
     curvature of ellipse 2 at the same normal (Vieillard-Baron 1972).  It
     converges spectrally, slower as the aspect grows: at 2,048 panels it

@@ -397,18 +397,21 @@ def test_excluded_area_sweep(tmp_path, capsys):
     assert values == sorted(values)  # monotone in the angle
 
 
-def test_excluded_area_huge_finite_pair(capsys):
-    # the quadrature overflowed here; the true area, 4 pi 1e300, is finite
-    code, out, _ = run_cli(
-        capsys, "excluded-area", "--a1", "1e300", "--b1", "1", "--a2", "1e300", "--b2", "1",
-    )
+@pytest.mark.parametrize("argv, expect", [
+    (("--a1", "1e300", "--b1", "1", "--a2", "1e300", "--b2", "1"), 4.0 * math.pi * 1e300),
+    # the mapped ellipse's semi-axis ratio, 1e-600, underflows to 0: a segment
+    (("--a1", "1e150", "--b1", "1e-150", "--a2", "1e150", "--b2", "1e-150", "--angle", "30"),
+     2e300),
+])
+def test_excluded_area_huge_finite_pair(capsys, argv, expect):
+    # no intermediate overflows: the true area is finite
+    code, out, _ = run_cli(capsys, "excluded-area", *argv)
     assert code == 0
-    expect = 4.0 * math.pi * 1e300
     assert abs(float(out) - expect) <= 1e-12 * expect
 
 
 def test_excluded_area_aspect_1000(capsys):
-    # the 2,048-panel quadrature printed 1113407.3015332143 here, 45% low
+    # a 2,048-node quadrature of h1 rho2 gives 1113407.3015332143 here, 45% low
     code, out, _ = run_cli(
         capsys, "excluded-area", "--a1", "1000", "--b1", "1", "--a2", "700", "--b2", "0.7",
         "--theta1", "17.188733853924695", "--theta2", "63.02535746439056",
@@ -443,7 +446,7 @@ def test_excluded_area_single_value_exit_2_leaves_output(tmp_path, capsys):
     ("0:1000:0.01", 100001, "1000.0"),
 ])
 def test_excluded_area_sweep_reaches_stop(tmp_path, capsys, sweep, rows, last):
-    # angle i is START + i * STEP; an accumulated angle drifted below STOP
+    # angle i is START + i * STEP, so no rounding error accumulates
     outp = tmp_path / "sweep.csv"
     code, _, _ = run_cli(
         capsys, "excluded-area", *PAIR_21, "--sweep", sweep, "--output", str(outp),
@@ -565,8 +568,8 @@ def test_verify_vacuous_run_exit_2(capsys, argv):
     ("distance", "--a1", "2", "--b1", "1e-300", "--a2", "2", "--b2", "1e-300"),
     # the area overflows to inf
     ("excluded-area", "--a1", "1e160", "--b1", "1e160", "--a2", "2", "--b2", "1"),
-    # the mapped ellipse's semi-axis ratio, 1e-400, underflows to 0
-    ("excluded-area", "--a1", "1e200", "--b1", "1e-200", "--a2", "1", "--b2", "1"),
+    # the semi-axes of ellipse 1 mapped by ellipse 2 overflow to inf
+    ("excluded-area", "--a1", "1e300", "--b1", "1e300", "--a2", "1e-300", "--b2", "1e-300"),
     # rejected before any oracle table is allocated
     ("verify", "--trials", "1", "--samples", str((1 << 20) + 1)),
     ("verify", "--trials", "1", "--samples", "2000000000"),
