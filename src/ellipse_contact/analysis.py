@@ -72,8 +72,7 @@ def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: 
     s1 = 0.5 * (math.hypot(m00 + m11, m10 - m01) + math.hypot(m00 - m11, m10 + m01))
     # s2 / s1 in this order stays in range: s1 >= a1 / a2
     ratio = shape1.a / shape2.a / s1 * (shape1.b / shape2.b) / s1
-    mixed = shape2.a * shape2.b * s1 * _unit_perimeter(ratio)
-    area = shape1.area() + shape2.area() + mixed
+    area = shape1.area() + shape2.area() + shape2.a * shape2.b * s1 * _unit_perimeter(ratio)
     if not math.isfinite(area):
         raise OverflowError(f"excluded area is not finite ({area!r})")
     return area
