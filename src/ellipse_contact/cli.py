@@ -321,7 +321,7 @@ def _open_output(path):
 
 def cmd_excluded_area(args) -> int:
     cfg = _pair_from_args(args)
-    # still range-checked, though the closed-form area uses no nodes
+    # kept and range-checked for existing callers; the closed form uses no nodes
     _check_count("--panels", args.panels)
 
     def area_at(angle_deg: float) -> float:
