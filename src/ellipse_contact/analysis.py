@@ -10,7 +10,7 @@ takes ellipse 2 onto D, A_ex = A1 + A2 + a2 b2 P(T E1): one perimeter,
 by the arithmetic-geometric mean, and no contact distance.
 
 The excluded boundary and the contact locus are the contact kernel at n
-angles: bulk's array core solves each curve bulk.CHUNK_ROWS points at a
+angles: bulk.contact_arrays solves each curve bulk.CHUNK_ROWS points at a
 time, with exactly the floats of one closest_approach call per point, and
 the points it leaves to the scalar path go through closest_approach or
 contact_point.
@@ -59,20 +59,26 @@ def _unit_perimeter(r: float) -> float:
 def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: UnitVec2) -> float:
     """Area of center positions of shape2 excluded by overlap with shape1.
 
-    T E1 has the semi-axes s1 >= s2, the singular values of
+    The area is symmetric; ellipse 2 below is the larger by a*b (shape2
+    on a tie).  T E1 has the semi-axes s1 >= s2, the singular values of
     M = diag(1/a2, 1/b2) R(theta1 - theta2) diag(a1, b1): s1 from two
-    hypots, which do not cancel, and s2 = det M / s1.  Raises
-    OverflowError when the area is out of float range, as for semi-axes
-    near 1e160.
+    hypots, which do not cancel, and s2 = det M / s1.  If s1 underflows
+    the mixed term, below 2 pi a2 b2 2^-1074, is 0.  Raises OverflowError
+    when the area is out of float range, as for semi-axes near 1e160.
     """
+    if shape1.a * shape1.b > shape2.a * shape2.b:
+        shape1, shape2, k1, k2 = shape2, shape1, k2, k1
     c = k1.x * k2.x + k1.y * k2.y  # cos(theta1 - theta2)
     s = k1.y * k2.x - k1.x * k2.y  # sin(theta1 - theta2)
     m00, m01 = c * shape1.a / shape2.a, -s * shape1.b / shape2.a
     m10, m11 = s * shape1.a / shape2.b, c * shape1.b / shape2.b
     s1 = 0.5 * (math.hypot(m00 + m11, m10 - m01) + math.hypot(m00 - m11, m10 + m01))
-    # s2 / s1 in this order stays in range: s1 >= a1 / a2
-    ratio = shape1.a / shape2.a / s1 * (shape1.b / shape2.b) / s1
-    area = shape1.area() + shape2.area() + shape2.a * shape2.b * s1 * _unit_perimeter(ratio)
+    mixed = 0.0
+    if s1 != 0.0:  # a nan s1 goes on to raise OverflowError
+        # s2 / s1 in this order stays in range: s1 >= a1 / a2
+        ratio = shape1.a / shape2.a / s1 * (shape1.b / shape2.b) / s1
+        mixed = shape2.a * shape2.b * s1 * _unit_perimeter(ratio)
+    area = shape1.area() + shape2.area() + mixed
     if not math.isfinite(area):
         raise OverflowError(f"excluded area is not finite ({area!r})")
     return area
@@ -81,22 +87,20 @@ def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: 
 def _curve_chunks(shape1, shape2, k1, k2, dhat, n, solve):
     """The contact kernel at theta_j = 2 pi j / n for j < n, in chunks of
     at most bulk.CHUNK_ROWS: arrays (theta, cos theta, sin theta, d, rc_x,
-    rc_y).  The direction passed as None is UnitVec2.from_angle(theta_j);
-    the others are used as given, as PairConfiguration uses them.  A row
-    the array core leaves to the scalar path is solve(cfg), which returns
-    the ContactSolution or raises."""
+    rc_y).  The direction passed as None is UnitVec2.from_angle(theta_j).
+    A row bulk.contact_arrays leaves to the scalar path is solve(cfg),
+    which returns the ContactSolution or raises."""
     for lo in range(0, n, bulk.CHUNK_ROWS):
         theta = 2.0 * math.pi * np.arange(lo, min(lo + bulk.CHUNK_ROWS, n)) / n
         rows = len(theta)
-        bad = np.zeros(rows, dtype=bool)
-        with np.errstate(all="ignore"):
-            cos, sin = bulk._each(math.cos, bad, theta), bulk._each(math.sin, bad, theta)
-            turning = bulk._unit(cos, sin, bad)  # UnitVec2.from_angle
-            cols = [np.full(rows, x) for x in (shape1.a, shape1.b, shape2.a, shape2.b)]
-            for v in (k1, k2, dhat):
-                cols += turning if v is None else (np.full(rows, v.x), np.full(rows, v.y))
-            d, _, _, rc_x, rc_y, *_ = bulk._solve_unit(*cols, bad)
-        for j in np.flatnonzero(bad).tolist():
+        cos = np.array([math.cos(t) for t in theta.tolist()])
+        sin = np.array([math.sin(t) for t in theta.tolist()])
+        cols = [np.full(rows, x) for x in (shape1.a, shape1.b, shape2.a, shape2.b)]
+        for v in (k1, k2, dhat):
+            cols += (cos, sin) if v is None else (np.full(rows, v.x), np.full(rows, v.y))
+        res = bulk.contact_arrays(*cols)
+        d, rc_x, rc_y = res.d, res.rc_x, res.rc_y
+        for j in np.flatnonzero(res.scalar).tolist():
             turned = UnitVec2.from_angle(theta[j].item())
             sol = solve(PairConfiguration(
                 shape1, shape2, *(turned if v is None else v for v in (k1, k2, dhat))

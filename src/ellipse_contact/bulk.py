@@ -5,25 +5,24 @@ contact_arrays() evaluates make_pair_configuration + closest_approach +
 tangency_residuals on structure-of-arrays input and returns, for every
 row it resolves, exactly the floats the scalar calls return.  Rows it
 cannot match that way are flagged and left to the scalar path, which then
-gives the result or raises the exception the scalar API raises.  Its core,
-_solve_unit(), starts after make_pair_configuration: it takes the unit
-vectors of a PairConfiguration as they are, which is how the curves of
-analysis.py call it.
+gives the result or raises the exception the scalar API raises.  batch
+and the curves of analysis.py both call it.
 
 How the floats stay identical:
 
 * numpy does only correctly rounded operations (+ - * /, sqrt, abs),
-  comparisons and selections, in the scalar code's operation order;
-* math.hypot and every ``**`` run per element on Python floats, because
-  numpy's hypot and power round differently on some inputs;
-* every renormalisation a UnitVec2 performs is repeated;
+  comparisons and selections, in the scalar code's operation order (the
+  scalar code writes integer powers as products);
+* math.hypot, cos/sin and the resolvent run per element on Python
+  floats, because numpy's versions round differently on some inputs;
+* _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
 * the branches of transform.py, contact.py and quartic.py become masks:
   the five contact branches, the biquadratic case and the four Ferrari
   assemblies, tried in the scalar order (designated, then (+,-), (-,+),
   (-,-)); the first accepted assembly wins.
 
 A row goes to the scalar path when its input fails validation, when any
-intermediate it uses is non-finite or a per-element call raises (where the
+intermediate it uses is non-finite or the resolvent raises (where the
 scalar code may raise), when the resolvent gives s1 < 0 or W = 0, or when
 no assembly is accepted (the companion-matrix fallback).
 """
@@ -37,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
-from .geometry import _ellipse_form
+from .geometry import _MIN_NORMAL, _UNIT_SLACK, _ellipse_form
 from .quartic import (
     BRACKET_TOL,
     POLISH_STEPS,
@@ -105,8 +104,8 @@ def _flag_nonfinite(bad: np.ndarray, *xs: np.ndarray) -> None:
 def _unit(x: np.ndarray, y: np.ndarray, bad: np.ndarray):
     """UnitVec2(x, y): rows it would reject are flagged."""
     n = _each(math.hypot, bad, x, y)
-    bad |= (n == 0.0) | ~np.isfinite(n)
-    renorm = n != 1.0
+    bad |= ~((_MIN_NORMAL <= n) & (n < math.inf))
+    renorm = abs(n - 1.0) > _UNIT_SLACK
     return np.where(renorm, x / n, x), np.where(renorm, y / n, y)
 
 
@@ -120,7 +119,7 @@ def _py_min(x, y):
     return np.where(y < x, y, x)
 
 
-def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray, bad: np.ndarray):
+def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray):
     """quartic._accept over arrays of in-bracket candidates: (polished q,
     accepted mask)."""
     q = _py_min(_py_max(q, 1.0), hi)
@@ -132,8 +131,7 @@ def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray, bad: np.ndarray):
         q = np.where(active, q - f / fp, q)
     q = _py_min(_py_max(q, 1.0), hi)
     res = abs(_horner_compensated(c, q))
-    q4 = _each(pow, bad, q, 4)
-    return q, res <= RESIDUAL_RTOL * _py_max(abs(c.a) * q4, abs(c.e))
+    return q, res <= RESIDUAL_RTOL * _py_max(abs(c.a) * (q * q * (q * q)), abs(c.e))
 
 
 def _quartic_roots(b2p, delta, tan2phi, bad):
@@ -145,18 +143,17 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     c = QuarticCoeffs(
         a=-ib2 * opt,
         b=-2.0 / b2p * (opt + delta),
-        c=-tan2phi - _each(pow, bad, opd, 2) + ib2 * (1.0 + opd * tan2phi),
+        c=-tan2phi - opd * opd + ib2 * (1.0 + opd * tan2phi),
         d=2.0 / b2p * opt * opd,
         e=(opt + delta) * opd,
     )
     hi = np.sqrt(opd)
     a, b = c.a, c.b
-    a3 = _each(pow, bad, a, 3)
     alpha = -3.0 * b * b / (8.0 * a * a) + c.c / a
-    beta = _each(pow, bad, b, 3) / (8.0 * a3) - b * c.c / (2.0 * a * a) + c.d / a
+    beta = b * b * b / (8.0 * (a * a * a)) - b * c.c / (2.0 * a * a) + c.d / a
     gamma = (
-        -3.0 * _each(pow, bad, b, 4) / (256.0 * _each(pow, bad, a, 4))
-        + c.c * b * b / (16.0 * a3)
+        -3.0 * (b * b * b * b) / (256.0 * (a * a * a * a))
+        + c.c * b * b / (16.0 * (a * a * a))
         - b * c.d / (4.0 * a * a)
         + c.e / a
     )
@@ -164,7 +161,8 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
     # biquadratic rows: both inner signs are candidates
-    biq = abs(beta) < 1e-11 * _py_max(1.0, _each(pow, bad, abs(b / a), 3))
+    ratio = abs(b / a)
+    biq = abs(beta) < 1e-11 * _py_max(1.0, ratio * ratio * ratio)
     inner = np.sqrt(_py_max(alpha * alpha - 4.0 * gamma, 0.0))
     r_hi = shift + np.sqrt(_py_max((-alpha + inner) / 2.0, 0.0))
     r_lo = shift + np.sqrt(_py_max((-alpha - inner) / 2.0, 0.0))
@@ -193,24 +191,22 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
 
     # every in-bracket candidate of every row goes through one _accept call
     # (it has no side effects), concatenated in the scalar order; per row
-    # the first candidate that is accepted, or whose q**4 raises (where the
-    # scalar code raises), decides
+    # the first accepted candidate wins
     tried = [
         np.flatnonzero(exists & ~bad & (1.0 - BRACKET_TOL <= r) & (r <= hi + BRACKET_TOL))
         for r, exists in candidates
     ]
     rows = np.concatenate(tried)
-    raised = np.zeros(len(rows), dtype=bool)
     got, ok = _accept(
         QuarticCoeffs(*(x[rows] for x in c)),
         np.concatenate([r[t] for (r, _), t in zip(candidates, tried)]),
-        hi[rows], raised,
+        hi[rows],
     )
-    decided = np.flatnonzero(raised | ok)
-    win = decided[np.unique(rows[decided], return_index=True)[1]]
+    accepted = np.flatnonzero(ok)
+    win = accepted[np.unique(rows[accepted], return_index=True)[1]]
     q = np.full(len(bad), math.nan)
-    q[rows[win]] = np.where(raised[win], math.nan, got[win])
-    # a raise, or no closed-form candidate (the companion-matrix fallback)
+    q[rows[win]] = got[win]
+    # no closed-form candidate: the companion-matrix fallback
     bad |= np.isnan(q)
     return q
 
@@ -225,51 +221,32 @@ def unit_vectors(theta_deg) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+@np.errstate(all="ignore")
 def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     """Closest approach and tangency residuals for each row of the inputs.
 
     Row i is the configuration make_pair_configuration(a1[i], b1[i],
     a2[i], b2[i], (k1x[i], k1y[i]), (k2x[i], k2y[i]), (dx[i], dy[i])).
-    Directions need not be unit length; they are normalised as there.
-    Where ``scalar`` is False, d, d_prime, q, rc_x, rc_y and the branch are
-    those of closest_approach and residual_e1/residual_e2 the first two
-    values of tangency_residuals, bit for bit.  Rows flagged in ``scalar``
-    must be computed with the scalar API, which may raise for them.
+    Directions need not be unit length; they are normalised as there, and
+    the components of a UnitVec2 stay as they are.  Where ``scalar`` is
+    False, d, d_prime, q, rc_x, rc_y and the branch are those of
+    closest_approach and residual_e1/residual_e2 the first two values of
+    tangency_residuals, bit for bit.  Rows flagged in ``scalar`` must be
+    computed with the scalar API, which may raise for them.
     """
     cols = [np.asarray(v, dtype=np.float64) for v in (a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy)]
     if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
         raise ValueError("contact_arrays needs ten 1-D arrays of one length")
-    n = len(cols[0])
-    out = [np.full(n, math.nan) for _ in range(7)]
-    branch = np.full(n, -1, dtype=np.int8)
-    with np.errstate(all="ignore"):
-        a1, b1, a2, b2 = cols[:4]
-        valid = (
-            np.isfinite(a1) & np.isfinite(b1) & (b1 > 0.0) & (a1 >= b1)
-            & np.isfinite(a2) & np.isfinite(b2) & (b2 > 0.0) & (a2 >= b2)
-        )
-        for c in cols[4:]:
-            valid &= np.isfinite(c)
-        rows = np.flatnonzero(valid)
-        a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = (c[rows] for c in cols)
-        bad = np.zeros(len(rows), dtype=bool)
-        # make_pair_configuration
-        k1, k2, dhat = _unit(k1x, k1y, bad), _unit(k2x, k2y, bad), _unit(dx, dy, bad)
-        *values, codes = _solve_unit(a1, b1, a2, b2, *k1, *k2, *dhat, bad)
-        rows = rows[~bad]
-        for dst, src in zip(out, values):
-            dst[rows] = src[~bad]
-        branch[rows] = codes[~bad]
-    scalar = np.ones(n, dtype=bool)
-    scalar[rows] = False
-    return ContactArrays(*out[:5], branch, *out[5:], scalar)
-
-
-def _solve_unit(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
-    """closest_approach + tangency_residuals over rows of valid shapes and
-    the unit vectors of their PairConfiguration, used as given (they are
-    not normalised again); returns the seven float columns and the branch
-    codes, and flags in bad the rows to leave to the scalar path."""
+    # make_pair_configuration; rows it rejects are computed, then discarded
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy = cols
+    bad = ~(
+        np.isfinite(a1) & np.isfinite(b1) & (b1 > 0.0) & (a1 >= b1)
+        & np.isfinite(a2) & np.isfinite(b2) & (b2 > 0.0) & (a2 >= b2)
+    )
+    for c in cols[4:]:
+        bad |= ~np.isfinite(c)
+    (k1x, k1y), (k2x, k2y) = _unit(k1x, k1y, bad), _unit(k2x, k2y, bad)
+    dhx, dhy = _unit(dhx, dhy, bad)
     eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, kplus, kminus, codes = (
         _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad)
     )
@@ -284,21 +261,21 @@ def _solve_unit(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
     sin_psi = np.where(circle, sin_phi, np.where(sin_phi >= 0.0, 1.0, -1.0))
     cos_psi = np.where(circle, cos_phi, 0.0)
 
-    rows = np.flatnonzero(~circle & ~right & ~bad)
-    sub_bad = np.zeros(len(rows), dtype=bool)
-    s, co = sin_phi[rows], cos_phi[rows]
-    sb2p, sdelta = b2p[rows], delta[rows]
+    quartic = np.flatnonzero(~circle & ~right & ~bad)
+    sub_bad = np.zeros(len(quartic), dtype=bool)
+    s, co = sin_phi[quartic], cos_phi[quartic]
+    sb2p, sdelta = b2p[quartic], delta[quartic]
     sq = _quartic_roots(sb2p, sdelta, (s * s) / (co * co), sub_bad)
     big_x = 1.0 + sb2p * (1.0 + sdelta) / sq
     big_y = 1.0 + sb2p / sq
     tan_psi = abs(s / co) * big_y / big_x
     norm = _each(math.hypot, sub_bad, 1.0, tan_psi)
-    frac = _each(pow, sub_bad, tan_psi / norm, 2)
-    q[rows] = sq
-    d_prime[rows] = np.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
-    sin_psi[rows] = np.where(s >= 0.0, 1.0, -1.0) * tan_psi / norm
-    cos_psi[rows] = np.where(co >= 0.0, 1.0, -1.0) / norm
-    bad[rows] |= sub_bad
+    q[quartic] = sq
+    sin_psi[quartic] = s_psi = np.where(s >= 0.0, 1.0, -1.0) * tan_psi / norm
+    cos_psi[quartic] = np.where(co >= 0.0, 1.0, -1.0) / norm
+    frac = s_psi * s_psi
+    d_prime[quartic] = np.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
+    bad[quartic] |= sub_bad
     d = d_prime / dhat_scale
 
     # contact.closest_approach: the contact point
@@ -324,15 +301,17 @@ def _solve_unit(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
     # |n| = 0 or an overflowing hypot would make UnitVec2(normal) raise; a
     # vanishing |n1||n2| would make the cross product divide by zero
     bad |= (big_n == 0.0) | (big_n > 1e307) | (big_n * np.maximum(abs(ox), abs(oy)) < 1e-300)
-    return d, d_prime, q, rc_x, rc_y, r1, r2, codes
+    for x in (d, d_prime, q, rc_x, rc_y, r1, r2):
+        x[bad] = math.nan
+    codes[bad] = -1
+    return ContactArrays(d, d_prime, q, rc_x, rc_y, codes, r1, r2, bad)
 
 
 def _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
     """transform.transformed_pair over arrays of unit vectors: eta and the
     fields the contact stage reads; kplus and kminus are (x, y) pairs."""
-    flip = np.flatnonzero(k1x * k2x + k1y * k2y < 0.0)
-    k2x, k2y = k2x.copy(), k2y.copy()
-    k2x[flip], k2y[flip] = _unit(-k2x[flip], -k2y[flip], np.zeros(len(flip), dtype=bool))
+    flip = k1x * k2x + k1y * k2y < 0.0
+    k2x, k2y = np.where(flip, -k2x, k2x), np.where(flip, -k2y, k2y)
     eta = a1 / b1 - 1.0
     r2 = b2 / a2
     e2s = (1.0 - r2) * (1.0 + r2)
@@ -343,14 +322,16 @@ def _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
     m2 = 0.5 * (dx * dx + dy * dy)
     p2 = 0.5 * (sx * sx + sy * sy)
     c = k1x * k2x + k1y * k2y
-    a11 = ratio * (1.0 + 0.5 * p2 * (w - e2s * _each(pow, bad, 1.0 + eta * c, 2)))
-    a22 = ratio * (1.0 + 0.5 * m2 * (w - e2s * _each(pow, bad, 1.0 - eta * c, 2)))
+    up, um = 1.0 + eta * c, 1.0 - eta * c
+    a11 = ratio * (1.0 + 0.5 * p2 * (w - e2s * (up * up)))
+    a22 = ratio * (1.0 + 0.5 * m2 * (w - e2s * (um * um)))
     a12 = ratio * 0.5 * np.sqrt(m2 * p2) * (w + e2s * (1.0 - eta * eta * c * c))
     g = 0.5 * (a11 - a22)
     h = _each(math.hypot, bad, g, a12)
     avg = 0.5 * (a11 + a22)
     lam_plus = avg + h
-    lam_minus = avg - h
+    r = (a1 * b1) / (a2 * b2)
+    lam_minus = r * r / lam_plus
     b2p = 1.0 / np.sqrt(lam_plus)
     a2p = 1.0 / np.sqrt(lam_minus)
     delta = (lam_plus - lam_minus) / lam_minus
@@ -387,6 +368,5 @@ def _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
         bad, eta, e2s, ratio, w, a11, a22, a12, h, b2p, a2p, delta, shrink,
         dhat_scale, dpx, dpy, kpx, kpy, cos_phi, sin_phi,
     )
-    kplus, kminus = _unit(kpx, kpy, bad), _unit(kmx, kmy, bad)
-    return eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, kplus, kminus, codes
+    return eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, (kpx, kpy), (kmx, kmy), codes
 

@@ -112,7 +112,7 @@ def _distance_pieces(
     norm = math.hypot(1.0, tan_psi)
     sin_psi = _sign(tp.sin_phi) * tan_psi / norm
     cos_psi = _sign(tp.cos_phi) / norm
-    frac = (tan_psi / norm) ** 2
+    frac = sin_psi * sin_psi
     d_prime = math.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
     return d_prime, q, sin_psi, cos_psi, tp.branch
 
@@ -120,10 +120,13 @@ def _distance_pieces(
 def closest_approach(cfg: PairConfiguration) -> ContactSolution:
     """Distance of closest approach of the two ellipse centers along dhat,
     together with the contact point and normal.  Deterministic: the same
-    configuration always produces the identical result."""
+    configuration always produces the identical result.  OverflowError
+    when the distance is not finite, as for a semi-axis ratio near 1e160."""
     tp = transformed_pair(cfg)
     d_prime, q, sin_psi, cos_psi, branch = _distance_pieces(tp)
     d = d_prime / tp.dhat_scale
+    if not math.isfinite(d):
+        raise OverflowError(f"contact distance is not finite ({d!r})")
 
     eta = cfg.shape1.a / cfg.shape1.b - 1.0
     k1 = cfg.k1
@@ -188,10 +191,6 @@ def _overlap_distance(shape1, shape2, k1, k2, r12: Vec2) -> tuple[OverlapVerdict
         raise ConcentricCenters(f"center separation {sep!r} is numerically zero")
     dhat = UnitVec2(r12.x, r12.y)
     d = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat)).d
-    if not math.isfinite(d):
-        # semi-axis ratios near 1e160 overflow the transformed form; a nan d
-        # would compare false both ways and read as disjoint
-        raise OverflowError(f"contact distance is not finite ({d!r})")
     if abs(sep - d) <= TANGENT_RTOL * d:
         return OverlapVerdict.TANGENT, d
     if sep < d:
@@ -211,7 +210,7 @@ def overlap(
     Two ellipses at fixed orientations overlap exactly when their center
     separation is below the contact distance along the separation
     direction.  Separations within TANGENT_RTOL (relative) of the contact
-    distance are reported as tangent.  OverflowError when that distance
-    is not finite, as for a semi-axis ratio near 1e160.
+    distance are reported as tangent.  OverflowError, from
+    closest_approach, when that distance is not finite.
     """
     return _overlap_distance(shape1, shape2, k1, k2, r12)[0]

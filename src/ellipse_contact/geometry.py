@@ -2,8 +2,9 @@
 
 Orientations are stored as unit vectors, never as angles: every downstream
 formula consumes dot products, so angles are converted once at the CLI
-boundary and never travel further.  Construction renormalizes near-unit
-input; an input vector of zero length is an error, not a silent default.
+boundary and never travel further.  Construction normalizes input that is
+not unit length to rounding, so normalizing twice changes nothing; an
+input vector of zero length is an error, not a silent default.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ class DegenerateShape(ValueError):
 
 
 class ZeroVector(ValueError):
-    """A direction was given as a zero or non-finite vector."""
+    """A direction was given as a zero, subnormal or non-finite vector."""
+
+
+# |hypot(x, y) - 1| above this is more than rounding: hypot(x / n, y / n)
+# for n = hypot(x, y) lies in {1 - 2^-52, 1 - 2^-53, 1, 1 + 2^-52}
+_UNIT_SLACK = 2.0**-52
+# shorter vectors are zero: hypot and x / n lose bits below the normal range
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +62,8 @@ class Vec2:
 
 @dataclass(frozen=True)
 class UnitVec2:
-    """A direction; renormalized at construction so that x**2 + y**2 = 1.
+    """A direction, divided by its norm at construction unless that is 1 to
+    rounding (_UNIT_SLACK), so UnitVec2(u.x, u.y) == u for every UnitVec2 u.
 
     Both k and -k are accepted as equivalent orientations of an ellipse
     axis; all kernel formulas are invariant under either sign.
@@ -65,9 +74,9 @@ class UnitVec2:
 
     def __post_init__(self) -> None:
         n = math.hypot(self.x, self.y)
-        if n == 0.0 or not math.isfinite(n):
+        if not _MIN_NORMAL <= n < math.inf:
             raise ZeroVector(f"cannot normalize ({self.x}, {self.y})")
-        if n != 1.0:
+        if abs(n - 1.0) > _UNIT_SLACK:
             object.__setattr__(self, "x", self.x / n)
             object.__setattr__(self, "y", self.y / n)
 
@@ -158,7 +167,8 @@ def make_pair_configuration(
     """Validate raw inputs and build a PairConfiguration.
 
     Accepts directions as Vec2/UnitVec2 or (x, y) pairs; they are
-    renormalized here.  Raises DegenerateShape or ZeroVector on bad input.
+    normalized here, which leaves a UnitVec2 as it is.  Raises
+    DegenerateShape or ZeroVector on bad input.
     """
     s1 = EllipseShape(float(a1), float(b1))
     s2 = EllipseShape(float(a2), float(b2))

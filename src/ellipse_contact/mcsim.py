@@ -224,7 +224,7 @@ def _pair_clear(
 
     Steps 2-4 decide only outside a band of 4 * TANGENT_RTOL (relative),
     three times wider than the kernel's tangency band and far wider than
-    the kernel's error (under 1e-11 relative up to aspect 20) and the drift
+    the kernel's error (under 1e-13 relative up to aspect 20) and the drift
     of orientation vectors between renormalizations, so every decision
     matches the kernel verdict exactly and cell-list, brute-force and audit
     checks agree.

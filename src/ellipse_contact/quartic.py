@@ -91,7 +91,7 @@ def quartic_coefficients(b2p: float, delta: float, tan2phi: float) -> QuarticCoe
     return QuarticCoeffs(
         a=-ib2 * (1.0 + tan2phi),
         b=-2.0 / b2p * (1.0 + tan2phi + delta),
-        c=-tan2phi - (1.0 + delta) ** 2 + ib2 * (1.0 + (1.0 + delta) * tan2phi),
+        c=-tan2phi - (1.0 + delta) * (1.0 + delta) + ib2 * (1.0 + (1.0 + delta) * tan2phi),
         d=2.0 / b2p * (1.0 + tan2phi) * (1.0 + delta),
         e=(1.0 + tan2phi + delta) * (1.0 + delta),
     )
@@ -170,15 +170,16 @@ def _ferrari_candidates(c: QuarticCoeffs) -> tuple[float | None, list[float]]:
     """All real Ferrari root assemblies: (designated, others)."""
     a, b = c.a, c.b
     alpha = -3.0 * b * b / (8.0 * a * a) + c.c / a
-    beta = b**3 / (8.0 * a**3) - b * c.c / (2.0 * a * a) + c.d / a
+    beta = b * b * b / (8.0 * (a * a * a)) - b * c.c / (2.0 * a * a) + c.d / a
     gamma = (
-        -3.0 * b**4 / (256.0 * a**4)
-        + c.c * b * b / (16.0 * a**3)
+        -3.0 * (b * b * b * b) / (256.0 * (a * a * a * a))
+        + c.c * b * b / (16.0 * (a * a * a))
         - b * c.d / (4.0 * a * a)
         + c.e / a
     )
 
-    if abs(beta) < 1e-11 * max(1.0, abs(b / a) ** 3):
+    ratio = abs(b / a)
+    if abs(beta) < 1e-11 * max(1.0, ratio * ratio * ratio):
         # biquadratic: both inner signs are candidates
         inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
         shift = -b / (4.0 * a)
@@ -223,7 +224,7 @@ def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
     q = _polish(c, min(max(q, 1.0), hi))
     q = min(max(q, 1.0), hi)
     res = abs(_horner_compensated(c, q))
-    if res <= RESIDUAL_RTOL * max(abs(c.a) * q**4, abs(c.e)):
+    if res <= RESIDUAL_RTOL * max(abs(c.a) * (q * q * (q * q)), abs(c.e)):
         return q
     return None
 

@@ -50,17 +50,16 @@ def d2_area(shape1, shape2, k1, k2, panels=2048):
     """The excluded area from the contact kernel: one half of the integral
     of d(theta)^2 over the center-line direction, by the fixed trapezoid
     rule.  It shares no code with the support-function sum.  The distances
-    at theta_j = j * h come from bulk's array core, hex-equal to one
-    closest_approach call each; closest_approach solves the rows the core
+    at theta_j = j * h come from bulk.contact_arrays, hex-equal to one
+    closest_approach call each; closest_approach solves the rows it
     defers."""
     h = 2.0 * math.pi / panels
-    theta = h * np.arange(panels)
-    bad = np.zeros(panels, dtype=bool)
-    with np.errstate(all="ignore"):
-        dhat = bulk._unit(bulk._each(math.cos, bad, theta), bulk._each(math.sin, bad, theta), bad)
-        fixed = (shape1.a, shape1.b, shape2.a, shape2.b, k1.x, k1.y, k2.x, k2.y)
-        d = bulk._solve_unit(*(np.full(panels, x) for x in fixed), *dhat, bad)[0].tolist()
-    for j in np.flatnonzero(bad).tolist():
+    theta = (h * np.arange(panels)).tolist()
+    dhat = [math.cos(t) for t in theta], [math.sin(t) for t in theta]
+    fixed = (shape1.a, shape1.b, shape2.a, shape2.b, k1.x, k1.y, k2.x, k2.y)
+    res = bulk.contact_arrays(*(np.full(panels, x) for x in fixed), *dhat)
+    d = res.d.tolist()
+    for j in np.flatnonzero(res.scalar).tolist():
         cfg = PairConfiguration(shape1, shape2, k1, k2, UnitVec2.from_angle(j * h))
         d[j] = contact.closest_approach(cfg).d
     return 0.5 * h * math.fsum(x ** 2 for x in d)
@@ -397,16 +396,16 @@ def both_curves(n):
 def test_curves_solve_deferred_rows_with_the_scalar_kernel(monkeypatch):
     n = 2500
     expect = both_curves(n)
-    real = bulk._solve_unit
+    real = bulk.contact_arrays
 
     def defer_every_third(*args):
         out = real(*args)
-        args[-1][::3] = True
-        for column in out[:7]:
-            column[::3] = math.nan  # as the core leaves a row it cannot solve
+        out.scalar[::3] = True
+        for column in out[:5] + out[6:8]:
+            column[::3] = math.nan  # as contact_arrays leaves a row it cannot solve
         return out
 
-    monkeypatch.setattr(bulk, "_solve_unit", defer_every_third)
+    monkeypatch.setattr(bulk, "contact_arrays", defer_every_third)
     boundary_calls, locus_calls = [], []
     counting(monkeypatch, analysis, "closest_approach", boundary_calls)
     counting(monkeypatch, analysis, "contact_point", locus_calls)
@@ -419,13 +418,13 @@ def test_curves_solve_deferred_rows_with_the_scalar_kernel(monkeypatch):
 def test_curves_make_no_scalar_kernel_call(monkeypatch):
     n = 2500
     core_rows, scalar = [], []
-    real = bulk._solve_unit
+    real = bulk.contact_arrays
 
     def core(*args):
         core_rows.append(len(args[0]))
         return real(*args)
 
-    monkeypatch.setattr(bulk, "_solve_unit", core)
+    monkeypatch.setattr(bulk, "contact_arrays", core)
     counting(monkeypatch, analysis, "closest_approach", scalar)
     counting(monkeypatch, analysis, "contact_point", scalar)
     counting(monkeypatch, contact, "closest_approach", scalar)

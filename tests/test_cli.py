@@ -37,6 +37,20 @@ def test_distance_tip_to_tip(capsys):
     assert record["residual_e2"] <= 1e-9
 
 
+@pytest.mark.parametrize("argv, expect, rtol", [
+    # 60-digit references; lambda_minus = avg - h put the first 4.8e-5 off
+    # and made the second divide by zero
+    (("--a1", "1000", "--b1", "1", "--a2", "929", "--b2", "1",
+      "--theta1", "178", "--theta2", "104", "--theta-d", "74"), 921.25522380327441, 1e-12),
+    (("--a1", "10000", "--b1", "1", "--a2", "8798", "--b2", "1",
+      "--theta1", "44", "--theta2", "124", "--theta-d", "77"), 13466.274800599297, 1e-11),
+])
+def test_distance_high_aspect(capsys, argv, expect, rtol):
+    code, out, _ = run_cli(capsys, "distance", *argv, "--json")
+    assert code == 0
+    assert abs(json.loads(out)["d"] - expect) <= rtol * expect
+
+
 def test_distance_text_output(capsys):
     code, out, _ = run_cli(
         capsys, "distance", "--a1", "2", "--b1", "1", "--a2", "2", "--b2", "1",
@@ -203,7 +217,7 @@ def test_batch_rejects_arithmetic_rows(tmp_path, capsys):
     inp.write_text(
         "a1,b1,a2,b2,theta1,theta2,theta_d\n"
         "2,1,2,1,0,30,10\n"
-        "1e308,1,2,1,0,0,0\n"            # OverflowError
+        "1e308,1,2,1,0,0,0\n"            # ZeroDivisionError (dhat_scale)
         "2,1e-300,2,1e-300,0,0,0\n"      # ZeroDivisionError
         "2,1,2,1,inf,0,0\n"              # math domain error
         "1,1,1,1,0,0,0\n"
@@ -402,6 +416,11 @@ def test_excluded_area_sweep(tmp_path, capsys):
     # the mapped ellipse's semi-axis ratio, 1e-600, underflows to 0: a segment
     (("--a1", "1e150", "--b1", "1e-150", "--a2", "1e150", "--b2", "1e-150", "--angle", "30"),
      2e300),
+    # the small disk mapped by the large one underflows to a point, in either order
+    (("--a1", "1e-300", "--b1", "1e-300", "--a2", "1e100", "--b2", "1e100", "--angle", "30"),
+     math.pi * 1e200),
+    (("--a1", "1e100", "--b1", "1e100", "--a2", "1e-300", "--b2", "1e-300", "--angle", "30"),
+     math.pi * 1e200),
 ])
 def test_excluded_area_huge_finite_pair(capsys, argv, expect):
     # no intermediate overflows: the true area is finite
@@ -568,7 +587,7 @@ def test_verify_vacuous_run_exit_2(capsys, argv):
     ("distance", "--a1", "2", "--b1", "1e-300", "--a2", "2", "--b2", "1e-300"),
     # the area overflows to inf
     ("excluded-area", "--a1", "1e160", "--b1", "1e160", "--a2", "2", "--b2", "1"),
-    # the semi-axes of ellipse 1 mapped by ellipse 2 overflow to inf
+    # the area, pi 1e600, overflows to inf
     ("excluded-area", "--a1", "1e300", "--b1", "1e300", "--a2", "1e-300", "--b2", "1e-300"),
     # rejected before any oracle table is allocated
     ("verify", "--trials", "1", "--samples", str((1 << 20) + 1)),

@@ -14,12 +14,17 @@ from ellipse_contact import (
     closest_approach,
     contact_point,
     ellipse_matrix,
+    make_pair_configuration,
     oracle_distance,
     overlap,
     tangency_residuals,
     transformed_pair,
 )
-from ellipse_contact.oracle import OracleSettings, stratified_configuration
+from ellipse_contact.oracle import (
+    OracleSettings,
+    stratified_configuration,
+    stratified_configurations,
+)
 from conftest import flipped, random_pair, rotated
 
 
@@ -461,6 +466,17 @@ def test_overlap_non_finite_distance_raises():
         overlap(EllipseShape(1.0, 1.0), EllipseShape(1e-3, 1e-160), k, k, Vec2(1e-3, 0.0))
 
 
+@pytest.mark.parametrize("k", [
+    UnitVec2(1.0, 0.0), UnitVec2.from_angle(math.radians(-1e300)),
+])
+def test_closest_approach_non_finite_distance_raises(k):
+    # the same nan transformed form: a library caller gets the error too,
+    # not a ContactSolution with d = nan
+    cfg = make_pair_configuration(1.0, 1.0, 1e-3, 1e-160, k, k, k)
+    with pytest.raises(OverflowError):
+        closest_approach(cfg)
+
+
 def overlap_by_sampling(cfg, sep, n=4096):
     """Membership-sampling oracle: boundary of each ellipse against the
     other's form, both directions."""
@@ -512,3 +528,61 @@ def test_degenerate_strata_residuals():
         assert r1 <= 1e-9, (i, r1)
         assert r2 <= 1e-9, (i, r2)
         assert cross <= 1e-8, (i, cross)
+
+
+def mp_support_distance(cfgs, mp):
+    """Contact distances from the support functions alone, to 60 digits.
+
+    The excluded region is K1 + K2, whose support function is h1 + h2 with
+    h = sqrt(a^2 (k.n)^2 + b^2 (k x n)^2), so d = min (h1 + h2) / (n.dhat)
+    over normals n with n.dhat > 0.  The minimizing normal is the one whose
+    support point s1 + s2, s = (a^2 (k.n) k + b^2 (k x n) kperp) / h, lies
+    along dhat; it is bisected in floats (the sign of dhat x (s1 + s2) is
+    monotone in the angle of n), and the quotient is evaluated in 60-digit
+    mpmath at that angle.  The quotient is stationary there, so the angle's
+    rounding enters at second order, far below 1e-20 here.  It shares
+    nothing with the transform, the quartic or the sampled oracle."""
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = (np.array(c) for c in zip(*(
+        (c.shape1.a, c.shape1.b, c.shape2.a, c.shape2.b,
+         c.k1.x, c.k1.y, c.k2.x, c.k2.y, c.dhat.x, c.dhat.y) for c in cfgs
+    )))
+    theta = np.arctan2(dy, dx)
+    lo, hi = theta - 0.5 * math.pi, theta + 0.5 * math.pi
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        nx, ny = np.cos(t), np.sin(t)
+        px = py = 0.0
+        for a, b, kx, ky in ((a1, b1, k1x, k1y), (a2, b2, k2x, k2y)):
+            c, s = kx * nx + ky * ny, kx * ny - ky * nx
+            h = np.sqrt(a * a * c * c + b * b * s * s)
+            px = px + (a * a * c * kx - b * b * s * ky) / h
+            py = py + (a * a * c * ky + b * b * s * kx) / h
+        below = dx * py - dy * px < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+    out = []
+    with mp.workdps(60):
+        for i, ti in enumerate((0.5 * (lo + hi)).tolist()):
+            n = (mp.cos(ti), mp.sin(ti))
+            total = 0
+            for a, b, kx, ky in ((a1, b1, k1x, k1y), (a2, b2, k2x, k2y)):
+                k = (mp.mpf(kx[i]), mp.mpf(ky[i]))
+                norm = mp.sqrt(k[0] ** 2 + k[1] ** 2)
+                c = (k[0] * n[0] + k[1] * n[1]) / norm
+                s = (k[0] * n[1] - k[1] * n[0]) / norm
+                total += mp.sqrt(mp.mpf(a[i]) ** 2 * c ** 2 + mp.mpf(b[i]) ** 2 * s ** 2)
+            along = (n[0] * dx[i] + n[1] * dy[i]) / mp.sqrt(mp.mpf(dx[i]) ** 2 + mp.mpf(dy[i]) ** 2)
+            out.append(total / along)
+    return out
+
+
+@pytest.mark.parametrize("max_aspect, seed, rtol", [(1e3, 3, 1e-9), (1e4, 5, 1e-7)])
+def test_high_aspect_against_mpmath_support_function(max_aspect, seed, rtol):
+    # with lambda_minus = avg - h the worst errors were 1.1e-5 at aspect
+    # 10^3 and 0.22 at 10^4 (over 20,000 configurations)
+    mp = pytest.importorskip("mpmath")
+    cfgs = list(stratified_configurations(100, seed, max_aspect))
+    worst = max(
+        abs(closest_approach(cfg).d - ref) / ref
+        for cfg, ref in zip(cfgs, mp_support_distance(cfgs, mp))
+    )
+    assert worst <= rtol

@@ -146,11 +146,12 @@ def test_ferrari_solves_without_fallback(rng, monkeypatch, inputs):
 
 
 def test_fallback_success_path(monkeypatch):
-    # the one configuration of 20,000 at seed 11 that every closed-form
-    # assembly misses; the companion-matrix root must still be accepted
+    # the first configuration at seed 11 and aspect up to 1000 that every
+    # closed-form assembly misses (none of 20,000 at aspect 20 does); the
+    # companion-matrix root must still be accepted
     counter = _CountingRoots(allow=True)
     monkeypatch.setattr(quartic, "np", counter)
-    cfg = stratified_configuration(11, 14928)
+    cfg = stratified_configuration(11, 91, 1000.0)
     sol = closest_approach(cfg)
     assert counter.calls == 1
     d_oracle = oracle_distance(cfg)
