@@ -41,9 +41,7 @@ from .mcsim import (
 from .oracle import (
     NonConvergence,
     OracleSettings,
-    oracle_circle_ellipse_distance,
     oracle_distance,
-    oracle_quartic_roots,
     stratified_configuration,
     stratified_configurations,
     verify_random,

@@ -17,14 +17,14 @@ How the floats stay identical:
   floats, because numpy's versions round differently on some inputs;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
 * the branches of transform.py, contact.py and quartic.py become masks:
-  the five contact branches, the biquadratic case and the four Ferrari
-  assemblies, tried in the scalar order (designated, then (+,-), (-,+),
-  (-,-)); the first accepted assembly wins.
+  the five contact branches, the biquadratic case and the larger of the
+  two real Ferrari roots, as quartic._ferrari_root picks it.
 
 A row goes to the scalar path when its input fails validation, when any
 intermediate it uses is non-finite or the resolvent raises (where the
-scalar code may raise), when the resolvent gives s1 < 0 or W = 0, or when
-no assembly is accepted (the companion-matrix fallback).
+scalar code may raise), when the resolvent gives s1 < 0 or W = 0 or no
+real root, or when that root is not accepted (the companion-matrix
+fallback).
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from .quartic import (
     POLISH_STEPS,
     RESIDUAL_RTOL,
     QuarticCoeffs,
+    _depressed,
     _horner_compensated,
     _resolvent_root,
+    quartic_coefficients,
 )
 from .transform import ContactBranch
 
@@ -137,35 +139,16 @@ def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray):
 def _quartic_roots(b2p, delta, tan2phi, bad):
     """quartic_coefficients + solve_contact_quartic over arrays.  Rows the
     closed form leaves to the companion-matrix fallback are flagged."""
-    ib2 = 1.0 / (b2p * b2p)
-    opd = 1.0 + delta
-    opt = 1.0 + tan2phi
-    c = QuarticCoeffs(
-        a=-ib2 * opt,
-        b=-2.0 / b2p * (opt + delta),
-        c=-tan2phi - opd * opd + ib2 * (1.0 + opd * tan2phi),
-        d=2.0 / b2p * opt * opd,
-        e=(opt + delta) * opd,
-    )
-    hi = np.sqrt(opd)
-    a, b = c.a, c.b
-    alpha = -3.0 * b * b / (8.0 * a * a) + c.c / a
-    beta = b * b * b / (8.0 * (a * a * a)) - b * c.c / (2.0 * a * a) + c.d / a
-    gamma = (
-        -3.0 * (b * b * b * b) / (256.0 * (a * a * a * a))
-        + c.c * b * b / (16.0 * (a * a * a))
-        - b * c.d / (4.0 * a * a)
-        + c.e / a
-    )
-    shift = -b / (4.0 * a)
+    c = quartic_coefficients(b2p, delta, tan2phi)
+    hi = np.sqrt(1.0 + delta)
+    alpha, beta, gamma, shift = _depressed(c)
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
-    # biquadratic rows: both inner signs are candidates
-    ratio = abs(b / a)
+    # biquadratic rows take the larger root
+    ratio = abs(c.b / c.a)
     biq = abs(beta) < 1e-11 * _py_max(1.0, ratio * ratio * ratio)
     inner = np.sqrt(_py_max(alpha * alpha - 4.0 * gamma, 0.0))
     r_hi = shift + np.sqrt(_py_max((-alpha + inner) / 2.0, 0.0))
-    r_lo = shift + np.sqrt(_py_max((-alpha - inner) / 2.0, 0.0))
 
     y = np.zeros(len(bad))
     cubic = np.flatnonzero(~biq)
@@ -178,36 +161,19 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     # s1 < 0 (no candidate) and W = 0 rows are the scalar code's to resolve
     bad |= ~biq & ((s1 < 0.0) | (big_w == 0.0) | ~np.isfinite(y))
 
-    candidates = []
+    # shift + (+-W + sqrt(arg))/2, real where arg >= 0; the scalar max()
+    # keeps the +W root unless the -W one is real and larger
+    assemblies = []
     for sign_w in (1.0, -1.0):
         arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
-        root_term = np.sqrt(arg)
-        for sign_r in (1.0, -1.0):
-            r = shift + 0.5 * (sign_w * big_w + sign_r * root_term)
-            candidates.append((r, ~biq & (arg >= 0.0)))
-    # designated first, then the others in the order the scalar code tries
-    candidates[0] = (np.where(biq, r_hi, candidates[0][0]), biq | candidates[0][1])
-    candidates[1] = (np.where(biq, r_lo, candidates[1][0]), biq | candidates[1][1])
+        assemblies.append((shift + 0.5 * (sign_w * big_w + np.sqrt(arg)), arg >= 0.0))
+    (r_p, real_p), (r_m, real_m) = assemblies
+    root = np.where(biq, r_hi, np.where(real_m & (~real_p | (r_m > r_p)), r_m, r_p))
 
-    # every in-bracket candidate of every row goes through one _accept call
-    # (it has no side effects), concatenated in the scalar order; per row
-    # the first accepted candidate wins
-    tried = [
-        np.flatnonzero(exists & ~bad & (1.0 - BRACKET_TOL <= r) & (r <= hi + BRACKET_TOL))
-        for r, exists in candidates
-    ]
-    rows = np.concatenate(tried)
-    got, ok = _accept(
-        QuarticCoeffs(*(x[rows] for x in c)),
-        np.concatenate([r[t] for (r, _), t in zip(candidates, tried)]),
-        hi[rows],
-    )
-    accepted = np.flatnonzero(ok)
-    win = accepted[np.unique(rows[accepted], return_index=True)[1]]
-    q = np.full(len(bad), math.nan)
-    q[rows[win]] = got[win]
-    # no closed-form candidate: the companion-matrix fallback
-    bad |= np.isnan(q)
+    # no real root (nan), not in the bracket or not accepted: the
+    # companion-matrix fallback
+    q, ok = _accept(c, root, hi)
+    bad |= ~(ok & (1.0 - BRACKET_TOL <= root) & (root <= hi + BRACKET_TOL))
     return q
 
 

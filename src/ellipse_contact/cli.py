@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import operator
+import os
 import shutil
 import sys
 import tempfile
@@ -380,6 +381,10 @@ def cmd_locus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a process pool starts all its workers at once, so no more than cores
+    cores = os.cpu_count() or 1
+    if args.workers > cores:
+        raise ValueError(f"--workers must be at most {cores}, the CPU count")
     settings = oracle.OracleSettings(boundary_samples=args.samples)
     report = oracle.verify_random(
         trials=args.trials,

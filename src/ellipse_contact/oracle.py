@@ -3,9 +3,9 @@
 Nothing here shares a code path with the closed-form pipeline: distances
 come from bisecting an overlap predicate built on dense boundary sampling
 (with local refinement of the sampled minimum so grazing contact is not
-missed), and quartic roots come from the companion-matrix method.  The
-oracle is allowed to be orders of magnitude slower than the kernel; it is
-used by the test suite and the ``verify`` CLI command, never in a hot path.
+missed).  The oracle is allowed to be orders of magnitude slower than the
+kernel; it is used by the test suite and the ``verify`` CLI command, never
+in a hot path.
 
 Only the sampling is vectorised: the tables and each t-profile are numpy
 arrays over the boundary samples (4,096 by default), while the refinement
@@ -26,14 +26,12 @@ import numpy as np
 
 from .contact import closest_approach
 from .geometry import EllipseShape, PairConfiguration, UnitVec2
-from .quartic import NoPhysicalRoot, QuarticCoeffs
+from .quartic import NoPhysicalRoot
 
 __all__ = [
     "NonConvergence",
     "OracleSettings",
     "oracle_distance",
-    "oracle_circle_ellipse_distance",
-    "oracle_quartic_roots",
     "stratified_configuration",
     "stratified_configurations",
     "VerifyReport",
@@ -217,37 +215,6 @@ def oracle_distance(cfg: PairConfiguration, settings: OracleSettings = OracleSet
     )
 
 
-def oracle_circle_ellipse_distance(
-    a2p: float,
-    b2p: float,
-    axis: UnitVec2,
-    dhat: UnitVec2,
-    settings: OracleSettings = OracleSettings(),
-) -> float:
-    """Contact distance of the unit circle and an (a2p, b2p) ellipse.
-
-    Validates the transformed-frame stage in isolation; same machinery as
-    oracle_distance with shape1 pinned to the unit circle.
-    """
-    cfg = PairConfiguration(
-        EllipseShape(1.0, 1.0), EllipseShape(a2p, b2p), UnitVec2(1.0, 0.0), axis, dhat
-    )
-    return oracle_distance(cfg, settings)
-
-
-def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
-    """All four roots by the companion-matrix method, residual-checked."""
-    if c.a == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    roots = [complex(r) for r in np.roots(c)]
-    for r in roots:
-        res = abs((((c.a * r + c.b) * r + c.c) * r + c.d) * r + c.e)
-        scale = max(abs(c[i]) * abs(r) ** (4 - i) for i in range(5))
-        if res > 1e-9 * max(scale, abs(c.e)):
-            raise NonConvergence(f"companion root {r!r} residual {res!r} too large")
-    return roots
-
-
 # ---------------------------------------------------------------------------
 # stratified random configurations
 
@@ -351,13 +318,15 @@ def verify_random(
     stream; a trial fails when the relative error exceeds the tolerance.
 
     Raises ValueError for fewer than one trial or a tolerance that is not
-    a finite non-negative number, either of which would pass vacuously.
+    a finite non-negative number, either of which would pass vacuously,
+    and for fewer than one worker.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    workers = max(1, workers)
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     trial = partial(_verify_trial, seed, settings)
     if workers == 1:
         pairs = list(map(trial, range(trials)))

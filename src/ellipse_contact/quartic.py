@@ -12,29 +12,18 @@ The solver is defensive in layers:
    cancellation-free product form of the radicand and the real cube root
    when the radicand is real (the principal complex branch would select a
    complex resolvent root there);
-2. the designated sign assembly is tried first; when it yields the wrong
-   root, or none, the other Ferrari sign assemblies are enumerated - still
-   closed form.  That happens often: for 782 of the 4,925 quartics (15.9%)
-   that closest_approach solves over oracle.stratified_configurations(5000,
-   seed=11), and for 24.5% of those from its two uniform strata (the
-   command at the end counts it);
-3. each candidate is polished by Newton steps with a compensated Horner
+2. the largest real Ferrari root, which is the physical one: of the
+   four sign assemblies shift + (+-W +- sqrt(arg))/2 it is the larger of
+   the two +sqrt(arg) ones whose arg is non-negative (the biquadratic and
+   W = 0 cases take their larger root), since every other root is
+   negative or complex;
+3. that root is polished by Newton steps with a compensated Horner
    evaluation, clamped to the bracket, and accepted only if the stated
    residual test passes;
-4. if every closed-form candidate fails, all four roots are computed by a
+4. if the closed-form root fails, all four roots are computed by a
    companion-matrix method and the unique in-bracket real root is taken;
    zero or several such roots raise NoPhysicalRoot instead of guessing;
    that root must pass the same polish, clamp and residual test.
-
-Rejections of the designated assembly, from the root of a checkout:
-
-PYTHONPATH=src python3 -c "
-import math; from ellipse_contact import contact as C, oracle, quartic as Q
-s, n = C.solve_contact_quartic, []
-C.solve_contact_quartic = lambda c, d: (n.append(Q._accept(
-    c, Q._ferrari_candidates(c)[0], math.sqrt(1 + d)) is None), s(c, d))[1]
-[C.closest_approach(g) for g in oracle.stratified_configurations(5000, seed=11)]
-print(sum(n), len(n))"
 """
 
 from __future__ import annotations
@@ -166,8 +155,10 @@ def _resolvent_root(alpha: float, beta: float, gamma: float) -> float:
     return yc.real
 
 
-def _ferrari_candidates(c: QuarticCoeffs) -> tuple[float | None, list[float]]:
-    """All real Ferrari root assemblies: (designated, others)."""
+def _depressed(c: QuarticCoeffs):
+    """(alpha, beta, gamma, shift): q = u + shift turns the quartic into
+    u^4 + alpha u^2 + beta u + gamma.  Only + - * /, so the coefficients
+    may be floats or arrays (bulk.py passes arrays)."""
     a, b = c.a, c.b
     alpha = -3.0 * b * b / (8.0 * a * a) + c.c / a
     beta = b * b * b / (8.0 * (a * a * a)) - b * c.c / (2.0 * a * a) + c.d / a
@@ -177,43 +168,33 @@ def _ferrari_candidates(c: QuarticCoeffs) -> tuple[float | None, list[float]]:
         - b * c.d / (4.0 * a * a)
         + c.e / a
     )
+    return alpha, beta, gamma, -b / (4.0 * a)
 
-    ratio = abs(b / a)
-    if abs(beta) < 1e-11 * max(1.0, ratio * ratio * ratio):
-        # biquadratic: both inner signs are candidates
-        inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
-        shift = -b / (4.0 * a)
-        r_hi = shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0))
-        r_lo = shift + math.sqrt(max((-alpha - inner) / 2.0, 0.0))
-        return r_hi, [r_lo]
 
-    y = _resolvent_root(alpha, beta, gamma)
-    s1 = alpha + 2.0 * y
-    if -1e-12 < s1 < 0.0:
-        s1 = 0.0
-    if s1 < 0.0:
-        return None, []
-    big_w = math.sqrt(s1)
-    shift = -b / (4.0 * a)
-    if big_w == 0.0:
-        # alpha + 2y = 0 implies beta = 0; already handled above, but kept
-        # for rounding safety
-        inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
-        return shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0)), []
-
-    designated = None
-    others: list[float] = []
-    for sign_w in (1.0, -1.0):
-        arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
-        if arg >= 0.0:
-            root_term = math.sqrt(arg)
-            for sign_r in (1.0, -1.0):
-                r = shift + 0.5 * (sign_w * big_w + sign_r * root_term)
-                if sign_w > 0.0 and sign_r > 0.0:
-                    designated = r
-                else:
-                    others.append(r)
-    return designated, others
+def _ferrari_root(c: QuarticCoeffs) -> float | None:
+    """The largest real root by Ferrari's method, or None when the
+    resolvent gives no real one."""
+    alpha, beta, gamma, shift = _depressed(c)
+    ratio = abs(c.b / c.a)
+    if not abs(beta) < 1e-11 * max(1.0, ratio * ratio * ratio):
+        y = _resolvent_root(alpha, beta, gamma)
+        s1 = alpha + 2.0 * y
+        if -1e-12 < s1 < 0.0:
+            s1 = 0.0
+        if s1 < 0.0:
+            return None
+        big_w = math.sqrt(s1)
+        if big_w != 0.0:
+            # shift + (+-W + sqrt(arg))/2, real where arg >= 0
+            roots = []
+            for sign_w in (1.0, -1.0):
+                arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
+                if arg >= 0.0:
+                    roots.append(shift + 0.5 * (sign_w * big_w + math.sqrt(arg)))
+            return max(roots, default=None)
+    # biquadratic; alpha + 2y = 0 (W = 0) implies beta = 0 up to rounding
+    inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
+    return shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0))
 
 
 def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
@@ -237,11 +218,9 @@ def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
     the residual test.
     """
     hi = math.sqrt(1.0 + delta)
-    designated, others = _ferrari_candidates(c)
-    for r in (designated, *others):
-        q = _accept(c, r, hi)
-        if q is not None:
-            return q
+    q = _accept(c, _ferrari_root(c), hi)
+    if q is not None:
+        return q
 
     # defensive path: companion-matrix roots, then demand uniqueness
     roots = np.roots(c)

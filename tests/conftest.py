@@ -9,9 +9,13 @@ import pytest
 from ellipse_contact import (
     EllipseShape,
     mcsim,
+    NonConvergence,
+    OracleSettings,
     PairConfiguration,
+    QuarticCoeffs,
     SymMat2,
     UnitVec2,
+    oracle_distance,
 )
 from ellipse_contact.cli import main
 
@@ -31,6 +35,21 @@ def rotated(u: UnitVec2, theta: float) -> UnitVec2:
     return UnitVec2(c * u.x - s * u.y, s * u.x + c * u.y)
 
 
+class CountingRoots:
+    """Stands in for numpy inside quartic: counts the companion-matrix
+    fallback's calls, and makes them fail when forbidden."""
+
+    def __init__(self, allow: bool) -> None:
+        self.allow = allow
+        self.calls = 0
+
+    def roots(self, coeffs):
+        self.calls += 1
+        if not self.allow:
+            raise AssertionError(f"companion-matrix fallback reached for {coeffs}")
+        return np.roots(coeffs)
+
+
 def random_pair(rng: np.random.Generator, max_aspect: float = 10.0) -> PairConfiguration:
     """Uniform, non-adversarial random configuration."""
     def shape():
@@ -44,6 +63,37 @@ def random_pair(rng: np.random.Generator, max_aspect: float = 10.0) -> PairConfi
         UnitVec2.from_angle(th[0]), UnitVec2.from_angle(th[1]),
         UnitVec2.from_angle(th[2]),
     )
+
+
+def oracle_circle_ellipse_distance(
+    a2p: float,
+    b2p: float,
+    axis: UnitVec2,
+    dhat: UnitVec2,
+    settings: OracleSettings = OracleSettings(),
+) -> float:
+    """Contact distance of the unit circle and an (a2p, b2p) ellipse.
+
+    Validates the transformed-frame stage in isolation; same machinery as
+    oracle_distance with shape1 pinned to the unit circle.
+    """
+    cfg = PairConfiguration(
+        EllipseShape(1.0, 1.0), EllipseShape(a2p, b2p), UnitVec2(1.0, 0.0), axis, dhat
+    )
+    return oracle_distance(cfg, settings)
+
+
+def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
+    """All four roots by the companion-matrix method, residual-checked."""
+    if c.a == 0.0:
+        raise ValueError("leading coefficient must be nonzero")
+    roots = [complex(r) for r in np.roots(c)]
+    for r in roots:
+        res = abs((((c.a * r + c.b) * r + c.c) * r + c.d) * r + c.e)
+        scale = max(abs(c[i]) * abs(r) ** (4 - i) for i in range(5))
+        if res > 1e-9 * max(scale, abs(c.e)):
+            raise NonConvergence(f"companion root {r!r} residual {res!r} too large")
+    return roots
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from ellipse_contact import (
     UnitVec2,
     closest_approach,
     excluded_area,
-    oracle_quartic_roots,
     quartic_coefficients,
     run_simulation,
     solve_contact_quartic,
@@ -31,7 +30,7 @@ from ellipse_contact.oracle import (
     stratified_configuration,
     verify_random,
 )
-from conftest import flipped, rotated
+from conftest import flipped, oracle_quartic_roots, rotated
 
 SEED = 20250810
 N_SWEEP = 10_000

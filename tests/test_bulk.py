@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli, run_cli_bounded
+from conftest import CountingRoots, run_cli, run_cli_bounded
 from ellipse_contact import (
     UnitVec2,
     closest_approach,
@@ -109,27 +109,64 @@ def test_contact_arrays_defer_the_fallback_row():
     assert assert_matches_scalar(rows) == [0]
 
 
-def test_assembly_order_matches_scalar_when_several_accepted(monkeypatch):
-    # with these tolerances most quartics have several accepted Ferrari
-    # assemblies, so a row's q depends on the order they are tried in
-    for module in (quartic, bulk):
-        monkeypatch.setattr(module, "RESIDUAL_RTOL", 10.0)
-        monkeypatch.setattr(module, "BRACKET_TOL", 100.0)
+def test_larger_real_ferrari_root_in_both_kernels():
+    # Ferrari's roots are shift + (+-W +- sqrt(arg))/2; both kernels take
+    # the larger of the two +sqrt(arg) ones that are real.  On this stream
+    # both are often real and the -W one is often taken, so a kernel that
+    # kept the +W one would defer or change those rows
     cfgs = list(oracle.stratified_configurations(3000, seed=11))
-    several = 0
+    both_real = minus_w = 0
     for cfg in cfgs:
         tp = transformed_pair(cfg)
         if tp.delta < DELTA_CIRCLE_TOL or abs(tp.cos_phi) < COS_PHI_TOL:
             continue
         c = quartic.quartic_coefficients(
-            tp.b2p, tp.delta, tp.sin_phi ** 2 / tp.cos_phi ** 2
+            tp.b2p, tp.delta, (tp.sin_phi * tp.sin_phi) / (tp.cos_phi * tp.cos_phi)
         )
-        designated, others = quartic._ferrari_candidates(c)
-        hi = math.sqrt(1.0 + tp.delta)
-        accepted = [quartic._accept(c, r, hi) for r in (designated, *others)]
-        several += sum(q is not None for q in accepted) > 1
-    assert several > 2000
+        alpha, beta, gamma, shift = quartic._depressed(c)
+        y = quartic._resolvent_root(alpha, beta, gamma)
+        big_w = math.sqrt(alpha + 2.0 * y)
+        roots = {}
+        for sign_w in (1.0, -1.0):
+            arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
+            if arg >= 0.0:
+                roots[sign_w] = shift + 0.5 * (sign_w * big_w + math.sqrt(arg))
+        both_real += len(roots) == 2
+        minus_w += roots.get(1.0) != roots.get(-1.0) == quartic._ferrari_root(c)
+    assert both_real >= 300
+    assert minus_w >= 400
     assert assert_matches_scalar(stream_rows(cfgs)) == []
+
+
+def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
+    # raw quartics over a wider range than any stream reaches: the array
+    # stage gives solve_contact_quartic's root bit for bit, and leaves to
+    # the scalar path every row on which that solver needs np.roots
+    rng = np.random.default_rng(2)
+    n = 20_000
+    b2p = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    delta = 10.0 ** rng.uniform(-12.0, 8.0, n)
+    tan2phi = np.tan(rng.uniform(0.0, 0.999999 * math.pi / 2.0, n)) ** 2
+    bad = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        got = bulk._quartic_roots(b2p, delta, tan2phi, bad)
+
+    counter = CountingRoots(allow=True)
+    monkeypatch.setattr(quartic, "np", counter)
+    fell_back = []
+    for i, (bp, dl, t2) in enumerate(zip(b2p.tolist(), delta.tolist(), tan2phi.tolist())):
+        calls = counter.calls
+        try:
+            q = quartic.solve_contact_quartic(quartic.quartic_coefficients(bp, dl, t2), dl)
+        except (ArithmeticError, ValueError):
+            q = None
+        if counter.calls > calls or q is None:
+            fell_back.append(i)
+        elif not bad[i]:
+            assert got[i].hex() == q.hex(), i
+    assert len(fell_back) > 1000
+    assert set(fell_back) <= set(np.flatnonzero(bad).tolist())
+    assert bad.sum() < len(fell_back) + 20
 
 
 @pytest.mark.parametrize("module, exempt", [

@@ -577,6 +577,29 @@ def test_verify_vacuous_run_exit_2(capsys, argv):
     assert assert_input_error(capsys, *argv).startswith("error: ValueError:")
 
 
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("verify started a process pool")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "3"])
+def test_verify_worker_count_exit_2(monkeypatch, capsys, workers):
+    # below one, or above the CPU count (all workers would start at the
+    # first submit), is rejected before any process starts
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", _NoPool)
+    err = assert_input_error(capsys, "verify", "--trials", "2", "--workers", workers)
+    assert err.startswith("error: ValueError:")
+
+
+def test_verify_one_worker_starts_no_pool(monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", _NoPool)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--samples", "64",
+                           "--workers", "1")
+    assert code == 0 and "trials        2" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("overlap", *PAIR_21, "--sep", "nan"),
     ("overlap", *PAIR_21, "--sep", "inf"),

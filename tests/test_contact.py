@@ -25,7 +25,7 @@ from ellipse_contact.oracle import (
     stratified_configuration,
     stratified_configurations,
 )
-from conftest import flipped, random_pair, rotated
+from conftest import flipped, oracle_circle_ellipse_distance, random_pair, rotated
 
 
 def pair(a1, b1, a2, b2, th1, th2, thd):
@@ -87,8 +87,6 @@ def test_transformed_distance_phi_right_angle():
 
 
 def test_transformed_distance_against_circle_ellipse_oracle(rng):
-    from ellipse_contact import oracle_circle_ellipse_distance
-
     for _ in range(12):
         cfg = random_pair(rng, max_aspect=5.0)
         tp = transformed_pair(cfg)

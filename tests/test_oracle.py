@@ -10,7 +10,6 @@ from ellipse_contact import (
     PairConfiguration,
     UnitVec2,
     closest_approach,
-    oracle_circle_ellipse_distance,
     oracle_distance,
 )
 from ellipse_contact import oracle
@@ -19,6 +18,7 @@ from ellipse_contact.oracle import (
     stratified_configuration,
     verify_random,
 )
+from conftest import oracle_circle_ellipse_distance
 
 
 def test_settings_validation():

@@ -28,6 +28,7 @@ from ellipse_contact import (
     oracle,
 )
 from ellipse_contact.oracle import stratified_configuration
+from conftest import oracle_circle_ellipse_distance
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_circle_ellipse_matches_reference():
             EllipseShape(1.0, 1.0), EllipseShape(a2p, b2p), UnitVec2(1.0, 0.0), axis, dhat
         )
         expect = outcome(ref_oracle_distance, cfg)
-        assert outcome(oracle.oracle_circle_ellipse_distance, a2p, b2p, axis, dhat) == expect
+        assert outcome(oracle_circle_ellipse_distance, a2p, b2p, axis, dhat) == expect
 
 
 def test_refined_min_golden_section_fallback():

@@ -9,13 +9,13 @@ from ellipse_contact import (
     QuarticCoeffs,
     closest_approach,
     oracle_distance,
-    oracle_quartic_roots,
     quartic_coefficients,
     solve_contact_quartic,
     stratified_configuration,
     tangency_residuals,
 )
 from ellipse_contact import quartic
+from conftest import CountingRoots, oracle_quartic_roots
 
 
 def evaluate(c, q):
@@ -109,21 +109,6 @@ def test_residual_bound(rng):
         assert abs(evaluate(c, q)) <= 1e-8 * max(abs(c.a) * q**4, abs(c.e))
 
 
-class _CountingRoots:
-    """Stands in for numpy inside quartic: counts the companion-matrix
-    fallback's calls, and makes them fail when forbidden."""
-
-    def __init__(self, allow: bool) -> None:
-        self.allow = allow
-        self.calls = 0
-
-    def roots(self, coeffs):
-        self.calls += 1
-        if not self.allow:
-            raise AssertionError(f"companion-matrix fallback reached for {coeffs}")
-        return np.roots(coeffs)
-
-
 def extreme_inputs(rng):
     b2p = 10.0 ** rng.uniform(-2.5, -0.5)
     delta = 10.0 ** rng.uniform(1.5, 3.2)
@@ -134,8 +119,8 @@ def extreme_inputs(rng):
 @pytest.mark.parametrize("inputs", [random_inputs, extreme_inputs], ids=["uniform", "extreme"])
 def test_ferrari_solves_without_fallback(rng, monkeypatch, inputs):
     # the closed form alone must answer every quartic of these streams;
-    # with the fallback live, a broken Ferrari assembly would go unseen
-    monkeypatch.setattr(quartic, "np", _CountingRoots(allow=False))
+    # with the fallback live, a broken Ferrari root would go unseen
+    monkeypatch.setattr(quartic, "np", CountingRoots(allow=False))
     for _ in range(3000):
         b2p, delta, tan2phi = inputs(rng)
         c = quartic_coefficients(b2p, delta, tan2phi)
@@ -146,10 +131,10 @@ def test_ferrari_solves_without_fallback(rng, monkeypatch, inputs):
 
 
 def test_fallback_success_path(monkeypatch):
-    # the first configuration at seed 11 and aspect up to 1000 that every
-    # closed-form assembly misses (none of 20,000 at aspect 20 does); the
+    # the first configuration at seed 11 and aspect up to 1000 that the
+    # closed-form root misses (none of 20,000 at aspect 20 does); the
     # companion-matrix root must still be accepted
-    counter = _CountingRoots(allow=True)
+    counter = CountingRoots(allow=True)
     monkeypatch.setattr(quartic, "np", counter)
     cfg = stratified_configuration(11, 91, 1000.0)
     sol = closest_approach(cfg)
@@ -159,12 +144,14 @@ def test_fallback_success_path(monkeypatch):
     assert max(tangency_residuals(cfg, sol)) <= 1e-9
 
 
-def test_beta_zero_branch():
+def test_beta_zero_branch(monkeypatch):
     # beta = 0 never arises from valid contact geometry; exercise the
-    # branch with a synthetic biquadratic -(q^2-1)(q^2-4), bracket [1, 1.5]
-    c = QuarticCoeffs(-1.0, 0.0, 5.0, 0.0, -4.0)
-    q = solve_contact_quartic(c, 1.25)
-    assert math.isclose(q, 1.0, rel_tol=1e-12)
+    # branch with a synthetic biquadratic -(q^2-4)(q^2+1), whose largest
+    # real root 2 lies in the bracket [1, 2.1]: the closed form answers
+    monkeypatch.setattr(quartic, "np", CountingRoots(allow=False))
+    c = QuarticCoeffs(-1.0, 0.0, 3.0, 0.0, 4.0)
+    q = solve_contact_quartic(c, 3.41)
+    assert math.isclose(q, 2.0, rel_tol=1e-12)
 
 
 def test_u_zero_branch():
@@ -207,7 +194,7 @@ def test_oracle_rejects_degenerate_leading_coefficient():
 
 
 def test_extreme_anisotropy_sweep(rng):
-    # the designated sign assembly fails for a visible fraction of these;
+    # the -W Ferrari assembly gives the root for two thirds of these;
     # the solver must still land on the unique bracket root every time
     for _ in range(3000):
         b2p, delta, tan2phi = extreme_inputs(rng)
