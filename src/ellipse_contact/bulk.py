@@ -10,27 +10,32 @@ and the curves of analysis.py both call it.
 
 How the floats stay identical:
 
+* the transform is the scalar code itself: transform._transform, called
+  with numpy's sqrt and where and a per-element math.hypot; so are the
+  quartic's coefficients and depressed form (quartic_coefficients,
+  _depressed);
 * numpy does only correctly rounded operations (+ - * /, sqrt, abs),
   comparisons and selections, in the scalar code's operation order (the
   scalar code writes integer powers as products);
 * math.hypot, cos/sin and the resolvent run per element on Python
   floats, because numpy's versions round differently on some inputs;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
-* the branches of transform.py, contact.py and quartic.py become masks:
-  the five contact branches, the biquadratic case and the larger of the
-  two real Ferrari roots, as quartic._ferrari_root picks it.
+* the branches of contact.py and quartic.py become masks: the five
+  contact branches, the biquadratic case (W = 0 included) and the larger
+  of the two real Ferrari roots, as quartic._ferrari_root picks it.
 
 A row goes to the scalar path when its input fails validation, when any
-intermediate it uses is non-finite or the resolvent raises (where the
-scalar code may raise), when the resolvent gives s1 < 0 or W = 0 or no
-real root, or when that root is not accepted (the companion-matrix
-fallback).
+intermediate it uses is non-finite or a per-element call raises (where
+the scalar code may raise), when the resolvent gives s1 < 0 or no real
+root, or when that root is not accepted (the companion-matrix fallback).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import repeat
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +52,7 @@ from .quartic import (
     _resolvent_root,
     quartic_coefficients,
 )
-from .transform import ContactBranch
+from .transform import ContactBranch, _transform
 
 __all__ = ["BRANCHES", "CHUNK_ROWS", "ContactArrays", "contact_arrays", "unit_vectors"]
 
@@ -144,7 +149,7 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     alpha, beta, gamma, shift = _depressed(c)
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
-    # biquadratic rows take the larger root
+    # biquadratic rows take the larger root, and so do the W = 0 rows below
     ratio = abs(c.b / c.a)
     biq = abs(beta) < 1e-11 * _py_max(1.0, ratio * ratio * ratio)
     inner = np.sqrt(_py_max(alpha * alpha - 4.0 * gamma, 0.0))
@@ -158,8 +163,9 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     s1 = alpha + 2.0 * y
     s1 = np.where((-1e-12 < s1) & (s1 < 0.0), 0.0, s1)
     big_w = np.sqrt(s1)
-    # s1 < 0 (no candidate) and W = 0 rows are the scalar code's to resolve
-    bad |= ~biq & ((s1 < 0.0) | (big_w == 0.0) | ~np.isfinite(y))
+    biq |= big_w == 0.0
+    # s1 < 0 (no candidate) rows are the scalar code's to resolve
+    bad |= ~biq & ((s1 < 0.0) | ~np.isfinite(y))
 
     # shift + (+-W + sqrt(arg))/2, real where arg >= 0; the scalar max()
     # keeps the +W root unless the -W one is real and larger
@@ -213,9 +219,15 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
         bad |= ~np.isfinite(c)
     (k1x, k1y), (k2x, k2y) = _unit(k1x, k1y, bad), _unit(k2x, k2y, bad)
     dhx, dhy = _unit(dhx, dhy, bad)
-    eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, kplus, kminus, codes = (
-        _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad)
-    )
+    # transform.transformed_pair: a row is flagged where a hypot raises or a
+    # field below is non-finite (its other intermediates follow from these)
+    m = SimpleNamespace(sqrt=np.sqrt, where=np.where, hypot=partial(_each, math.hypot, bad))
+    (
+        eta, a11, a22, a12, _, _, b2p, a2p, delta, dhat_scale,
+        kplus, kminus, cos_phi, sin_phi, parallel, par_a, _, _,
+    ) = _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, m)
+    _flag_nonfinite(bad, eta, a11, a22, a12, b2p, a2p, delta, dhat_scale, *kplus, cos_phi, sin_phi)
+    codes = np.where(parallel, np.where(par_a, _PAR_A, _PAR_B), _GENERAL).astype(np.int8)
 
     # contact._distance_pieces
     circle = delta < DELTA_CIRCLE_TOL
@@ -271,68 +283,4 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
         x[bad] = math.nan
     codes[bad] = -1
     return ContactArrays(d, d_prime, q, rc_x, rc_y, codes, r1, r2, bad)
-
-
-def _transformed_pair(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, bad):
-    """transform.transformed_pair over arrays of unit vectors: eta and the
-    fields the contact stage reads; kplus and kminus are (x, y) pairs."""
-    flip = k1x * k2x + k1y * k2y < 0.0
-    k2x, k2y = np.where(flip, -k2x, k2x), np.where(flip, -k2y, k2y)
-    eta = a1 / b1 - 1.0
-    r2 = b2 / a2
-    e2s = (1.0 - r2) * (1.0 + r2)
-    ratio = (b1 * b1) / (b2 * b2)
-    w = eta * (2.0 + eta)
-    dx, dy = k1x - k2x, k1y - k2y
-    sx, sy = k1x + k2x, k1y + k2y
-    m2 = 0.5 * (dx * dx + dy * dy)
-    p2 = 0.5 * (sx * sx + sy * sy)
-    c = k1x * k2x + k1y * k2y
-    up, um = 1.0 + eta * c, 1.0 - eta * c
-    a11 = ratio * (1.0 + 0.5 * p2 * (w - e2s * (up * up)))
-    a22 = ratio * (1.0 + 0.5 * m2 * (w - e2s * (um * um)))
-    a12 = ratio * 0.5 * np.sqrt(m2 * p2) * (w + e2s * (1.0 - eta * eta * c * c))
-    g = 0.5 * (a11 - a22)
-    h = _each(math.hypot, bad, g, a12)
-    avg = 0.5 * (a11 + a22)
-    lam_plus = avg + h
-    r = (a1 * b1) / (a2 * b2)
-    lam_minus = r * r / lam_plus
-    b2p = 1.0 / np.sqrt(lam_plus)
-    a2p = 1.0 / np.sqrt(lam_minus)
-    delta = (lam_plus - lam_minus) / lam_minus
-
-    kd1 = k1x * dhx + k1y * dhy
-    shrink = -eta / (1.0 + eta)
-    tdx = (dhx + shrink * kd1 * k1x) / b1
-    tdy = (dhy + shrink * kd1 * k1y) / b1
-    dhat_scale = _each(math.hypot, bad, tdx, tdy)
-    dpx, dpy = tdx / dhat_scale, tdy / dhat_scale
-
-    parallel = m2 * p2 == 0.0
-    par_a = parallel & (a11 >= a22)
-    inv = 1.0 / np.sqrt(2.0 * p2)
-    upx, upy = sx * inv, sy * inv
-    umx, umy = -upy, upx
-    a12s = np.where(dx * umx + dy * umy >= 0.0, a12, -a12)
-    g_pos = g >= 0.0
-    v1 = np.where(g_pos, g + h, a12s)
-    v2 = np.where(g_pos, a12s, h - g)
-    vn = _each(math.hypot, bad, v1, v2)
-    iso = vn == 0.0
-    kpx = np.where(iso, dpx, (v1 * upx + v2 * umx) / vn)
-    kpy = np.where(iso, dpy, (v1 * upy + v2 * umy) / vn)
-    kpx = np.where(parallel, np.where(par_a, k1x, -k1y), kpx)
-    kpy = np.where(parallel, np.where(par_a, k1y, k1x), kpy)
-    codes = np.where(parallel, np.where(par_a, _PAR_A, _PAR_B), _GENERAL).astype(np.int8)
-    kn = _each(math.hypot, bad, kpx, kpy)
-    kpx, kpy = kpx / kn, kpy / kn
-    kmx, kmy = -kpy, kpx
-    cos_phi = kpx * dpx + kpy * dpy
-    sin_phi = kmx * dpx + kmy * dpy
-    _flag_nonfinite(
-        bad, eta, e2s, ratio, w, a11, a22, a12, h, b2p, a2p, delta, shrink,
-        dhat_scale, dpx, dpy, kpx, kpy, cos_phi, sin_phi,
-    )
-    return eta, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi, (kpx, kpy), (kmx, kmy), codes
 

@@ -222,8 +222,10 @@ def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
     if q is not None:
         return q
 
-    # defensive path: companion-matrix roots, then demand uniqueness
-    roots = np.roots(c)
+    # defensive path: companion-matrix roots, then demand uniqueness; a
+    # companion row that overflows raises LinAlgError, not a warning too
+    with np.errstate(all="ignore"):
+        roots = np.roots(c)
     in_bracket = [
         float(r.real)
         for r in roots

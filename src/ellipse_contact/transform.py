@@ -6,6 +6,13 @@ whose quadratic form has closed-form components in the basis built from
 k1 + k2 and k1 - k2.  Everything the distance and contact-point stages need
 is collected in a TransformedPair.
 
+The arithmetic is written once, in _transform, for Python floats
+(transformed_pair) or numpy arrays of rows (bulk.contact_arrays).  Both
+sides of each m.where(cond, x, y) are evaluated for every input, so
+neither may raise where the other is selected: Python raises on a
+division by zero where numpy gives inf, so the isotropic divisor is
+replaced by 1 before it divides.
+
 Numerical notes, load-bearing and worth stating once:
 
 * 1 -/+ (k1.k2) are computed from the difference/sum vectors themselves,
@@ -32,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 from .geometry import PairConfiguration, UnitVec2
 
@@ -93,90 +101,106 @@ class TransformedPair:
     branch: ContactBranch
 
 
-def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
-    """Scale ellipse 1 to the unit circle and eigendecompose the image of
-    ellipse 2.  Valid for every valid configuration; no error paths."""
-    s1, s2 = cfg.shape1, cfg.shape2
-    k1 = cfg.k1
-    k2x, k2y = cfg.k2.x, cfg.k2.y
-    if k1.dot(cfg.k2) < 0.0:
-        # anti-parallel-ish axes are equivalent to parallel-ish ones
-        k2x, k2y = -k2x, -k2y
+# the float namespace of _transform: where() is a conditional expression
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y)
 
-    eta = s1.a / s1.b - 1.0
-    e2s = s2.eccentricity_sq()
-    ratio = (s1.b * s1.b) / (s2.b * s2.b)
+
+def _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, m):
+    """Scaling and eigendecomposition of a configuration in floats (m =
+    _FLOATS) or of rows of them in arrays (bulk.py), with unit directions.
+    Returns (eta, a11, a22, a12, lambda_plus, lambda_minus, b2p, a2p, delta,
+    dhat_scale, kplus, kminus, cos_phi, sin_phi, parallel, par_a, s, dvec);
+    kplus, kminus, s = k1 + k2 and dvec = k1 - k2 (k2 flipped) are pairs.
+    """
+    # anti-parallel-ish axes are equivalent to parallel-ish ones
+    flip = k1x * k2x + k1y * k2y < 0.0
+    k2x, k2y = m.where(flip, -k2x, k2x), m.where(flip, -k2y, k2y)
+
+    eta = a1 / b1 - 1.0
+    r2 = b2 / a2
+    e2s = (1.0 - r2) * (1.0 + r2)  # EllipseShape.eccentricity_sq()
+    ratio = (b1 * b1) / (b2 * b2)
     w = eta * (2.0 + eta)
 
-    dx, dy = k1.x - k2x, k1.y - k2y
-    sx, sy = k1.x + k2x, k1.y + k2y
+    dx, dy = k1x - k2x, k1y - k2y
+    sx, sy = k1x + k2x, k1y + k2y
     m2 = 0.5 * (dx * dx + dy * dy)  # 1 - k1.k2, exact near the parallel limit
     p2 = 0.5 * (sx * sx + sy * sy)  # 1 + k1.k2, >= 1 after the flip
-    c = k1.x * k2x + k1.y * k2y
+    c = k1x * k2x + k1y * k2y
     up, um = 1.0 + eta * c, 1.0 - eta * c
 
     a11 = ratio * (1.0 + 0.5 * p2 * (w - e2s * (up * up)))
     a22 = ratio * (1.0 + 0.5 * m2 * (w - e2s * (um * um)))
-    a12 = ratio * 0.5 * math.sqrt(m2 * p2) * (w + e2s * (1.0 - eta * eta * c * c))
+    a12 = ratio * 0.5 * m.sqrt(m2 * p2) * (w + e2s * (1.0 - eta * eta * c * c))
 
     g = 0.5 * (a11 - a22)
-    h = math.hypot(g, a12)
+    h = m.hypot(g, a12)
     avg = 0.5 * (a11 + a22)
     lam_plus = avg + h
-    r = (s1.a * s1.b) / (s2.a * s2.b)
+    r = (a1 * b1) / (a2 * b2)
     lam_minus = r * r / lam_plus
-    b2p = 1.0 / math.sqrt(lam_plus)
-    a2p = 1.0 / math.sqrt(lam_minus)
+    b2p = 1.0 / m.sqrt(lam_plus)
+    a2p = 1.0 / m.sqrt(lam_minus)
     delta = (lam_plus - lam_minus) / lam_minus
 
     # transformed center-line direction and its scale
-    kd1 = k1.dot(cfg.dhat)
+    kd1 = k1x * dhx + k1y * dhy
     shrink = -eta / (1.0 + eta)  # b1/a1 - 1
-    tdx = (cfg.dhat.x + shrink * kd1 * k1.x) / s1.b
-    tdy = (cfg.dhat.y + shrink * kd1 * k1.y) / s1.b
-    dhat_scale = math.hypot(tdx, tdy)
+    tdx = (dhx + shrink * kd1 * k1x) / b1
+    tdy = (dhy + shrink * kd1 * k1y) / b1
+    dhat_scale = m.hypot(tdx, tdy)
     dpx, dpy = tdx / dhat_scale, tdy / dhat_scale
 
-    if m2 * p2 == 0.0:
-        # axes exactly parallel in floating point; k1 and its perp are the
-        # exact eigenvectors, paired by the diagonal comparison
-        if a11 >= a22:
-            branch = ContactBranch.PARALLEL_AXES_2A
-            kpx, kpy = k1.x, k1.y
-            sin_gamma, cos_gamma = 0.0, 1.0
-        else:
-            branch = ContactBranch.PARALLEL_AXES_2B
-            kpx, kpy = -k1.y, k1.x
-            sin_gamma, cos_gamma = 1.0, 0.0
-    else:
-        branch = ContactBranch.GENERAL
-        inv = 1.0 / math.sqrt(2.0 * p2)
-        upx, upy = sx * inv, sy * inv
-        umx, umy = -upy, upx  # exact quarter turn keeps the basis orthonormal
-        a12s = a12 if (dx * umx + dy * umy) >= 0.0 else -a12
-        if g >= 0.0:
-            v1, v2 = g + h, a12s
-        else:
-            v1, v2 = a12s, h - g
-        n = math.hypot(v1, v2)
-        if n == 0.0:
-            # isotropic image (both shapes effectively similar): any
-            # direction is an eigenvector; pick the center line so phi = 0
-            kpx, kpy = dpx, dpy
-        else:
-            kpx, kpy = (v1 * upx + v2 * umx) / n, (v1 * upy + v2 * umy) / n
+    # eigenvector of lambda_plus in the (k1+k2, k1-k2) basis
+    inv = 1.0 / m.sqrt(2.0 * p2)
+    upx, upy = sx * inv, sy * inv
+    umx, umy = -upy, upx  # exact quarter turn keeps the basis orthonormal
+    a12s = m.where(dx * umx + dy * umy >= 0.0, a12, -a12)
+    v1 = m.where(g >= 0.0, g + h, a12s)
+    v2 = m.where(g >= 0.0, a12s, h - g)
+    n = m.hypot(v1, v2)
+    # isotropic image (both shapes effectively similar): any direction is
+    # an eigenvector; take the center line so phi = 0
+    iso = n == 0.0
+    n = m.where(iso, 1.0, n)
+    kpx = m.where(iso, dpx, (v1 * upx + v2 * umx) / n)
+    kpy = m.where(iso, dpy, (v1 * upy + v2 * umy) / n)
+    # axes exactly parallel in floating point: k1 and its perp are the
+    # exact eigenvectors, paired by the diagonal comparison
+    parallel = m2 * p2 == 0.0
+    par_a = parallel & (a11 >= a22)
+    kpx = m.where(parallel, m.where(par_a, k1x, -k1y), kpx)
+    kpy = m.where(parallel, m.where(par_a, k1y, k1x), kpy)
 
-    kn = math.hypot(kpx, kpy)
+    kn = m.hypot(kpx, kpy)
     kpx, kpy = kpx / kn, kpy / kn
     kmx, kmy = -kpy, kpx
-    kplus = UnitVec2(kpx, kpy)
-    if branch is ContactBranch.GENERAL:
-        # m2 * p2 != 0, so neither basis vector has zero length
-        cos_gamma = (kplus.x * sx + kplus.y * sy) / math.hypot(sx, sy)
-        sin_gamma = (kplus.x * dx + kplus.y * dy) / math.hypot(dx, dy)
-
     cos_phi = kpx * dpx + kpy * dpy
     sin_phi = kmx * dpx + kmy * dpy
+    return (
+        eta, a11, a22, a12, lam_plus, lam_minus, b2p, a2p, delta, dhat_scale,
+        (kpx, kpy), (kmx, kmy), cos_phi, sin_phi, parallel, par_a, (sx, sy), (dx, dy),
+    )
+
+
+def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
+    """Scale ellipse 1 to the unit circle and eigendecompose the image of
+    ellipse 2.  Valid for every valid configuration; no error paths."""
+    s1, s2, k1, k2, dhat = cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, cfg.dhat
+    (
+        _, a11, a22, a12, lam_plus, lam_minus, b2p, a2p, delta, dhat_scale,
+        kp, km, cos_phi, sin_phi, parallel, par_a, (sx, sy), (dx, dy),
+    ) = _transform(s1.a, s1.b, s2.a, s2.b, k1.x, k1.y, k2.x, k2.y, dhat.x, dhat.y, _FLOATS)
+    kplus = UnitVec2(*kp)
+    if par_a:
+        branch, sin_gamma, cos_gamma = ContactBranch.PARALLEL_AXES_2A, 0.0, 1.0
+    elif parallel:
+        branch, sin_gamma, cos_gamma = ContactBranch.PARALLEL_AXES_2B, 1.0, 0.0
+    else:
+        # m2 * p2 != 0, so neither basis vector has zero length
+        branch = ContactBranch.GENERAL
+        cos_gamma = (kplus.x * sx + kplus.y * sy) / math.hypot(sx, sy)
+        sin_gamma = (kplus.x * dx + kplus.y * dy) / math.hypot(dx, dy)
 
     return TransformedPair(
         a11=a11,
@@ -185,7 +209,7 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
         kplus=kplus,
-        kminus=UnitVec2(kmx, kmy),
+        kminus=UnitVec2(*km),
         a2p=a2p,
         b2p=b2p,
         delta=delta,

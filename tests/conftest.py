@@ -37,11 +37,15 @@ def rotated(u: UnitVec2, theta: float) -> UnitVec2:
 
 class CountingRoots:
     """Stands in for numpy inside quartic: counts the companion-matrix
-    fallback's calls, and makes them fail when forbidden."""
+    fallback's calls, and makes them fail when forbidden.  Every other
+    name is numpy's."""
 
     def __init__(self, allow: bool) -> None:
         self.allow = allow
         self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
     def roots(self, coeffs):
         self.calls += 1

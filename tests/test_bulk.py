@@ -165,8 +165,7 @@ def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
         elif not bad[i]:
             assert got[i].hex() == q.hex(), i
     assert len(fell_back) > 1000
-    assert set(fell_back) <= set(np.flatnonzero(bad).tolist())
-    assert bad.sum() < len(fell_back) + 20
+    assert np.flatnonzero(bad).tolist() == fell_back
 
 
 @pytest.mark.parametrize("module, exempt", [
@@ -388,9 +387,9 @@ def run_both(tmp_path, capsys, text, fmt, chunk=None):
     return code
 
 
-def stratified_text(n, seed, fmt):
+def stratified_text(n, seed, fmt, max_aspect=20.0):
     rows = []
-    for i, c in enumerate(oracle.stratified_configurations(n, seed)):
+    for i, c in enumerate(oracle.stratified_configurations(n, seed, max_aspect)):
         values = (c.shape1.a, c.shape1.b, c.shape2.a, c.shape2.b,
                   math.degrees(c.k1.angle()), math.degrees(c.k2.angle()),
                   math.degrees(c.dhat.angle()))
@@ -405,6 +404,22 @@ def stratified_text(n, seed, fmt):
 def test_batch_matches_reference_on_stratified_rows(tmp_path, capsys, fmt):
     # 2,500 rows: three chunks, one of them partial
     assert run_both(tmp_path, capsys, stratified_text(2500, 7, fmt), fmt) == 0
+
+
+def test_batch_answers_deferred_rows_through_the_scalar_api(tmp_path, capsys):
+    # at aspect up to 10^3 the array kernel leaves these rows to the
+    # companion-matrix fallback; batch computes them with the scalar API
+    # and writes every row as the per-row loop does
+    text = stratified_text(400, 11, "csv", max_aspect=1e3)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    a1, b1, a2, b2, t1, t2, td = np.array([[float(r[k]) for k in FIELDS] for r in rows]).T
+    res = contact_arrays(
+        a1, b1, a2, b2, *unit_vectors(t1), *unit_vectors(t2), *unit_vectors(td)
+    )
+    assert np.flatnonzero(res.scalar).tolist() == [91, 126, 238, 270, 281, 291, 353]
+    assert run_both(tmp_path, capsys, text, "csv") == 0
+    with open(tmp_path / "new.out", newline="") as fh:
+        assert [r["id"] for r in csv.DictReader(fh)] == [r["id"] for r in rows]
 
 
 FUZZ_VALUES = st.sampled_from([

@@ -235,6 +235,37 @@ def test_batch_rejects_arithmetic_rows(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 4
 
 
+# the closed form misses this pair's root, and the companion row of the
+# fallback's np.roots (-p[1:] / p[0]) overflows
+ROOTS_OVERFLOW = (
+    "--a1", "1.3960396648826036e+16", "--b1", "1.3960394716893794e+16",
+    "--a2", "1.7023807787871663e+113", "--b2", "4.425377349627024e+43",
+    "--theta1", "62.29497744621404", "--theta2", "309.4771385037617",
+    "--theta-d", "297.0901693199237",
+)
+
+
+def test_distance_fallback_overflow_one_line(capsys):
+    # exit 2 with one error line and no numpy warning before it
+    err = assert_input_error(capsys, "distance", *ROOTS_OVERFLOW)
+    assert err.startswith("error: LinAlgError:")
+
+
+def test_batch_fallback_overflow_one_reject_line(tmp_path, capsys):
+    inp = tmp_path / "in.csv"
+    inp.write_text(
+        "a1,b1,a2,b2,theta1,theta2,theta_d\n"
+        + ",".join(ROOTS_OVERFLOW[1::2]) + "\n"
+        "2,1,2,1,0,30,10\n"
+    )
+    code, out, err, _ = run_cli_bounded(
+        capsys, "batch", "--input", str(inp), "--output", str(tmp_path / "out.csv")
+    )
+    assert code == 0  # 1 of 2 rejected: not over the half threshold
+    assert out == ""
+    assert err.splitlines() == ["line 2: Array must not contain infs or NaNs"]
+
+
 def test_batch_rejects_surplus_field_rows(tmp_path, capsys):
     # csv.DictReader would file the eighth field under the key None and
     # break the output header; the row is rejected on its own line instead

@@ -98,6 +98,20 @@ def test_init_state_ellipses_lattice():
     assert not audit_overlaps(state)
 
 
+def test_init_state_widens_the_grid():
+    # the box-aspect guess of 27 columns needs 5 rows where only 4 fit, so
+    # the grid widens to 30 x 4
+    cfg = MCConfig(
+        n_particles=120, species=((EllipseShape(2.0, 1.0), 1.0),),
+        box=(123.6, 9.98), max_translation=0.1, max_rotation=0.1, seed=1, sweeps=1,
+    )
+    assert math.isclose(cfg.packing_fraction(), 0.61, abs_tol=0.005)
+    state = init_state(cfg)
+    assert len(np.unique(state.positions[:, 0])) == 30
+    assert len(np.unique(state.positions[:, 1])) == 4
+    assert not audit_overlaps(state)
+
+
 def test_init_state_infeasible_lattice():
     # legal packing fraction overall but the dilated lattice cannot hold it
     with pytest.raises(PackingInfeasible):

@@ -14,7 +14,7 @@ from ellipse_contact import (
     stratified_configuration,
     tangency_residuals,
 )
-from ellipse_contact import quartic
+from ellipse_contact import bulk, quartic
 from conftest import CountingRoots, oracle_quartic_roots
 
 
@@ -152,6 +152,17 @@ def test_beta_zero_branch(monkeypatch):
     c = QuarticCoeffs(-1.0, 0.0, 3.0, 0.0, 4.0)
     q = solve_contact_quartic(c, 3.41)
     assert math.isclose(q, 2.0, rel_tol=1e-12)
+
+
+def test_polish_stops_at_zero_derivative():
+    # -(q^2-1)^2 has a double root at 1, where its derivative vanishes: the
+    # Newton polish of both kernels stops there instead of dividing by 0
+    c = QuarticCoeffs(-1.0, 0.0, 2.0, 0.0, -1.0)
+    assert c.derivative(1.0) == 0.0
+    assert quartic._accept(c, 1.0, 2.0) == 1.0
+    with np.errstate(all="ignore"):  # as contact_arrays runs it
+        q, ok = bulk._accept(c, np.array([1.0]), np.array([2.0]))
+    assert q.tolist() == [1.0] and ok.tolist() == [True]
 
 
 def test_u_zero_branch():
