@@ -18,11 +18,9 @@ from .geometry import (
     DegenerateShape,
     EllipseShape,
     PairConfiguration,
-    SymMat2,
     UnitVec2,
     Vec2,
     ZeroVector,
-    ellipse_matrix,
     make_pair_configuration,
 )
 from .mcsim import (

@@ -13,7 +13,8 @@ How the floats stay identical:
 * the transform is the scalar code itself: transform._transform, called
   with numpy's sqrt and where and a per-element math.hypot; so are the
   quartic's coefficients and depressed form (quartic_coefficients,
-  _depressed);
+  _depressed) and the tangency check (contact._tangency, which gives the
+  residuals and the normals that the scalar checks are made on);
 * numpy does only correctly rounded operations (+ - * /, sqrt, abs),
   comparisons and selections, in the scalar code's operation order (the
   scalar code writes integer powers as products);
@@ -40,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
-from .geometry import _MIN_NORMAL, _UNIT_SLACK, _ellipse_form
+from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _tangency
+from .geometry import _MIN_NORMAL, _UNIT_SLACK
 from .quartic import (
     BRACKET_TOL,
     POLISH_STEPS,
@@ -266,14 +267,9 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
 
     # tangency_residuals (with the unflipped k2), and the checks that
     # UnitVec2(normal), Vec2 and the residuals' normal cross product make
-    m11, m12, m22 = _ellipse_form(a1, b1, k1x, k1y)
-    n11, n12, n22 = _ellipse_form(a2, b2, k2x, k2y)
-    p2x = rc_x - d * dhx
-    p2y = rc_y - d * dhy
-    r1 = abs(m11 * rc_x * rc_x + 2.0 * m12 * rc_x * rc_y + m22 * rc_y * rc_y - 1.0)
-    r2 = abs(n11 * p2x * p2x + 2.0 * n12 * p2x * p2y + n22 * p2y * p2y - 1.0)
-    nx, ny = m11 * rc_x + m12 * rc_y, m12 * rc_x + m22 * rc_y
-    ox, oy = n11 * p2x + n12 * p2y, n12 * p2x + n22 * p2y
+    _, r1, r2, (nx, ny), (ox, oy) = _tangency(
+        a1, b1, k1x, k1y, a2, b2, k2x, k2y, rc_x, rc_y, d, dhx, dhy
+    )
     _flag_nonfinite(bad, q, d_prime, sin_psi, cos_psi, d, rc_x, rc_y, r1, r2, nx, ny, ox, oy)
     big_n = np.maximum(abs(nx), abs(ny))
     # |n| = 0 or an overflowing hypot would make UnitVec2(normal) raise; a

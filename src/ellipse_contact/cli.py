@@ -57,12 +57,18 @@ def _add_pair_args(p: argparse.ArgumentParser, with_dhat: bool = True) -> None:
                        help="center-line direction, degrees (default 0)")
 
 
+def _configuration(a1, b1, a2, b2, theta1, theta2, theta_d):
+    """make_pair_configuration with the three directions as angles in
+    degrees; each value is converted by float(), in the order given."""
+    axes = [float(x) for x in (a1, b1, a2, b2)]
+    directions = [UnitVec2.from_angle(math.radians(float(t))) for t in (theta1, theta2, theta_d)]
+    return make_pair_configuration(*axes, *directions)
+
+
 def _pair_from_args(args):
-    return make_pair_configuration(
+    return _configuration(
         args.a1, args.b1, args.a2, args.b2,
-        UnitVec2.from_angle(math.radians(args.theta1)),
-        UnitVec2.from_angle(math.radians(args.theta2)),
-        UnitVec2.from_angle(math.radians(getattr(args, "theta_d", 0.0))),
+        args.theta1, args.theta2, getattr(args, "theta_d", 0.0),
     )
 
 
@@ -141,12 +147,7 @@ _RESULT_FIELDS = (
 
 def _process_batch_row(row: dict) -> tuple:
     """The _RESULT_FIELDS values of one row through the scalar API."""
-    cfg = make_pair_configuration(
-        float(row["a1"]), float(row["b1"]), float(row["a2"]), float(row["b2"]),
-        UnitVec2.from_angle(math.radians(float(row["theta1"]))),
-        UnitVec2.from_angle(math.radians(float(row["theta2"]))),
-        UnitVec2.from_angle(math.radians(float(row["theta_d"]))),
-    )
+    cfg = _configuration(*(row[k] for k in _BATCH_FIELDS))
     sol = closest_approach(cfg)
     r1, r2, _ = tangency_residuals(cfg, sol)
     return (
@@ -263,7 +264,7 @@ def cmd_batch(args) -> int:
                         out.update(zip(_RESULT_FIELDS, result))
                         outs.append(out)
                         if header is None:
-                            extra = [k for k in row if k not in _BATCH_FIELDS]
+                            extra = [k for k in row if k not in _BATCH_FIELDS + _RESULT_FIELDS]
                             header = extra + list(_BATCH_FIELDS) + list(_RESULT_FIELDS)
                     else:
                         rejected += 1
@@ -333,7 +334,7 @@ def cmd_excluded_area(args) -> int:
     if args.sweep:
         start, stop, step = _parse_sweep(args.sweep)
         lines, i = ["angle_deg,area"], 0
-        while (angle := start + i * step) <= stop + 1e-12:
+        while (angle := start + i * step) <= stop + 1e-9 * step:
             lines.append(f"{angle},{area_at(angle)}")
             i += 1
     elif args.angle is None:

@@ -6,7 +6,7 @@ the circular and perpendicular special cases), then map the distance and
 the contact normal back.  Every solution carries enough data to be
 self-validating: the contact point must lie on both boundaries and the two
 outward normals must be anti-parallel, and tangency_residuals() measures
-exactly that.
+exactly that; _tangency is that check for this module and bulk.py alike.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import (
-    EllipseShape,
-    PairConfiguration,
-    UnitVec2,
-    Vec2,
-    ellipse_matrix,
-)
+from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2, _ellipse_form
 from .quartic import quartic_coefficients, solve_contact_quartic
 from .transform import ContactBranch, TransformedPair, transformed_pair
 
@@ -117,6 +111,25 @@ def _distance_pieces(
     return d_prime, q, sin_psi, cos_psi, tp.branch
 
 
+def _normal(m, x, y):
+    """M.p, the outward normal at p of the boundary p.M.p = 1, unnormalised."""
+    m11, m12, m22 = m
+    return m11 * x + m12 * y, m12 * x + m22 * y
+
+
+def _tangency(a1, b1, k1x, k1y, a2, b2, k2x, k2y, rcx, rcy, d, dhx, dhy):
+    """(p2, r1, r2, n1, n2) for the contact point rc at d along dhat, on
+    floats or numpy arrays alike (+ - * and abs only): p2 = rc - d dhat,
+    r1 = |rc.M1.rc - 1|, r2 = |p2.M2.p2 - 1|, n1 = M1.rc and n2 = M2.p2."""
+    m1 = _ellipse_form(a1, b1, k1x, k1y)
+    m2 = _ellipse_form(a2, b2, k2x, k2y)
+    p2x, p2y = rcx - d * dhx, rcy - d * dhy
+    (m11, m12, m22), (n11, n12, n22) = m1, m2
+    r1 = abs(m11 * rcx * rcx + 2.0 * m12 * rcx * rcy + m22 * rcy * rcy - 1.0)
+    r2 = abs(n11 * p2x * p2x + 2.0 * n12 * p2x * p2y + n22 * p2y * p2y - 1.0)
+    return (p2x, p2y), r1, r2, _normal(m1, rcx, rcy), _normal(m2, p2x, p2y)
+
+
 def closest_approach(cfg: PairConfiguration) -> ContactSolution:
     """Distance of closest approach of the two ellipse centers along dhat,
     together with the contact point and normal.  Deterministic: the same
@@ -143,7 +156,7 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
             cfg.shape1.b * (npy + t * k1.y),
         )
 
-    normal_vec = ellipse_matrix(cfg.shape1, k1).apply(rc)
+    normal = Vec2(*_normal(_ellipse_form(cfg.shape1.a, cfg.shape1.b, k1.x, k1.y), rc.x, rc.y))
     return ContactSolution(
         d=d,
         d_prime=d_prime,
@@ -153,7 +166,7 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         sin_gamma=tp.sin_gamma,
         cos_gamma=tp.cos_gamma,
         contact_point=rc,
-        contact_normal=UnitVec2(normal_vec.x, normal_vec.y),
+        contact_normal=UnitVec2(normal.x, normal.y),
         branch=branch,
     )
 
@@ -170,16 +183,16 @@ def tangency_residuals(
     """(|on-E1 residual|, |on-E2 residual|, |normal cross product|).
 
     All three vanish for an exact solution: the contact point lies on both
-    boundaries and the outward normals are anti-parallel.
+    boundaries and the outward normals are anti-parallel.  ValueError when
+    the second point or a normal is not finite.
     """
-    m1 = ellipse_matrix(cfg.shape1, cfg.k1)
-    m2 = ellipse_matrix(cfg.shape2, cfg.k2)
-    rc = sol.contact_point
-    r1 = abs(m1.quadratic_form(rc) - 1.0)
-    p2 = Vec2(rc.x - sol.d * cfg.dhat.x, rc.y - sol.d * cfg.dhat.y)
-    r2 = abs(m2.quadratic_form(p2) - 1.0)
-    n1 = m1.apply(rc)
-    n2 = m2.apply(p2)
+    s1, s2, rc, dhat = cfg.shape1, cfg.shape2, sol.contact_point, cfg.dhat
+    p2, r1, r2, n1, n2 = _tangency(
+        s1.a, s1.b, cfg.k1.x, cfg.k1.y, s2.a, s2.b, cfg.k2.x, cfg.k2.y,
+        rc.x, rc.y, sol.d, dhat.x, dhat.y,
+    )
+    # Vec2 rejects a non-finite p2, n1 or n2, in that order
+    _, n1, n2 = Vec2(*p2), Vec2(*n1), Vec2(*n2)
     cross = abs(n1.cross(n2)) / (n1.norm() * n2.norm())
     return r1, r2, cross
 

@@ -4,7 +4,8 @@ Orientations are stored as unit vectors, never as angles: every downstream
 formula consumes dot products, so angles are converted once at the CLI
 boundary and never travel further.  Construction normalizes input that is
 not unit length to rounding, so normalizing twice changes nothing; an
-input vector of zero length is an error, not a silent default.
+input vector of zero length is an error, not a silent default.  An
+ellipse's quadratic form is the plain tuple that _ellipse_form returns.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ __all__ = [
     "UnitVec2",
     "EllipseShape",
     "PairConfiguration",
-    "SymMat2",
     "make_pair_configuration",
-    "ellipse_matrix",
 ]
 
 
@@ -84,9 +83,6 @@ class UnitVec2:
     def from_angle(cls, theta: float) -> "UnitVec2":
         return cls(math.cos(theta), math.sin(theta))
 
-    def dot(self, other) -> float:
-        return self.x * other.x + self.y * other.y
-
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
@@ -138,23 +134,6 @@ class PairConfiguration:
     dhat: UnitVec2
 
 
-@dataclass(frozen=True)
-class SymMat2:
-    """Symmetric 2x2 matrix; only the three independent entries are stored."""
-
-    m11: float
-    m12: float
-    m22: float
-
-    def apply(self, v) -> Vec2:
-        return Vec2(self.m11 * v.x + self.m12 * v.y, self.m12 * v.x + self.m22 * v.y)
-
-    def quadratic_form(self, v) -> float:
-        return (
-            self.m11 * v.x * v.x + 2.0 * self.m12 * v.x * v.y + self.m22 * v.y * v.y
-        )
-
-
 def make_pair_configuration(
     a1: float,
     b1: float,
@@ -180,19 +159,11 @@ def make_pair_configuration(
 
 
 def _ellipse_form(a, b, kx, ky):
-    """Entries (m11, m12, m22) of M = (I - e^2 kk) / b^2 for semi-axes a, b
-    and major-axis direction (kx, ky): Python floats or numpy arrays, with
-    the same operations in the same order either way."""
+    """Entries (m11, m12, m22) of M = (I - e^2 kk) / b^2, the form of the
+    boundary p.M.p = 1 for semi-axes a, b and major-axis direction (kx, ky):
+    Python floats or numpy arrays, with the same operations in the same
+    order either way."""
     r = b / a
     e2 = (1.0 - r) * (1.0 + r)  # eccentricity_sq()
     f = 1.0 / (b * b)
     return f * (1.0 - e2 * kx * kx), f * (-e2 * kx * ky), f * (1.0 - e2 * ky * ky)
-
-
-def ellipse_matrix(shape: EllipseShape, k: UnitVec2) -> SymMat2:
-    """Quadratic form M of the ellipse boundary: p.M.p = 1.
-
-    M = (I - e^2 kk) / b^2, so k.M.k = 1/a^2 and kperp.M.kperp = 1/b^2;
-    M is symmetric positive definite for every valid shape.
-    """
-    return SymMat2(*_ellipse_form(shape.a, shape.b, k.x, k.y))

@@ -13,15 +13,28 @@ from ellipse_contact import (
     OracleSettings,
     PairConfiguration,
     QuarticCoeffs,
-    SymMat2,
     UnitVec2,
     oracle_distance,
 )
 from ellipse_contact.cli import main
+from ellipse_contact.geometry import _ellipse_form
 
 
-def mat_as_array(m: SymMat2) -> np.ndarray:
-    return np.array([[m.m11, m.m12], [m.m12, m.m22]])
+def form(shape: EllipseShape, k: UnitVec2) -> tuple[float, float, float]:
+    """Entries (m11, m12, m22) of the quadratic form p.M.p = 1 of the
+    boundary of shape with major axis k."""
+    return _ellipse_form(shape.a, shape.b, k.x, k.y)
+
+
+def mat_as_array(m: tuple[float, float, float]) -> np.ndarray:
+    m11, m12, m22 = m
+    return np.array([[m11, m12], [m12, m22]])
+
+
+def on_form(m: tuple[float, float, float], p) -> float:
+    """p.M.p for the form entries m, as the kernel evaluates it."""
+    m11, m12, m22 = m
+    return m11 * p.x * p.x + 2.0 * m12 * p.x * p.y + m22 * p.y * p.y
 
 
 def flipped(u: UnitVec2) -> UnitVec2:

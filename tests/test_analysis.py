@@ -264,12 +264,12 @@ def test_locus_circles_fixed_point():
 
 
 def test_locus_points_on_first_ellipse():
-    from ellipse_contact import ellipse_matrix
+    from conftest import form, on_form
 
     curve = contact_locus(E21, EllipseShape(1.5, 0.5), k_at(20.0), X, 128)
     for theta, p in curve:
-        m = ellipse_matrix(E21, UnitVec2.from_angle(theta))
-        assert abs(m.quadratic_form(p) - 1.0) <= 1e-9
+        m = form(E21, UnitVec2.from_angle(theta))
+        assert abs(on_form(m, p) - 1.0) <= 1e-9
 
 
 def test_locus_continuity():

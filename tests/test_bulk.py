@@ -341,7 +341,7 @@ def reference_batch(path, output, fmt, rejects_path):
                 if err is None:
                     try:
                         rows_out.append(process(row))
-                        extra += [k for k in row if k not in FIELDS and k not in extra]
+                        extra += [k for k in row if k not in FIELDS + RESULTS + tuple(extra)]
                         continue
                     except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
                         err = str(exc)

@@ -494,6 +494,7 @@ def test_excluded_area_single_value_exit_2_leaves_output(tmp_path, capsys):
 @pytest.mark.parametrize("sweep, rows, last", [
     ("0:90:0.1", 901, "90.0"),
     ("0:1000:0.01", 100001, "1000.0"),
+    ("0:1e-13:1e-14", 11, "1e-13"),
 ])
 def test_excluded_area_sweep_reaches_stop(tmp_path, capsys, sweep, rows, last):
     # angle i is START + i * STEP, so no rounding error accumulates
@@ -951,6 +952,33 @@ def test_batch_jsonl_echoed_non_finite_fields_feed_back(tmp_path, capsys):
     records = [json.loads(line) for line in outputs[0].read_text().splitlines()]
     assert math.isnan(records[0]["id"]) and records[1]["id"] == math.inf
     assert '"id": NaN' in outputs[0].read_text()
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_batch_second_pass_reproduces_first(tmp_path, capsys, fmt):
+    # batch fed its own output recomputes the result columns in place: the
+    # input's result-named columns are not extra columns to echo
+    rows = [
+        {"id": "r1", "a1": 2, "b1": 1, "a2": 2, "b2": 1,
+         "theta1": 0, "theta2": 30, "theta_d": 10},
+        {"id": "r2", "a1": 2, "b1": 1, "a2": 1.5, "b2": 0.5,
+         "theta1": 15, "theta2": 100, "theta_d": 200},
+    ]
+    inp = tmp_path / f"in.{fmt}"
+    if fmt == "csv":
+        with open(inp, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        inp.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    outputs = [tmp_path / f"once.{fmt}", tmp_path / f"twice.{fmt}"]
+    for src, dst in zip([inp] + outputs, outputs):
+        code, _, err = run_cli(
+            capsys, "batch", "--input", str(src), "--output", str(dst), "--format", fmt,
+        )
+        assert (code, err) == (0, "")
     assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
