@@ -272,9 +272,11 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     )
     _flag_nonfinite(bad, q, d_prime, sin_psi, cos_psi, d, rc_x, rc_y, r1, r2, nx, ny, ox, oy)
     big_n = np.maximum(abs(nx), abs(ny))
+    big_nn = big_n * np.maximum(abs(ox), abs(oy))
     # |n| = 0 or an overflowing hypot would make UnitVec2(normal) raise; a
-    # vanishing |n1||n2| would make the cross product divide by zero
-    bad |= (big_n == 0.0) | (big_n > 1e307) | (big_n * np.maximum(abs(ox), abs(oy)) < 1e-300)
+    # vanishing |n1||n2| would make the cross product divide by zero, and
+    # an overflowing one could make it non-finite, which raises too
+    bad |= (big_n == 0.0) | (big_n > 1e307) | (big_nn < 1e-300) | (big_nn > 1e307)
     for x in (d, d_prime, q, rc_x, rc_y, r1, r2):
         x[bad] = math.nan
     codes[bad] = -1

@@ -12,12 +12,12 @@ exactly that; _tangency is that check for this module and bulk.py alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2, _ellipse_form
 from .quartic import quartic_coefficients, solve_contact_quartic
-from .transform import ContactBranch, TransformedPair, transformed_pair
+from .transform import ContactBranch, transformed_pair
 
 __all__ = [
     "ConcentricCenters",
@@ -51,9 +51,8 @@ class OverlapVerdict(Enum):
     OVERLAPPING = "overlapping"
 
 
-@dataclass(frozen=True)
-class ContactSolution:
-    """Full result of one closest-approach computation.
+class ContactSolution(NamedTuple):
+    """Full result of one closest-approach computation, built positionally.
 
     d is the physical center distance at external tangency along dhat;
     d_prime and q are the transformed-frame quantities; psi and gamma are
@@ -80,9 +79,10 @@ def _sign(x: float) -> float:
 
 
 def _distance_pieces(
-    tp: TransformedPair,
+    a2p: float, b2p: float, delta: float, cos_phi: float, sin_phi: float, branch: ContactBranch
 ) -> tuple[float, float, float, float, ContactBranch]:
-    """(d_prime, q, sin_psi, cos_psi, branch) for a transformed pair.
+    """(d_prime, q, sin_psi, cos_psi, branch) from the transformed pair's
+    semi-axes, anisotropy, center-line direction and branch tag.
 
     In the general branch psi comes from the unsquared tangency relation
     tan(psi) = tan(phi) * (1 + b2p/q) / (1 + b2p(1+delta)/q), which stays
@@ -91,24 +91,23 @@ def _distance_pieces(
     aspect ratio on the way back).  The signs of sin/cos psi follow those
     of sin/cos phi exactly as the component equations require.
     """
-    if tp.delta < DELTA_CIRCLE_TOL:
+    if delta < DELTA_CIRCLE_TOL:
         # the transformed pair is circle-circle: normal along the center line
-        return 1.0 + tp.b2p, 1.0, tp.sin_phi, tp.cos_phi, ContactBranch.CIRCLE_LIKE
-    if abs(tp.cos_phi) < COS_PHI_TOL:
-        q = math.sqrt(1.0 + tp.delta)
-        return 1.0 + tp.a2p, q, _sign(tp.sin_phi), 0.0, ContactBranch.PHI_RIGHT_ANGLE
-    tan2phi = (tp.sin_phi * tp.sin_phi) / (tp.cos_phi * tp.cos_phi)
-    coeffs = quartic_coefficients(tp.b2p, tp.delta, tan2phi)
-    q = solve_contact_quartic(coeffs, tp.delta)
-    big_x = 1.0 + tp.b2p * (1.0 + tp.delta) / q
-    big_y = 1.0 + tp.b2p / q
-    tan_psi = abs(tp.sin_phi / tp.cos_phi) * big_y / big_x
+        return 1.0 + b2p, 1.0, sin_phi, cos_phi, ContactBranch.CIRCLE_LIKE
+    if abs(cos_phi) < COS_PHI_TOL:
+        q = math.sqrt(1.0 + delta)
+        return 1.0 + a2p, q, _sign(sin_phi), 0.0, ContactBranch.PHI_RIGHT_ANGLE
+    tan2phi = (sin_phi * sin_phi) / (cos_phi * cos_phi)
+    q = solve_contact_quartic(quartic_coefficients(b2p, delta, tan2phi), delta)
+    big_x = 1.0 + b2p * (1.0 + delta) / q
+    big_y = 1.0 + b2p / q
+    tan_psi = abs(sin_phi / cos_phi) * big_y / big_x
     norm = math.hypot(1.0, tan_psi)
-    sin_psi = _sign(tp.sin_phi) * tan_psi / norm
-    cos_psi = _sign(tp.cos_phi) / norm
+    sin_psi = _sign(sin_phi) * tan_psi / norm
+    cos_psi = _sign(cos_phi) / norm
     frac = sin_psi * sin_psi
     d_prime = math.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
-    return d_prime, q, sin_psi, cos_psi, tp.branch
+    return d_prime, q, sin_psi, cos_psi, branch
 
 
 def _normal(m, x, y):
@@ -134,40 +133,37 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
     """Distance of closest approach of the two ellipse centers along dhat,
     together with the contact point and normal.  Deterministic: the same
     configuration always produces the identical result.  OverflowError
-    when the distance is not finite, as for a semi-axis ratio near 1e160."""
-    tp = transformed_pair(cfg)
-    d_prime, q, sin_psi, cos_psi, branch = _distance_pieces(tp)
-    d = d_prime / tp.dhat_scale
+    when the distance, d_prime or q is not finite, as for a semi-axis
+    ratio near 1e160."""
+    (
+        _, _, _, _, _, kplus, kminus, a2p, b2p, delta, cos_phi, sin_phi, dhat_scale,
+        sin_gamma, cos_gamma, branch,
+    ) = transformed_pair(cfg)
+    d_prime, q, sin_psi, cos_psi, branch = _distance_pieces(
+        a2p, b2p, delta, cos_phi, sin_phi, branch
+    )
+    d = d_prime / dhat_scale
     if not math.isfinite(d):
         raise OverflowError(f"contact distance is not finite ({d!r})")
 
-    eta = cfg.shape1.a / cfg.shape1.b - 1.0
-    k1 = cfg.k1
+    a1, b1 = cfg.shape1.a, cfg.shape1.b
+    k1x, k1y = cfg.k1.x, cfg.k1.y
     if branch in (ContactBranch.CIRCLE_LIKE, ContactBranch.PHI_RIGHT_ANGLE):
         # the transformed normal is the transformed center line itself, so
         # the contact point is dhat / |T dhat|
-        rc = Vec2(cfg.dhat.x / tp.dhat_scale, cfg.dhat.y / tp.dhat_scale)
+        rc = Vec2(cfg.dhat.x / dhat_scale, cfg.dhat.y / dhat_scale)
     else:
-        npx = cos_psi * tp.kplus.x + sin_psi * tp.kminus.x
-        npy = cos_psi * tp.kplus.y + sin_psi * tp.kminus.y
-        t = eta * (k1.x * npx + k1.y * npy)
-        rc = Vec2(
-            cfg.shape1.b * (npx + t * k1.x),
-            cfg.shape1.b * (npy + t * k1.y),
-        )
+        npx = cos_psi * kplus.x + sin_psi * kminus.x
+        npy = cos_psi * kplus.y + sin_psi * kminus.y
+        t = (a1 / b1 - 1.0) * (k1x * npx + k1y * npy)
+        rc = Vec2(b1 * (npx + t * k1x), b1 * (npy + t * k1y))
 
-    normal = Vec2(*_normal(_ellipse_form(cfg.shape1.a, cfg.shape1.b, k1.x, k1.y), rc.x, rc.y))
+    normal = Vec2(*_normal(_ellipse_form(a1, b1, k1x, k1y), rc.x, rc.y))
+    normal = UnitVec2(normal.x, normal.y)
+    if not (math.isfinite(d_prime) and math.isfinite(q)):
+        raise OverflowError(f"transformed contact is not finite (d_prime={d_prime!r}, q={q!r})")
     return ContactSolution(
-        d=d,
-        d_prime=d_prime,
-        q=q,
-        sin_psi=sin_psi,
-        cos_psi=cos_psi,
-        sin_gamma=tp.sin_gamma,
-        cos_gamma=tp.cos_gamma,
-        contact_point=rc,
-        contact_normal=UnitVec2(normal.x, normal.y),
-        branch=branch,
+        d, d_prime, q, sin_psi, cos_psi, sin_gamma, cos_gamma, rc, normal, branch
     )
 
 
@@ -184,7 +180,7 @@ def tangency_residuals(
 
     All three vanish for an exact solution: the contact point lies on both
     boundaries and the outward normals are anti-parallel.  ValueError when
-    the second point or a normal is not finite.
+    the second point, a normal or one of the three is not finite.
     """
     s1, s2, rc, dhat = cfg.shape1, cfg.shape2, sol.contact_point, cfg.dhat
     p2, r1, r2, n1, n2 = _tangency(
@@ -194,6 +190,8 @@ def tangency_residuals(
     # Vec2 rejects a non-finite p2, n1 or n2, in that order
     _, n1, n2 = Vec2(*p2), Vec2(*n1), Vec2(*n2)
     cross = abs(n1.cross(n2)) / (n1.norm() * n2.norm())
+    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(cross)):
+        raise ValueError(f"non-finite tangency residuals ({r1!r}, {r2!r}, {cross!r})")
     return r1, r2, cross
 
 

@@ -145,16 +145,18 @@ def make_pair_configuration(
 ) -> PairConfiguration:
     """Validate raw inputs and build a PairConfiguration.
 
-    Accepts directions as Vec2/UnitVec2 or (x, y) pairs; they are
-    normalized here, which leaves a UnitVec2 as it is.  Raises
-    DegenerateShape or ZeroVector on bad input.
+    Accepts directions as Vec2/UnitVec2 or (x, y) pairs.  A UnitVec2 is
+    immutable and already normalized, so it is used as it is; the others
+    are normalized here.  Raises DegenerateShape or ZeroVector on bad input.
     """
     s1 = EllipseShape(float(a1), float(b1))
     s2 = EllipseShape(float(a2), float(b2))
     directions = []
     for v in (k1, k2, dhat):
-        x, y = (v.x, v.y) if isinstance(v, (Vec2, UnitVec2)) else v
-        directions.append(UnitVec2(float(x), float(y)))
+        if not isinstance(v, UnitVec2):
+            x, y = (v.x, v.y) if isinstance(v, Vec2) else v
+            v = UnitVec2(float(x), float(y))
+        directions.append(v)
     return PairConfiguration(s1, s2, *directions)
 
 

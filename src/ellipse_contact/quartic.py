@@ -78,11 +78,11 @@ def quartic_coefficients(b2p: float, delta: float, tan2phi: float) -> QuarticCoe
     """
     ib2 = 1.0 / (b2p * b2p)
     return QuarticCoeffs(
-        a=-ib2 * (1.0 + tan2phi),
-        b=-2.0 / b2p * (1.0 + tan2phi + delta),
-        c=-tan2phi - (1.0 + delta) * (1.0 + delta) + ib2 * (1.0 + (1.0 + delta) * tan2phi),
-        d=2.0 / b2p * (1.0 + tan2phi) * (1.0 + delta),
-        e=(1.0 + tan2phi + delta) * (1.0 + delta),
+        -ib2 * (1.0 + tan2phi),
+        -2.0 / b2p * (1.0 + tan2phi + delta),
+        -tan2phi - (1.0 + delta) * (1.0 + delta) + ib2 * (1.0 + (1.0 + delta) * tan2phi),
+        2.0 / b2p * (1.0 + tan2phi) * (1.0 + delta),
+        (1.0 + tan2phi + delta) * (1.0 + delta),
     )
 
 
@@ -92,31 +92,26 @@ def quartic_coefficients(b2p: float, delta: float, tan2phi: float) -> QuarticCoe
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    t = _SPLIT * a
-    ahi = t - (t - a)
-    alo = a - ahi
-    t = _SPLIT * b
-    bhi = t - (t - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
 def _horner_compensated(coeffs: tuple[float, ...], x: float) -> float:
-    """Horner evaluation accurate as if computed in doubled precision."""
+    """Horner evaluation accurate as if computed in doubled precision: each
+    step's product s*x is split exactly (Dekker, x split once) and its sum
+    with the next coefficient is taken exactly (Knuth's two-sum); the
+    rounding errors are carried along by a second Horner recurrence.  Only
+    + - *, so x and the coefficients may be floats or arrays."""
+    t = _SPLIT * x
+    xhi = t - (t - x)
+    xlo = x - xhi
     s = coeffs[0]
     comp = 0.0
     for a in coeffs[1:]:
-        p, pe = _two_prod(s, x)
-        s, se = _two_sum(p, a)
-        comp = comp * x + (pe + se)
+        p = s * x
+        t = _SPLIT * s
+        shi = t - (t - s)
+        slo = s - shi
+        pe = ((shi * xhi - p) + shi * xlo + slo * xhi) + slo * xlo
+        s = p + a
+        bb = s - p
+        comp = comp * x + (pe + ((p - (s - bb)) + (a - bb)))
     return s + comp
 
 
@@ -176,7 +171,10 @@ def _ferrari_root(c: QuarticCoeffs) -> float | None:
     resolvent gives no real one."""
     alpha, beta, gamma, shift = _depressed(c)
     ratio = abs(c.b / c.a)
-    if not abs(beta) < 1e-11 * max(1.0, ratio * ratio * ratio):
+    cube = ratio * ratio * ratio
+    # conditional expressions here and in _accept are the builtin max() and
+    # min() without the call, in their operand order (a nan passes alike)
+    if not abs(beta) < 1e-11 * (cube if cube > 1.0 else 1.0):
         y = _resolvent_root(alpha, beta, gamma)
         s1 = alpha + 2.0 * y
         if -1e-12 < s1 < 0.0:
@@ -185,13 +183,16 @@ def _ferrari_root(c: QuarticCoeffs) -> float | None:
             return None
         big_w = math.sqrt(s1)
         if big_w != 0.0:
-            # shift + (+-W + sqrt(arg))/2, real where arg >= 0
-            roots = []
+            # shift + (+-W + sqrt(arg))/2, real where arg >= 0; the larger
+            # real one, the +W root on a tie or a nan
+            root = None
             for sign_w in (1.0, -1.0):
                 arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
                 if arg >= 0.0:
-                    roots.append(shift + 0.5 * (sign_w * big_w + math.sqrt(arg)))
-            return max(roots, default=None)
+                    r = shift + 0.5 * (sign_w * big_w + math.sqrt(arg))
+                    if root is None or r > root:
+                        root = r
+            return root
     # biquadratic; alpha + 2y = 0 (W = 0) implies beta = 0 up to rounding
     inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
     return shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0))
@@ -202,10 +203,13 @@ def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
     bracket and passes the residual test; otherwise None."""
     if q is None or not (1.0 - BRACKET_TOL <= q <= hi + BRACKET_TOL):
         return None
-    q = _polish(c, min(max(q, 1.0), hi))
-    q = min(max(q, 1.0), hi)
+    q = 1.0 if 1.0 > q else q
+    q = _polish(c, hi if hi < q else q)
+    q = 1.0 if 1.0 > q else q
+    q = hi if hi < q else q
     res = abs(_horner_compensated(c, q))
-    if res <= RESIDUAL_RTOL * max(abs(c.a) * (q * q * (q * q)), abs(c.e)):
+    lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
+    if res <= RESIDUAL_RTOL * (tail if tail > lead else lead):
         return q
     return None
 

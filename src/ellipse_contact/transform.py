@@ -37,9 +37,9 @@ Numerical notes, load-bearing and worth stating once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .geometry import PairConfiguration, UnitVec2
 
@@ -65,9 +65,8 @@ class ContactBranch(Enum):
     PARALLEL_AXES_2B = "parallel-axes-2b"
 
 
-@dataclass(frozen=True)
-class TransformedPair:
-    """Everything the scaling step produces.
+class TransformedPair(NamedTuple):
+    """Everything the scaling step produces, built positionally.
 
     a11, a22, a12 are the components of the transformed quadratic form in
     the (k1+k2, k1-k2) basis (after flipping k2 so that k1.k2 >= 0).
@@ -203,20 +202,6 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
         sin_gamma = (kplus.x * dx + kplus.y * dy) / math.hypot(dx, dy)
 
     return TransformedPair(
-        a11=a11,
-        a22=a22,
-        a12=a12,
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
-        kplus=kplus,
-        kminus=UnitVec2(*km),
-        a2p=a2p,
-        b2p=b2p,
-        delta=delta,
-        cos_phi=cos_phi,
-        sin_phi=sin_phi,
-        dhat_scale=dhat_scale,
-        sin_gamma=sin_gamma,
-        cos_gamma=cos_gamma,
-        branch=branch,
+        a11, a22, a12, lam_plus, lam_minus, kplus, UnitVec2(*km), a2p, b2p, delta,
+        cos_phi, sin_phi, dhat_scale, sin_gamma, cos_gamma, branch,
     )

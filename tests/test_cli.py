@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_input_error, run_cli, run_cli_bounded
@@ -687,9 +687,26 @@ def fuzzed_command(draw):
     return argv
 
 
+# a transformed contact with q = inf: printed as "q inf", exit 0, before
+# closest_approach checked d_prime and q as well as d
+Q_OVERFLOW = [
+    "--a1=3.0", "--b1=0.5", "--a2=1e+160", "--b2=1.0",
+    "--theta1=1e+300", "--theta2=1e+300", "--theta-d=1e+300",
+]
+# finite d and q, but residual_e2 ~ 1e264 and a nan normal cross product
+CROSS_NAN = [
+    "--a1=1.616559583881382e-82", "--b1=2.301130347800641e-104",
+    "--a2=28036000160614.68", "--b2=1.787250134103986e-119",
+    "--theta1=-1.4037467509250792", "--theta2=28.722991122578758",
+    "--theta-d=137.90833851197695",
+]
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=fuzzed_command())
+@example(argv=["distance", *Q_OVERFLOW])
+@example(argv=["distance", *CROSS_NAN])
 def test_fuzzed_geometry_commands_exit_0_or_2(capsys, argv):
     # any exception escaping main fails the test with its traceback
     code, out, err, elapsed = run_cli_bounded(capsys, *argv)
@@ -701,6 +718,35 @@ def test_fuzzed_geometry_commands_exit_0_or_2(capsys, argv):
     else:
         assert "inf" not in out.lower() and "nan" not in out.lower()
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("flags, error", [
+    (Q_OVERFLOW, "error: OverflowError: transformed contact is not finite"),
+    (CROSS_NAN, "error: ValueError: non-finite tangency residuals"),
+], ids=["q-overflow", "cross-nan"])
+@pytest.mark.parametrize("command", ["distance", "contact"])
+def test_non_finite_contact_exit_2(capsys, command, flags, error):
+    err = assert_input_error(capsys, command, *flags)
+    assert err.startswith(error)
+
+
+def test_batch_rejects_non_finite_contact_rows(tmp_path, capsys):
+    # the array kernel leaves both rows to the scalar API, which rejects them
+    inp, outp = tmp_path / "in.csv", tmp_path / "out.csv"
+    rows = [",".join(flag.split("=")[1] for flag in flags) for flags in (Q_OVERFLOW, CROSS_NAN)]
+    inp.write_text("a1,b1,a2,b2,theta1,theta2,theta_d\n2,1,2,1,0,30,10\n" + "\n".join(rows)
+                   + "\n2,1,3,1,0,90,45\n")
+    code, out, err, _ = run_cli_bounded(capsys, "batch", "--input", str(inp), "--output", str(outp))
+    assert code == 0  # 2 of 4 rejected: not over the half threshold
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("line 3: transformed contact is not finite")
+    assert lines[1].startswith("line 4: non-finite tangency residuals")
+    with open(outp, newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [(r["a1"], r["theta2"]) for r in written] == [("2", "30"), ("2", "90")]
+    assert all(math.isfinite(float(r[k])) for r in written for k in cli._RESULT_FIELDS if k != "branch")
 
 
 def test_overlap_non_finite_distance_exit_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 from ellipse_contact import (
     ConcentricCenters,
     ContactBranch,
+    ContactSolution,
     EllipseShape,
     NoPhysicalRoot,
     OverlapVerdict,
@@ -18,6 +19,7 @@ from ellipse_contact import (
     oracle_distance,
     overlap,
     tangency_residuals,
+    TransformedPair,
     transformed_pair,
 )
 from ellipse_contact.oracle import (
@@ -374,6 +376,112 @@ def test_sign_flip_invariance(rng):
             PairConfiguration(cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, flipped(cfg.dhat)),
         ):
             assert abs(closest_approach(other).d - sol0.d) <= 1e-10 * sol0.d
+
+
+# --- result records ---------------------------------------------------------
+
+def scaled(cfg, x, y, inverse=False):
+    """T (x, y), the map of ellipse 1 onto the unit circle, or its inverse."""
+    k, a, b = cfg.k1, cfg.shape1.a, cfg.shape1.b
+    u, v = k.x * x + k.y * y, k.x * y - k.y * x  # along k1 and k1-perp
+    u, v = (u * a, v * b) if inverse else (u / a, v / b)
+    return u * k.x - v * k.y, u * k.y + v * k.x
+
+
+def support_bounds(cfg):
+    """(sum of radial extents, sum of support functions) along dhat: the
+    contact distance lies between them."""
+    lo = hi = 0.0
+    for shape, k in ((cfg.shape1, cfg.k1), (cfg.shape2, cfg.k2)):
+        a, b, u = shape.a, shape.b, cfg.dhat
+        c, s = k.x * u.x + k.y * u.y, k.x * u.y - k.y * u.x
+        lo += a * b / math.hypot(b * c, a * s)
+        hi += math.hypot(a * c, b * s)
+    return lo, hi
+
+
+def test_result_fields_by_name_on_every_branch():
+    # both records are built positionally, so two swapped fields would go
+    # unnoticed by type; relations that hold field by field catch them
+    assert TransformedPair._fields == (
+        "a11", "a22", "a12", "lambda_plus", "lambda_minus", "kplus", "kminus", "a2p",
+        "b2p", "delta", "cos_phi", "sin_phi", "dhat_scale", "sin_gamma", "cos_gamma",
+        "branch",
+    )
+    assert ContactSolution._fields == (
+        "d", "d_prime", "q", "sin_psi", "cos_psi", "sin_gamma", "cos_gamma",
+        "contact_point", "contact_normal", "branch",
+    )
+    k = UnitVec2.from_angle(0.5)
+    cfgs = list(stratified_configurations(1000, seed=11)) + [
+        pair(2.0, 1.0, 3.0, 1.0, 0.3, 1.1, 0.7),  # general
+        pair(1.0, 1.0, 2.0, 2.0, 0.1, 0.9, 0.4),  # circle-like
+        pair(2.0, 1.0, 4.0, 1.0, 0.0, 0.0, 0.0),  # phi-right-angle
+        PairConfiguration(EllipseShape(2.0, 1.0), EllipseShape(1.0, 1.0), k, k,
+                          UnitVec2.from_angle(0.4)),  # parallel axes, 2A
+        PairConfiguration(EllipseShape(1.0, 1.0), EllipseShape(2.0, 1.0), k, flipped(k),
+                          UnitVec2.from_angle(0.4)),  # parallel axes, 2B
+    ]
+    seen = set()
+    for cfg in cfgs:
+        tp, sol = transformed_pair(cfg), closest_approach(cfg)
+        seen.add(sol.branch)
+        assert sol.branch in (tp.branch, ContactBranch.CIRCLE_LIKE, ContactBranch.PHI_RIGHT_ANGLE)
+        kp, km, lp, lm = tp.kplus, tp.kminus, tp.lambda_plus, tp.lambda_minus
+
+        # eigenvalues and transformed semi-axes
+        assert tp.a2p >= tp.b2p > 0.0 and lp >= lm > 0.0
+        assert abs(lp * tp.b2p * tp.b2p - 1.0) <= 1e-15
+        assert abs(lm * tp.a2p * tp.a2p - 1.0) <= 1e-15
+        assert abs(tp.a11 + tp.a22 - (lp + lm)) <= 1e-12 * lp
+        assert (km.x, km.y) == (-kp.y, kp.x)
+
+        # the center line T dhat, its length and its components on kplus/kminus
+        tx, ty = scaled(cfg, cfg.dhat.x, cfg.dhat.y)
+        t = math.hypot(tx, ty)
+        assert abs(tp.dhat_scale - t) <= 1e-14 * t
+        assert abs(tp.cos_phi - (kp.x * tx + kp.y * ty) / t) <= 1e-14
+        assert abs(tp.sin_phi - (km.x * tx + km.y * ty) / t) <= 1e-14
+
+        # gamma turns the (k1+k2, k1-k2) basis onto the eigenbasis; that
+        # basis loses digits as the axes turn parallel, about 1e-16 / gap
+        assert (sol.sin_gamma, sol.cos_gamma) == (tp.sin_gamma, tp.cos_gamma)
+        sg, cg = tp.sin_gamma, tp.cos_gamma
+        k1, k2 = cfg.k1, cfg.k2
+        if k1.x * k2.x + k1.y * k2.y < 0.0:
+            k2 = flipped(k2)
+        gap = math.hypot(k1.x - k2.x, k1.y - k2.y)
+        assert abs(sg * sg + cg * cg - 1.0) <= 2e-15 + (4e-16 / gap if gap else 0.0)
+        if tp.branch is ContactBranch.PARALLEL_AXES_2A:
+            assert (sg, cg) == (0.0, 1.0)
+        elif tp.branch is ContactBranch.PARALLEL_AXES_2B:
+            assert (sg, cg) == (1.0, 0.0)
+        elif gap > 1e-3:
+            sx, sy = k1.x + k2.x, k1.y + k2.y
+            assert abs(cg - (kp.x * sx + kp.y * sy) / math.hypot(sx, sy)) <= 1e-12
+            assert abs(tp.a11 - (lp * cg * cg + lm * sg * sg)) <= 1e-12 * lp
+            assert abs(tp.a22 - (lp * sg * sg + lm * cg * cg)) <= 1e-12 * lp
+
+        # the distance, between the radial and the support-function bounds
+        assert sol.d == sol.d_prime / tp.dhat_scale
+        assert 1.0 <= sol.q <= math.sqrt(1.0 + tp.delta)
+        lo, hi = support_bounds(cfg)
+        assert lo * (1.0 - 1e-12) <= sol.d <= hi * (1.0 + 1e-12)
+
+        # the contact point maps to the transformed normal direction psi on
+        # the unit circle, and the outward normal there is along M1.rc
+        rc, n = sol.contact_point, sol.contact_normal
+        assert isinstance(rc, Vec2) and isinstance(n, UnitVec2)
+        assert abs(sol.sin_psi**2 + sol.cos_psi**2 - 1.0) <= 2e-15
+        px = sol.cos_psi * kp.x + sol.sin_psi * km.x
+        py = sol.cos_psi * kp.y + sol.sin_psi * km.y
+        ex, ey = scaled(cfg, px, py, inverse=True)
+        assert math.hypot(rc.x - ex, rc.y - ey) <= 1e-9 * math.hypot(ex, ey)
+        m11, m12, m22 = form(cfg.shape1, cfg.k1)
+        mx, my = m11 * rc.x + m12 * rc.y, m12 * rc.x + m22 * rc.y
+        assert abs(n.x * my - n.y * mx) <= 1e-15 * math.hypot(mx, my)
+        assert n.x * mx + n.y * my > 0.0
+    assert seen == set(ContactBranch)
 
 
 # --- branch straddle --------------------------------------------------------

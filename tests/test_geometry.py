@@ -99,6 +99,21 @@ def test_make_pair_configuration_keeps_unit_vectors():
         assert again == cfg
 
 
+def test_make_pair_configuration_reuses_unit_vectors():
+    # a UnitVec2 is immutable and already normalized: the very object is kept
+    k1, k2, dhat = UnitVec2.from_angle(0.3), UnitVec2(3.0, 4.0), UnitVec2(1.0, 1e-9)
+    cfg = make_pair_configuration(2, 1, 3, 1, k1, k2, dhat)
+    assert cfg.k1 is k1 and cfg.k2 is k2 and cfg.dhat is dhat
+    # Vec2s and (x, y) pairs are still normalized, to float components
+    cfg = make_pair_configuration(2, 1, 3, 1, Vec2(3.0, 4.0), (0, 2), [1, 0])
+    assert cfg.k1 == UnitVec2(3.0, 4.0)
+    assert (cfg.k2.x, cfg.k2.y) == (0.0, 1.0)
+    assert (cfg.dhat.x, cfg.dhat.y) == (1.0, 0.0)
+    for u in (cfg.k1, cfg.k2, cfg.dhat):
+        assert type(u) is UnitVec2
+        assert type(u.x) is float and type(u.y) is float
+
+
 def test_unitvec_rejects_zero():
     with pytest.raises(ZeroVector):
         UnitVec2(0.0, 0.0)
