@@ -42,6 +42,7 @@ from .oracle import (
     oracle_distance,
     stratified_configuration,
     stratified_configurations,
+    support_distances,
     verify_random,
 )
 from .quartic import (

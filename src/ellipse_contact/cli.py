@@ -386,12 +386,10 @@ def cmd_verify(args) -> int:
     cores = os.cpu_count() or 1
     if args.workers > cores:
         raise ValueError(f"--workers must be at most {cores}, the CPU count")
-    settings = oracle.OracleSettings(boundary_samples=args.samples)
     report = oracle.verify_random(
         trials=args.trials,
         seed=args.seed,
         tolerance=args.tol,
-        settings=settings,
         workers=args.workers,
     )
     print(f"trials        {report.trials}")
@@ -491,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--json", action="store_true", help="JSON curve payload")
 
-    p = sub.add_parser("verify", help="compare the kernel against the brute-force oracle")
+    p = sub.add_parser(
+        "verify", help="compare the array kernel against the support-function oracle"
+    )
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--samples", type=int, default=4096,
-                   help="oracle boundary samples per ellipse")
     p.add_argument("--workers", type=int, default=1, help="process count (default 1)")
 
     p = sub.add_parser("simulate", help="run the hard-ellipse Monte Carlo driver")

@@ -196,10 +196,16 @@ def transformed_pair(cfg: PairConfiguration) -> TransformedPair:
     elif parallel:
         branch, sin_gamma, cos_gamma = ContactBranch.PARALLEL_AXES_2B, 1.0, 0.0
     else:
-        # m2 * p2 != 0, so neither basis vector has zero length
+        # m2 * p2 != 0, so s = k1 + k2 has nonzero length; the second basis
+        # vector is its exact quarter turn, oriented along k1 - k2 as
+        # _transform orients a12, so (sin, cos) share one divisor and stay
+        # a unit pair however close the axes are
         branch = ContactBranch.GENERAL
-        cos_gamma = (kplus.x * sx + kplus.y * sy) / math.hypot(sx, sy)
-        sin_gamma = (kplus.x * dx + kplus.y * dy) / math.hypot(dx, dy)
+        sn = math.hypot(sx, sy)
+        cos_gamma = (kplus.x * sx + kplus.y * sy) / sn
+        sin_gamma = (kplus.y * sx - kplus.x * sy) / sn
+        if dy * sx - dx * sy < 0.0:
+            sin_gamma = -sin_gamma
 
     return TransformedPair(
         a11, a22, a12, lam_plus, lam_minus, kplus, UnitVec2(*km), a2p, b2p, delta,

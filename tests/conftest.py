@@ -113,6 +113,57 @@ def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
     return roots
 
 
+def columns(cfgs) -> list[np.ndarray]:
+    """The ten columns of contact_arrays and support_distances, one row per
+    configuration."""
+    return [np.array(c) for c in zip(*(
+        (c.shape1.a, c.shape1.b, c.shape2.a, c.shape2.b,
+         c.k1.x, c.k1.y, c.k2.x, c.k2.y, c.dhat.x, c.dhat.y) for c in cfgs
+    ))]
+
+
+def mp_support_distance(cfgs, mp):
+    """Contact distances from the support functions alone, to 60 digits.
+
+    The excluded region is K1 + K2, whose support function is h1 + h2 with
+    h = sqrt(a^2 (k.n)^2 + b^2 (k x n)^2), so d = min (h1 + h2) / (n.dhat)
+    over normals n with n.dhat > 0.  The minimizing normal is the one whose
+    support point s1 + s2, s = (a^2 (k.n) k + b^2 (k x n) kperp) / h, lies
+    along dhat; it is bisected in floats (the sign of dhat x (s1 + s2) is
+    monotone in the angle of n), and the quotient is evaluated in 60-digit
+    mpmath at that angle.  The quotient is stationary there, so the angle's
+    rounding enters at second order, far below 1e-20 here.  It shares
+    nothing with the transform, the quartic or the sampled oracle."""
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = columns(cfgs)
+    theta = np.arctan2(dy, dx)
+    lo, hi = theta - 0.5 * math.pi, theta + 0.5 * math.pi
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        nx, ny = np.cos(t), np.sin(t)
+        px = py = 0.0
+        for a, b, kx, ky in ((a1, b1, k1x, k1y), (a2, b2, k2x, k2y)):
+            c, s = kx * nx + ky * ny, kx * ny - ky * nx
+            h = np.sqrt(a * a * c * c + b * b * s * s)
+            px = px + (a * a * c * kx - b * b * s * ky) / h
+            py = py + (a * a * c * ky + b * b * s * kx) / h
+        below = dx * py - dy * px < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+    out = []
+    with mp.workdps(60):
+        for i, ti in enumerate((0.5 * (lo + hi)).tolist()):
+            n = (mp.cos(ti), mp.sin(ti))
+            total = 0
+            for a, b, kx, ky in ((a1, b1, k1x, k1y), (a2, b2, k2x, k2y)):
+                k = (mp.mpf(kx[i]), mp.mpf(ky[i]))
+                norm = mp.sqrt(k[0] ** 2 + k[1] ** 2)
+                c = (k[0] * n[0] + k[1] * n[1]) / norm
+                s = (k[0] * n[1] - k[1] * n[0]) / norm
+                total += mp.sqrt(mp.mpf(a[i]) ** 2 * c ** 2 + mp.mpf(b[i]) ** 2 * s ** 2)
+            along = (n[0] * dx[i] + n[1] * dy[i]) / mp.sqrt(mp.mpf(dx[i]) ** 2 + mp.mpf(dy[i]) ** 2)
+            out.append(total / along)
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingRoots, run_cli, run_cli_bounded
+from conftest import CountingRoots, columns, run_cli, run_cli_bounded
 from ellipse_contact import (
     UnitVec2,
     closest_approach,
@@ -100,6 +100,19 @@ def test_contact_arrays_match_scalar_on_streams(seed, n, max_aspect, deferred):
     else:
         # extreme aspect: the companion-matrix fallback takes ~2%
         assert len(got) < 0.05 * n
+
+
+@pytest.mark.parametrize("max_aspect, rtol", [(20.0, 1e-13), (1e3, 1e-9), (1e4, 1e-7)])
+def test_contact_arrays_against_support_oracle(max_aspect, rtol):
+    # the array kernel, with the rows it defers answered by the scalar
+    # one, against the support-function oracle on 20,000 configurations
+    cfgs = list(oracle.stratified_configurations(20_000, 11, max_aspect))
+    cols = columns(cfgs)
+    res = contact_arrays(*cols)
+    d, deferred = res.d, np.flatnonzero(res.scalar)
+    d[deferred] = [closest_approach(cfgs[i]).d for i in deferred.tolist()]
+    ref = oracle.support_distances(*cols)
+    assert np.max(abs(d - ref) / ref) <= rtol
 
 
 def test_contact_arrays_defer_the_fallback_row():

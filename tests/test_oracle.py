@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ellipse_contact import (
@@ -12,13 +13,15 @@ from ellipse_contact import (
     closest_approach,
     oracle_distance,
 )
-from ellipse_contact import oracle
+from ellipse_contact import bulk, oracle
 from ellipse_contact.oracle import (
     MAX_BOUNDARY_SAMPLES,
     stratified_configuration,
+    stratified_configurations,
+    support_distances,
     verify_random,
 )
-from conftest import oracle_circle_ellipse_distance
+from conftest import columns, mp_support_distance, oracle_circle_ellipse_distance
 
 
 def test_settings_validation():
@@ -103,10 +106,13 @@ def test_verify_zero_tolerance_fails():
 
 
 def test_verify_parallel_consistent():
-    serial = verify_random(trials=24, seed=9, tolerance=1e-7, workers=1)
-    parallel = verify_random(trials=24, seed=9, tolerance=1e-7, workers=2)
-    assert serial.max_rel_err == parallel.max_rel_err
-    assert serial.mean_rel_err == parallel.mean_rel_err
+    # three blocks, the last one short, over one or two processes; a
+    # zero tolerance lists every trial, so the failure lists compare too
+    trials = 2 * bulk.CHUNK_ROWS + 7
+    serial = verify_random(trials=trials, seed=9, tolerance=0.0, workers=1)
+    parallel = verify_random(trials=trials, seed=9, tolerance=0.0, workers=2)
+    assert serial == parallel
+    assert serial.trials == trials and serial.max_rel_err <= 1e-7
 
 
 @pytest.mark.parametrize("trials, tolerance", [
@@ -134,9 +140,56 @@ def test_verify_counts_root_failures(monkeypatch):
             raise NoPhysicalRoot("no bracket root")
         return real(cfg)
 
+    def all_scalar(*cols):
+        # every row goes to the scalar path, and so to the patched kernel
+        res = real_arrays(*cols)
+        return res._replace(scalar=np.ones_like(res.scalar))
+
+    real_arrays = oracle.bulk.contact_arrays
+    monkeypatch.setattr(oracle.bulk, "contact_arrays", all_scalar)
     monkeypatch.setattr(oracle, "closest_approach", sometimes_no_root)
     report = verify_random(trials=4, seed=7, tolerance=1.0, workers=1)
     assert len(calls) == 4
     assert report.root_failures == 2
     assert report.failures == [(1, math.inf), (3, math.inf)]
     assert report.max_rel_err <= 1e-7
+
+
+@pytest.mark.parametrize("max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5)])
+def test_support_distances_against_mpmath(max_aspect, seed):
+    # the oracle's own reference: 60-digit arithmetic at the bisected angle
+    mp = pytest.importorskip("mpmath")
+    cfgs = list(stratified_configurations(200, seed, max_aspect))
+    got = support_distances(*columns(cfgs))
+    worst = max(abs(g - float(ref)) / float(ref)
+                for g, ref in zip(got.tolist(), mp_support_distance(cfgs, mp)))
+    assert worst <= 1e-15
+
+
+def test_support_distances_against_sampled_oracle():
+    cfgs = list(stratified_configurations(50, 17))
+    got = support_distances(*columns(cfgs))
+    for g, cfg in zip(got.tolist(), cfgs):
+        d = oracle_distance(cfg)
+        assert abs(g - d) <= 1e-9 * d
+
+
+def test_support_distances_scale_free_in_directions():
+    # directions of any length give the distance of the unit ones
+    cfgs = list(stratified_configurations(40, 23))
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = columns(cfgs)
+    unit = support_distances(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy)
+    scaled = support_distances(a1, b1, a2, b2, 3.0 * k1x, 3.0 * k1y,
+                               0.25 * k2x, 0.25 * k2y, 7.0 * dx, 7.0 * dy)
+    assert np.all(abs(scaled - unit) <= 1e-15 * unit)
+
+
+def test_support_distances_closed_forms():
+    # circles: r1 + r2; identical parallel ellipses: 2a along the axis,
+    # 2b across it
+    x, y = np.array([1.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])
+    got = support_distances(
+        [1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 1.0, 1.0], [2.0, 0.5, 2.0, 2.0], [2.0, 0.5, 1.0, 1.0],
+        x, y, x, y, np.array([0.6, -0.8, 1.0, 1.0]), np.array([0.8, 0.6, 0.0, 0.0]),
+    )
+    assert np.allclose(got, [3.0, 2.5, 4.0, 2.0], rtol=1e-15, atol=0.0)
