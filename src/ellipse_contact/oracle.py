@@ -23,6 +23,7 @@ quartic, contact, bulk):
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import bulk
 from .contact import closest_approach
-from .geometry import EllipseShape, PairConfiguration, UnitVec2
+from .geometry import EllipseShape, PairConfiguration, UnitVec2, make_pair_configuration
 from .quartic import NoPhysicalRoot
 
 __all__ = [
@@ -363,11 +364,152 @@ def stratified_configuration(
     return PairConfiguration(s1, s2, k1, k2, UnitVec2.from_angle(thd))
 
 
+# The same stream for a block of indices at once.  default_rng(SeedSequence)
+# is numpy's SeedSequence hash feeding PCG64 (O'Neill 2014), both kept
+# bit-stable by NEP 19, so their arithmetic is redone here on uint64
+# arrays.  The constants are those of numpy/random/bit_generator.pyx and
+# pcg64.h; they stay Python ints, since numpy integer scalars warn on
+# overflow where arrays wrap.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _column(xs: list[int]) -> np.ndarray:
+    return np.array(xs, dtype=np.uint64)[:, None]
+
+
+# generate_state's hash constant before and after each of its 8 words
+_STATE_HASH = [_INIT_B * pow(_MULT_B, w, 1 << 32) & _M32 for w in range(9)]
+_STATE_XOR, _STATE_MUL = _column(_STATE_HASH[:8]), _column(_STATE_HASH[1:])
+# draw j is read from the state after j + 2 PCG64 steps from seed + inc
+# (srandom takes two): A_j (seed + inc) + C_j inc with A_j = M^(j+2) and
+# C_j = 1 + M + ... + M^(j+1), mod 2^128; as (high, low) words, a row
+# each for A and C
+_JUMPS = [
+    [pow(_PCG_MULT, j + 2, 1 << 128) for j in range(_DRAWS)],
+    [sum(pow(_PCG_MULT, k, 1 << 128) for k in range(j + 2)) % (1 << 128) for j in range(_DRAWS)],
+]
+_JUMP_HI = np.array([[x >> 64 for x in row] for row in _JUMPS], dtype=np.uint64)
+_JUMP_LO = np.array([[x & _M64 for x in row] for row in _JUMPS], dtype=np.uint64)
+
+
+def _mul64(a, b):
+    """The 128-bit product of uint64 arrays as (high, low) words."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo):
+    """x * y mod 2^128 on (high, low) uint64 words."""
+    hi, lo = _mul64(x_lo, y_lo)
+    return hi + x_lo * y_hi + x_hi * y_lo, lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo):
+    """x + y mod 2^128 on (high, low) uint64 words."""
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo
+
+
+@np.errstate(over="ignore")
+def _stream_doubles(seed: int, start: int, stop: int) -> np.ndarray:
+    """The _DRAWS doubles of default_rng(SeedSequence(seed, spawn_key=(i,)))
+    .random() for start <= i < stop, one row per index."""
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"indices {start}..{stop - 1} do not lie in [0, 2^32)")
+    # SeedSequence(seed).pool is the pool before the spawn word is mixed
+    # in; the seed's words, padded to 4, took 16 + 4 (words - 4) hashmix
+    # steps.  Pool word k then becomes mix(pool[k], hashmix(index)) at the
+    # k-th next step.
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    words = max(1, -(-operator.index(seed).bit_length() // 32))
+    h = [_INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4) + k, 1 << 32) & _M32 for k in range(5)]
+    v = (np.arange(start, stop, dtype=np.uint64) ^ _column(h[:4])) * _column(h[1:]) & _M32
+    r = (_MIX_L * pool - _MIX_R * (v ^ (v >> 16))) & _M32
+    # generate_state(4, uint64): eight hashed words of the cycled pool,
+    # read little-endian
+    v = (np.tile(r ^ (r >> 16), (2, 1)) ^ _STATE_XOR) * _STATE_MUL & _M32
+    v ^= v >> 16
+    s_hi, s_lo, q_hi, q_lo = v[::2] | (v[1::2] << 32)
+    # PCG64's srandom: inc = 2 q + 1; then A_j (seed + inc) + C_j inc
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    x_hi, x_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    t_hi, t_lo = _mul128(np.stack((x_hi, inc_hi), 1)[:, :, None],
+                         np.stack((x_lo, inc_lo), 1)[:, :, None], _JUMP_HI, _JUMP_LO)
+    t_hi, t_lo = _add128(t_hi[:, 0], t_lo[:, 0], t_hi[:, 1], t_lo[:, 1])
+    # XSL-RR output, then the top 53 bits as a double
+    xsl, rot = t_hi ^ t_lo, t_hi >> 58
+    out = (xsl >> rot) | (xsl << ((64 - rot) & 63))
+    return (out >> 11).astype(np.float64) * 2.0**-53
+
+
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Generator.uniform(lo, hi) for the draws u."""
+    return lo + (hi - lo) * u
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn on Python floats, element by element: numpy's exp, power, cos and
+    sin round differently on some inputs."""
+    return bulk._each(fn, np.zeros(len(x), dtype=bool), x)
+
+
+def _stratified_columns(
+    seed: int, start: int, stop: int, max_aspect: float = 20.0
+) -> tuple[np.ndarray, ...]:
+    """The bulk.contact_arrays columns of stratified_configuration(seed, i,
+    max_aspect) for start <= i < stop, bit for bit: its strata become masks
+    and draw positions over the table of draws."""
+    u = _stream_doubles(seed, start, stop)
+    stratum = np.arange(start, stop) % 5
+    scale = _each(math.exp, _uniform(u[:, [0, 2]].T.ravel(), math.log(0.3), math.log(3.0)))
+    aspect = _each(math.exp, _uniform(u[:, [1, 3]].T.ravel(), 0.0, math.log(max_aspect)))
+    (a1, a2), (b1, b2) = (scale * aspect).reshape(2, -1), scale.reshape(2, -1)
+    th1, th2, thd = (_uniform(u[:, j], 0.0, 2.0 * math.pi) for j in (4, 5, 6))
+    pow10 = partial(pow, 10.0)
+
+    rows = np.flatnonzero(stratum == 0)
+    eps = _each(pow10, _uniform(u[rows, 7], -18.0, -4.0))
+    eps[u[rows, 8] < 0.25] = 0.0
+    th2[rows] = th1[rows] + eps + np.where(u[rows, 9] < 0.5, math.pi, 0.0)
+
+    rows = np.flatnonzero(stratum == 1)
+    near = u[rows, 7] < 0.5
+    tilt = np.zeros(len(rows))
+    tilt[near] = _each(pow10, _uniform(u[rows[near], 8], -18.0, -4.0))
+    thd[rows] = th1[rows] + 0.5 * math.pi + tilt
+    # the next draw is the 8th or, after a tilt, the 9th
+    at = 8 + near
+    near = u[rows, at] < 0.5
+    rows, at = rows[near], at[near] + 1
+    th2[rows] = th1[rows] + _each(pow10, _uniform(u[rows, at], -18.0, -4.0))
+
+    rows = np.flatnonzero(stratum == 2)
+    b1[rows] = a1[rows] * (1.0 - _uniform(u[rows, 7], 0.0, 5e-9))
+    rows = rows[u[rows, 8] < 0.5]
+    b2[rows] = a2[rows] * (1.0 - _uniform(u[rows, 9], 0.0, 5e-9))
+
+    # UnitVec2.from_angle for the three directions at once
+    theta = np.concatenate((th1, th2, thd))
+    x, y = bulk._unit(_each(math.cos, theta), _each(math.sin, theta), np.zeros(len(theta), dtype=bool))
+    (k1x, k2x, dx), (k1y, k2y, dy) = np.split(x, 3), np.split(y, 3)
+    return a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy
+
+
 def stratified_configurations(
     n: int, seed: int, max_aspect: float = 20.0
 ) -> Iterator[PairConfiguration]:
-    for i in range(n):
-        yield stratified_configuration(seed, i, max_aspect)
+    """stratified_configuration(seed, i, max_aspect) for i < n, computed in
+    blocks of bulk.CHUNK_ROWS indices."""
+    for start in range(0, n, bulk.CHUNK_ROWS):
+        cols = _stratified_columns(seed, start, min(start + bulk.CHUNK_ROWS, n), max_aspect)
+        for a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy in zip(*(c.tolist() for c in cols)):
+            yield make_pair_configuration(a1, b1, a2, b2, (k1x, k1y), (k2x, k2y), (dx, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +524,25 @@ class VerifyReport:
     root_failures: int
 
 
-def _columns(cfg: PairConfiguration) -> tuple[float, ...]:
-    """The row of bulk.contact_arrays and support_distances for cfg."""
-    return (cfg.shape1.a, cfg.shape1.b, cfg.shape2.a, cfg.shape2.b,
-            cfg.k1.x, cfg.k1.y, cfg.k2.x, cfg.k2.y, cfg.dhat.x, cfg.dhat.y)
-
-
-def _verify_block(seed: int, start: int, stop: int) -> list[tuple[float, float]]:
+def _verify_block(seed: int, max_aspect: float, start: int, stop: int) -> list[tuple[float, float]]:
     """(analytic, oracle) distance of trials start..stop-1; the analytic one
     is nan where the kernel raises NoPhysicalRoot.  Rows the array kernel
     leaves to the scalar path go through closest_approach."""
-    cfgs = [stratified_configuration(seed, i) for i in range(start, stop)]
-    cols = [np.array(col) for col in zip(*map(_columns, cfgs))]
+    cols = _stratified_columns(seed, start, stop, max_aspect)
     res = bulk.contact_arrays(*cols)
     analytic = res.d.tolist()
     for j in np.flatnonzero(res.scalar).tolist():
         try:
-            analytic[j] = closest_approach(cfgs[j]).d
+            a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = (c[j] for c in cols)
+            cfg = make_pair_configuration(a1, b1, a2, b2, (k1x, k1y), (k2x, k2y), (dx, dy))
+            analytic[j] = closest_approach(cfg).d
         except NoPhysicalRoot:
             analytic[j] = math.nan
     return list(zip(analytic, support_distances(*cols).tolist()))
+
+
+# the aspect range the array kernel's gates cover (tests/test_bulk.py)
+MAX_VERIFY_ASPECT = 1e4
 
 
 def verify_random(
@@ -409,26 +550,35 @@ def verify_random(
     seed: int,
     tolerance: float = 1e-7,
     workers: int = 1,
+    max_aspect: float = 20.0,
 ) -> VerifyReport:
     """Compare the array kernel against the support-function oracle on the
     stratified stream; a trial fails when the relative error exceeds the
     tolerance.  The trials run in blocks of bulk.CHUNK_ROWS, spread over
-    the workers, and the errors add up in trial order, so the report is
-    the same for any worker count.
+    at most one worker per block (one block starts no process), and the
+    errors add up in trial order, so the report is the same for any
+    worker count.
 
     Raises ValueError for fewer than one trial or a tolerance that is not
     a finite non-negative number, either of which would pass vacuously,
-    and for fewer than one worker.
+    for more than 2^32 trials or fewer than one worker, and for a
+    max_aspect outside [1, MAX_VERIFY_ASPECT].
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > 1 << 32:
+        # trial indices are one 32-bit spawn word of the stream
+        raise ValueError(f"at most 2^32 trials, got {trials}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    if not 1.0 <= max_aspect <= MAX_VERIFY_ASPECT:
+        raise ValueError(f"max_aspect must lie in [1, {MAX_VERIFY_ASPECT:g}], got {max_aspect!r}")
     starts = range(0, trials, bulk.CHUNK_ROWS)
     stops = [min(start + bulk.CHUNK_ROWS, trials) for start in starts]
-    block = partial(_verify_block, seed)
+    block = partial(_verify_block, seed, max_aspect)
+    workers = min(workers, len(starts))
     if workers == 1:
         blocks = list(map(block, starts, stops))
     else:

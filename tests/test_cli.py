@@ -578,6 +578,40 @@ def test_verify_command(capsys):
     assert "failures      0" in out
 
 
+# three blocks of trials; the report of the configurations drawn one index
+# at a time, before the stream was drawn in blocks
+VERIFY_GOLDEN = {
+    3: ("2.5807000215299932e-14", "2.757407059189174e-16"),
+    11: ("2.852378383436296e-14", "3.216406830854609e-16"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_GOLDEN))
+def test_verify_stdout_golden(capsys, seed):
+    max_err, mean_err = VERIFY_GOLDEN[seed]
+    code, out, _ = run_cli(capsys, "verify", "--trials", "2100", "--seed", str(seed))
+    assert code == 0
+    assert out == (
+        "trials        2100\n"
+        f"max rel err   {max_err}\n"
+        f"mean rel err  {mean_err}\n"
+        "root failures 0\n"
+        "failures      0\n"
+    )
+
+
+@pytest.mark.parametrize("trials, aspect", [("5000", "1e4"), ("100", "1")])
+def test_verify_max_aspect_bounds(capsys, trials, aspect):
+    # both ends of the gated range pass; at 1e4 the array kernel defers
+    # some rows to closest_approach, and at 1 every shape is a circle or,
+    # in one stratum, nearly one
+    code, out, _ = run_cli(
+        capsys, "verify", "--trials", trials, "--seed", "11", "--max-aspect", aspect
+    )
+    assert code == 0
+    assert "root failures 0\nfailures      0\n" in out
+
+
 def test_verify_zero_tolerance_exit_1(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--trials", "10", "--seed", "7", "--tol", "0"
@@ -637,6 +671,27 @@ def test_verify_one_worker_starts_no_pool(monkeypatch, capsys):
     monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", _NoPool)
     code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--workers", "1")
     assert code == 0 and "trials        2" in out
+
+
+def test_verify_one_block_starts_no_pool(monkeypatch, capsys):
+    # 100 trials are one block, so a second worker would have nothing to do
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", _NoPool)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "100", "--workers", "2")
+    assert code == 0 and "trials        100\n" in out
+
+
+@pytest.mark.parametrize("aspect", [
+    "0.5", "0.9999999999999999", "10000.000000000002", "1e5", "nan", "inf", "-inf",
+])
+def test_verify_max_aspect_out_of_range_exit_2(monkeypatch, capsys, aspect):
+    # outside [1, 1e4] no gate covers the kernel; rejected before any draw
+    def no_draw(*args):
+        raise AssertionError("verify drew configurations")
+
+    monkeypatch.setattr(cli.oracle, "_stratified_columns", no_draw)
+    err = assert_input_error(capsys, "verify", "--trials", "2", f"--max-aspect={aspect}")
+    assert err.startswith("error: ValueError: max_aspect")
 
 
 @pytest.mark.parametrize("argv", [
