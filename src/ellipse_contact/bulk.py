@@ -55,7 +55,7 @@ from .quartic import (
 )
 from .transform import ContactBranch, _transform
 
-__all__ = ["BRANCHES", "CHUNK_ROWS", "ContactArrays", "contact_arrays", "unit_vectors"]
+__all__ = ["BRANCHES", "CHUNK_ROWS", "ContactArrays", "contact_arrays", "from_angles", "unit_vectors"]
 
 # rows per array-kernel evaluation for the callers that stream: batch reads,
 # computes and writes this many rows per step, and a curve solves this many
@@ -184,14 +184,19 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     return q
 
 
-def unit_vectors(theta_deg) -> tuple[np.ndarray, np.ndarray]:
-    """UnitVec2.from_angle(math.radians(theta)) for each angle in degrees,
-    as (x, y) arrays; nan where that call raises (a non-finite angle)."""
-    rad = np.asarray(theta_deg, dtype=np.float64) * (math.pi / 180.0)  # math.radians
-    bad = np.zeros(len(rad), dtype=bool)
-    x, y = _unit(_each(math.cos, bad, rad), _each(math.sin, bad, rad), bad)
+def from_angles(theta) -> tuple[np.ndarray, np.ndarray]:
+    """UnitVec2.from_angle(theta) for each angle in radians, as (x, y)
+    arrays; nan where that call raises (a non-finite angle)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    bad = np.zeros(len(theta), dtype=bool)
+    x, y = _unit(_each(math.cos, bad, theta), _each(math.sin, bad, theta), bad)
     x[bad] = y[bad] = math.nan
     return x, y
+
+
+def unit_vectors(theta_deg) -> tuple[np.ndarray, np.ndarray]:
+    """from_angles(math.radians(theta)) for each angle in degrees."""
+    return from_angles(np.asarray(theta_deg, dtype=np.float64) * (math.pi / 180.0))  # math.radians
 
 
 @np.errstate(all="ignore")

@@ -391,7 +391,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tolerance=args.tol,
         workers=args.workers,
-        max_aspect=args.max_aspect,
     )
     print(f"trials        {report.trials}")
     print(f"max rel err   {report.max_rel_err}")
@@ -498,9 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--workers", type=int, default=1,
                    help=f"process count, at most one per {bulk.CHUNK_ROWS} trials (default 1)")
-    p.add_argument("--max-aspect", type=float, default=20.0,
-                   help=f"largest aspect ratio a/b drawn, in [1, {oracle.MAX_VERIFY_ASPECT:g}] "
-                        "(default 20)")
 
     p = sub.add_parser("simulate", help="run the hard-ellipse Monte Carlo driver")
     p.add_argument("--config", required=True, help="JSON or key=value run file")

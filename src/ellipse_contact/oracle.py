@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -365,11 +365,12 @@ def stratified_configuration(
 
 
 # The same stream for a block of indices at once.  default_rng(SeedSequence)
-# is numpy's SeedSequence hash feeding PCG64 (O'Neill 2014), both kept
-# bit-stable by NEP 19, so their arithmetic is redone here on uint64
-# arrays.  The constants are those of numpy/random/bit_generator.pyx and
-# pcg64.h; they stay Python ints, since numpy integer scalars warn on
-# overflow where arrays wrap.
+# is numpy's SeedSequence hash feeding PCG64 (O'Neill 2014), so their
+# arithmetic is redone here on uint64 arrays.  The constants are those of
+# numpy/random/bit_generator.pyx and pcg64.h, and this code is only right
+# while NEP 19 keeps both bit streams stable; the tests compare it with
+# numpy's own Generator.  The constants stay Python ints, since numpy
+# integer scalars warn on overflow where arrays wrap.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -453,10 +454,10 @@ def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def _each(fn, x: np.ndarray) -> np.ndarray:
-    """fn on Python floats, element by element: numpy's exp, power, cos and
-    sin round differently on some inputs."""
-    return bulk._each(fn, np.zeros(len(x), dtype=bool), x)
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """fn on Python floats, element by element: numpy's exp and power round
+    differently on some inputs."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
 
 
 def _stratified_columns(
@@ -467,49 +468,56 @@ def _stratified_columns(
     and draw positions over the table of draws."""
     u = _stream_doubles(seed, start, stop)
     stratum = np.arange(start, stop) % 5
-    scale = _each(math.exp, _uniform(u[:, [0, 2]].T.ravel(), math.log(0.3), math.log(3.0)))
-    aspect = _each(math.exp, _uniform(u[:, [1, 3]].T.ravel(), 0.0, math.log(max_aspect)))
+    scale = _map(math.exp, _uniform(u[:, [0, 2]].T.ravel(), math.log(0.3), math.log(3.0)))
+    aspect = _map(math.exp, _uniform(u[:, [1, 3]].T.ravel(), 0.0, math.log(max_aspect)))
     (a1, a2), (b1, b2) = (scale * aspect).reshape(2, -1), scale.reshape(2, -1)
     th1, th2, thd = (_uniform(u[:, j], 0.0, 2.0 * math.pi) for j in (4, 5, 6))
     pow10 = partial(pow, 10.0)
 
     rows = np.flatnonzero(stratum == 0)
-    eps = _each(pow10, _uniform(u[rows, 7], -18.0, -4.0))
+    eps = _map(pow10, _uniform(u[rows, 7], -18.0, -4.0))
     eps[u[rows, 8] < 0.25] = 0.0
     th2[rows] = th1[rows] + eps + np.where(u[rows, 9] < 0.5, math.pi, 0.0)
 
     rows = np.flatnonzero(stratum == 1)
     near = u[rows, 7] < 0.5
     tilt = np.zeros(len(rows))
-    tilt[near] = _each(pow10, _uniform(u[rows[near], 8], -18.0, -4.0))
+    tilt[near] = _map(pow10, _uniform(u[rows[near], 8], -18.0, -4.0))
     thd[rows] = th1[rows] + 0.5 * math.pi + tilt
     # the next draw is the 8th or, after a tilt, the 9th
     at = 8 + near
     near = u[rows, at] < 0.5
     rows, at = rows[near], at[near] + 1
-    th2[rows] = th1[rows] + _each(pow10, _uniform(u[rows, at], -18.0, -4.0))
+    th2[rows] = th1[rows] + _map(pow10, _uniform(u[rows, at], -18.0, -4.0))
 
     rows = np.flatnonzero(stratum == 2)
     b1[rows] = a1[rows] * (1.0 - _uniform(u[rows, 7], 0.0, 5e-9))
     rows = rows[u[rows, 8] < 0.5]
     b2[rows] = a2[rows] * (1.0 - _uniform(u[rows, 9], 0.0, 5e-9))
 
-    # UnitVec2.from_angle for the three directions at once
-    theta = np.concatenate((th1, th2, thd))
-    x, y = bulk._unit(_each(math.cos, theta), _each(math.sin, theta), np.zeros(len(theta), dtype=bool))
+    x, y = bulk.from_angles(np.concatenate((th1, th2, thd)))
     (k1x, k2x, dx), (k1y, k2y, dy) = np.split(x, 3), np.split(y, 3)
     return a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy
 
 
+# spawn words the block draw models: an index takes one 32-bit word
+_BLOCK_INDICES = 1 << 32
+
+
 def stratified_configurations(
-    n: int, seed: int, max_aspect: float = 20.0
+    n: int, seed: int | Sequence[int], max_aspect: float = 20.0
 ) -> Iterator[PairConfiguration]:
     """stratified_configuration(seed, i, max_aspect) for i < n, computed in
-    blocks of bulk.CHUNK_ROWS indices."""
-    for start in range(0, n, bulk.CHUNK_ROWS):
-        cols = _stratified_columns(seed, start, min(start + bulk.CHUNK_ROWS, n), max_aspect)
+    blocks of bulk.CHUNK_ROWS indices.  A seed that is not an int (numpy
+    takes other entropy, such as a sequence of ints) and the indices past
+    the block draw's range go through stratified_configuration one by one."""
+    blocked = min(n, _BLOCK_INDICES) if isinstance(seed, (int, np.integer)) else 0
+    for start in range(0, blocked, bulk.CHUNK_ROWS):
+        cols = _stratified_columns(seed, start, min(start + bulk.CHUNK_ROWS, blocked), max_aspect)
         for a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy in zip(*(c.tolist() for c in cols)):
             yield make_pair_configuration(a1, b1, a2, b2, (k1x, k1y), (k2x, k2y), (dx, dy))
+    for i in range(blocked, n):
+        yield stratified_configuration(seed, i, max_aspect)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +532,11 @@ class VerifyReport:
     root_failures: int
 
 
-def _verify_block(seed: int, max_aspect: float, start: int, stop: int) -> list[tuple[float, float]]:
+def _verify_block(seed: int, start: int, stop: int) -> list[tuple[float, float]]:
     """(analytic, oracle) distance of trials start..stop-1; the analytic one
     is nan where the kernel raises NoPhysicalRoot.  Rows the array kernel
     leaves to the scalar path go through closest_approach."""
-    cols = _stratified_columns(seed, start, stop, max_aspect)
+    cols = _stratified_columns(seed, start, stop)
     res = bulk.contact_arrays(*cols)
     analytic = res.d.tolist()
     for j in np.flatnonzero(res.scalar).tolist():
@@ -541,43 +549,35 @@ def _verify_block(seed: int, max_aspect: float, start: int, stop: int) -> list[t
     return list(zip(analytic, support_distances(*cols).tolist()))
 
 
-# the aspect range the array kernel's gates cover (tests/test_bulk.py)
-MAX_VERIFY_ASPECT = 1e4
-
-
 def verify_random(
     trials: int,
     seed: int,
     tolerance: float = 1e-7,
     workers: int = 1,
-    max_aspect: float = 20.0,
 ) -> VerifyReport:
     """Compare the array kernel against the support-function oracle on the
-    stratified stream; a trial fails when the relative error exceeds the
-    tolerance.  The trials run in blocks of bulk.CHUNK_ROWS, spread over
+    stratified stream of an int seed; a trial fails when the relative error
+    exceeds the tolerance.  The trials run in blocks of bulk.CHUNK_ROWS, spread over
     at most one worker per block (one block starts no process), and the
     errors add up in trial order, so the report is the same for any
     worker count.
 
     Raises ValueError for fewer than one trial or a tolerance that is not
     a finite non-negative number, either of which would pass vacuously,
-    for more than 2^32 trials or fewer than one worker, and for a
-    max_aspect outside [1, MAX_VERIFY_ASPECT].
+    and for more than 2^32 trials or fewer than one worker.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if trials > 1 << 32:
+    if trials > _BLOCK_INDICES:
         # trial indices are one 32-bit spawn word of the stream
         raise ValueError(f"at most 2^32 trials, got {trials}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    if not 1.0 <= max_aspect <= MAX_VERIFY_ASPECT:
-        raise ValueError(f"max_aspect must lie in [1, {MAX_VERIFY_ASPECT:g}], got {max_aspect!r}")
     starts = range(0, trials, bulk.CHUNK_ROWS)
     stops = [min(start + bulk.CHUNK_ROWS, trials) for start in starts]
-    block = partial(_verify_block, seed, max_aspect)
+    block = partial(_verify_block, seed)
     workers = min(workers, len(starts))
     if workers == 1:
         blocks = list(map(block, starts, stops))

@@ -600,18 +600,6 @@ def test_verify_stdout_golden(capsys, seed):
     )
 
 
-@pytest.mark.parametrize("trials, aspect", [("5000", "1e4"), ("100", "1")])
-def test_verify_max_aspect_bounds(capsys, trials, aspect):
-    # both ends of the gated range pass; at 1e4 the array kernel defers
-    # some rows to closest_approach, and at 1 every shape is a circle or,
-    # in one stratum, nearly one
-    code, out, _ = run_cli(
-        capsys, "verify", "--trials", trials, "--seed", "11", "--max-aspect", aspect
-    )
-    assert code == 0
-    assert "root failures 0\nfailures      0\n" in out
-
-
 def test_verify_zero_tolerance_exit_1(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--trials", "10", "--seed", "7", "--tol", "0"
@@ -679,19 +667,6 @@ def test_verify_one_block_starts_no_pool(monkeypatch, capsys):
     monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", _NoPool)
     code, out, _ = run_cli(capsys, "verify", "--trials", "100", "--workers", "2")
     assert code == 0 and "trials        100\n" in out
-
-
-@pytest.mark.parametrize("aspect", [
-    "0.5", "0.9999999999999999", "10000.000000000002", "1e5", "nan", "inf", "-inf",
-])
-def test_verify_max_aspect_out_of_range_exit_2(monkeypatch, capsys, aspect):
-    # outside [1, 1e4] no gate covers the kernel; rejected before any draw
-    def no_draw(*args):
-        raise AssertionError("verify drew configurations")
-
-    monkeypatch.setattr(cli.oracle, "_stratified_columns", no_draw)
-    err = assert_input_error(capsys, "verify", "--trials", "2", f"--max-aspect={aspect}")
-    assert err.startswith("error: ValueError: max_aspect")
 
 
 @pytest.mark.parametrize("argv", [

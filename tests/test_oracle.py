@@ -141,6 +141,22 @@ def test_stratified_configurations_match_the_scalar_stream():
         assert np.array_equal(g, e)
 
 
+@pytest.mark.parametrize("seed", [[3, 7], (1 << 40, 5), np.array([3, 7], dtype=np.uint32)])
+def test_stratified_configurations_take_any_entropy(seed):
+    # numpy takes a sequence of ints as a seed; such seeds skip the block
+    # draw and give the scalar stream, as before it
+    got = list(stratified_configurations(7, seed))
+    assert got == [stratified_configuration(seed, i) for i in range(7)]
+
+
+def test_stratified_configurations_past_the_block_range(monkeypatch):
+    # indices the block draw does not model come from the scalar function
+    monkeypatch.setattr(oracle, "_BLOCK_INDICES", bulk.CHUNK_ROWS + 3)
+    n = bulk.CHUNK_ROWS + 10
+    got = list(stratified_configurations(n, 13))
+    assert got == [stratified_configuration(13, i) for i in range(n)]
+
+
 def test_verify_random_report():
     report = verify_random(trials=60, seed=5, tolerance=1e-7, workers=1)
     assert report.trials == 60
