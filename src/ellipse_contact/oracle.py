@@ -311,12 +311,24 @@ def _random_shape(uniform, max_aspect: float) -> EllipseShape:
     return EllipseShape(scale * aspect, scale)
 
 
-# most doubles one configuration consumes (stratum 1: 7 + 4)
+# the stream's stride: configuration i reads the doubles at draw positions
+# _DRAWS*i onward, and uses at most this many (stratum 1: 7 + 4)
 _DRAWS = 11
 
 
+def _draws(seed: int | Sequence[int], start: int, stop: int) -> np.ndarray:
+    """The doubles of configurations start..stop-1, a row of _DRAWS each:
+    one PCG64 per seed, advanced to row start."""
+    start = operator.index(start)
+    if start < 0:
+        # PCG64.advance would wrap a negative step round the period
+        raise ValueError(f"stream indices start at 0, got {start}")
+    bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(_DRAWS * start)
+    return np.random.Generator(bits).random((stop - start, _DRAWS))
+
+
 def stratified_configuration(
-    seed: int, index: int, max_aspect: float = 20.0
+    seed: int | Sequence[int], index: int, max_aspect: float = 20.0
 ) -> PairConfiguration:
     """Deterministic configuration #index of the stratified stream.
 
@@ -325,10 +337,9 @@ def stratified_configuration(
     shapes, and two uniform strata.  The degenerate regimes are deliberately
     over-sampled so every branch of the kernel sees real coverage.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    # the doubles are drawn at once; Generator.uniform(lo, hi) is exactly
-    # lo + (hi - lo) * random(), so the stream is that of one call per value
-    draws = iter(rng.random(_DRAWS).tolist())
+    # Generator.uniform(lo, hi) is exactly lo + (hi - lo) * random(), so
+    # this is the stream of one uniform call per value
+    draws = iter(_draws(seed, index, index + 1)[0].tolist())
 
     def uniform(lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * next(draws)
@@ -364,91 +375,6 @@ def stratified_configuration(
     return PairConfiguration(s1, s2, k1, k2, UnitVec2.from_angle(thd))
 
 
-# The same stream for a block of indices at once.  default_rng(SeedSequence)
-# is numpy's SeedSequence hash feeding PCG64 (O'Neill 2014), so their
-# arithmetic is redone here on uint64 arrays.  The constants are those of
-# numpy/random/bit_generator.pyx and pcg64.h, and this code is only right
-# while NEP 19 keeps both bit streams stable; the tests compare it with
-# numpy's own Generator.  The constants stay Python ints, since numpy
-# integer scalars warn on overflow where arrays wrap.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _column(xs: list[int]) -> np.ndarray:
-    return np.array(xs, dtype=np.uint64)[:, None]
-
-
-# generate_state's hash constant before and after each of its 8 words
-_STATE_HASH = [_INIT_B * pow(_MULT_B, w, 1 << 32) & _M32 for w in range(9)]
-_STATE_XOR, _STATE_MUL = _column(_STATE_HASH[:8]), _column(_STATE_HASH[1:])
-# draw j is read from the state after j + 2 PCG64 steps from seed + inc
-# (srandom takes two): A_j (seed + inc) + C_j inc with A_j = M^(j+2) and
-# C_j = 1 + M + ... + M^(j+1), mod 2^128; as (high, low) words, a row
-# each for A and C
-_JUMPS = [
-    [pow(_PCG_MULT, j + 2, 1 << 128) for j in range(_DRAWS)],
-    [sum(pow(_PCG_MULT, k, 1 << 128) for k in range(j + 2)) % (1 << 128) for j in range(_DRAWS)],
-]
-_JUMP_HI = np.array([[x >> 64 for x in row] for row in _JUMPS], dtype=np.uint64)
-_JUMP_LO = np.array([[x & _M64 for x in row] for row in _JUMPS], dtype=np.uint64)
-
-
-def _mul64(a, b):
-    """The 128-bit product of uint64 arrays as (high, low) words."""
-    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
-
-
-def _mul128(x_hi, x_lo, y_hi, y_lo):
-    """x * y mod 2^128 on (high, low) uint64 words."""
-    hi, lo = _mul64(x_lo, y_lo)
-    return hi + x_lo * y_hi + x_hi * y_lo, lo
-
-
-def _add128(x_hi, x_lo, y_hi, y_lo):
-    """x + y mod 2^128 on (high, low) uint64 words."""
-    lo = x_lo + y_lo
-    return x_hi + y_hi + (lo < x_lo), lo
-
-
-@np.errstate(over="ignore")
-def _stream_doubles(seed: int, start: int, stop: int) -> np.ndarray:
-    """The _DRAWS doubles of default_rng(SeedSequence(seed, spawn_key=(i,)))
-    .random() for start <= i < stop, one row per index."""
-    if not 0 <= start <= stop <= 1 << 32:
-        raise ValueError(f"indices {start}..{stop - 1} do not lie in [0, 2^32)")
-    # SeedSequence(seed).pool is the pool before the spawn word is mixed
-    # in; the seed's words, padded to 4, took 16 + 4 (words - 4) hashmix
-    # steps.  Pool word k then becomes mix(pool[k], hashmix(index)) at the
-    # k-th next step.
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
-    words = max(1, -(-operator.index(seed).bit_length() // 32))
-    h = [_INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4) + k, 1 << 32) & _M32 for k in range(5)]
-    v = (np.arange(start, stop, dtype=np.uint64) ^ _column(h[:4])) * _column(h[1:]) & _M32
-    r = (_MIX_L * pool - _MIX_R * (v ^ (v >> 16))) & _M32
-    # generate_state(4, uint64): eight hashed words of the cycled pool,
-    # read little-endian
-    v = (np.tile(r ^ (r >> 16), (2, 1)) ^ _STATE_XOR) * _STATE_MUL & _M32
-    v ^= v >> 16
-    s_hi, s_lo, q_hi, q_lo = v[::2] | (v[1::2] << 32)
-    # PCG64's srandom: inc = 2 q + 1; then A_j (seed + inc) + C_j inc
-    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
-    x_hi, x_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    t_hi, t_lo = _mul128(np.stack((x_hi, inc_hi), 1)[:, :, None],
-                         np.stack((x_lo, inc_lo), 1)[:, :, None], _JUMP_HI, _JUMP_LO)
-    t_hi, t_lo = _add128(t_hi[:, 0], t_lo[:, 0], t_hi[:, 1], t_lo[:, 1])
-    # XSL-RR output, then the top 53 bits as a double
-    xsl, rot = t_hi ^ t_lo, t_hi >> 58
-    out = (xsl >> rot) | (xsl << ((64 - rot) & 63))
-    return (out >> 11).astype(np.float64) * 2.0**-53
-
-
 def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Generator.uniform(lo, hi) for the draws u."""
     return lo + (hi - lo) * u
@@ -461,12 +387,13 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _stratified_columns(
-    seed: int, start: int, stop: int, max_aspect: float = 20.0
+    seed: int | Sequence[int], start: int, stop: int, max_aspect: float = 20.0
 ) -> tuple[np.ndarray, ...]:
     """The bulk.contact_arrays columns of stratified_configuration(seed, i,
-    max_aspect) for start <= i < stop, bit for bit: its strata become masks
-    and draw positions over the table of draws."""
-    u = _stream_doubles(seed, start, stop)
+    max_aspect) for start <= i < stop, bit for bit: both read the rows of
+    _draws, and here the strata become masks and draw positions over the
+    block's table of draws."""
+    u = _draws(seed, start, stop)
     stratum = np.arange(start, stop) % 5
     scale = _map(math.exp, _uniform(u[:, [0, 2]].T.ravel(), math.log(0.3), math.log(3.0)))
     aspect = _map(math.exp, _uniform(u[:, [1, 3]].T.ravel(), 0.0, math.log(max_aspect)))
@@ -500,24 +427,15 @@ def _stratified_columns(
     return a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy
 
 
-# spawn words the block draw models: an index takes one 32-bit word
-_BLOCK_INDICES = 1 << 32
-
-
 def stratified_configurations(
     n: int, seed: int | Sequence[int], max_aspect: float = 20.0
 ) -> Iterator[PairConfiguration]:
-    """stratified_configuration(seed, i, max_aspect) for i < n, computed in
-    blocks of bulk.CHUNK_ROWS indices.  A seed that is not an int (numpy
-    takes other entropy, such as a sequence of ints) and the indices past
-    the block draw's range go through stratified_configuration one by one."""
-    blocked = min(n, _BLOCK_INDICES) if isinstance(seed, (int, np.integer)) else 0
-    for start in range(0, blocked, bulk.CHUNK_ROWS):
-        cols = _stratified_columns(seed, start, min(start + bulk.CHUNK_ROWS, blocked), max_aspect)
+    """stratified_configuration(seed, i, max_aspect) for i < n, for any seed
+    numpy takes, computed in blocks of bulk.CHUNK_ROWS indices."""
+    for start in range(0, n, bulk.CHUNK_ROWS):
+        cols = _stratified_columns(seed, start, min(start + bulk.CHUNK_ROWS, n), max_aspect)
         for a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy in zip(*(c.tolist() for c in cols)):
             yield make_pair_configuration(a1, b1, a2, b2, (k1x, k1y), (k2x, k2y), (dx, dy))
-    for i in range(blocked, n):
-        yield stratified_configuration(seed, i, max_aspect)
 
 
 # ---------------------------------------------------------------------------
@@ -557,34 +475,35 @@ def verify_random(
 ) -> VerifyReport:
     """Compare the array kernel against the support-function oracle on the
     stratified stream of an int seed; a trial fails when the relative error
-    exceeds the tolerance.  The trials run in blocks of bulk.CHUNK_ROWS, spread over
-    at most one worker per block (one block starts no process), and the
-    errors add up in trial order, so the report is the same for any
-    worker count.
+    exceeds the tolerance.  The trials run in blocks of bulk.CHUNK_ROWS,
+    spread over at most one worker per block (one block starts no
+    process), and each block's errors are added to the report in trial
+    order as it arrives, so the report is the same for any worker count
+    and no block is kept once it is counted.
 
     Raises ValueError for fewer than one trial or a tolerance that is not
     a finite non-negative number, either of which would pass vacuously,
-    and for more than 2^32 trials or fewer than one worker.
+    and for fewer than one worker.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if trials > _BLOCK_INDICES:
-        # trial indices are one 32-bit spawn word of the stream
-        raise ValueError(f"at most 2^32 trials, got {trials}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     starts = range(0, trials, bulk.CHUNK_ROWS)
-    stops = [min(start + bulk.CHUNK_ROWS, trials) for start in starts]
+    stops = (min(start + bulk.CHUNK_ROWS, trials) for start in starts)
     block = partial(_verify_block, seed)
     workers = min(workers, len(starts))
     if workers == 1:
-        blocks = list(map(block, starts, stops))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(block, starts, stops))
+        return _report(trials, tolerance, map(block, starts, stops))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _report(trials, tolerance, pool.map(block, starts, stops))
 
+
+def _report(trials: int, tolerance: float,
+            blocks: Iterator[list[tuple[float, float]]]) -> VerifyReport:
+    """The report of verify_random, reading the blocks in trial order."""
     root_failures = 0
     failures: list[tuple[int, float]] = []
     total = 0.0

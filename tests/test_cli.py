@@ -578,11 +578,10 @@ def test_verify_command(capsys):
     assert "failures      0" in out
 
 
-# three blocks of trials; the report of the configurations drawn one index
-# at a time, before the stream was drawn in blocks
+# three blocks of trials, the last one short
 VERIFY_GOLDEN = {
-    3: ("2.5807000215299932e-14", "2.757407059189174e-16"),
-    11: ("2.852378383436296e-14", "3.216406830854609e-16"),
+    3: ("9.413540131516687e-15", "2.865937004305529e-16"),
+    11: ("2.047024242173268e-14", "3.057449551568064e-16"),
 }
 
 

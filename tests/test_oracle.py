@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,31 +106,33 @@ def bits(cols) -> list[np.ndarray]:
     (0, 0, 20000, 20.0),
     # a block off the stratum cycle that crosses CHUNK_ROWS
     (3, bulk.CHUNK_ROWS - 7, 2 * bulk.CHUNK_ROWS + 50, 20.0),
-    # the last indices of one spawn word
-    (3, (1 << 32) - 3, 1 << 32, 20.0),
+    # blocks far down the stream: one across 2^32, one at 2^40
+    (3, (1 << 32) - 5, (1 << 32) + 5, 20.0),
+    (11, 1 << 40, (1 << 40) + 50, 1e3),
     # seeds of two, four and five 32-bit words
     ((1 << 32) + 5, 0, 500, 20.0),
     ((1 << 96) + 7, 0, 500, 20.0),
     ((1 << 128) + 1, 0, 500, 20.0),
+    # a sequence of ints
+    ([3, 7], 0, 500, 20.0),
     # circles, and near-circles in stratum 2
     (5, 0, 500, 1.0),
 ])
 def test_stratified_columns_match_the_scalar_stream(seed, start, stop, max_aspect):
-    # the block draw against numpy's own Generator, one index at a time
+    # the block's strata masks against the scalar function's branches, one
+    # index at a time, on the same draws
     got = oracle._stratified_columns(seed, start, stop, max_aspect)
     expect = columns(stratified_configuration(seed, i, max_aspect) for i in range(start, stop))
     for g, e in zip(bits(got), bits(expect)):
         assert np.array_equal(g, e)
 
 
-def test_stratified_columns_reject_indices_past_one_word(monkeypatch):
-    # a spawn key of 2^32 or more has a second word, which is not modelled;
-    # verify rejects such a run before its first block
+def test_stream_rejects_negative_indices():
+    # PCG64.advance would wrap a negative step round the period
     with pytest.raises(ValueError):
-        oracle._stratified_columns(3, (1 << 32) - 1, (1 << 32) + 1)
-    monkeypatch.setattr(oracle, "_verify_block", None)
+        stratified_configuration(3, -1)
     with pytest.raises(ValueError):
-        verify_random(trials=(1 << 32) + 1, seed=3)
+        oracle._stratified_columns(3, -1, 5)
 
 
 def test_stratified_configurations_match_the_scalar_stream():
@@ -143,18 +146,9 @@ def test_stratified_configurations_match_the_scalar_stream():
 
 @pytest.mark.parametrize("seed", [[3, 7], (1 << 40, 5), np.array([3, 7], dtype=np.uint32)])
 def test_stratified_configurations_take_any_entropy(seed):
-    # numpy takes a sequence of ints as a seed; such seeds skip the block
-    # draw and give the scalar stream, as before it
+    # numpy takes a sequence of ints as a seed; the blocks take it too
     got = list(stratified_configurations(7, seed))
     assert got == [stratified_configuration(seed, i) for i in range(7)]
-
-
-def test_stratified_configurations_past_the_block_range(monkeypatch):
-    # indices the block draw does not model come from the scalar function
-    monkeypatch.setattr(oracle, "_BLOCK_INDICES", bulk.CHUNK_ROWS + 3)
-    n = bulk.CHUNK_ROWS + 10
-    got = list(stratified_configurations(n, 13))
-    assert got == [stratified_configuration(13, i) for i in range(n)]
 
 
 def test_verify_random_report():
@@ -178,6 +172,21 @@ def test_verify_parallel_consistent():
     parallel = verify_random(trials=trials, seed=9, tolerance=0.0, workers=2)
     assert serial == parallel
     assert serial.trials == trials and serial.max_rel_err <= 1e-7
+
+
+def test_verify_keeps_no_block_once_counted():
+    # each block is folded into the report as it arrives, so the peak
+    # memory does not grow with the trial count
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            verify_random(trials=blocks * bulk.CHUNK_ROWS, seed=3, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verify_random(trials=10, seed=3, workers=1)
+    assert peak(8) < peak(2) + 128 * bulk.CHUNK_ROWS
 
 
 @pytest.mark.parametrize("trials, tolerance", [

@@ -9,9 +9,10 @@ differ from the reference in its last bit; a bisection verdict only turns
 on whether that value is below 1.0, so the distances must agree bit for
 bit.
 
-The stratified stream is also kept in its original form, one
-Generator.uniform call per value; the production code draws the same
-doubles in one call and must build the same configurations bit for bit.
+The stratified stream is also kept in its plain form: one PCG64 per
+seed, advanced 11 draws per index, and one Generator.uniform call per
+value.  The production code draws a configuration's doubles in one call
+and must build the same configurations bit for bit.
 """
 
 import math
@@ -152,7 +153,7 @@ def ref_random_shape(rng, max_aspect):
 
 
 def ref_stratified_configuration(seed, index, max_aspect=20.0):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(11 * index))
     stratum = index % 5
     s1 = ref_random_shape(rng, max_aspect)
     s2 = ref_random_shape(rng, max_aspect)

@@ -136,7 +136,7 @@ def test_fallback_success_path(monkeypatch):
     # companion-matrix root must still be accepted
     counter = CountingRoots(allow=True)
     monkeypatch.setattr(quartic, "np", counter)
-    cfg = stratified_configuration(11, 91, 1000.0)
+    cfg = stratified_configuration(11, 56, 1000.0)
     sol = closest_approach(cfg)
     assert counter.calls == 1
     d_oracle = oracle_distance(cfg)
