@@ -49,7 +49,7 @@ __all__ = [
 HEX_PACKING_LIMIT = math.pi / (2.0 * math.sqrt(3.0))
 
 _RENORM_EVERY = 1_000_000  # rotation moves between orientation renormalizations
-_AUDIT_BLOCK = 256  # rows of the pair table audit_overlaps holds at once
+_AUDIT_BLOCK = 64  # rows of the pair table audit_overlaps holds at once
 
 
 class PackingInfeasible(ValueError):
@@ -196,6 +196,7 @@ class MCState:
 # prefilter band edges, relative; _pair_clear says why they keep verdicts exact
 _CLEAR_BAND = 1.0 + 4.0 * TANGENT_RTOL
 _OVERLAP_BAND = 1.0 - 4.0 * TANGENT_RTOL
+_NEWTON_STEPS = 8  # refinements of the contact normal before the kernel runs
 
 
 def _pair_clear(
@@ -218,16 +219,29 @@ def _pair_clear(
       3. upper bound: d <= h_i(u) + h_j(u), the support functions along the
          unit center line u, h = sqrt(a^2 c^2 + b^2 s^2) with c = k.u and
          s = k x u;
-      4. lower bound: d >= r_i(u) + r_j(u), the radial extents along u,
-         r = ab / sqrt(b^2 c^2 + a^2 s^2);
-      5. the contact kernel for the annulus between the two.
+      4. refined bounds: d * u lies on the boundary of the excluded region
+         K = K_i + K_j, whose support function is H = h_i + h_j and whose
+         support point for the unit normal n is P(n) = P_i(n) + P_j(n).
+         So d <= H(n) / n.u for every n with n.u > 0, with equality at the
+         contact normal; and K holds every chord between two of its
+         points, so a chord between points on either side of the center
+         line crosses it at some L <= d.  Up to _NEWTON_STEPS Newton steps
+         on the angle t between n and u drive u x P(n) to zero, its
+         derivative being n.u times the sum of the radii of curvature
+         a^2 b^2 / h^3; a step that leaves the bracket of angles on either
+         side of the root bisects it.  After each step the pair is clear
+         if sep is at least the upper bound, and overlapping if it is
+         inside the chord between the latest support points on either
+         side of the line (the core disc's point at b_i + b_j stands in
+         for the side none has reached yet);
+      5. the contact kernel for the pairs still between the bounds.
 
     Steps 2-4 decide only outside a band of 4 * TANGENT_RTOL (relative),
     three times wider than the kernel's tangency band and far wider than
-    the kernel's error (under 1e-13 relative up to aspect 20) and the drift
-    of orientation vectors between renormalizations, so every decision
-    matches the kernel verdict exactly and cell-list, brute-force and audit
-    checks agree.
+    the kernel's error (under 1e-13 relative up to aspect 20), the rounding
+    of the bounds and the drift of orientation vectors between
+    renormalizations, so every decision matches the kernel verdict exactly
+    and cell-list, brute-force and audit checks agree.
     """
     sep_sq = dx * dx + dy * dy
     ai, bi, aj, bj = shape_i.a, shape_i.b, shape_j.a, shape_j.b
@@ -245,15 +259,49 @@ def _pair_clear(
     cj, sj = kx * cx + ky * cy, kx * cy - ky * cx
     aci, bsi = ai * ci, bi * si
     acj, bsj = aj * cj, bj * sj
-    h = math.sqrt(aci * aci + bsi * bsi) + math.sqrt(acj * acj + bsj * bsj)
+    hi, hj = math.sqrt(aci * aci + bsi * bsi), math.sqrt(acj * acj + bsj * bsj)
+    h = hi + hj
     if sep >= h * _CLEAR_BAND:
         return True
-    bci, asi = bi * ci, ai * si
-    bcj, asj = bj * cj, aj * sj
-    r = (ai * bi / math.sqrt(bci * bci + asi * asi)
-         + aj * bj / math.sqrt(bcj * bcj + asj * asj))
-    if sep < r * _OVERLAP_BAND:
-        return False
+    # rung 4, in the frame (u, u_perp) with u_perp = u turned by +90 degrees:
+    # n = (cos t, sin t), k.n = c cos t - s sin t, k_perp.n = s cos t + c sin t
+    ai2, bi2, aj2, bj2 = ai * ai, bi * bi, aj * aj, bj * bj
+    side = (bi2 - ai2) * ci * si / hi + (bj2 - aj2) * cj * sj / hj  # u x P(u)
+    # (pos_x, pos_y) and (neg_x, neg_y): the latest points of K found on
+    # either side of the line, and t_pos, t_neg their angles.  u x P(n)
+    # grows with t, and the contact normal lies within acos(core / H(u)) of
+    # u, as d cos t = H(n) >= core there
+    t = 0.0
+    t_max = math.acos(min(core / h, 1.0))
+    if side >= 0.0:
+        pos_x, pos_y, neg_x, neg_y = h, side, 0.0, -core
+        t_neg, t_pos = -t_max, t
+    else:
+        pos_x, pos_y, neg_x, neg_y = 0.0, core, h, side
+        t_neg, t_pos = t, t_max
+    cos_t, sin_t = 1.0, 0.0
+    for _ in range(_NEWTON_STEPS):
+        curv = ai2 * bi2 / (hi * hi * hi) + aj2 * bj2 / (hj * hj * hj)
+        t -= side / (curv * cos_t)
+        if not t_neg <= t <= t_pos:  # an overshoot: bisect the bracket
+            t = 0.5 * (t_neg + t_pos)
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        cti, sti = ci * cos_t - si * sin_t, si * cos_t + ci * sin_t
+        ctj, stj = cj * cos_t - sj * sin_t, sj * cos_t + cj * sin_t
+        hi = math.sqrt(ai2 * cti * cti + bi2 * sti * sti)
+        hj = math.sqrt(aj2 * ctj * ctj + bj2 * stj * stj)
+        h = hi + hj
+        if sep * cos_t >= h * _CLEAR_BAND:
+            return True
+        side = (bi2 * sti * ci - ai2 * cti * si) / hi + (bj2 * stj * cj - aj2 * ctj * sj) / hj
+        if side >= 0.0:
+            pos_x, pos_y, t_pos = (h - sin_t * side) / cos_t, side, t
+        else:
+            neg_x, neg_y, t_neg = (h - sin_t * side) / cos_t, side, t
+        # the chord's crossing, as a weighted mean that stays between the two
+        # points even when pos_y and neg_y are subnormal
+        if sep < (pos_x + (neg_x - pos_x) * (pos_y / (pos_y - neg_y))) * _OVERLAP_BAND:
+            return False
     cfg = PairConfiguration(
         shape_i,
         shape_j,
@@ -421,9 +469,10 @@ def audit_overlaps(state: MCState) -> list[tuple[int, int]]:
 
     Pair separations are prefiltered in a vectorized pass over blocks of
     _AUDIT_BLOCK rows of the pair table (i < j), so memory stays linear
-    in N; only pairs within kernel range are checked individually, with
-    the same predicate the sweep uses, so audit and cell-list decisions
-    cannot diverge.  Pairs are listed in (i, j) order.
+    in N and a block's temporaries stay small enough for the CPU cache;
+    only pairs within kernel range are checked individually, with the same
+    predicate the sweep uses, so audit and cell-list decisions cannot
+    diverge.  Pairs are listed in (i, j) order.
     """
     n = state.n_particles()
     lx, ly = state.box
@@ -525,8 +574,8 @@ def run_simulation(
     def snapshot(sweep: int, acceptance: float) -> dict:
         return {
             "sweep": sweep,
-            "positions": [[float(x), float(y)] for x, y in state.positions],
-            "orientations": [[float(x), float(y)] for x, y in state.orientations],
+            "positions": state.positions.tolist(),
+            "orientations": state.orientations.tolist(),
             "S": order_parameter(state),
             "acceptance": acceptance,
         }
