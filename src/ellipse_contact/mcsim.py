@@ -12,8 +12,14 @@ Conventions:
     particles visited in index order;
   * the cell size is at least max(a_i + a_j) over species pairs, so any
     overlapping pair is always within adjacent cells (the kernel bound
-    d <= a1 + a2 makes this safe); a grid has at most 4N + 9 cells, and
-    grids thinner than 3 cells fall back to all-pairs;
+    d <= a1 + a2 makes this safe); a grid has at most 4N + 9 cells;
+  * each cell's 3x3 block of neighbors is a fixed stencil of
+    (cell, shift_x, shift_y), the shift being L, 0.0 or -L as that
+    neighbor wraps, and (x_j - x) - shift is the minimum image of every
+    pair within reach: the box is at least twice the reach wide, so any
+    other image is at least L/2 away, out of reach.  On grids 1 or 2
+    cells wide a cell appears up to three times with different shifts;
+    at most one of those images is within reach;
   * a fixed seed reproduces the trajectory bit for bit.
 """
 
@@ -150,7 +156,9 @@ class MCState:
     box: tuple[float, float]
     n_cells: tuple[int, int]
     cell_members: list[list[int]]
-    cell_of: np.ndarray  # (N,)
+    cell_of: list[int]
+    # per cell, its 3x3 block as (cell, shift_x, shift_y); see the module notes
+    stencil: list[tuple[tuple[int, float, float], ...]]
     stats: MoveStats = field(default_factory=MoveStats)
     rotations_since_renorm: int = 0
 
@@ -173,19 +181,13 @@ class MCState:
         return ix + nx * iy
 
     def neighbor_candidates(self, x: float, y: float) -> list[int]:
-        nx, ny = self.n_cells
-        if nx < 3 or ny < 3:
-            return list(range(self.n_particles()))
-        ix = min(int(x / self.box[0] * nx), nx - 1)
-        iy = min(int(y / self.box[1] * ny), ny - 1)
-        out: list[int] = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                out.extend(self.cell_members[(ix + dx) % nx + nx * ((iy + dy) % ny)])
-        return out
+        """Distinct indices of the particles in the stencil of the cell
+        holding (x, y): every particle within reach of that point."""
+        cells = dict.fromkeys(c for c, _, _ in self.stencil[self.cell_index(x, y)])
+        return [j for c in cells for j in self.cell_members[c]]
 
     def move_to_cell(self, i: int, new_cell: int) -> None:
-        old = int(self.cell_of[i])
+        old = self.cell_of[i]
         if old == new_cell:
             return
         self.cell_members[old].remove(i)
@@ -214,7 +216,8 @@ def _pair_clear(
     sep >= d * (1 - TANGENT_RTOL), and a ladder of bounds on the contact
     distance d settles most pairs before the kernel runs:
 
-      1. reach: d <= a_i + a_j, so a pair at least that far apart is clear;
+      1. reach: d <= a_i + a_j, so a pair at least that far apart is clear
+         (mc_sweep applies this rung itself, before the call);
       2. core: d >= b_i + b_j, so a pair inside that is overlapping;
       3. upper bound: d <= h_i(u) + h_j(u), the support functions along the
          unit center line u, h = sqrt(a^2 c^2 + b^2 s^2) with c = k.u and
@@ -313,6 +316,26 @@ def _pair_clear(
     return sep >= d * (1.0 - TANGENT_RTOL)
 
 
+def _species_order(counts: list[int]) -> list[int]:
+    """The species of each lattice site, interleaved by Bresenham-style
+    quotas: a site goes to the species furthest behind its quota that still
+    has particles left, the first such species on ties."""
+    n = sum(counts)
+    rates = [c / n for c in counts]
+    quota = [0.0] * len(counts)
+    assigned = [0] * len(counts)
+    order = []
+    for _ in range(n):
+        pick, lag = 0, -math.inf
+        for s, rate in enumerate(rates):
+            quota[s] += rate
+            if assigned[s] < counts[s] and quota[s] - assigned[s] > lag:
+                pick, lag = s, quota[s] - assigned[s]
+        assigned[pick] += 1
+        order.append(pick)
+    return order
+
+
 def init_state(cfg: MCConfig) -> MCState:
     """Particles on a dilated rectangular lattice, all oriented along x.
 
@@ -340,28 +363,12 @@ def init_state(cfg: MCConfig) -> MCState:
     gx = min(gx, nx_max)
     gy = math.ceil(n / gx)
 
-    positions = np.empty((n, 2))
-    for i in range(n):
-        ix, iy = i % gx, i // gx
-        positions[i, 0] = (ix + 0.5) * lx / gx
-        positions[i, 1] = (iy + 0.5) * ly / gy
+    idx = np.arange(n)
+    positions = np.column_stack(((idx % gx + 0.5) * lx / gx, (idx // gx + 0.5) * ly / gy))
     orientations = np.zeros((n, 2))
     orientations[:, 0] = 1.0
 
-    # interleave species deterministically (Bresenham-style quotas)
-    counts = cfg.species_counts()
-    quota = [0.0] * len(counts)
-    assigned = [0] * len(counts)
-    species_index = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for s in range(len(counts)):
-            quota[s] += counts[s] / n
-        pick = max(
-            (s for s in range(len(counts)) if assigned[s] < counts[s]),
-            key=lambda s: quota[s] - assigned[s],
-        )
-        assigned[pick] += 1
-        species_index[i] = pick
+    species_index = np.array(_species_order(cfg.species_counts()), dtype=np.int64)
 
     shapes = tuple(s for s, _ in cfg.species)
     reach = 2.0 * max_a
@@ -372,6 +379,17 @@ def init_state(cfg: MCConfig) -> MCState:
     # keeps the cells at least reach wide
     while nx * ny > 4 * n + 9:
         nx, ny = max(1, nx // 2), max(1, ny // 2)
+
+    def around(count: int, side: float) -> list[list[tuple[int, float]]]:
+        # the three columns (or rows) around each one, with the shift that
+        # brings a neighbor across the box edge back next to it
+        return [
+            [((k + d) % count, side if k + d < 0 else -side if k + d >= count else 0.0)
+             for d in (-1, 0, 1)]
+            for k in range(count)
+        ]
+
+    cols, rows = around(nx, lx), around(ny, ly)
     state = MCState(
         positions=positions,
         orientations=orientations,
@@ -380,11 +398,16 @@ def init_state(cfg: MCConfig) -> MCState:
         box=cfg.box,
         n_cells=(nx, ny),
         cell_members=[[] for _ in range(nx * ny)],
-        cell_of=np.zeros(n, dtype=np.int64),
+        cell_of=[],
+        stencil=[
+            tuple((cx + nx * cy, sx, sy) for cy, sy in row for cx, sx in col)
+            for row in rows
+            for col in cols
+        ],
     )
-    for i in range(n):
-        c = state.cell_index(positions[i, 0], positions[i, 1])
-        state.cell_of[i] = c
+    for i, (x, y) in enumerate(positions.tolist()):
+        c = state.cell_index(x, y)
+        state.cell_of.append(c)
         state.cell_members[c].append(i)
 
     bad = audit_overlaps(state)
@@ -396,11 +419,15 @@ def init_state(cfg: MCConfig) -> MCState:
 def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveStats:
     """One sweep: a translation-plus-rotation trial per particle.
 
-    Acceptance requires the trial to be clear of every cell-list neighbor;
-    the state never contains an overlapping pair.  The sweep works on Python
-    floats read from the arrays once, and writes back accepted moves.  Each
-    move consumes three uniform doubles (x, y, angle), drawn for the whole
-    sweep at once and scaled as Generator.uniform scales them.
+    Acceptance requires the trial to be clear of every particle in the
+    stencil of its cell; the state never contains an overlapping pair.  A
+    neighbor's separation is (x_j - x) - shift, the same float as the
+    minimum image, and a pair at least a_i + a_j apart is passed over
+    before _pair_clear is called, with the expression of its first rung.
+    The sweep works on Python floats read from the arrays once, and writes
+    back accepted moves.  Each move consumes three uniform doubles (x, y,
+    angle), drawn for the whole sweep at once and scaled as
+    Generator.uniform scales them.
     """
     lx, ly = state.box
     sweep_stats = MoveStats()
@@ -409,6 +436,9 @@ def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveSta
     ys = state.positions[:, 1].tolist()
     orient = state.orientations.tolist()
     shapes = state.particle_shapes()
+    a_of = [shape.a for shape in shapes]
+    stencil, members = state.stencil, state.cell_members
+    pair_clear = _pair_clear  # read per sweep, so a wrapper on the module sees every call
     t_low, r_low = -cfg.max_translation, -cfg.max_rotation
     t_range = cfg.max_translation - t_low
     r_range = cfg.max_rotation - r_low
@@ -421,17 +451,22 @@ def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveSta
         ux0, uy0 = orient[i]
         ui = (c * ux0 - s * uy0, s * ux0 + c * uy0)
 
-        shape_i = shapes[i]
+        shape_i, ai = shapes[i], a_of[i]
+        cell = state.cell_index(x, y)
         ok = True
-        for j in state.neighbor_candidates(x, y):
-            if j == i:
-                continue
-            dx = xs[j] - x
-            dy = ys[j] - y
-            dx -= lx * round(dx / lx)
-            dy -= ly * round(dy / ly)
-            if not _pair_clear(shape_i, shapes[j], ui, orient[j], dx, dy):
-                ok = False
+        for near, shift_x, shift_y in stencil[cell]:
+            for j in members[near]:
+                if j == i:
+                    continue
+                dx = (xs[j] - x) - shift_x
+                dy = (ys[j] - y) - shift_y
+                reach = ai + a_of[j]
+                if dx * dx + dy * dy >= reach * reach:
+                    continue
+                if not pair_clear(shape_i, shapes[j], ui, orient[j], dx, dy):
+                    ok = False
+                    break
+            if not ok:
                 break
 
         sweep_stats.attempted += 1
@@ -440,7 +475,7 @@ def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveSta
             xs[i], ys[i], orient[i] = x, y, ui
             state.positions[i] = x, y
             state.orientations[i] = ui
-            state.move_to_cell(i, state.cell_index(x, y))
+            state.move_to_cell(i, cell)
 
         state.rotations_since_renorm += 1
         if state.rotations_since_renorm >= _RENORM_EVERY:
@@ -509,12 +544,21 @@ def _parse_species(text: str) -> list[tuple[EllipseShape, float]]:
     return out
 
 
+def _count(value) -> int:
+    """int(value), refusing booleans and non-integral numbers (4.9, NaN)
+    that int() would truncate or read as 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_mc_config(path: str) -> MCConfig:
     """Read a run configuration from JSON or key=value text.
 
     JSON schema: {"n_particles": int, "species": [{"a", "b", "fraction"}],
     "box": [Lx, Ly], "max_translation": float, "max_rotation_deg": float,
-    "seed": int, "sweeps": int, "sample_every": int}.
+    "seed": int, "sweeps": int, "sample_every": int}; the four counts
+    may be integral floats (256.0) but not booleans or fractions.
     The key=value form uses the same keys with species as
     "a:b:fraction[, a:b:fraction...]" and box as "Lx Ly".
     """
@@ -541,14 +585,14 @@ def load_mc_config(path: str) -> MCConfig:
         box_parts = data["box"].replace(",", " ").split()
         box = (float(box_parts[0]), float(box_parts[1]))
     return MCConfig(
-        n_particles=int(data["n_particles"]),
+        n_particles=_count(data["n_particles"]),
         species=tuple(species),
         box=box,
         max_translation=float(data["max_translation"]),
         max_rotation=math.radians(float(data["max_rotation_deg"])),
-        seed=int(data["seed"]),
-        sweeps=int(data["sweeps"]),
-        sample_every=int(data.get("sample_every", 100)),
+        seed=_count(data["seed"]),
+        sweeps=_count(data["sweeps"]),
+        sample_every=_count(data.get("sample_every", 100)),
     )
 
 

@@ -401,6 +401,12 @@ def test_unwritable_file_exit_2(tmp_path, capsys, argv):
     {"box": [math.inf, math.inf]},
     {"seed": -1},
     {"n_particles": math.inf},      # OverflowError
+    # int() would truncate these or read true as 1
+    {"n_particles": 4.9},
+    {"seed": 2.5},
+    {"sweeps": True},
+    {"sample_every": 1.5},
+    {"n_particles": math.nan},
 ])
 def test_simulate_malformed_config_exit_2(tmp_path, capsys, override):
     cfgp = write_run_config(tmp_path / "run.json", **override)
@@ -811,6 +817,21 @@ def test_simulate_command(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["audit_failures"] == 0
     assert len(outp.read_text().strip().splitlines()) >= 6
+
+
+def test_simulate_integral_float_counts(tmp_path, capsys):
+    # 12.0 is the count 12: the same trajectory as the integer run file
+    outputs = []
+    for kind in (int, float):
+        cfgp = write_run_config(
+            tmp_path / "run.json", n_particles=kind(12), seed=kind(11), sweeps=kind(5),
+            sample_every=kind(1),
+        )
+        outp = tmp_path / f"{kind.__name__}.jsonl"
+        code, _, _ = run_cli(capsys, "simulate", "--config", cfgp, "--output", str(outp))
+        assert code == 0
+        outputs.append(outp.read_text())
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_infeasible_exit_2(tmp_path, capsys):

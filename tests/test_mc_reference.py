@@ -94,6 +94,23 @@ def ref_mc_sweep(state, cfg, rng):
     return sweep_stats
 
 
+def ref_species_order(counts):
+    n = sum(counts)
+    quota = [0.0] * len(counts)
+    assigned = [0] * len(counts)
+    order = []
+    for _ in range(n):
+        for s in range(len(counts)):
+            quota[s] += counts[s] / n
+        pick = max(
+            (s for s in range(len(counts)) if assigned[s] < counts[s]),
+            key=lambda s: quota[s] - assigned[s],
+        )
+        assigned[pick] += 1
+        order.append(pick)
+    return order
+
+
 def ref_audit_overlaps(state):
     lx, ly = state.box
     pos = state.positions
@@ -147,6 +164,31 @@ CONFIGS = {
 }
 
 
+def box_config(box, n, species=((E21, 1.0),)):
+    return MCConfig(
+        n_particles=n, species=tuple(species), box=box, max_translation=1.0,
+        max_rotation=0.5, seed=2024, sweeps=30, sample_every=7,
+    )
+
+
+# cell grids under four cells a side, where the stencil lists a cell more
+# than once or wraps both ways, and the grid a dilute box is halved to;
+# each with the grid it must get
+GRIDS = {
+    "2x2": (box_config((10.0, 10.0), 6), (2, 2)),
+    "2x5": (box_config((10.0, 22.0), 14), (2, 5)),
+    "3x3": (box_config((13.0, 13.0), 14), (3, 3)),
+    "4x4": (box_config((17.0, 17.0), 24), (4, 4)),
+    "15x1": (box_config((121.0, 9.0), 12), (15, 1)),
+    "1x15": (box_config((9.0, 121.0), 12), (1, 15)),
+    "three species": (box_config((15.0, 15.0), 12, [
+        (E21, 0.5), (EllipseShape(1.5, 1.5), 0.25), (EllipseShape(1.0, 0.4), 0.25),
+    ]), (3, 3)),
+    # exactly twice the reach 2 * a_max wide: the least box MCConfig admits
+    "box of 2 reach": (box_config((8.0, 24.0), 10), (2, 6)),
+}
+
+
 def run_text(cfg):
     out = io.StringIO()
     summary = mcsim.run_simulation(cfg, out, audit=True)
@@ -171,6 +213,54 @@ def test_renormalization_matches_reference_loop(monkeypatch):
     monkeypatch.setattr(mcsim, "mc_sweep", ref_mc_sweep)
     monkeypatch.setattr(mcsim, "audit_overlaps", ref_audit_overlaps)
     assert fast == run_text(cfg)
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_small_grid_trajectory_matches_all_pairs_reference(name, monkeypatch):
+    cfg, cells = GRIDS[name]
+    assert init_state(cfg).n_cells == cells
+    calls, pair_clear = [], mcsim._pair_clear
+
+    def counting(*args):
+        calls.append(args)
+        return pair_clear(*args)
+
+    # the reference offers every particle as a candidate, not the stencil's
+    monkeypatch.setattr(mcsim, "mc_sweep", ref_mc_sweep)
+    monkeypatch.setattr(mcsim, "audit_overlaps", ref_audit_overlaps)
+    monkeypatch.setattr(
+        mcsim.MCState, "neighbor_candidates", lambda state, x, y: range(state.n_particles())
+    )
+    reference = run_text(cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(mcsim, "_pair_clear", counting)
+    assert run_text(cfg) == reference
+    assert calls, "no pair came within reach"
+
+
+def test_species_order_matches_reference():
+    rng = np.random.default_rng(5)
+    cases = [[1], [3, 3, 3], [0, 4], [7, 0, 2], [1, 1, 1, 1]]
+    for _ in range(3000):
+        counts = rng.integers(0, 13, rng.integers(1, 5)).tolist()
+        if sum(counts):
+            cases.append(counts)
+    for counts in cases:
+        assert mcsim._species_order(counts) == ref_species_order(counts), counts
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, *GRIDS])
+def test_lattice_matches_scalar_arithmetic(name):
+    cfg = CONFIGS[name] if name in CONFIGS else GRIDS[name][0]
+    state = init_state(cfg)
+    lx, ly = cfg.box
+    positions = state.positions.tolist()
+    gx = len({x for x, _ in positions})
+    gy = math.ceil(cfg.n_particles / gx)
+    assert positions == [
+        [(i % gx + 0.5) * lx / gx, (i // gx + 0.5) * ly / gy] for i in range(cfg.n_particles)
+    ]
+    assert state.species_index.tolist() == ref_species_order(cfg.species_counts())
 
 
 @pytest.mark.parametrize("name", CONFIGS)

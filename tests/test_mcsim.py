@@ -201,8 +201,9 @@ def test_cells_cover_all_particles():
 
 
 def test_small_grid_offers_all_pairs():
-    # a box under three cells a side has no distinct neighbor cells, so
-    # every particle is a candidate; an audited run stays clean
+    # on a box under three cells a side the stencil lists a cell more than
+    # once, so every particle is a candidate, each offered once; an
+    # audited run stays clean
     cfg = MCConfig(
         n_particles=4, species=((EllipseShape(2.0, 1.0), 1.0),), box=(10.0, 10.0),
         max_translation=0.5, max_rotation=0.5, seed=5, sweeps=10,
