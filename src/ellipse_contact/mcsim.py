@@ -7,7 +7,9 @@ n-ary) mixtures of different sizes.  kT is irrelevant for hard cores; the
 only control parameters are the move amplitudes.
 
 Conventions:
-  * positions live in [0, Lx) x [0, Ly), periodic in both directions;
+  * positions live in [0, Lx] x [0, Ly], periodic in both directions; L
+    itself is reached only by wrap rounding, (x + dx) % L == L for a tiny
+    negative sum, and cell_index clamps it to the last cell;
   * one sweep = one trial move (translation plus rotation) per particle,
     particles visited in index order;
   * the cell size is at least max(a_i + a_j) over species pairs, so any
@@ -55,7 +57,7 @@ __all__ = [
 HEX_PACKING_LIMIT = math.pi / (2.0 * math.sqrt(3.0))
 
 _RENORM_EVERY = 1_000_000  # rotation moves between orientation renormalizations
-_AUDIT_BLOCK = 64  # rows of the pair table audit_overlaps holds at once
+_AUDIT_PAIRS = 1 << 16  # candidate pairs audit_overlaps holds at once
 
 
 class PackingInfeasible(ValueError):
@@ -179,12 +181,6 @@ class MCState:
         if iy >= ny:
             iy = ny - 1
         return ix + nx * iy
-
-    def neighbor_candidates(self, x: float, y: float) -> list[int]:
-        """Distinct indices of the particles in the stencil of the cell
-        holding (x, y): every particle within reach of that point."""
-        cells = dict.fromkeys(c for c, _, _ in self.stencil[self.cell_index(x, y)])
-        return [j for c in cells for j in self.cell_members[c]]
 
     def move_to_cell(self, i: int, new_cell: int) -> None:
         old = self.cell_of[i]
@@ -424,9 +420,10 @@ def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveSta
     neighbor's separation is (x_j - x) - shift, the same float as the
     minimum image, and a pair at least a_i + a_j apart is passed over
     before _pair_clear is called, with the expression of its first rung.
-    The sweep works on Python floats read from the arrays once, and writes
-    back accepted moves.  Each move consumes three uniform doubles (x, y,
-    angle), drawn for the whole sweep at once and scaled as
+    The sweep works on Python floats read from the arrays once and writes
+    them back once, at its end (the orientations also before a
+    renormalization, which reads them).  Each move consumes three uniform
+    doubles (x, y, angle), drawn for the whole sweep at once and scaled as
     Generator.uniform scales them.
     """
     lx, ly = state.box
@@ -443,46 +440,50 @@ def mc_sweep(state: MCState, cfg: MCConfig, rng: np.random.Generator) -> MoveSta
     t_range = cfg.max_translation - t_low
     r_range = cfg.max_rotation - r_low
     draws = rng.random(3 * n).tolist()
-    for i in range(n):
-        x = (xs[i] + (t_low + t_range * draws[3 * i])) % lx
-        y = (ys[i] + (t_low + t_range * draws[3 * i + 1])) % ly
-        angle = r_low + r_range * draws[3 * i + 2]
-        c, s = math.cos(angle), math.sin(angle)
-        ux0, uy0 = orient[i]
-        ui = (c * ux0 - s * uy0, s * ux0 + c * uy0)
+    try:
+        for i in range(n):
+            x = (xs[i] + (t_low + t_range * draws[3 * i])) % lx
+            y = (ys[i] + (t_low + t_range * draws[3 * i + 1])) % ly
+            angle = r_low + r_range * draws[3 * i + 2]
+            c, s = math.cos(angle), math.sin(angle)
+            ux0, uy0 = orient[i]
+            ui = (c * ux0 - s * uy0, s * ux0 + c * uy0)
 
-        shape_i, ai = shapes[i], a_of[i]
-        cell = state.cell_index(x, y)
-        ok = True
-        for near, shift_x, shift_y in stencil[cell]:
-            for j in members[near]:
-                if j == i:
-                    continue
-                dx = (xs[j] - x) - shift_x
-                dy = (ys[j] - y) - shift_y
-                reach = ai + a_of[j]
-                if dx * dx + dy * dy >= reach * reach:
-                    continue
-                if not pair_clear(shape_i, shapes[j], ui, orient[j], dx, dy):
-                    ok = False
+            shape_i, ai = shapes[i], a_of[i]
+            cell = state.cell_index(x, y)
+            ok = True
+            for near, shift_x, shift_y in stencil[cell]:
+                for j in members[near]:
+                    if j == i:
+                        continue
+                    dx = (xs[j] - x) - shift_x
+                    dy = (ys[j] - y) - shift_y
+                    reach = ai + a_of[j]
+                    if dx * dx + dy * dy >= reach * reach:
+                        continue
+                    if not pair_clear(shape_i, shapes[j], ui, orient[j], dx, dy):
+                        ok = False
+                        break
+                if not ok:
                     break
-            if not ok:
-                break
 
-        sweep_stats.attempted += 1
-        if ok:
-            sweep_stats.accepted += 1
-            xs[i], ys[i], orient[i] = x, y, ui
-            state.positions[i] = x, y
-            state.orientations[i] = ui
-            state.move_to_cell(i, cell)
+            sweep_stats.attempted += 1
+            if ok:
+                sweep_stats.accepted += 1
+                xs[i], ys[i], orient[i] = x, y, ui
+                state.move_to_cell(i, cell)
 
-        state.rotations_since_renorm += 1
-        if state.rotations_since_renorm >= _RENORM_EVERY:
-            norms = np.hypot(state.orientations[:, 0], state.orientations[:, 1])
-            state.orientations /= norms[:, None]
-            orient = state.orientations.tolist()
-            state.rotations_since_renorm = 0
+            state.rotations_since_renorm += 1
+            if state.rotations_since_renorm >= _RENORM_EVERY:
+                state.orientations[:] = orient
+                norms = np.hypot(state.orientations[:, 0], state.orientations[:, 1])
+                state.orientations /= norms[:, None]
+                orient = state.orientations.tolist()
+                state.rotations_since_renorm = 0
+    finally:  # the arrays agree with the cell lists even if a pair check raised
+        state.positions[:, 0] = xs
+        state.positions[:, 1] = ys
+        state.orientations[:] = orient
 
     state.stats.attempted += sweep_stats.attempted
     state.stats.accepted += sweep_stats.accepted
@@ -502,34 +503,63 @@ def order_parameter(state: MCState) -> float:
 def audit_overlaps(state: MCState) -> list[tuple[int, int]]:
     """All-pairs overlap audit under minimum image; empty list = clean.
 
-    Pair separations are prefiltered in a vectorized pass over blocks of
-    _AUDIT_BLOCK rows of the pair table (i < j), so memory stays linear
-    in N and a block's temporaries stay small enough for the CPU cache;
-    only pairs within kernel range are checked individually, with the same
-    predicate the sweep uses, so audit and cell-list decisions cannot
-    diverge.  Pairs are listed in (i, j) order.
+    A pair within reach 2 * a_max is within reach in x, so the candidates
+    are found by sort and sweep: with the particles sorted by x and the
+    sorted list repeated shifted by +Lx for the wrap, a particle's
+    candidates are the next slots up to reach further in x (and a few
+    ulps of Lx, for the rounding of the shifted copy), at most n - 1 of
+    them.  Candidates are walked _AUDIT_PAIRS at a time, so memory stays
+    linear in N even when every pair is within reach in x.  Each gets the
+    minimum-image separation of the all-pairs table, (x_j - x_i) rounded
+    by Lx for i < j, and only pairs within reach are checked individually,
+    with the same predicate the sweep uses, so audit and cell-list
+    decisions cannot diverge.  Pairs are listed, and checked, in (i, j)
+    order, each once.
     """
     n = state.n_particles()
     lx, ly = state.box
     px, py = state.positions[:, 0], state.positions[:, 1]
     reach = max(s.a for s in state.shapes) * 2.0
-    shapes = state.particle_shapes()
-    orient = state.orientations.tolist()
-    bad = []
-    for lo in range(0, n, _AUDIT_BLOCK):
-        # the block's rows against columns lo..n-1, which hold every j > i
-        dx = px[lo:] - px[lo:lo + _AUDIT_BLOCK, None]
-        dy = py[lo:] - py[lo:lo + _AUDIT_BLOCK, None]
+    order = np.argsort(px, kind="stable")
+    sorted_x = px[order]
+    with np.errstate(over="ignore"):  # inf: a copy past the largest float, out of reach
+        slot_x = np.concatenate((sorted_x, sorted_x + lx))
+    # slot k's candidates are slots k + 1 .. last[k] - 1; numbered in slot
+    # order, candidate p of row k sits at slot p + offset[k]
+    first = np.arange(1, n + 1)
+    window = reach + 4.0 * float(np.spacing(lx))
+    last = np.minimum(np.searchsorted(slot_x, sorted_x + window, side="right"), first + n - 1)
+    ends = np.cumsum(last - first)
+    offset = last - ends
+    total = int(ends[-1])
+    keys, near_dx, near_dy = [], [], []
+    for lo in range(0, total, _AUDIT_PAIRS):
+        pair = np.arange(lo, min(lo + _AUDIT_PAIRS, total))
+        row = np.searchsorted(ends, pair, side="right")
+        a, b = order[row], order[(pair + offset[row]) % n]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        dx = px[j] - px[i]
+        dy = py[j] - py[i]
         dx -= lx * np.round(dx / lx)
         dy -= ly * np.round(dy / ly)
         with np.errstate(over="ignore"):  # inf: a pair in a huge box, out of reach
-            sep_sq = dx * dx + dy * dy
-        ii, jj = np.nonzero(np.triu(sep_sq < reach * reach, k=1))
-        for i, j, pdx, pdy in zip(
-            (ii + lo).tolist(), (jj + lo).tolist(), dx[ii, jj].tolist(), dy[ii, jj].tolist()
-        ):
-            if not _pair_clear(shapes[i], shapes[j], orient[i], orient[j], pdx, pdy):
-                bad.append((i, j))
+            near = dx * dx + dy * dy < reach * reach
+        keys.append(i[near] * n + j[near])
+        near_dx.append(dx[near])
+        near_dy.append(dy[near])
+    if not keys:
+        return []
+    # a pair can be a candidate directly and across the wrap: keep it once
+    keys, at = np.unique(np.concatenate(keys), return_index=True)
+    shapes = state.particle_shapes()
+    orient = state.orientations.tolist()
+    bad = []
+    for key, pdx, pdy in zip(
+        keys.tolist(), np.concatenate(near_dx)[at].tolist(), np.concatenate(near_dy)[at].tolist()
+    ):
+        i, j = divmod(key, n)
+        if not _pair_clear(shapes[i], shapes[j], orient[i], orient[j], pdx, pdy):
+            bad.append((i, j))
     return bad
 
 

@@ -1,7 +1,8 @@
 """The MC hot path against a reference loop and against the kernel verdict.
 
 The reference below is the plain form of the sweep and the audit: numpy
-scalar reads, one ``Generator.uniform`` call per draw, and a pair predicate
+scalar reads, every particle a candidate (no cell list, no sort in x), one
+``Generator.uniform`` call per draw, and a pair predicate
 that only prefilters on b_i + b_j <= d <= a_i + a_j before calling the
 contact kernel.  The production loop must reproduce it byte for byte, and
 its support-function bounds must never change a kernel verdict.
@@ -64,7 +65,7 @@ def ref_mc_sweep(state, cfg, rng):
         ux0, uy0 = state.orientations[i]
         ux, uy = c * ux0 - s * uy0, s * ux0 + c * uy0
         ok = True
-        for j in state.neighbor_candidates(x, y):
+        for j in range(state.n_particles()):  # every particle, not the stencil's
             if j == i:
                 continue
             dx, dy = ref_min_image(
@@ -111,7 +112,9 @@ def ref_species_order(counts):
     return order
 
 
-def ref_audit_overlaps(state):
+def ref_audit_calls(state):
+    """The pairs the audit must check, in order, each with the arguments
+    of its pair check."""
     lx, ly = state.box
     pos = state.positions
     dx = pos[:, 0][None, :] - pos[:, 0][:, None]
@@ -120,18 +123,21 @@ def ref_audit_overlaps(state):
     dy -= ly * np.round(dy / ly)
     reach = max(s.a for s in state.shapes) * 2.0
     ii, jj = np.nonzero(np.triu(dx * dx + dy * dy < reach * reach, k=1))
-    bad = []
+    calls = []
     for i, j in zip(ii.tolist(), jj.tolist()):
         ddx, ddy = ref_min_image(
             pos[j, 0] - pos[i, 0], pos[j, 1] - pos[i, 1], lx, ly
         )
-        if not ref_pair_clear(
+        calls.append(((i, j), (
             ref_shape(state, i), ref_shape(state, j),
             (state.orientations[i, 0], state.orientations[i, 1]),
             (state.orientations[j, 0], state.orientations[j, 1]), ddx, ddy,
-        ):
-            bad.append((i, j))
-    return bad
+        )))
+    return calls
+
+
+def ref_audit_overlaps(state):
+    return [pair for pair, args in ref_audit_calls(state) if not ref_pair_clear(*args)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +231,8 @@ def test_small_grid_trajectory_matches_all_pairs_reference(name, monkeypatch):
         calls.append(args)
         return pair_clear(*args)
 
-    # the reference offers every particle as a candidate, not the stencil's
     monkeypatch.setattr(mcsim, "mc_sweep", ref_mc_sweep)
     monkeypatch.setattr(mcsim, "audit_overlaps", ref_audit_overlaps)
-    monkeypatch.setattr(
-        mcsim.MCState, "neighbor_candidates", lambda state, x, y: range(state.n_particles())
-    )
     reference = run_text(cfg)
     monkeypatch.undo()
     monkeypatch.setattr(mcsim, "_pair_clear", counting)
@@ -282,6 +284,51 @@ def test_audit_lists_match_reference(name):
     bad = mcsim.audit_overlaps(state)
     assert bad, "scrambled state should overlap somewhere"
     assert bad == ref_audit_overlaps(state)
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_audit_calls_match_reference(name, monkeypatch):
+    # the audit's x window must hand the predicate every pair within reach,
+    # in (i, j) order, once, with the all-pairs table's separation: on a
+    # scrambled state, with particles at x = 0, x = L and y = L, a pair
+    # exactly reach apart in x and a pair one ulp closer (in the box of
+    # 2 reach, that pair is also reach + 1 ulp apart across the wrap)
+    cfg, _ = GRIDS[name]
+    state = init_state(cfg)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        mcsim.mc_sweep(state, cfg, rng)
+    n = state.n_particles()
+    state.positions[:] = (
+        state.positions + rng.uniform(-1.5, 1.5, (n, 2))
+    ) % np.array(state.box)
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    state.orientations[:] = np.column_stack([np.cos(theta), np.sin(theta)])
+    lx, ly = state.box
+    reach = 2.0 * max(s.a for s in state.shapes)
+    pins = [
+        (0.0, 1.0), (lx, 1.5),  # a pair across the wrap in x
+        (3.0, ly), (3.2, 0.3),  # a pair across the wrap in y
+        (1.0, 5.0), (1.0 + reach, 5.0),
+        (1.0, 7.5), (math.nextafter(1.0 + reach, 0.0), 7.5),
+    ]
+    for i, pin in zip(range(n), pins):
+        state.positions[i] = pin
+
+    calls, pair_clear = [], mcsim._pair_clear
+
+    def counting(*args):
+        calls.append(args)
+        return pair_clear(*args)
+
+    monkeypatch.setattr(mcsim, "_pair_clear", counting)
+    bad = mcsim.audit_overlaps(state)
+    expected = ref_audit_calls(state)
+    assert [(si, sj, tuple(ui), tuple(uj), dx, dy) for si, sj, ui, uj, dx, dy in calls] == [
+        args for _, args in expected
+    ]
+    assert bad == ref_audit_overlaps(state)
+    assert (0, 1) in [pair for pair, _ in expected]
 
 
 @pytest.mark.parametrize("name", ["2:1 at 0.4", "6:1 at 0.3"])

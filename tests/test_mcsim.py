@@ -18,6 +18,7 @@ from ellipse_contact import (
     order_parameter,
     run_simulation,
 )
+from ellipse_contact import mcsim
 from ellipse_contact.mcsim import HEX_PACKING_LIMIT
 
 
@@ -38,6 +39,13 @@ def config(n=32, shape=EllipseShape(2.0, 1.0), packing=0.2, seed=42, sweeps=5,
         sweeps=sweeps,
         sample_every=5,
     )
+
+
+def stencil_candidates(state, x, y):
+    """Distinct indices of the particles in the stencil of the cell
+    holding (x, y)."""
+    cells = dict.fromkeys(c for c, _, _ in state.stencil[state.cell_index(x, y)])
+    return [j for c in cells for j in state.cell_members[c]]
 
 
 def test_config_validation():
@@ -179,7 +187,7 @@ def test_cell_list_matches_brute_force_decisions():
         return _pair_clear(shapes[i], shapes[j], orient[i], orient[j], dx, dy)
 
     for i in range(state.n_particles()):
-        cand = set(state.neighbor_candidates(*pos[i]))
+        cand = set(stencil_candidates(state, *pos[i]))
         cell_clear = all(clear(i, j) for j in cand if j != i)
         brute_clear = all(clear(i, j) for j in range(state.n_particles()) if j != i)
         assert cell_clear == brute_clear
@@ -198,6 +206,29 @@ def test_cells_cover_all_particles():
         assert state.cell_index(state.positions[i, 0], state.positions[i, 1]) == int(
             state.cell_of[i]
         )
+
+
+def test_interrupted_sweep_writes_back_accepted_moves(monkeypatch):
+    # the sweep writes its moves to the arrays once, at its end; a pair
+    # check that raises mid-sweep must still leave the moves accepted so
+    # far in the arrays, in step with the cell lists
+    cfg = config(n=48, packing=0.3, seed=11)
+    state = init_state(cfg)
+    start = state.positions.copy()
+    calls, pair_clear = [], mcsim._pair_clear
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 20:
+            raise OverflowError("pair check failed")
+        return pair_clear(*args)
+
+    monkeypatch.setattr(mcsim, "_pair_clear", failing)
+    with pytest.raises(OverflowError):
+        mc_sweep(state, cfg, np.random.default_rng(cfg.seed))
+    assert (state.positions != start).any()
+    for i, (x, y) in enumerate(state.positions.tolist()):
+        assert state.cell_index(x, y) == state.cell_of[i]
 
 
 def test_small_grid_offers_all_pairs():
@@ -219,7 +250,7 @@ def test_small_grid_offers_all_pairs():
         mc_sweep(state, cfg, rng)
         assert audit_overlaps(state) == []
         for x, y in state.positions.tolist():
-            assert sorted(state.neighbor_candidates(x, y)) == [0, 1, 2, 3]
+            assert sorted(stencil_candidates(state, x, y)) == [0, 1, 2, 3]
 
 
 def test_dilute_box_grid_is_capped():
@@ -240,7 +271,7 @@ def test_dilute_box_grid_is_capped():
         mc_sweep(state, cfg, rng)
         pos = state.positions
         for i in range(16):
-            cand = set(state.neighbor_candidates(*pos[i]))
+            cand = set(stencil_candidates(state, *pos[i]))
             for j in range(16):
                 dx, dy = pos[j] - pos[i]
                 dx -= lx * round(dx / lx)
@@ -250,7 +281,7 @@ def test_dilute_box_grid_is_capped():
 
 
 def test_init_state_audit_memory_is_linear():
-    # the lattice audit walks the pair table in row blocks; dense N x N
+    # the lattice audit walks its candidates in chunks; dense N x N
     # separation arrays would peak above 120 MB here
     cfg = config(n=2000, packing=0.2)
     tracemalloc.start()
@@ -259,6 +290,23 @@ def test_init_state_audit_memory_is_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+def test_init_state_audit_memory_in_a_thin_box():
+    # a one-column lattice in a box 2 * reach wide: all 2e6 pairs are within
+    # reach in x, so the audit's candidates must pass in bounded chunks
+    cfg = MCConfig(
+        n_particles=2000, species=((EllipseShape(2.0, 1.0), 1.0),), box=(8.0, 4001.0),
+        max_translation=0.1, max_rotation=0.1, seed=1, sweeps=1,
+    )
+    tracemalloc.start()
+    try:
+        state = init_state(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(state.positions[:, 0])) == 1
     assert peak < 40e6, peak
 
 
