@@ -5,25 +5,20 @@ contact_arrays() evaluates make_pair_configuration + closest_approach +
 tangency_residuals on structure-of-arrays input and returns, for every
 row it resolves, exactly the floats the scalar calls return.  Rows it
 cannot match that way are flagged and left to the scalar path, which then
-gives the result or raises the exception the scalar API raises.  batch
-and the curves of analysis.py both call it.
+gives the result or raises the exception the scalar API raises.  batch,
+verify and the curves of analysis.py call it.
 
-How the floats stay identical:
+The formulas are the scalar kernel's own, written once for floats and
+arrays (transform._transform; quartic's coefficients, depressed form,
+Ferrari root choice and root acceptance; contact's psi, d', contact point
+and tangency check), here with numpy's sqrt and where.  What is this
+module's own:
 
-* the transform is the scalar code itself: transform._transform, called
-  with numpy's sqrt and where and a per-element math.hypot; so are the
-  quartic's coefficients and depressed form (quartic_coefficients,
-  _depressed) and the tangency check (contact._tangency, which gives the
-  residuals and the normals that the scalar checks are made on);
-* numpy does only correctly rounded operations (+ - * /, sqrt, abs),
-  comparisons and selections, in the scalar code's operation order (the
-  scalar code writes integer powers as products);
 * math.hypot, cos/sin and the resolvent run per element on Python
   floats, because numpy's versions round differently on some inputs;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
 * the branches of contact.py and quartic.py become masks: the five
-  contact branches, the biquadratic case (W = 0 included) and the larger
-  of the two real Ferrari roots, as quartic._ferrari_root picks it.
+  contact branches and the biquadratic case (W = 0 included).
 
 A row goes to the scalar path when its input fails validation, when any
 intermediate it uses is non-finite or a per-element call raises (where
@@ -41,15 +36,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _tangency
+from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _contact_point, _psi_d_prime, _tangency
 from .geometry import _MIN_NORMAL, _UNIT_SLACK
 from .quartic import (
-    BRACKET_TOL,
-    POLISH_STEPS,
-    RESIDUAL_RTOL,
-    QuarticCoeffs,
+    _biquadratic_root,
     _depressed,
-    _horner_compensated,
+    _larger_real_root,
+    _near_biquadratic,
+    _polish_and_test,
     _resolvent_root,
     quartic_coefficients,
 )
@@ -117,45 +111,23 @@ def _unit(x: np.ndarray, y: np.ndarray, bad: np.ndarray):
     return np.where(renorm, x / n, x), np.where(renorm, y / n, y)
 
 
-def _py_max(x, y):
-    """Python's max(x, y): x unless y > x."""
-    return np.where(y > x, y, x)
-
-
-def _py_min(x, y):
-    """Python's min(x, y): x unless y < x."""
-    return np.where(y < x, y, x)
-
-
-def _accept(c: QuarticCoeffs, q: np.ndarray, hi: np.ndarray):
-    """quartic._accept over arrays of in-bracket candidates: (polished q,
-    accepted mask)."""
-    q = _py_min(_py_max(q, 1.0), hi)
-    active = np.ones(len(q), dtype=bool)
-    for _ in range(POLISH_STEPS):  # quartic._polish
-        f = _horner_compensated(c, q)
-        fp = c.derivative(q)
-        active &= fp != 0.0
-        q = np.where(active, q - f / fp, q)
-    q = _py_min(_py_max(q, 1.0), hi)
-    res = abs(_horner_compensated(c, q))
-    return q, res <= RESIDUAL_RTOL * _py_max(abs(c.a) * (q * q * (q * q)), abs(c.e))
+def _arrays(bad: np.ndarray) -> SimpleNamespace:
+    """The array namespace of the shared formulas; rows where a hypot
+    raises are flagged in bad."""
+    return SimpleNamespace(sqrt=np.sqrt, where=np.where, hypot=partial(_each, math.hypot, bad))
 
 
 def _quartic_roots(b2p, delta, tan2phi, bad):
     """quartic_coefficients + solve_contact_quartic over arrays.  Rows the
     closed form leaves to the companion-matrix fallback are flagged."""
+    m = _arrays(bad)
     c = quartic_coefficients(b2p, delta, tan2phi)
     hi = np.sqrt(1.0 + delta)
     alpha, beta, gamma, shift = _depressed(c)
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
     # biquadratic rows take the larger root, and so do the W = 0 rows below
-    ratio = abs(c.b / c.a)
-    biq = abs(beta) < 1e-11 * _py_max(1.0, ratio * ratio * ratio)
-    inner = np.sqrt(_py_max(alpha * alpha - 4.0 * gamma, 0.0))
-    r_hi = shift + np.sqrt(_py_max((-alpha + inner) / 2.0, 0.0))
-
+    biq = _near_biquadratic(c, beta, m)
     y = np.zeros(len(bad))
     cubic = np.flatnonzero(~biq)
     sub_bad = np.zeros(len(cubic), dtype=bool)
@@ -167,20 +139,13 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     biq |= big_w == 0.0
     # s1 < 0 (no candidate) rows are the scalar code's to resolve
     bad |= ~biq & ((s1 < 0.0) | ~np.isfinite(y))
-
-    # shift + (+-W + sqrt(arg))/2, real where arg >= 0; the scalar max()
-    # keeps the +W root unless the -W one is real and larger
-    assemblies = []
-    for sign_w in (1.0, -1.0):
-        arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
-        assemblies.append((shift + 0.5 * (sign_w * big_w + np.sqrt(arg)), arg >= 0.0))
-    (r_p, real_p), (r_m, real_m) = assemblies
-    root = np.where(biq, r_hi, np.where(real_m & (~real_p | (r_m > r_p)), r_m, r_p))
+    root = np.where(biq, _biquadratic_root(alpha, gamma, shift, m),
+                    _larger_real_root(alpha, beta, y, shift, big_w, m))
 
     # no real root (nan), not in the bracket or not accepted: the
     # companion-matrix fallback
-    q, ok = _accept(c, root, hi)
-    bad |= ~(ok & (1.0 - BRACKET_TOL <= root) & (root <= hi + BRACKET_TOL))
+    q, ok = _polish_and_test(c, root, hi, m)
+    bad |= ~ok
     return q
 
 
@@ -227,11 +192,10 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     dhx, dhy = _unit(dhx, dhy, bad)
     # transform.transformed_pair: a row is flagged where a hypot raises or a
     # field below is non-finite (its other intermediates follow from these)
-    m = SimpleNamespace(sqrt=np.sqrt, where=np.where, hypot=partial(_each, math.hypot, bad))
     (
         eta, a11, a22, a12, _, _, b2p, a2p, delta, dhat_scale,
         kplus, kminus, cos_phi, sin_phi, parallel, par_a, _, _,
-    ) = _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, m)
+    ) = _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, _arrays(bad))
     _flag_nonfinite(bad, eta, a11, a22, a12, b2p, a2p, delta, dhat_scale, *kplus, cos_phi, sin_phi)
     codes = np.where(parallel, np.where(par_a, _PAR_A, _PAR_B), _GENERAL).astype(np.int8)
 
@@ -249,26 +213,18 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     sub_bad = np.zeros(len(quartic), dtype=bool)
     s, co = sin_phi[quartic], cos_phi[quartic]
     sb2p, sdelta = b2p[quartic], delta[quartic]
-    sq = _quartic_roots(sb2p, sdelta, (s * s) / (co * co), sub_bad)
-    big_x = 1.0 + sb2p * (1.0 + sdelta) / sq
-    big_y = 1.0 + sb2p / sq
-    tan_psi = abs(s / co) * big_y / big_x
-    norm = _each(math.hypot, sub_bad, 1.0, tan_psi)
-    q[quartic] = sq
-    sin_psi[quartic] = s_psi = np.where(s >= 0.0, 1.0, -1.0) * tan_psi / norm
-    cos_psi[quartic] = np.where(co >= 0.0, 1.0, -1.0) / norm
-    frac = s_psi * s_psi
-    d_prime[quartic] = np.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
+    q[quartic] = sq = _quartic_roots(sb2p, sdelta, (s * s) / (co * co), sub_bad)
+    sin_psi[quartic], cos_psi[quartic], d_prime[quartic] = _psi_d_prime(
+        sb2p, sdelta, s, co, sq, _arrays(sub_bad)
+    )
     bad[quartic] |= sub_bad
     d = d_prime / dhat_scale
 
     # contact.closest_approach: the contact point
-    npx = cos_psi * kplus[0] + sin_psi * kminus[0]
-    npy = cos_psi * kplus[1] + sin_psi * kminus[1]
-    t = eta * (k1x * npx + k1y * npy)
+    gx, gy = _contact_point(b1, eta, k1x, k1y, *kplus, *kminus, sin_psi, cos_psi)
     on_line = circle | right
-    rc_x = np.where(on_line, dhx / dhat_scale, b1 * (npx + t * k1x))
-    rc_y = np.where(on_line, dhy / dhat_scale, b1 * (npy + t * k1y))
+    rc_x = np.where(on_line, dhx / dhat_scale, gx)
+    rc_y = np.where(on_line, dhy / dhat_scale, gy)
 
     # tangency_residuals (with the unflipped k2), and the checks that
     # UnitVec2(normal), Vec2 and the residuals' normal cross product make

@@ -6,7 +6,8 @@ the circular and perpendicular special cases), then map the distance and
 the contact normal back.  Every solution carries enough data to be
 self-validating: the contact point must lie on both boundaries and the two
 outward normals must be anti-parallel, and tangency_residuals() measures
-exactly that; _tangency is that check for this module and bulk.py alike.
+exactly that.  _psi_d_prime, _contact_point and _tangency take floats or
+arrays (geometry._FLOATS), so bulk.contact_arrays runs them too.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2, _ellipse_form
+from .geometry import _FLOATS, EllipseShape, PairConfiguration, UnitVec2, Vec2, _ellipse_form
 from .quartic import quartic_coefficients, solve_contact_quartic
 from .transform import ContactBranch, transformed_pair
 
@@ -42,7 +43,7 @@ TANGENT_RTOL = 1e-9
 
 
 class ConcentricCenters(ValueError):
-    """Center separation is (numerically) zero; the pair always overlaps."""
+    """Center separation is at most 1e-14 (b1 + b2); the pair overlaps."""
 
 
 class OverlapVerdict(Enum):
@@ -73,41 +74,52 @@ class ContactSolution(NamedTuple):
     branch: ContactBranch
 
 
-def _sign(x: float) -> float:
-    # sign convention: sgn(0) = +1 keeps psi deterministic on the axes
-    return 1.0 if x >= 0.0 else -1.0
+def _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, m):
+    """(sin_psi, cos_psi, d_prime) of the general branch from the root q.
+
+    psi comes from the unsquared tangency relation
+    tan(psi) = tan(phi) * (1 + b2p/q) / (1 + b2p(1+delta)/q), which stays
+    fully accurate as delta -> 0 where the naive sin^2(psi) = (q^2-1)/delta
+    loses all precision (and normal errors are amplified by the squared
+    aspect ratio on the way back).  The signs of sin/cos psi follow those
+    of sin/cos phi exactly as the component equations require; sgn(0) = +1
+    keeps psi deterministic on the axes.
+    """
+    big_x = 1.0 + b2p * (1.0 + delta) / q
+    big_y = 1.0 + b2p / q
+    tan_psi = abs(sin_phi / cos_phi) * big_y / big_x
+    norm = m.hypot(1.0, tan_psi)
+    sin_psi = m.where(sin_phi >= 0.0, 1.0, -1.0) * tan_psi / norm
+    cos_psi = m.where(cos_phi >= 0.0, 1.0, -1.0) / norm
+    frac = sin_psi * sin_psi
+    return sin_psi, cos_psi, m.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
 
 
 def _distance_pieces(
     a2p: float, b2p: float, delta: float, cos_phi: float, sin_phi: float, branch: ContactBranch
 ) -> tuple[float, float, float, float, ContactBranch]:
     """(d_prime, q, sin_psi, cos_psi, branch) from the transformed pair's
-    semi-axes, anisotropy, center-line direction and branch tag.
-
-    In the general branch psi comes from the unsquared tangency relation
-    tan(psi) = tan(phi) * (1 + b2p/q) / (1 + b2p(1+delta)/q), which stays
-    fully accurate as delta -> 0 where the naive sin^2(psi) = (q^2-1)/delta
-    loses all precision (and normal errors are amplified by the squared
-    aspect ratio on the way back).  The signs of sin/cos psi follow those
-    of sin/cos phi exactly as the component equations require.
-    """
+    semi-axes, anisotropy, center-line direction and branch tag."""
     if delta < DELTA_CIRCLE_TOL:
         # the transformed pair is circle-circle: normal along the center line
         return 1.0 + b2p, 1.0, sin_phi, cos_phi, ContactBranch.CIRCLE_LIKE
     if abs(cos_phi) < COS_PHI_TOL:
         q = math.sqrt(1.0 + delta)
-        return 1.0 + a2p, q, _sign(sin_phi), 0.0, ContactBranch.PHI_RIGHT_ANGLE
+        sin_psi = 1.0 if sin_phi >= 0.0 else -1.0  # sgn(0) = +1, as in _psi_d_prime
+        return 1.0 + a2p, q, sin_psi, 0.0, ContactBranch.PHI_RIGHT_ANGLE
     tan2phi = (sin_phi * sin_phi) / (cos_phi * cos_phi)
     q = solve_contact_quartic(quartic_coefficients(b2p, delta, tan2phi), delta)
-    big_x = 1.0 + b2p * (1.0 + delta) / q
-    big_y = 1.0 + b2p / q
-    tan_psi = abs(sin_phi / cos_phi) * big_y / big_x
-    norm = math.hypot(1.0, tan_psi)
-    sin_psi = _sign(sin_phi) * tan_psi / norm
-    cos_psi = _sign(cos_phi) / norm
-    frac = sin_psi * sin_psi
-    d_prime = math.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
+    sin_psi, cos_psi, d_prime = _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, _FLOATS)
     return d_prime, q, sin_psi, cos_psi, branch
+
+
+def _contact_point(b1, eta, k1x, k1y, kpx, kpy, kmx, kmy, sin_psi, cos_psi):
+    """The general branch's contact point b1 (n' + eta (k1.n') k1), from the
+    center of ellipse 1, for n' = cos_psi k+ + sin_psi k- and eta = a1/b1 - 1."""
+    npx = cos_psi * kpx + sin_psi * kmx
+    npy = cos_psi * kpy + sin_psi * kmy
+    t = eta * (k1x * npx + k1y * npy)
+    return b1 * (npx + t * k1x), b1 * (npy + t * k1y)
 
 
 def _normal(m, x, y):
@@ -153,10 +165,9 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         # the contact point is dhat / |T dhat|
         rc = Vec2(cfg.dhat.x / dhat_scale, cfg.dhat.y / dhat_scale)
     else:
-        npx = cos_psi * kplus.x + sin_psi * kminus.x
-        npy = cos_psi * kplus.y + sin_psi * kminus.y
-        t = (a1 / b1 - 1.0) * (k1x * npx + k1y * npy)
-        rc = Vec2(b1 * (npx + t * k1x), b1 * (npy + t * k1y))
+        rc = Vec2(*_contact_point(
+            b1, a1 / b1 - 1.0, k1x, k1y, kplus.x, kplus.y, kminus.x, kminus.y, sin_psi, cos_psi
+        ))
 
     normal = Vec2(*_normal(_ellipse_form(a1, b1, k1x, k1y), rc.x, rc.y))
     normal = UnitVec2(normal.x, normal.y)
@@ -198,7 +209,9 @@ def tangency_residuals(
 def _overlap_distance(shape1, shape2, k1, k2, r12: Vec2) -> tuple[OverlapVerdict, float]:
     """overlap() and the contact distance along r12 that it compared."""
     sep = r12.norm()
-    if sep < 1e-14:
+    # d >= b1 + b2 along every direction, so such a pair overlaps; <= keeps
+    # sep = 0 here when the bound underflows to 0
+    if sep <= 1e-14 * (shape1.b + shape2.b):
         raise ConcentricCenters(f"center separation {sep!r} is numerically zero")
     dhat = UnitVec2(r12.x, r12.y)
     d = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat)).d

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 __all__ = [
     "DegenerateShape",
@@ -169,3 +170,13 @@ def _ellipse_form(a, b, kx, ky):
     e2 = (1.0 - r) * (1.0 + r)  # eccentricity_sq()
     f = 1.0 / (b * b)
     return f * (1.0 - e2 * kx * kx), f * (-e2 * kx * ky), f * (1.0 - e2 * ky * ky)
+
+
+# The float namespace m of the kernel stages written once for floats and
+# arrays (bulk.py builds the array one).  Rules that keep the two equal bit
+# for bit and the float path free of exceptions: m.where(c, x, y) gets both
+# x and y evaluated, so select an operand before it can raise, as in
+# m.sqrt(m.where(ok, arg, 0.0)); c may be a Python bool, so combine with &
+# and |, never ~ (~True == -2); no ** or pow (Python and numpy round them
+# differently); a max(x, y) keeps Python's order, x unless y > x.
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y)

@@ -24,6 +24,11 @@ The solver is defensive in layers:
    companion-matrix method and the unique in-bracket real root is taken;
    zero or several such roots raise NoPhysicalRoot instead of guessing;
    that root must pass the same polish, clamp and residual test.
+
+The formulas of steps 2 and 3 take floats or arrays and a namespace m
+(geometry._FLOATS), so bulk.contact_arrays runs them too; the control
+flow around them (no resolvent on biquadratic rows, None for s1 < 0) is
+the scalar solver's own, and the array kernel masks it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .geometry import _FLOATS
 
 __all__ = [
     "NoPhysicalRoot",
@@ -51,8 +58,9 @@ POLISH_STEPS = 3
 class NoPhysicalRoot(ArithmeticError):
     """The quartic has no unique real root in [1, sqrt(1+delta)].
 
-    This signals an upstream bug or an invalid configuration; it is not
-    reachable from validated kernel inputs as far as testing shows.
+    Valid input can reach it at extreme aspect: the strict xfail in
+    tests/test_contact.py (aspects 1,183 and 8,756) raises it, its root
+    lost to rounding before the bracket test.  See ROADMAP items 1-2.
     """
 
 
@@ -119,16 +127,6 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish(c: QuarticCoeffs, q: float) -> float:
-    for _ in range(POLISH_STEPS):
-        f = _horner_compensated(c, q)
-        fp = c.derivative(q)
-        if fp == 0.0:
-            break
-        q -= f / fp
-    return q
-
-
 def _resolvent_root(alpha: float, beta: float, gamma: float) -> float:
     """A real root y of the resolvent cubic of the depressed quartic
     (coefficients alpha, beta, gamma), by Cardano.  The scalar solver and
@@ -166,15 +164,38 @@ def _depressed(c: QuarticCoeffs):
     return alpha, beta, gamma, -b / (4.0 * a)
 
 
-def _ferrari_root(c: QuarticCoeffs) -> float | None:
-    """The largest real root by Ferrari's method, or None when the
-    resolvent gives no real one."""
-    alpha, beta, gamma, shift = _depressed(c)
+def _near_biquadratic(c: QuarticCoeffs, beta, m):
+    """Whether beta is negligible: the depressed quartic is biquadratic."""
     ratio = abs(c.b / c.a)
     cube = ratio * ratio * ratio
-    # conditional expressions here and in _accept are the builtin max() and
-    # min() without the call, in their operand order (a nan passes alike)
-    if not abs(beta) < 1e-11 * (cube if cube > 1.0 else 1.0):
+    return abs(beta) < 1e-11 * m.where(cube > 1.0, cube, 1.0)
+
+
+def _biquadratic_root(alpha, gamma, shift, m):
+    """The larger root of u^4 + alpha u^2 + gamma, shifted back; W = 0 takes
+    it too, as alpha + 2y = 0 implies beta = 0 up to rounding."""
+    disc = alpha * alpha - 4.0 * gamma
+    half = (-alpha + m.sqrt(m.where(0.0 > disc, 0.0, disc))) / 2.0
+    return shift + m.sqrt(m.where(0.0 > half, 0.0, half))
+
+
+def _larger_real_root(alpha, beta, y, shift, big_w, m):
+    """Of the Ferrari roots shift + (+-W + sqrt(arg))/2, W = sqrt(alpha + 2y)
+    != 0, the larger real (arg >= 0) one, +W on a tie; nan if neither is."""
+    sqrt, where = m.sqrt, m.where
+    base = 3.0 * alpha + 2.0 * y
+    arg_p, arg_m = -(base + 2.0 * beta / big_w), -(base + -2.0 * beta / big_w)
+    # a root that is not real reads nan: sqrt(nan) does not raise
+    r_p = shift + 0.5 * (big_w + sqrt(where(arg_p >= 0.0, arg_p, math.nan)))
+    r_m = shift + 0.5 * (sqrt(where(arg_m >= 0.0, arg_m, math.nan)) - big_w)
+    return where((r_m > r_p) | ((r_p != r_p) & (r_m == r_m)), r_m, r_p)
+
+
+def _ferrari_root(c: QuarticCoeffs) -> float | None:
+    """The largest real root by Ferrari's method: None when the resolvent
+    gives s1 = alpha + 2y < 0, nan when no assembly is real."""
+    alpha, beta, gamma, shift = _depressed(c)
+    if not _near_biquadratic(c, beta, _FLOATS):
         y = _resolvent_root(alpha, beta, gamma)
         s1 = alpha + 2.0 * y
         if -1e-12 < s1 < 0.0:
@@ -183,35 +204,37 @@ def _ferrari_root(c: QuarticCoeffs) -> float | None:
             return None
         big_w = math.sqrt(s1)
         if big_w != 0.0:
-            # shift + (+-W + sqrt(arg))/2, real where arg >= 0; the larger
-            # real one, the +W root on a tie or a nan
-            root = None
-            for sign_w in (1.0, -1.0):
-                arg = -(3.0 * alpha + 2.0 * y + sign_w * 2.0 * beta / big_w)
-                if arg >= 0.0:
-                    r = shift + 0.5 * (sign_w * big_w + math.sqrt(arg))
-                    if root is None or r > root:
-                        root = r
-            return root
-    # biquadratic; alpha + 2y = 0 (W = 0) implies beta = 0 up to rounding
-    inner = math.sqrt(max(alpha * alpha - 4.0 * gamma, 0.0))
-    return shift + math.sqrt(max((-alpha + inner) / 2.0, 0.0))
+            return _larger_real_root(alpha, beta, y, shift, big_w, _FLOATS)
+    return _biquadratic_root(alpha, gamma, shift, _FLOATS)
+
+
+def _polish_and_test(c: QuarticCoeffs, q, hi, m):
+    """(q, ok): the candidate clamped to [1, hi], polished by Newton steps
+    and clamped again; ok if it lay within BRACKET_TOL of the bracket and
+    the polished q passes the residual test."""
+    where = m.where
+    ok = (1.0 - BRACKET_TOL <= q) & (q <= hi + BRACKET_TOL)
+    q = where(1.0 > q, 1.0, q)
+    q = where(hi < q, hi, q)
+    for _ in range(POLISH_STEPS):
+        f = _horner_compensated(c, q)
+        fp = c.derivative(q)
+        # at f' = 0 the step is 0 * (f / 1), and q then stays as it is
+        q = q - (fp != 0.0) * (f / (fp + (fp == 0.0)))
+    q = where(1.0 > q, 1.0, q)
+    q = where(hi < q, hi, q)
+    res = abs(_horner_compensated(c, q))
+    lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
+    return q, ok & (res <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
 
 
 def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
     """The candidate q, polished and clamped to [1, hi], if it lies in the
     bracket and passes the residual test; otherwise None."""
-    if q is None or not (1.0 - BRACKET_TOL <= q <= hi + BRACKET_TOL):
+    if q is None:
         return None
-    q = 1.0 if 1.0 > q else q
-    q = _polish(c, hi if hi < q else q)
-    q = 1.0 if 1.0 > q else q
-    q = hi if hi < q else q
-    res = abs(_horner_compensated(c, q))
-    lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
-    if res <= RESIDUAL_RTOL * (tail if tail > lead else lead):
-        return q
-    return None
+    q, ok = _polish_and_test(c, q, hi, _FLOATS)
+    return q if ok else None
 
 
 def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:

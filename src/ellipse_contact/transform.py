@@ -7,11 +7,10 @@ k1 + k2 and k1 - k2.  Everything the distance and contact-point stages need
 is collected in a TransformedPair.
 
 The arithmetic is written once, in _transform, for Python floats
-(transformed_pair) or numpy arrays of rows (bulk.contact_arrays).  Both
-sides of each m.where(cond, x, y) are evaluated for every input, so
-neither may raise where the other is selected: Python raises on a
-division by zero where numpy gives inf, so the isotropic divisor is
-replaced by 1 before it divides.
+(transformed_pair) or numpy arrays of rows (bulk.contact_arrays), under
+the rules stated at geometry._FLOATS: Python raises on a division by
+zero where numpy gives inf, so the isotropic divisor is replaced by 1
+before it divides.
 
 Numerical notes, load-bearing and worth stating once:
 
@@ -38,10 +37,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from types import SimpleNamespace
 from typing import NamedTuple
 
-from .geometry import PairConfiguration, UnitVec2
+from .geometry import _FLOATS, PairConfiguration, UnitVec2
 
 __all__ = [
     "ContactBranch",
@@ -98,10 +96,6 @@ class TransformedPair(NamedTuple):
     sin_gamma: float
     cos_gamma: float
     branch: ContactBranch
-
-
-# the float namespace of _transform: where() is a conditional expression
-_FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y)
 
 
 def _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, m):

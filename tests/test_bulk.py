@@ -91,6 +91,7 @@ def stream_rows(configurations):
 @pytest.mark.parametrize("seed, n, max_aspect, deferred", [
     (11, 10_000, 20.0, []),
     (7, 5_000, 1000.0, None),
+    (5, 5_000, 1e4, None),
 ])
 def test_contact_arrays_match_scalar_on_streams(seed, n, max_aspect, deferred):
     rows = stream_rows(oracle.stratified_configurations(n, seed, max_aspect))
@@ -98,8 +99,9 @@ def test_contact_arrays_match_scalar_on_streams(seed, n, max_aspect, deferred):
     if deferred is not None:
         assert got == deferred
     else:
-        # extreme aspect: the companion-matrix fallback takes ~2%
-        assert len(got) < 0.05 * n
+        # extreme aspect: the companion-matrix fallback takes ~2% up to
+        # aspect 10^3 and ~11% up to 10^4
+        assert len(got) < (0.05 if max_aspect <= 1e3 else 0.15) * n
 
 
 @pytest.mark.parametrize("max_aspect, rtol", [(20.0, 1e-13), (1e3, 1e-9), (1e4, 1e-7)])

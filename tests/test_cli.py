@@ -112,6 +112,17 @@ def test_overlap_verdicts(capsys):
     assert record["verdict"] == "overlapping" and record["concentric"] is True
 
 
+def test_overlap_concentric_cut_scales_with_the_shapes(capsys):
+    # 1e-15 apart is 25,000 contact distances at the 1e-20 scale: disjoint,
+    # and a separation inside b1 + b2 overlaps through the kernel
+    base = ["overlap", "--a1", "2e-20", "--b1", "1e-20", "--a2", "2e-20", "--b2", "1e-20", "--json"]
+    code, out, _ = run_cli(capsys, *base, "--sep", "1e-15")
+    assert code == 0 and json.loads(out)["verdict"] == "disjoint"
+    code, out, _ = run_cli(capsys, *base, "--sep", "1.5e-20")
+    record = json.loads(out)
+    assert code == 0 and record["verdict"] == "overlapping" and "concentric" not in record
+
+
 def test_overlap_one_kernel_call_prints_the_compared_distance(monkeypatch, capsys):
     # the printed d is the distance the verdict compared |sep| against,
     # along the reversed direction for a negative --sep

@@ -583,6 +583,17 @@ def test_overlap_concentric():
         overlap(e, e, k, k, Vec2(0.0, 1e-15))
 
 
+def test_overlap_concentric_cut_scales_with_the_shapes():
+    # the cut is 1e-14 (b1 + b2): at the 1e-20 scale a separation of 1e-15
+    # is 50,000 contact distances, and one inside b1 + b2 reaches the kernel
+    e = EllipseShape(2e-20, 1e-20)
+    k = UnitVec2(1.0, 0.0)
+    assert overlap(e, e, k, k, Vec2(0.0, 1e-15)) is OverlapVerdict.DISJOINT
+    assert overlap(e, e, k, k, Vec2(0.0, 1.5e-20)) is OverlapVerdict.OVERLAPPING
+    with pytest.raises(ConcentricCenters):
+        overlap(e, e, k, k, Vec2(0.0, 2e-34))
+
+
 def test_overlap_non_finite_distance_raises():
     # b2 = 1e-160 squares below the doubles and the transformed form is nan;
     # along the shared axis no quartic is solved, and the nan distance that

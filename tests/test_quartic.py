@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from ellipse_contact import (
     stratified_configuration,
     tangency_residuals,
 )
-from ellipse_contact import bulk, quartic
+from ellipse_contact import quartic
+from ellipse_contact.geometry import _FLOATS
 from conftest import CountingRoots, oracle_quartic_roots
 
 
@@ -156,12 +158,16 @@ def test_beta_zero_branch(monkeypatch):
 
 def test_polish_stops_at_zero_derivative():
     # -(q^2-1)^2 has a double root at 1, where its derivative vanishes: the
-    # Newton polish of both kernels stops there instead of dividing by 0
+    # Newton polish that both kernels share stops there instead of dividing
+    # by 0, on a float and on an array row alike
     c = QuarticCoeffs(-1.0, 0.0, 2.0, 0.0, -1.0)
     assert c.derivative(1.0) == 0.0
     assert quartic._accept(c, 1.0, 2.0) == 1.0
-    with np.errstate(all="ignore"):  # as contact_arrays runs it
-        q, ok = bulk._accept(c, np.array([1.0]), np.array([2.0]))
+    q, ok = quartic._polish_and_test(c, 1.0, 2.0, _FLOATS)
+    assert q == 1.0 and ok
+    arrays = SimpleNamespace(sqrt=np.sqrt, where=np.where)
+    with np.errstate(all="raise"):  # nothing divides by 0 on the array path either
+        q, ok = quartic._polish_and_test(c, np.array([1.0]), np.array([2.0]), arrays)
     assert q.tolist() == [1.0] and ok.tolist() == [True]
 
 
