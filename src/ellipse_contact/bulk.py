@@ -127,7 +127,7 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
     # biquadratic rows take the larger root, and so do the W = 0 rows below
-    biq = _near_biquadratic(c, beta, m)
+    biq = _near_biquadratic(c, beta)
     y = np.zeros(len(bad))
     cubic = np.flatnonzero(~biq)
     sub_bad = np.zeros(len(cubic), dtype=bool)
@@ -199,7 +199,7 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     _flag_nonfinite(bad, eta, a11, a22, a12, b2p, a2p, delta, dhat_scale, *kplus, cos_phi, sin_phi)
     codes = np.where(parallel, np.where(par_a, _PAR_A, _PAR_B), _GENERAL).astype(np.int8)
 
-    # contact._distance_pieces
+    # contact.closest_approach: the branches, psi and d'
     circle = delta < DELTA_CIRCLE_TOL
     right = ~circle & (abs(cos_phi) < COS_PHI_TOL)
     codes[circle] = _CIRCLE

@@ -95,24 +95,6 @@ def _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, m):
     return sin_psi, cos_psi, m.sqrt(frac * big_x * big_x + (1.0 - frac) * big_y * big_y)
 
 
-def _distance_pieces(
-    a2p: float, b2p: float, delta: float, cos_phi: float, sin_phi: float, branch: ContactBranch
-) -> tuple[float, float, float, float, ContactBranch]:
-    """(d_prime, q, sin_psi, cos_psi, branch) from the transformed pair's
-    semi-axes, anisotropy, center-line direction and branch tag."""
-    if delta < DELTA_CIRCLE_TOL:
-        # the transformed pair is circle-circle: normal along the center line
-        return 1.0 + b2p, 1.0, sin_phi, cos_phi, ContactBranch.CIRCLE_LIKE
-    if abs(cos_phi) < COS_PHI_TOL:
-        q = math.sqrt(1.0 + delta)
-        sin_psi = 1.0 if sin_phi >= 0.0 else -1.0  # sgn(0) = +1, as in _psi_d_prime
-        return 1.0 + a2p, q, sin_psi, 0.0, ContactBranch.PHI_RIGHT_ANGLE
-    tan2phi = (sin_phi * sin_phi) / (cos_phi * cos_phi)
-    q = solve_contact_quartic(quartic_coefficients(b2p, delta, tan2phi), delta)
-    sin_psi, cos_psi, d_prime = _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, _FLOATS)
-    return d_prime, q, sin_psi, cos_psi, branch
-
-
 def _contact_point(b1, eta, k1x, k1y, kpx, kpy, kmx, kmy, sin_psi, cos_psi):
     """The general branch's contact point b1 (n' + eta (k1.n') k1), from the
     center of ellipse 1, for n' = cos_psi k+ + sin_psi k- and eta = a1/b1 - 1."""
@@ -151,16 +133,27 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         _, _, _, _, _, kplus, kminus, a2p, b2p, delta, cos_phi, sin_phi, dhat_scale,
         sin_gamma, cos_gamma, branch,
     ) = transformed_pair(cfg)
-    d_prime, q, sin_psi, cos_psi, branch = _distance_pieces(
-        a2p, b2p, delta, cos_phi, sin_phi, branch
-    )
+    on_line = True
+    if delta < DELTA_CIRCLE_TOL:
+        # the transformed pair is circle-circle: normal along the center line
+        d_prime, q, sin_psi, cos_psi = 1.0 + b2p, 1.0, sin_phi, cos_phi
+        branch = ContactBranch.CIRCLE_LIKE
+    elif abs(cos_phi) < COS_PHI_TOL:
+        sin_psi = 1.0 if sin_phi >= 0.0 else -1.0  # sgn(0) = +1, as in _psi_d_prime
+        d_prime, q, cos_psi = 1.0 + a2p, math.sqrt(1.0 + delta), 0.0
+        branch = ContactBranch.PHI_RIGHT_ANGLE
+    else:
+        on_line = False
+        tan2phi = (sin_phi * sin_phi) / (cos_phi * cos_phi)
+        q = solve_contact_quartic(quartic_coefficients(b2p, delta, tan2phi), delta)
+        sin_psi, cos_psi, d_prime = _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, _FLOATS)
     d = d_prime / dhat_scale
     if not math.isfinite(d):
         raise OverflowError(f"contact distance is not finite ({d!r})")
 
     a1, b1 = cfg.shape1.a, cfg.shape1.b
     k1x, k1y = cfg.k1.x, cfg.k1.y
-    if branch in (ContactBranch.CIRCLE_LIKE, ContactBranch.PHI_RIGHT_ANGLE):
+    if on_line:
         # the transformed normal is the transformed center line itself, so
         # the contact point is dhat / |T dhat|
         rc = Vec2(cfg.dhat.x / dhat_scale, cfg.dhat.y / dhat_scale)

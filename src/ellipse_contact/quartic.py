@@ -164,11 +164,12 @@ def _depressed(c: QuarticCoeffs):
     return alpha, beta, gamma, -b / (4.0 * a)
 
 
-def _near_biquadratic(c: QuarticCoeffs, beta, m):
-    """Whether beta is negligible: the depressed quartic is biquadratic."""
+def _near_biquadratic(c: QuarticCoeffs, beta):
+    """|beta| < 1e-11 max(1, |b/a|^3): the depressed quartic is biquadratic.
+    Two tests joined by |, equal to the max() form for nan too."""
     ratio = abs(c.b / c.a)
-    cube = ratio * ratio * ratio
-    return abs(beta) < 1e-11 * m.where(cube > 1.0, cube, 1.0)
+    small = abs(beta)
+    return (small < 1e-11) | (small < 1e-11 * (ratio * ratio * ratio))
 
 
 def _biquadratic_root(alpha, gamma, shift, m):
@@ -195,7 +196,7 @@ def _ferrari_root(c: QuarticCoeffs) -> float | None:
     """The largest real root by Ferrari's method: None when the resolvent
     gives s1 = alpha + 2y < 0, nan when no assembly is real."""
     alpha, beta, gamma, shift = _depressed(c)
-    if not _near_biquadratic(c, beta, _FLOATS):
+    if not _near_biquadratic(c, beta):
         y = _resolvent_root(alpha, beta, gamma)
         s1 = alpha + 2.0 * y
         if -1e-12 < s1 < 0.0:
