@@ -591,7 +591,7 @@ def test_overlap_concentric_cut_scales_with_the_shapes():
     assert overlap(e, e, k, k, Vec2(0.0, 1e-15)) is OverlapVerdict.DISJOINT
     assert overlap(e, e, k, k, Vec2(0.0, 1.5e-20)) is OverlapVerdict.OVERLAPPING
     with pytest.raises(ConcentricCenters):
-        overlap(e, e, k, k, Vec2(0.0, 2e-34))
+        overlap(e, e, k, k, Vec2(0.0, 1e-34))
 
 
 def test_overlap_non_finite_distance_raises():
