@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _contact_point, _psi_d_prime, _tangency
+from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _contact_point, _on_line_pieces
+from .contact import _psi_d_prime, _tangency
 from .geometry import _MIN_NORMAL, _UNIT_SLACK
 from .quartic import (
     _biquadratic_root,
@@ -204,10 +205,9 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     right = ~circle & (abs(cos_phi) < COS_PHI_TOL)
     codes[circle] = _CIRCLE
     codes[right] = _RIGHT
-    d_prime = np.where(circle, 1.0 + b2p, 1.0 + a2p)
-    q = np.where(circle, 1.0, np.sqrt(1.0 + delta))
-    sin_psi = np.where(circle, sin_phi, np.where(sin_phi >= 0.0, 1.0, -1.0))
-    cos_psi = np.where(circle, cos_phi, 0.0)
+    d_prime, q, sin_psi, cos_psi = _on_line_pieces(
+        circle, a2p, b2p, delta, sin_phi, cos_phi, _arrays(bad)
+    )
 
     quartic = np.flatnonzero(~circle & ~right & ~bad)
     sub_bad = np.zeros(len(quartic), dtype=bool)

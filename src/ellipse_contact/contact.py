@@ -6,8 +6,9 @@ the circular and perpendicular special cases), then map the distance and
 the contact normal back.  Every solution carries enough data to be
 self-validating: the contact point must lie on both boundaries and the two
 outward normals must be anti-parallel, and tangency_residuals() measures
-exactly that.  _psi_d_prime, _contact_point and _tangency take floats or
-arrays (geometry._FLOATS), so bulk.contact_arrays runs them too.
+exactly that.  _on_line_pieces, _psi_d_prime, _contact_point and _tangency
+take floats or arrays (geometry._FLOATS), so bulk.contact_arrays runs them
+too.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ class ContactSolution(NamedTuple):
     branch: ContactBranch
 
 
+def _on_line_pieces(circle, a2p, b2p, delta, sin_phi, cos_phi, m):
+    """(d_prime, q, sin_psi, cos_psi) where the transformed normal is the
+    center line: a circle-like image (circle, q = 1) or phi = pi/2."""
+    where = m.where
+    sin_psi = where(circle, sin_phi, where(sin_phi >= 0.0, 1.0, -1.0))  # sgn(0) = +1
+    q = m.sqrt(where(circle, 1.0, 1.0 + delta))
+    return where(circle, 1.0 + b2p, 1.0 + a2p), q, sin_psi, where(circle, cos_phi, 0.0)
+
+
 def _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, m):
     """(sin_psi, cos_psi, d_prime) of the general branch from the root q.
 
@@ -133,17 +143,14 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         _, _, _, _, _, kplus, kminus, a2p, b2p, delta, cos_phi, sin_phi, dhat_scale,
         sin_gamma, cos_gamma, branch,
     ) = transformed_pair(cfg)
-    on_line = True
-    if delta < DELTA_CIRCLE_TOL:
-        # the transformed pair is circle-circle: normal along the center line
-        d_prime, q, sin_psi, cos_psi = 1.0 + b2p, 1.0, sin_phi, cos_phi
-        branch = ContactBranch.CIRCLE_LIKE
-    elif abs(cos_phi) < COS_PHI_TOL:
-        sin_psi = 1.0 if sin_phi >= 0.0 else -1.0  # sgn(0) = +1, as in _psi_d_prime
-        d_prime, q, cos_psi = 1.0 + a2p, math.sqrt(1.0 + delta), 0.0
-        branch = ContactBranch.PHI_RIGHT_ANGLE
+    circle = delta < DELTA_CIRCLE_TOL
+    on_line = circle or abs(cos_phi) < COS_PHI_TOL
+    if on_line:
+        d_prime, q, sin_psi, cos_psi = _on_line_pieces(
+            circle, a2p, b2p, delta, sin_phi, cos_phi, _FLOATS
+        )
+        branch = ContactBranch.CIRCLE_LIKE if circle else ContactBranch.PHI_RIGHT_ANGLE
     else:
-        on_line = False
         tan2phi = (sin_phi * sin_phi) / (cos_phi * cos_phi)
         q = solve_contact_quartic(quartic_coefficients(b2p, delta, tan2phi), delta)
         sin_psi, cos_psi, d_prime = _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, _FLOATS)
