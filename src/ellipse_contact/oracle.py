@@ -28,13 +28,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import bulk
 from .contact import closest_approach
-from .geometry import EllipseShape, PairConfiguration, UnitVec2, make_pair_configuration
+from .geometry import _FLOATS, EllipseShape, PairConfiguration, UnitVec2, make_pair_configuration
 from .quartic import NoPhysicalRoot
 
 __all__ = [
@@ -305,79 +306,24 @@ def oracle_distance(cfg: PairConfiguration, settings: OracleSettings = OracleSet
 # ---------------------------------------------------------------------------
 # stratified random configurations
 
-def _random_shape(uniform, max_aspect: float) -> EllipseShape:
-    scale = math.exp(uniform(math.log(0.3), math.log(3.0)))
-    aspect = math.exp(uniform(0.0, math.log(max_aspect)))
-    return EllipseShape(scale * aspect, scale)
-
-
 # the stream's stride: configuration i reads the doubles at draw positions
 # _DRAWS*i onward, and uses at most this many (stratum 1: 7 + 4)
 _DRAWS = 11
 
 
-def _draws(seed: int | Sequence[int], start: int, stop: int) -> np.ndarray:
+def _draws(seed: int | Sequence[int], start: int, stop: int, max_aspect: float) -> np.ndarray:
     """The doubles of configurations start..stop-1, a row of _DRAWS each:
-    one PCG64 per seed, advanced to row start."""
+    one PCG64 per seed, advanced to row start.  Raises ValueError, before
+    drawing, for a negative start or a max_aspect that is not a finite
+    number >= 1."""
     start = operator.index(start)
     if start < 0:
         # PCG64.advance would wrap a negative step round the period
         raise ValueError(f"stream indices start at 0, got {start}")
+    if not (math.isfinite(max_aspect) and max_aspect >= 1.0):
+        raise ValueError(f"max_aspect must be a finite number >= 1, got {max_aspect!r}")
     bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(_DRAWS * start)
     return np.random.Generator(bits).random((stop - start, _DRAWS))
-
-
-def stratified_configuration(
-    seed: int | Sequence[int], index: int, max_aspect: float = 20.0
-) -> PairConfiguration:
-    """Deterministic configuration #index of the stratified stream.
-
-    Strata (by index mod 5): near-parallel axes including exactly parallel
-    and anti-parallel, near-perpendicular center line, near-circular
-    shapes, and two uniform strata.  The degenerate regimes are deliberately
-    over-sampled so every branch of the kernel sees real coverage.
-    """
-    # Generator.uniform(lo, hi) is exactly lo + (hi - lo) * random(), so
-    # this is the stream of one uniform call per value
-    draws = iter(_draws(seed, index, index + 1)[0].tolist())
-
-    def uniform(lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * next(draws)
-
-    stratum = index % 5
-    s1 = _random_shape(uniform, max_aspect)
-    s2 = _random_shape(uniform, max_aspect)
-    th1 = uniform(0.0, 2.0 * math.pi)
-    th2 = uniform(0.0, 2.0 * math.pi)
-    thd = uniform(0.0, 2.0 * math.pi)
-    if stratum == 0:
-        eps = 10.0 ** uniform(-18.0, -4.0)
-        if uniform() < 0.25:
-            eps = 0.0
-        th2 = th1 + eps + (math.pi if uniform() < 0.5 else 0.0)
-    elif stratum == 1:
-        # center line close to the first axis' normal; half the time the
-        # axes are near-parallel too, which drives phi toward pi/2
-        thd = th1 + 0.5 * math.pi + (10.0 ** uniform(-18.0, -4.0)
-                                     if uniform() < 0.5 else 0.0)
-        if uniform() < 0.5:
-            th2 = th1 + 10.0 ** uniform(-18.0, -4.0)
-    elif stratum == 2:
-        # eccentricity below 1e-4 for one or both shapes
-        s1 = EllipseShape(s1.a, s1.a * (1.0 - uniform(0.0, 5e-9)))
-        if uniform() < 0.5:
-            s2 = EllipseShape(s2.a, s2.a * (1.0 - uniform(0.0, 5e-9)))
-    k1 = UnitVec2.from_angle(th1)
-    if stratum == 0 and th2 == th1:
-        k2 = k1  # bit-identical axes hit the exact-parallel branch
-    else:
-        k2 = UnitVec2.from_angle(th2)
-    return PairConfiguration(s1, s2, k1, k2, UnitVec2.from_angle(thd))
-
-
-def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Generator.uniform(lo, hi) for the draws u."""
-    return lo + (hi - lo) * u
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -386,43 +332,78 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
 
 
+# The namespace m of _strata for one row's Python floats and for a block's
+# columns.  exp and 10^x run on Python floats either way.
+_POW10 = partial(pow, 10.0)
+_ROW = SimpleNamespace(where=_FLOATS.where, exp=math.exp, pow10=_POW10)
+_BLOCK = SimpleNamespace(where=np.where, exp=partial(_map, math.exp), pow10=partial(_map, _POW10))
+# Generator.uniform(lo, hi) is exactly lo + (hi - lo) * random(), and a
+# draw from U(0, hi) is exactly hi * random()
+_LOG_SCALE, _LOG_SCALE_SPAN = math.log(0.3), math.log(3.0) - math.log(0.3)
+
+
+def _strata(u, stratum, max_aspect: float, m) -> tuple:
+    """(a1, b1, a2, b2, theta1, theta2, theta_d) of a configuration of the
+    stratified stream, from its draws u(j) and its stratum (index mod 5):
+    Python floats, or a block's columns.  The rules at geometry._FLOATS
+    hold; both arms of every m.where are finite (10^U(-18, -4) included).
+
+    Each shape has minor semi-axis e^U(log 0.3, log 3) and aspect
+    e^U(0, log max_aspect).
+    Stratum 0 takes near-parallel axes, exactly parallel a quarter of the
+    time and anti-parallel half of it; stratum 1 a center line close to the
+    first axis' normal and, half the time, near-parallel axes too, which
+    drives phi toward pi/2; stratum 2 eccentricity below 1e-4 for one or
+    both shapes; strata 3 and 4 are uniform.
+    """
+    where, log_aspect = m.where, math.log(max_aspect)
+    scale1 = m.exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(0))
+    scale2 = m.exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(2))
+    a1, a2 = scale1 * m.exp(log_aspect * u(1)), scale2 * m.exp(log_aspect * u(3))
+    th1, th2, thd = 2.0 * math.pi * u(4), 2.0 * math.pi * u(5), 2.0 * math.pi * u(6)
+    s1, s2 = stratum == 1, stratum == 2
+    # stratum 0
+    eps = where(u(8) < 0.25, 0.0, m.pow10(-18.0 + 14.0 * u(7)))
+    parallel = th1 + eps + where(u(9) < 0.5, math.pi, 0.0)
+    # stratum 1
+    near = u(7) < 0.5
+    thd = where(s1, th1 + 0.5 * math.pi + where(near, m.pow10(-18.0 + 14.0 * u(8)), 0.0), thd)
+    # the next draw is the 8th or, after a tilt, the 9th
+    at = 8 + near
+    tilted = th1 + m.pow10(-18.0 + 14.0 * u(at + 1))
+    th2 = where(stratum == 0, parallel, where(s1 & (u(at) < 0.5), tilted, th2))
+    # stratum 2
+    b1 = where(s2, a1 * (1.0 - 5e-9 * u(7)), scale1)
+    b2 = where(s2 & (u(8) < 0.5), a2 * (1.0 - 5e-9 * u(9)), scale2)
+    return a1, b1, a2, b2, th1, th2, thd
+
+
+def stratified_configuration(
+    seed: int | Sequence[int], index: int, max_aspect: float = 20.0
+) -> PairConfiguration:
+    """Deterministic configuration #index of the stratified stream, which
+    over-samples the degenerate regimes (_strata) so every branch of the
+    kernel sees real coverage."""
+    draw = _draws(seed, index, index + 1, max_aspect)[0].tolist().__getitem__
+    a1, b1, a2, b2, th1, th2, thd = _strata(draw, index % 5, max_aspect, _ROW)
+    return PairConfiguration(
+        EllipseShape(a1, b1), EllipseShape(a2, b2),
+        UnitVec2.from_angle(th1), UnitVec2.from_angle(th2), UnitVec2.from_angle(thd),
+    )
+
+
 def _stratified_columns(
     seed: int | Sequence[int], start: int, stop: int, max_aspect: float = 20.0
 ) -> tuple[np.ndarray, ...]:
     """The bulk.contact_arrays columns of stratified_configuration(seed, i,
-    max_aspect) for start <= i < stop, bit for bit: both read the rows of
-    _draws, and here the strata become masks and draw positions over the
+    max_aspect) for start <= i < stop, bit for bit: the same _strata on the
     block's table of draws."""
-    u = _draws(seed, start, stop)
-    stratum = np.arange(start, stop) % 5
-    scale = _map(math.exp, _uniform(u[:, [0, 2]].T.ravel(), math.log(0.3), math.log(3.0)))
-    aspect = _map(math.exp, _uniform(u[:, [1, 3]].T.ravel(), 0.0, math.log(max_aspect)))
-    (a1, a2), (b1, b2) = (scale * aspect).reshape(2, -1), scale.reshape(2, -1)
-    th1, th2, thd = (_uniform(u[:, j], 0.0, 2.0 * math.pi) for j in (4, 5, 6))
-    pow10 = partial(pow, 10.0)
-
-    rows = np.flatnonzero(stratum == 0)
-    eps = _map(pow10, _uniform(u[rows, 7], -18.0, -4.0))
-    eps[u[rows, 8] < 0.25] = 0.0
-    th2[rows] = th1[rows] + eps + np.where(u[rows, 9] < 0.5, math.pi, 0.0)
-
-    rows = np.flatnonzero(stratum == 1)
-    near = u[rows, 7] < 0.5
-    tilt = np.zeros(len(rows))
-    tilt[near] = _map(pow10, _uniform(u[rows[near], 8], -18.0, -4.0))
-    thd[rows] = th1[rows] + 0.5 * math.pi + tilt
-    # the next draw is the 8th or, after a tilt, the 9th
-    at = 8 + near
-    near = u[rows, at] < 0.5
-    rows, at = rows[near], at[near] + 1
-    th2[rows] = th1[rows] + _map(pow10, _uniform(u[rows, at], -18.0, -4.0))
-
-    rows = np.flatnonzero(stratum == 2)
-    b1[rows] = a1[rows] * (1.0 - _uniform(u[rows, 7], 0.0, 5e-9))
-    rows = rows[u[rows, 8] < 0.5]
-    b2[rows] = a2[rows] * (1.0 - _uniform(u[rows, 9], 0.0, 5e-9))
-
-    x, y = bulk.from_angles(np.concatenate((th1, th2, thd)))
+    u = _draws(seed, start, stop, max_aspect)
+    rows = np.arange(len(u))
+    a1, b1, a2, b2, *angles = _strata(
+        lambda j: u[rows, j], np.arange(start, stop) % 5, max_aspect, _BLOCK
+    )
+    x, y = bulk.from_angles(np.concatenate(angles))
     (k1x, k2x, dx), (k1y, k2y, dy) = np.split(x, 3), np.split(y, 3)
     return a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy
 

@@ -383,6 +383,28 @@ def test_batch_jsonl(tmp_path, capsys):
     assert math.isclose(records[0]["d"], 4.0, rel_tol=1e-12)
 
 
+def test_batch_jsonl_rejects_boolean_fields(tmp_path, capsys):
+    rows = [
+        {"a1": 2, "b1": 1, "a2": 2, "b2": 1, "theta1": 0, "theta2": 30, "theta_d": 45},
+        {"a1": 3, "b1": 1, "a2": 2, "b2": 1, "theta1": 10, "theta2": 0, "theta_d": 90},
+    ]
+    flagged = {"a1": True, "b1": True, "a2": 2, "b2": 1,
+               "theta1": 0, "theta2": False, "theta_d": 0}
+    outputs = []
+    for name, lines in (("plain", rows), ("flagged", [rows[0], flagged, rows[1]])):
+        inp, rej = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.rej"
+        inp.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        outp = tmp_path / f"{name}.out"
+        code, _, _ = run_cli(
+            capsys, "batch", "--input", str(inp), "--output", str(outp),
+            "--format", "jsonl", "--rejects", str(rej),
+        )
+        assert code == 0
+        outputs.append(outp.read_text())
+    assert rej.read_text() == "line 2: boolean fields ['a1', 'b1', 'theta2']\n"
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("argv", [
     ("batch", "--input", "{dir}/in.csv", "--output", "{dir}/missing/x.csv"),
     ("batch", "--input", "{dir}/in.csv", "--output", "{dir}/x.csv",

@@ -135,6 +135,17 @@ def test_stream_rejects_negative_indices():
         oracle._stratified_columns(3, -1, 5)
 
 
+@pytest.mark.parametrize("max_aspect", [0.5, 0.0, -1.0, math.nan, math.inf])
+def test_stream_rejects_max_aspect_below_one_or_not_finite(max_aspect):
+    # below 1 a shape could come out with a < b, or as a circle
+    with pytest.raises(ValueError, match="max_aspect"):
+        stratified_configuration(3, 0, max_aspect)
+    with pytest.raises(ValueError, match="max_aspect"):
+        oracle._stratified_columns(3, 0, 10, max_aspect)
+    with pytest.raises(ValueError, match="max_aspect"):
+        next(stratified_configurations(10, 3, max_aspect))
+
+
 def test_stratified_configurations_match_the_scalar_stream():
     n = bulk.CHUNK_ROWS + 30
     got = list(stratified_configurations(n, 13, 1e3))

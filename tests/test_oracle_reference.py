@@ -185,15 +185,28 @@ def ref_stratified_configuration(seed, index, max_aspect=20.0):
 # ---------------------------------------------------------------------------
 # tests
 
-@pytest.mark.parametrize("seed, max_aspect", [(3, 20.0), (11, 20.0), (3, 1000.0), (11, 1000.0)])
-def test_stratified_stream_matches_reference(seed, max_aspect):
+@pytest.mark.parametrize("seed, max_aspect, indices", [
+    pytest.param(3, 20.0, range(5000), id="3-20.0"),
+    pytest.param(11, 20.0, range(5000), id="11-20.0"),
+    pytest.param(3, 1000.0, range(5000), id="3-1000.0"),
+    pytest.param(11, 1000.0, range(5000), id="11-1000.0"),
+    pytest.param(7, 1e4, range(5000), id="7-10000.0"),
+    # circles, and near-circles in stratum 2
+    pytest.param(5, 1.0, range(2000), id="5-1.0"),
+    # a sequence of ints, and a seed of five 32-bit words
+    pytest.param([3, 7], 20.0, range(2000), id="3,7-20.0"),
+    pytest.param((1 << 128) + 1, 20.0, range(2000), id="2**128+1-20.0"),
+    # far down the stream, across 2^32
+    pytest.param(3, 20.0, range((1 << 32) - 5, (1 << 32) + 6), id="3-20.0-2**32"),
+])
+def test_stratified_stream_matches_reference(seed, max_aspect, indices):
     def values(cfg):
         return tuple(v.hex() for v in (
             cfg.shape1.a, cfg.shape1.b, cfg.shape2.a, cfg.shape2.b, cfg.k1.x, cfg.k1.y,
             cfg.k2.x, cfg.k2.y, cfg.dhat.x, cfg.dhat.y,
         ))
 
-    for i in range(5000):
+    for i in indices:
         expect = values(ref_stratified_configuration(seed, i, max_aspect))
         assert values(stratified_configuration(seed, i, max_aspect)) == expect, i
 
