@@ -356,25 +356,26 @@ def _strata(u, stratum, max_aspect: float, m) -> tuple:
     drives phi toward pi/2; stratum 2 eccentricity below 1e-4 for one or
     both shapes; strata 3 and 4 are uniform.
     """
-    where, log_aspect = m.where, math.log(max_aspect)
-    scale1 = m.exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(0))
-    scale2 = m.exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(2))
-    a1, a2 = scale1 * m.exp(log_aspect * u(1)), scale2 * m.exp(log_aspect * u(3))
+    where, exp, pow10, log_aspect = m.where, m.exp, m.pow10, math.log(max_aspect)
+    u7, u8, u9 = u(7), u(8), u(9)
+    scale1 = exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(0))
+    scale2 = exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(2))
+    a1, a2 = scale1 * exp(log_aspect * u(1)), scale2 * exp(log_aspect * u(3))
     th1, th2, thd = 2.0 * math.pi * u(4), 2.0 * math.pi * u(5), 2.0 * math.pi * u(6)
     s1, s2 = stratum == 1, stratum == 2
     # stratum 0
-    eps = where(u(8) < 0.25, 0.0, m.pow10(-18.0 + 14.0 * u(7)))
-    parallel = th1 + eps + where(u(9) < 0.5, math.pi, 0.0)
+    eps = where(u8 < 0.25, 0.0, pow10(-18.0 + 14.0 * u7))
+    parallel = th1 + eps + where(u9 < 0.5, math.pi, 0.0)
     # stratum 1
-    near = u(7) < 0.5
-    thd = where(s1, th1 + 0.5 * math.pi + where(near, m.pow10(-18.0 + 14.0 * u(8)), 0.0), thd)
+    near = u7 < 0.5
+    thd = where(s1, th1 + 0.5 * math.pi + where(near, pow10(-18.0 + 14.0 * u8), 0.0), thd)
     # the next draw is the 8th or, after a tilt, the 9th
     at = 8 + near
-    tilted = th1 + m.pow10(-18.0 + 14.0 * u(at + 1))
+    tilted = th1 + pow10(-18.0 + 14.0 * u(at + 1))
     th2 = where(stratum == 0, parallel, where(s1 & (u(at) < 0.5), tilted, th2))
     # stratum 2
-    b1 = where(s2, a1 * (1.0 - 5e-9 * u(7)), scale1)
-    b2 = where(s2 & (u(8) < 0.5), a2 * (1.0 - 5e-9 * u(9)), scale2)
+    b1 = where(s2, a1 * (1.0 - 5e-9 * u7), scale1)
+    b2 = where(s2 & (u8 < 0.5), a2 * (1.0 - 5e-9 * u9), scale2)
     return a1, b1, a2, b2, th1, th2, thd
 
 
