@@ -115,7 +115,15 @@ def _unit(x: np.ndarray, y: np.ndarray, bad: np.ndarray):
 def _arrays(bad: np.ndarray) -> SimpleNamespace:
     """The array namespace of the shared formulas; rows where a hypot
     raises are flagged in bad."""
-    return SimpleNamespace(sqrt=np.sqrt, where=np.where, hypot=partial(_each, math.hypot, bad))
+    return SimpleNamespace(
+        sqrt=np.sqrt, where=np.where, hypot=partial(_each, math.hypot, bad), same=_same_rows
+    )
+
+
+def _same_rows(x: np.ndarray, y: np.ndarray) -> bool:
+    """x == y on every row, a nan row counting only where both are nan."""
+    eq = x == y
+    return bool(eq.all()) or bool((eq | (x != x) & (y != y)).all())
 
 
 def _quartic_roots(b2p, delta, tan2phi, bad):

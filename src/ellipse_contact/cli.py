@@ -185,10 +185,12 @@ def _jsonl_rows(fh):
             missing = [k for k in _BATCH_FIELDS if k not in row]
             if missing:
                 raise KeyError(f"missing fields {missing}")
-            # float(true) is 1.0, but a JSON boolean is no number
-            flags = [k for k in _BATCH_FIELDS if isinstance(row[k], bool)]
-            if flags:
-                raise TypeError(f"boolean fields {flags}")
+            # float(true) is 1.0 and float(" 2 ") is 2.0, but neither is a
+            # JSON number
+            for kind, name in ((bool, "boolean"), (str, "string")):
+                flags = [k for k in _BATCH_FIELDS if isinstance(row[k], kind)]
+                if flags:
+                    raise TypeError(f"{name} fields {flags}")
             yield lineno, row, None
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             yield lineno, None, str(exc)

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .geometry import _FLOATS, EllipseShape, PairConfiguration, UnitVec2, Vec2, _ellipse_form
+from .geometry import _finite_components
 from .quartic import quartic_coefficients, solve_contact_quartic
 from .transform import ContactBranch, transformed_pair
 
@@ -169,8 +170,9 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
             b1, a1 / b1 - 1.0, k1x, k1y, kplus.x, kplus.y, kminus.x, kminus.y, sin_psi, cos_psi
         ))
 
-    normal = Vec2(*_normal(_ellipse_form(a1, b1, k1x, k1y), rc.x, rc.y))
-    normal = UnitVec2(normal.x, normal.y)
+    nx, ny = _normal(_ellipse_form(a1, b1, k1x, k1y), rc.x, rc.y)
+    _finite_components(nx, ny)
+    normal = UnitVec2(nx, ny)
     if not (math.isfinite(d_prime) and math.isfinite(q)):
         raise OverflowError(f"transformed contact is not finite (d_prime={d_prime!r}, q={q!r})")
     return ContactSolution(
@@ -198,9 +200,13 @@ def tangency_residuals(
         s1.a, s1.b, cfg.k1.x, cfg.k1.y, s2.a, s2.b, cfg.k2.x, cfg.k2.y,
         rc.x, rc.y, sol.d, dhat.x, dhat.y,
     )
-    # Vec2 rejects a non-finite p2, n1 or n2, in that order
-    _, n1, n2 = Vec2(*p2), Vec2(*n1), Vec2(*n2)
-    cross = abs(n1.cross(n2)) / (n1.norm() * n2.norm())
+    # ValueError for a non-finite p2, n1 or n2, in that order, as Vec2 gives
+    (n1x, n1y), (n2x, n2y) = n1, n2
+    _finite_components(*p2)
+    _finite_components(n1x, n1y)
+    _finite_components(n2x, n2y)
+    # Vec2.cross and Vec2.norm
+    cross = abs(n1x * n2y - n1y * n2x) / (math.hypot(n1x, n1y) * math.hypot(n2x, n2y))
     if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(cross)):
         raise ValueError(f"non-finite tangency residuals ({r1!r}, {r2!r}, {cross!r})")
     return r1, r2, cross

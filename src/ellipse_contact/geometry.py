@@ -40,6 +40,13 @@ _UNIT_SLACK = 2.0**-52
 _MIN_NORMAL = 2.0**-1022
 
 
+def _finite_components(x: float, y: float) -> None:
+    """Vec2's check, for callers that need the check and not the Vec2:
+    ValueError unless both components are finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite vector components ({x}, {y})")
+
+
 @dataclass(frozen=True, slots=True)
 class Vec2:
     """A point or displacement in the plane.  Slotted: a curve of 2^20
@@ -49,8 +56,7 @@ class Vec2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite vector components ({self.x}, {self.y})")
+        _finite_components(self.x, self.y)
 
     def cross(self, other) -> float:
         """z-component of the 3D cross product (signed parallelogram area)."""
@@ -60,7 +66,7 @@ class Vec2:
         return math.hypot(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitVec2:
     """A direction, divided by its norm at construction unless that is 1 to
     rounding (_UNIT_SLACK), so UnitVec2(u.x, u.y) == u for every UnitVec2 u.
@@ -88,7 +94,7 @@ class UnitVec2:
         return math.atan2(self.y, self.x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipseShape:
     """Ellipse geometry given by semi-major a and semi-minor b, a >= b > 0.
 
@@ -120,7 +126,7 @@ class EllipseShape:
         return math.pi * self.a * self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairConfiguration:
     """Two shapes, their major-axis directions, and the center-line direction.
 
@@ -179,4 +185,7 @@ def _ellipse_form(a, b, kx, ky):
 # m.sqrt(m.where(ok, arg, 0.0)); c may be a Python bool, so combine with &
 # and |, never ~ (~True == -2); no ** or pow (Python and numpy round them
 # differently); a max(x, y) keeps Python's order, x unless y > x.
-_FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y)
+# m.same(x, y) is one bool: x == y on every row, a nan row counting only
+# where both are nan.
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y,
+                          same=lambda x, y: x == y or (x != x and y != y))

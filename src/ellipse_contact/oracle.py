@@ -363,12 +363,14 @@ def _strata(u, stratum, max_aspect: float, m) -> tuple:
     a1, a2 = scale1 * exp(log_aspect * u(1)), scale2 * exp(log_aspect * u(3))
     th1, th2, thd = 2.0 * math.pi * u(4), 2.0 * math.pi * u(5), 2.0 * math.pi * u(6)
     s1, s2 = stratum == 1, stratum == 2
+    # the axis offset of stratum 0 (from draw 7) and the center-line tilt of
+    # stratum 1 (from draw 8): one 10^x, as a row uses at most one of them
+    tiny = pow10(-18.0 + 14.0 * where(s1, u8, u7))
     # stratum 0
-    eps = where(u8 < 0.25, 0.0, pow10(-18.0 + 14.0 * u7))
-    parallel = th1 + eps + where(u9 < 0.5, math.pi, 0.0)
+    parallel = th1 + where(u8 < 0.25, 0.0, tiny) + where(u9 < 0.5, math.pi, 0.0)
     # stratum 1
     near = u7 < 0.5
-    thd = where(s1, th1 + 0.5 * math.pi + where(near, pow10(-18.0 + 14.0 * u8), 0.0), thd)
+    thd = where(s1, th1 + 0.5 * math.pi + where(near, tiny, 0.0), thd)
     # the next draw is the 8th or, after a tilt, the 9th
     at = 8 + near
     tilted = th1 + pow10(-18.0 + 14.0 * u(at + 1))

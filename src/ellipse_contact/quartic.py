@@ -18,7 +18,8 @@ The solver is defensive in layers:
    W = 0 cases take their larger root), since every other root is
    negative or complex;
 3. that root is polished by Newton steps with a compensated Horner
-   evaluation, clamped to the bracket, and accepted only if the stated
+   evaluation (they stop at a fixed point, which the first step typically
+   reaches), clamped to the bracket, and accepted only if the stated
    residual test passes;
 4. if the closed-form root fails, all four roots are computed by a
    companion-matrix method and the unique in-bracket real root is taken;
@@ -51,7 +52,7 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 # bracket [1, sqrt(1+delta)] is enforced with this slack before clamping
 BRACKET_TOL = 1e-9
-# Newton steps that polish a candidate root
+# Newton steps that polish a candidate root, at most
 POLISH_STEPS = 3
 
 
@@ -210,21 +211,28 @@ def _ferrari_root(c: QuarticCoeffs) -> float | None:
 
 
 def _polish_and_test(c: QuarticCoeffs, q, hi, m):
-    """(q, ok): the candidate clamped to [1, hi], polished by Newton steps
-    and clamped again; ok if it lay within BRACKET_TOL of the bracket and
-    the polished q passes the residual test."""
-    where = m.where
+    """(q, ok): the candidate clamped to [1, hi], polished by at most
+    POLISH_STEPS Newton steps and clamped again; ok if it lay within
+    BRACKET_TOL of the bracket and the polished q passes the residual
+    test.  A step is a function of its point alone, so once a step leaves
+    q where it was (m.same), the steps left would too and are skipped;
+    and when the clamps leave q at the last point f was taken at, the
+    residual test reuses that f."""
+    where, same = m.where, m.same
     ok = (1.0 - BRACKET_TOL <= q) & (q <= hi + BRACKET_TOL)
     q = where(1.0 > q, 1.0, q)
     q = where(hi < q, hi, q)
     for _ in range(POLISH_STEPS):
-        f = _horner_compensated(c, q)
-        fp = c.derivative(q)
+        x = q
+        f = _horner_compensated(c, x)
+        fp = c.derivative(x)
         # at f' = 0 the step is 0 * (f / 1), and q then stays as it is
-        q = q - (fp != 0.0) * (f / (fp + (fp == 0.0)))
+        q = x - (fp != 0.0) * (f / (fp + (fp == 0.0)))
+        if same(q, x):
+            break
     q = where(1.0 > q, 1.0, q)
     q = where(hi < q, hi, q)
-    res = abs(_horner_compensated(c, q))
+    res = abs(f if same(q, x) else _horner_compensated(c, q))
     lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
     return q, ok & (res <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
 

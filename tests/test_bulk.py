@@ -336,6 +336,10 @@ def reference_batch(path, output, fmt, rejects_path):
                         missing = [k for k in FIELDS if k not in row]
                         if missing:
                             raise KeyError(f"missing fields {missing}")
+                        for kind, name in ((bool, "boolean"), (str, "string")):
+                            flags = [k for k in FIELDS if isinstance(row[k], kind)]
+                            if flags:
+                                raise TypeError(f"{name} fields {flags}")
                         yield lineno, row, None
                     except (json.JSONDecodeError, KeyError, TypeError) as exc:
                         yield lineno, None, str(exc)
@@ -516,7 +520,10 @@ def test_bad_input_leaves_output_untouched(tmp_path, capsys, fmt):
     if fmt == "csv":
         text = ",".join(FIELDS) + "\n" + "".join(",".join(r.values()) + "\n" for r in rows)
     else:
-        text = "".join(json.dumps(r) + "\n" for r in rows)
+        # JSON numbers, but for the string "x"
+        text = "".join(
+            json.dumps({k: v if v == "x" else float(v) for k, v in r.items()}) + "\n" for r in rows
+        )
     inp.write_bytes(text.encode() + b"\xff\xfe\n")
     for side in ("new", "ref"):
         (tmp_path / f"{side}.out").write_text("previous\n")

@@ -405,6 +405,31 @@ def test_batch_jsonl_rejects_boolean_fields(tmp_path, capsys):
     assert outputs[1] == outputs[0]
 
 
+def test_batch_jsonl_rejects_string_fields(tmp_path, capsys):
+    # float() would strip and parse "2", " 0 " and "1e1", but a JSON string
+    # is no number: the row is rejected, naming the fields, and the rows
+    # around it come out as they do without it
+    rows = [
+        {"a1": 2, "b1": 1, "a2": 2, "b2": 1, "theta1": 0, "theta2": 30, "theta_d": 45},
+        {"a1": 3, "b1": 1, "a2": 2, "b2": 1, "theta1": 10, "theta2": 0, "theta_d": 90},
+    ]
+    quoted = {"a1": "2", "b1": "1", "a2": 2, "b2": 1,
+              "theta1": " 0 ", "theta2": "1e1", "theta_d": 0}
+    outputs = []
+    for name, lines in (("plain", rows), ("quoted", [rows[0], quoted, rows[1]])):
+        inp, rej = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.rej"
+        inp.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        outp = tmp_path / f"{name}.out"
+        code, _, _ = run_cli(
+            capsys, "batch", "--input", str(inp), "--output", str(outp),
+            "--format", "jsonl", "--rejects", str(rej),
+        )
+        assert code == 0
+        outputs.append(outp.read_text())
+    assert rej.read_text() == "line 2: string fields ['a1', 'b1', 'theta1', 'theta2']\n"
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("argv", [
     ("batch", "--input", "{dir}/in.csv", "--output", "{dir}/missing/x.csv"),
     ("batch", "--input", "{dir}/in.csv", "--output", "{dir}/x.csv",

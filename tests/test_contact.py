@@ -13,6 +13,7 @@ from ellipse_contact import (
     PairConfiguration,
     UnitVec2,
     Vec2,
+    ZeroVector,
     closest_approach,
     contact_point,
     make_pair_configuration,
@@ -22,6 +23,7 @@ from ellipse_contact import (
     TransformedPair,
     transformed_pair,
 )
+from ellipse_contact import contact as contact_module
 from ellipse_contact.oracle import (
     OracleSettings,
     stratified_configuration,
@@ -612,6 +614,45 @@ def test_closest_approach_non_finite_distance_raises(k):
     cfg = make_pair_configuration(1.0, 1.0, 1e-3, 1e-160, k, k, k)
     with pytest.raises(OverflowError):
         closest_approach(cfg)
+
+
+@pytest.mark.parametrize("p2, n1, n2, r1, message", [
+    ((math.inf, 0.0), (math.nan, 1.0), (1.0, math.inf), 0.0, "non-finite vector components (inf, 0.0)"),
+    ((0.0, 1.0), (math.nan, 1.0), (1.0, math.inf), 0.0, "non-finite vector components (nan, 1.0)"),
+    ((0.0, 1.0), (1.0, 0.0), (1.0, -math.inf), 0.0, "non-finite vector components (1.0, -inf)"),
+    ((0.0, 1.0), (1.0, 0.0), (-1.0, 0.0), math.inf, "non-finite tangency residuals (inf, 0.0, 0.0)"),
+    ((0.0, 1.0), (1e200, 1e200), (1e200, 1e200), 0.0, "non-finite tangency residuals (0.0, 0.0, nan)"),
+])
+def test_tangency_residuals_non_finite_errors(monkeypatch, p2, n1, n2, r1, message):
+    # ValueError naming the first of p2, n1, n2 and the residuals that is
+    # not finite; the 1e200 normals overflow in the cross product
+    cfg = pair(2.0, 1.0, 3.0, 1.0, 0.3, 1.1, 0.7)
+    sol = closest_approach(cfg)
+    monkeypatch.setattr(contact_module, "_tangency", lambda *args: (p2, r1, 0.0, n1, n2))
+    with pytest.raises(ValueError) as exc:
+        tangency_residuals(cfg, sol)
+    assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("rc, normal, kind, message", [
+    (None, (math.nan, 1.0), ValueError, "non-finite vector components (nan, 1.0)"),
+    (None, (math.inf, -math.inf), ValueError, "non-finite vector components (inf, -inf)"),
+    (None, (0.0, 0.0), ZeroVector, "cannot normalize (0.0, 0.0)"),
+    (None, (1.5e308, 1.5e308), ZeroVector, "cannot normalize (1.5e+308, 1.5e+308)"),
+    (None, (5e-324, 0.0), ZeroVector, "cannot normalize (5e-324, 0.0)"),
+    ((math.nan, 0.0), (math.nan, 1.0), ValueError, "non-finite vector components (nan, 0.0)"),
+])
+def test_closest_approach_contact_normal_errors(monkeypatch, rc, normal, kind, message):
+    # a non-finite contact point, then a non-finite contact normal, raise
+    # ValueError; a normal that cannot be normalised raises ZeroVector
+    cfg = pair(2.0, 1.0, 3.0, 1.0, 0.3, 1.1, 0.7)
+    assert closest_approach(cfg).branch is ContactBranch.GENERAL
+    if rc is not None:
+        monkeypatch.setattr(contact_module, "_contact_point", lambda *args: rc)
+    monkeypatch.setattr(contact_module, "_normal", lambda *args: normal)
+    with pytest.raises(ValueError) as exc:
+        closest_approach(cfg)
+    assert (type(exc.value), str(exc.value)) == (kind, message)
 
 
 @pytest.mark.xfail(strict=True, raises=NoPhysicalRoot,

@@ -1,5 +1,6 @@
 import math
-from types import SimpleNamespace
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from ellipse_contact import (
     stratified_configuration,
     tangency_residuals,
 )
-from ellipse_contact import quartic
+from ellipse_contact import bulk, oracle, quartic, transformed_pair
+from ellipse_contact.contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
 from ellipse_contact.geometry import _FLOATS
 from conftest import CountingRoots, oracle_quartic_roots
 
@@ -165,10 +167,94 @@ def test_polish_stops_at_zero_derivative():
     assert quartic._accept(c, 1.0, 2.0) == 1.0
     q, ok = quartic._polish_and_test(c, 1.0, 2.0, _FLOATS)
     assert q == 1.0 and ok
-    arrays = SimpleNamespace(sqrt=np.sqrt, where=np.where)
+    arrays = bulk._arrays(np.zeros(1, dtype=bool))
     with np.errstate(all="raise"):  # nothing divides by 0 on the array path either
         q, ok = quartic._polish_and_test(c, np.array([1.0]), np.array([2.0]), arrays)
     assert q.tolist() == [1.0] and ok.tolist() == [True]
+
+
+def fixed_step_polish(c, q, hi, m):
+    """_polish_and_test as it was before it stopped at a fixed point: always
+    POLISH_STEPS Newton steps, then a fresh evaluation for the residual."""
+    where = m.where
+    ok = (1.0 - quartic.BRACKET_TOL <= q) & (q <= hi + quartic.BRACKET_TOL)
+    q = where(1.0 > q, 1.0, q)
+    q = where(hi < q, hi, q)
+    for _ in range(quartic.POLISH_STEPS):
+        f = quartic._horner_compensated(c, q)
+        fp = c.derivative(q)
+        q = q - (fp != 0.0) * (f / (fp + (fp == 0.0)))
+    q = where(1.0 > q, 1.0, q)
+    q = where(hi < q, hi, q)
+    res = abs(quartic._horner_compensated(c, q))
+    lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
+    return q, ok & (res <= quartic.RESIDUAL_RTOL * where(tail > lead, tail, lead))
+
+
+def stream_quartics(max_aspect):
+    """(coefficients, Ferrari candidate or nan, hi) of every row of 20,000
+    stratified rows that reaches the quartic."""
+    out = []
+    for cfg in oracle.stratified_configurations(20000, 11, max_aspect):
+        tp = transformed_pair(cfg)
+        if tp.delta < DELTA_CIRCLE_TOL or abs(tp.cos_phi) < COS_PHI_TOL:
+            continue
+        tan2phi = (tp.sin_phi * tp.sin_phi) / (tp.cos_phi * tp.cos_phi)
+        c = quartic_coefficients(tp.b2p, tp.delta, tan2phi)
+        root = quartic._ferrari_root(c)
+        out.append((c, math.nan if root is None else root, math.sqrt(1.0 + tp.delta)))
+    return out
+
+
+# f' = 0 at the root; a root above hi and one below 1 that the clamps move;
+# no candidate (nan); Newton's exact 2-cycle 1 -> 2 -> 1 of -q^4 + 21q - 37
+POLISH_EDGES = [
+    (QuarticCoeffs(-1.0, 0.0, 2.0, 0.0, -1.0), 1.0, 2.0),
+    (QuarticCoeffs(-1.0, 0.0, 3.0, 0.0, 4.0), 2.0, 2.0 - 1e-10),
+    (QuarticCoeffs(-1.0, 0.0, -2e-10, 0.0, 1.0 - 2e-10), 1.0 - 1e-10, 1.5),
+    (QuarticCoeffs(-1.0, 0.0, 3.0, 0.0, 4.0), math.nan, 2.1),
+    (QuarticCoeffs(-1.0, 0.0, 0.0, 21.0, -37.0), 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("max_aspect", [20.0, 1e3, 1e4])
+def test_polish_matches_the_fixed_step_loop(max_aspect):
+    # stopping at a fixed point and reusing the last evaluation change no
+    # bit of q and no verdict, on floats and on arrays of any length
+    cases = stream_quartics(max_aspect) + POLISH_EDGES
+    for c, root, hi in cases:
+        q, ok = quartic._polish_and_test(c, root, hi, _FLOATS)
+        q0, ok0 = fixed_step_polish(c, root, hi, _FLOATS)
+        assert struct.pack("<d", q) == struct.pack("<d", q0) and ok == ok0, (c, root, hi)
+    coeffs = QuarticCoeffs(*(np.array(x) for x in zip(*(c for c, _, _ in cases))))
+    roots, his = (np.array(x) for x in zip(*((r, h) for _, r, h in cases)))
+    m = bulk._arrays(np.zeros(len(cases), dtype=bool))
+    for lo, n in [(0, len(cases))] + [(i, 32) for i in range(0, len(cases), 32)]:
+        part = QuarticCoeffs(*(x[lo:lo + n] for x in coeffs))
+        with np.errstate(all="ignore"):
+            q, ok = quartic._polish_and_test(part, roots[lo:lo + n], his[lo:lo + n], m)
+            q0, ok0 = fixed_step_polish(part, roots[lo:lo + n], his[lo:lo + n], m)
+        assert q.tobytes() == q0.tobytes() and ok.tolist() == ok0.tolist(), lo
+
+
+def test_polish_evaluates_the_quartic_twice_on_the_common_path(monkeypatch):
+    # one step to the fixed point, one to confirm it, and the residual test
+    # reuses the second value.  Of the edges, f' = 0 and nan stop after one;
+    # a root the clamps move is evaluated again at the bracket end, and the
+    # 2-cycle takes all three steps and a fresh residual evaluation
+    calls = []
+    horner = quartic._horner_compensated
+    monkeypatch.setattr(quartic, "_horner_compensated", lambda c, x: calls.append(x) or horner(c, x))
+
+    def evaluations(c, root, hi):
+        calls.clear()
+        quartic._polish_and_test(c, root, hi, _FLOATS)
+        return len(calls)
+
+    counts = Counter(evaluations(*case) for case in stream_quartics(20.0)[:2000])
+    assert counts.most_common(1)[0][0] == 2 and max(counts) <= quartic.POLISH_STEPS + 1, counts
+    assert counts[1] + counts[2] >= 0.99 * counts.total(), counts
+    assert [evaluations(*case) for case in POLISH_EDGES] == [1, 3, 3, 1, 4]
 
 
 def test_u_zero_branch():
