@@ -10,20 +10,20 @@ verify and the curves of analysis.py call it.
 
 The formulas are the scalar kernel's own, written once for floats and
 arrays (transform._transform; quartic's coefficients, depressed form,
-Ferrari root choice and root acceptance; contact's psi, d', contact point
-and tangency check), here with numpy's sqrt and where.  What is this
-module's own:
+Ferrari root with W > 0 and root acceptance; contact's psi, d', contact
+point and tangency check), here with numpy's sqrt and where.  What is
+this module's own:
 
 * math.hypot, cos/sin and the resolvent run per element on Python
   floats, because numpy's versions round differently on some inputs;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
-* the branches of contact.py and quartic.py become masks: the five
-  contact branches and the biquadratic case (W = 0 included).
+* the five branches of contact.py become masks.
 
 A row goes to the scalar path when its input fails validation, when any
 intermediate it uses is non-finite or a per-element call raises (where
-the scalar code may raise), when the resolvent gives s1 < 0 or no real
-root, or when that root is not accepted (the companion-matrix fallback).
+the scalar code may raise), when its quartic is one of the rare cases
+only the scalar solver handles (near-biquadratic, or s1 <= 0), or when
+the Ferrari root is not real or not accepted (the fallback).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _contact_point, _on_line_pie
 from .contact import _psi_d_prime, _tangency
 from .geometry import _MIN_NORMAL, _UNIT_SLACK
 from .quartic import (
-    _biquadratic_root,
     _depressed,
     _larger_real_root,
     _near_biquadratic,
@@ -127,32 +126,22 @@ def _same_rows(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _quartic_roots(b2p, delta, tan2phi, bad):
-    """quartic_coefficients + solve_contact_quartic over arrays.  Rows the
-    closed form leaves to the companion-matrix fallback are flagged."""
+    """quartic_coefficients + solve_contact_quartic over arrays, for rows
+    that a Ferrari root with W > 0 answers; the others are flagged."""
     m = _arrays(bad)
     c = quartic_coefficients(b2p, delta, tan2phi)
     hi = np.sqrt(1.0 + delta)
     alpha, beta, gamma, shift = _depressed(c)
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
-    # biquadratic rows take the larger root, and so do the W = 0 rows below
-    biq = _near_biquadratic(c, beta)
-    y = np.zeros(len(bad))
-    cubic = np.flatnonzero(~biq)
-    sub_bad = np.zeros(len(cubic), dtype=bool)
-    y[cubic] = _each(_resolvent_root, sub_bad, alpha[cubic], beta[cubic], gamma[cubic])
-    bad[cubic] |= sub_bad
+    y = _each(_resolvent_root, bad, alpha, beta, gamma)
     s1 = alpha + 2.0 * y
     s1 = np.where((-1e-12 < s1) & (s1 < 0.0), 0.0, s1)
-    big_w = np.sqrt(s1)
-    biq |= big_w == 0.0
-    # s1 < 0 (no candidate) rows are the scalar code's to resolve
-    bad |= ~biq & ((s1 < 0.0) | ~np.isfinite(y))
-    root = np.where(biq, _biquadratic_root(alpha, gamma, shift, m),
-                    _larger_real_root(alpha, beta, y, shift, big_w, m))
+    # biquadratic, W = 0, s1 < 0 and nan s1 rows: the scalar solver's
+    bad |= _near_biquadratic(c, beta) | ~(s1 > 0.0)
+    root = _larger_real_root(alpha, beta, y, shift, np.sqrt(s1), m)
 
-    # no real root (nan), not in the bracket or not accepted: the
-    # companion-matrix fallback
+    # no real root (nan), out of the bracket or not accepted: the fallback's
     q, ok = _polish_and_test(c, root, hi, m)
     bad |= ~ok
     return q

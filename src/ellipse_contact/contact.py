@@ -40,7 +40,7 @@ __all__ = [
 # sides agree to well below 1e-8 at these cutoffs (asserted by tests)
 DELTA_CIRCLE_TOL = 1e-12
 COS_PHI_TOL = 1e-12
-# |sep - d| <= TANGENT_RTOL * d counts as tangent in the overlap verdict
+# a separation within TANGENT_RTOL * d of d counts as tangent in overlap()
 TANGENT_RTOL = 1e-9
 
 
@@ -221,11 +221,17 @@ def _overlap_distance(shape1, shape2, k1, k2, r12: Vec2) -> tuple[OverlapVerdict
         raise ConcentricCenters(f"center separation {sep!r} is numerically zero")
     dhat = UnitVec2(r12.x, r12.y)
     d = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat)).d
-    if abs(sep - d) <= TANGENT_RTOL * d:
-        return OverlapVerdict.TANGENT, d
-    if sep < d:
+    if _overlapping(r12.x, r12.y, d):
         return OverlapVerdict.OVERLAPPING, d
+    if sep <= d * (1.0 + TANGENT_RTOL):
+        return OverlapVerdict.TANGENT, d
     return OverlapVerdict.DISJOINT, d
+
+
+def _overlapping(dx: float, dy: float, d: float) -> bool:
+    """The overlap rule for centers (dx, dy) apart at contact distance d,
+    which overlap() and mcsim's pair check share."""
+    return math.hypot(dx, dy) < d * (1.0 - TANGENT_RTOL)
 
 
 def overlap(

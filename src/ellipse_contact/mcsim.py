@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import closest_approach, TANGENT_RTOL
+from .contact import TANGENT_RTOL, _overlapping, closest_approach
 from .geometry import EllipseShape, PairConfiguration, UnitVec2
 
 __all__ = [
@@ -208,9 +208,9 @@ def _pair_clear(
     """True when the pair does not overlap (tangency counts as clear).
 
     ui and uj are the major-axis directions and (dx, dy) the minimum-image
-    separation.  The verdict is the kernel's,
-    sep >= d * (1 - TANGENT_RTOL), and a ladder of bounds on the contact
-    distance d settles most pairs before the kernel runs:
+    separation.  The verdict is overlap()'s (contact._overlapping): clear
+    when hypot(dx, dy) >= d * (1 - TANGENT_RTOL), d the contact distance.
+    A ladder of bounds on d settles most pairs before the kernel runs:
 
       1. reach: d <= a_i + a_j, so a pair at least that far apart is clear
          (mc_sweep applies this rung itself, before the call);
@@ -308,8 +308,7 @@ def _pair_clear(
         UnitVec2(uj[0], uj[1]),
         UnitVec2(dx, dy),
     )
-    d = closest_approach(cfg).d
-    return sep >= d * (1.0 - TANGENT_RTOL)
+    return not _overlapping(dx, dy, closest_approach(cfg).d)
 
 
 def _species_order(counts: list[int]) -> list[int]:

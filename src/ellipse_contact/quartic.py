@@ -26,10 +26,10 @@ The solver is defensive in layers:
    zero or several such roots raise NoPhysicalRoot instead of guessing;
    that root must pass the same polish, clamp and residual test.
 
-The formulas of steps 2 and 3 take floats or arrays and a namespace m
-(geometry._FLOATS), so bulk.contact_arrays runs them too; the control
-flow around them (no resolvent on biquadratic rows, None for s1 < 0) is
-the scalar solver's own, and the array kernel masks it.
+The formulas of step 3 and of a Ferrari root with W > 0 take floats or
+arrays and a namespace m (geometry._FLOATS), so bulk.contact_arrays runs
+them too; the rare cases (near-biquadratic, W = 0, s1 < 0) are the
+scalar solver's alone, and the array kernel leaves those rows to it.
 """
 
 from __future__ import annotations
@@ -173,12 +173,12 @@ def _near_biquadratic(c: QuarticCoeffs, beta):
     return (small < 1e-11) | (small < 1e-11 * (ratio * ratio * ratio))
 
 
-def _biquadratic_root(alpha, gamma, shift, m):
+def _biquadratic_root(alpha: float, gamma: float, shift: float) -> float:
     """The larger root of u^4 + alpha u^2 + gamma, shifted back; W = 0 takes
     it too, as alpha + 2y = 0 implies beta = 0 up to rounding."""
     disc = alpha * alpha - 4.0 * gamma
-    half = (-alpha + m.sqrt(m.where(0.0 > disc, 0.0, disc))) / 2.0
-    return shift + m.sqrt(m.where(0.0 > half, 0.0, half))
+    half = (-alpha + math.sqrt(0.0 if 0.0 > disc else disc)) / 2.0
+    return shift + math.sqrt(0.0 if 0.0 > half else half)
 
 
 def _larger_real_root(alpha, beta, y, shift, big_w, m):
@@ -193,9 +193,9 @@ def _larger_real_root(alpha, beta, y, shift, big_w, m):
     return where((r_m > r_p) | ((r_p != r_p) & (r_m == r_m)), r_m, r_p)
 
 
-def _ferrari_root(c: QuarticCoeffs) -> float | None:
-    """The largest real root by Ferrari's method: None when the resolvent
-    gives s1 = alpha + 2y < 0, nan when no assembly is real."""
+def _ferrari_root(c: QuarticCoeffs) -> float:
+    """The largest real root by Ferrari's method; nan when the resolvent
+    gives s1 = alpha + 2y < 0 or no assembly is real."""
     alpha, beta, gamma, shift = _depressed(c)
     if not _near_biquadratic(c, beta):
         y = _resolvent_root(alpha, beta, gamma)
@@ -203,11 +203,11 @@ def _ferrari_root(c: QuarticCoeffs) -> float | None:
         if -1e-12 < s1 < 0.0:
             s1 = 0.0
         if s1 < 0.0:
-            return None
+            return math.nan
         big_w = math.sqrt(s1)
         if big_w != 0.0:
             return _larger_real_root(alpha, beta, y, shift, big_w, _FLOATS)
-    return _biquadratic_root(alpha, gamma, shift, _FLOATS)
+    return _biquadratic_root(alpha, gamma, shift)
 
 
 def _polish_and_test(c: QuarticCoeffs, q, hi, m):
@@ -237,15 +237,6 @@ def _polish_and_test(c: QuarticCoeffs, q, hi, m):
     return q, ok & (res <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
 
 
-def _accept(c: QuarticCoeffs, q: float | None, hi: float) -> float | None:
-    """The candidate q, polished and clamped to [1, hi], if it lies in the
-    bracket and passes the residual test; otherwise None."""
-    if q is None:
-        return None
-    q, ok = _polish_and_test(c, q, hi, _FLOATS)
-    return q if ok else None
-
-
 def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
     """The unique real root in [1, sqrt(1+delta)].
 
@@ -254,8 +245,8 @@ def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
     the residual test.
     """
     hi = math.sqrt(1.0 + delta)
-    q = _accept(c, _ferrari_root(c), hi)
-    if q is not None:
+    q, ok = _polish_and_test(c, _ferrari_root(c), hi, _FLOATS)
+    if ok:
         return q
 
     # defensive path: companion-matrix roots, then demand uniqueness; a
@@ -273,8 +264,8 @@ def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
             f"{len(in_bracket)} bracket roots for coefficients {tuple(c)}, "
             f"delta={delta!r}"
         )
-    q = _accept(c, in_bracket[0], hi)
-    if q is None:
+    q, ok = _polish_and_test(c, in_bracket[0], hi, _FLOATS)
+    if not ok:
         raise NoPhysicalRoot(
             f"fallback root {in_bracket[0]!r} fails the residual test for "
             f"{tuple(c)}"

@@ -124,6 +124,27 @@ def test_contact_arrays_defer_the_fallback_row():
     assert assert_matches_scalar(rows) == [0]
 
 
+@pytest.mark.parametrize("index, expect", [
+    # the first near-biquadratic quartic; its biquadratic root is then
+    # rejected and np.roots answers
+    (126, ("0x1.70b4b0fb4f9f8p+1", "0x1.edde8a0c178dfp+1", "0x1.0000000000000p+0",
+           "-0x1.7286189315cf3p-1", "-0x1.77acd1d14f0a8p-3", "0x0.0p+0", "0x0.0p+0")),
+    # s1 = 0 (W = 0): the biquadratic root answers
+    (5680, ("0x1.f516aa02452d7p+1", "0x1.2d5309297586ep+0", "0x1.16da2c0a8096cp+9",
+            "0x1.521a3af195486p-1", "0x1.c990a75228a39p+1", "0x1.0000000000000p-52",
+            "0x1.0000000000000p-51")),
+])
+def test_contact_arrays_defer_the_biquadratic_rows(monkeypatch, index, expect):
+    # seed 11, aspect up to 1000: rows whose scalar solve reaches
+    # _biquadratic_root go to the scalar path, which gives these floats
+    rows = stream_rows([oracle.stratified_configuration(11, index, 1000.0)])
+    assert array_rows(rows) == [None]
+    calls, real = [], quartic._biquadratic_root
+    monkeypatch.setattr(quartic, "_biquadratic_root", lambda *args: calls.append(args) or real(*args))
+    assert scalar_row(*rows[0]) == expect + (BRANCHES[0],)
+    assert len(calls) == 1
+
+
 def test_larger_real_ferrari_root_in_both_kernels():
     # Ferrari's roots are shift + (+-W +- sqrt(arg))/2; both kernels take
     # the larger of the two +sqrt(arg) ones that are real.  On this stream
@@ -156,7 +177,8 @@ def test_larger_real_ferrari_root_in_both_kernels():
 def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
     # raw quartics over a wider range than any stream reaches: the array
     # stage gives solve_contact_quartic's root bit for bit, and leaves to
-    # the scalar path every row on which that solver needs np.roots
+    # the scalar path exactly the rows on which that solver needs np.roots
+    # or the biquadratic root (the rare cases only it handles)
     rng = np.random.default_rng(2)
     n = 20_000
     b2p = 10.0 ** rng.uniform(-6.0, 6.0, n)
@@ -168,18 +190,21 @@ def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
 
     counter = CountingRoots(allow=True)
     monkeypatch.setattr(quartic, "np", counter)
+    biquadratic, real_biquadratic = [], quartic._biquadratic_root
+    monkeypatch.setattr(quartic, "_biquadratic_root",
+                        lambda *args: biquadratic.append(args) or real_biquadratic(*args))
     fell_back = []
     for i, (bp, dl, t2) in enumerate(zip(b2p.tolist(), delta.tolist(), tan2phi.tolist())):
-        calls = counter.calls
+        calls = counter.calls + len(biquadratic)
         try:
             q = quartic.solve_contact_quartic(quartic.quartic_coefficients(bp, dl, t2), dl)
         except (ArithmeticError, ValueError):
             q = None
-        if counter.calls > calls or q is None:
+        if counter.calls + len(biquadratic) > calls or q is None:
             fell_back.append(i)
         elif not bad[i]:
             assert got[i].hex() == q.hex(), i
-    assert len(fell_back) > 1000
+    assert len(fell_back) > 1000 and biquadratic
     assert np.flatnonzero(bad).tolist() == fell_back
 
 

@@ -18,11 +18,14 @@ from hypothesis import given, settings, strategies as st
 from ellipse_contact import (
     EllipseShape,
     MCConfig,
+    OverlapVerdict,
     PairConfiguration,
     UnitVec2,
+    Vec2,
     closest_approach,
     init_state,
     mcsim,
+    overlap,
 )
 from ellipse_contact.contact import TANGENT_RTOL
 
@@ -42,7 +45,7 @@ def ref_pair_clear(shape_i, shape_j, ui, uj, dx, dy):
         shape_i, shape_j, UnitVec2(ui[0], ui[1]), UnitVec2(uj[0], uj[1]),
         UnitVec2(dx, dy),
     )
-    return math.sqrt(sep_sq) >= closest_approach(cfg).d * (1.0 - TANGENT_RTOL)
+    return math.hypot(dx, dy) >= closest_approach(cfg).d * (1.0 - TANGENT_RTOL)
 
 
 def ref_min_image(dx, dy, lx, ly):
@@ -460,7 +463,7 @@ def test_bounds_keep_kernel_verdict(case):
         shape_i, shape_j, UnitVec2(*ki), UnitVec2(*kj), UnitVec2(dx, dy)
     )
     d = closest_approach(cfg).d
-    kernel_clear = math.sqrt(dx * dx + dy * dy) >= d * (1.0 - TANGENT_RTOL)
+    kernel_clear = math.hypot(dx, dy) >= d * (1.0 - TANGENT_RTOL)
     assert mcsim._pair_clear(shape_i, shape_j, ki, kj, dx, dy) == kernel_clear
     # the kernel's relative error stays below 1e-13 on these pairs (it was
     # ~1e-11 for 20:1 pairs meeting at right angles before lambda_minus
@@ -474,3 +477,27 @@ def test_bounds_keep_kernel_verdict(case):
     upper, lower = refined_bounds(shape_i, shape_j, ki, kj, u)
     assert lower <= d * (1.0 + 1e-12)
     assert d <= upper * (1.0 + 1e-12)
+
+
+def test_pair_clear_and_overlap_agree_at_the_band_edge():
+    # (2,1) pairs at separations within 4 ulps of d (1 - TANGENT_RTOL),
+    # where only the kernel rung decides: _pair_clear calls a pair clear
+    # exactly where overlap() does not say OVERLAPPING
+    shape = EllipseShape(2.0, 1.0)
+    ki = UnitVec2(math.cos(0.3), math.sin(0.3))
+    u = UnitVec2(math.cos(1.1), math.sin(1.1))
+    verdicts = []
+    for deg in range(0, 180, 7):
+        kj = UnitVec2(math.cos(math.radians(deg)), math.sin(math.radians(deg)))
+        sep = closest_approach(PairConfiguration(shape, shape, ki, kj, u)).d * (1.0 - TANGENT_RTOL)
+        for _ in range(4):
+            sep = math.nextafter(sep, 0.0)
+        for _ in range(9):
+            dx, dy = sep * u.x, sep * u.y
+            verdict = overlap(shape, shape, ki, kj, Vec2(dx, dy))
+            clear = mcsim._pair_clear(shape, shape, (ki.x, ki.y), (kj.x, kj.y), dx, dy)
+            assert clear == (verdict is not OverlapVerdict.OVERLAPPING), (deg, sep)
+            verdicts.append(verdict)
+            sep = math.nextafter(sep, math.inf)
+    assert len(verdicts) == 234
+    assert set(verdicts) == {OverlapVerdict.OVERLAPPING, OverlapVerdict.TANGENT}

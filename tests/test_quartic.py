@@ -164,7 +164,6 @@ def test_polish_stops_at_zero_derivative():
     # by 0, on a float and on an array row alike
     c = QuarticCoeffs(-1.0, 0.0, 2.0, 0.0, -1.0)
     assert c.derivative(1.0) == 0.0
-    assert quartic._accept(c, 1.0, 2.0) == 1.0
     q, ok = quartic._polish_and_test(c, 1.0, 2.0, _FLOATS)
     assert q == 1.0 and ok
     arrays = bulk._arrays(np.zeros(1, dtype=bool))
@@ -201,8 +200,7 @@ def stream_quartics(max_aspect):
             continue
         tan2phi = (tp.sin_phi * tp.sin_phi) / (tp.cos_phi * tp.cos_phi)
         c = quartic_coefficients(tp.b2p, tp.delta, tan2phi)
-        root = quartic._ferrari_root(c)
-        out.append((c, math.nan if root is None else root, math.sqrt(1.0 + tp.delta)))
+        out.append((c, quartic._ferrari_root(c), math.sqrt(1.0 + tp.delta)))
     return out
 
 
@@ -279,6 +277,18 @@ def test_no_physical_root_raised():
     # [1, sqrt(1+delta)] for small delta
     c = QuarticCoeffs(-1.0, 0.0, 25.0, 0.0, -144.0)
     with pytest.raises(NoPhysicalRoot):
+        solve_contact_quartic(c, 0.5)
+
+
+def test_fallback_root_failing_the_residual_test_raises(monkeypatch):
+    # the closed form's root 4 lies outside [1, 1.22]; a stand-in
+    # companion matrix then offers 1.1, in the bracket but not a root, and
+    # the solver raises rather than return it
+    c = QuarticCoeffs(-1.0, 0.0, 25.0, 0.0, -144.0)
+    stand_in = CountingRoots(allow=True)
+    stand_in.roots = lambda coeffs: np.array([1.1, 3.0, -3.0, 4.0], dtype=complex)
+    monkeypatch.setattr(quartic, "np", stand_in)
+    with pytest.raises(NoPhysicalRoot, match=r"^fallback root 1\.1 fails the residual test"):
         solve_contact_quartic(c, 0.5)
 
 
