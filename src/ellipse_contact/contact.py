@@ -223,7 +223,7 @@ def _overlap_distance(shape1, shape2, k1, k2, r12: Vec2) -> tuple[OverlapVerdict
     d = closest_approach(PairConfiguration(shape1, shape2, k1, k2, dhat)).d
     if _overlapping(r12.x, r12.y, d):
         return OverlapVerdict.OVERLAPPING, d
-    if sep <= d * (1.0 + TANGENT_RTOL):
+    if sep - d <= TANGENT_RTOL * d:
         return OverlapVerdict.TANGENT, d
     return OverlapVerdict.DISJOINT, d
 
