@@ -53,8 +53,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # support-function oracle
 
-# halvings of the normal angle's bracket of width pi: 64 reach 1.7e-19 rad
-_HALVINGS = 64
+# signed half-steps of the normal angle: 44 leave it the midpoint of a
+# bracket of width pi/2^44 (1.8e-13 rad), whose error enters d squared
+_HALVINGS = 44
 # Dekker's splitter for doubles, 2^27 + 1
 _SPLIT = 134217729.0
 
@@ -89,13 +90,15 @@ def support_distances(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> np.ndarray:
     h = sqrt(a^2 (k.n)^2 + b^2 (k x n)^2) (Santalo 1976; Vieillard-Baron
     1972).  So d = (h1 + h2) / (n.dhat) at the normal n whose support point
     s1 + s2, s = (a^2 (k.n) k + b^2 (k x n) kperp) / h, lies along dhat.
-    The angle of n is bisected in (theta - pi/2, theta + pi/2), theta the
-    angle of dhat, where the sign of dhat x (s1 + s2) is monotone in it,
-    for every row at once.  The quotient is stationary in n, so the
-    angle's last bits enter only at second order.  Its dot products are
-    compensated, so projections of the axes on n that nearly cancel keep
-    their digits: on 200 stratified configurations each at aspect 20, 10^3
-    and 10^4 the result is within 3.5e-16 of 60-digit arithmetic.
+    The sign of dhat x (s1 + s2) is monotone in the angle t of n on
+    (theta - pi/2, theta + pi/2), theta the angle of dhat, so t is bisected
+    there for every row at once: from t = theta, t -= copysign(step, sign)
+    with step = pi/4, pi/8, ... leaves t the midpoint of a bracket of width
+    pi/2^k after k steps (a sign of exactly +-0 may step either way).  The
+    quotient is stationary in n, so the angle's error enters only squared.
+    Its dot products are compensated, so projections of the axes on n that
+    nearly cancel keep their digits: on 200 stratified configurations each
+    at aspect 20, 10^3 and 10^4 it is within 3.2e-16 of 60-digit arithmetic.
     """
     a, b, kx, ky = (
         np.array(pair, dtype=np.float64) for pair in ((a1, a2), (b1, b2), (k1x, k2x), (k1y, k2y))
@@ -107,20 +110,15 @@ def support_distances(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> np.ndarray:
     # k x n and h below all carry a factor |k|
     across = aa * (dx * ky - dy * kx) / knorm
     bdot = bb * (dx * kx + dy * ky) / knorm
-    theta = np.arctan2(dy, dx)
-    lo, hi = theta - 0.5 * math.pi, theta + 0.5 * math.pi
+    t, step = np.arctan2(dy, dx), 0.25 * math.pi
     for _ in range(_HALVINGS):
-        t = 0.5 * (lo + hi)
         nx, ny = np.cos(t), np.sin(t)
         c, s = kx * nx + ky * ny, kx * ny - ky * nx
         h = np.sqrt(aa * c * c + bb * s * s)
         num = across * c + bdot * s
-        # dhat x (s1 + s2) = num1 / h1 + num2 / h2, in the sign of
-        # num1 h2 + num2 h1
-        below = num[0] * h[1] + num[1] * h[0] < 0.0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-    t = 0.5 * (lo + hi)
+        # dhat x (s1 + s2) = num1 / h1 + num2 / h2 has the sign of num1 h2 + num2 h1
+        t -= np.copysign(step, num[0] * h[1] + num[1] * h[0])
+        step *= 0.5
     nx, ny = np.cos(t), np.sin(t)
     c, s = _dot2(kx, nx, ky, ny), _dot2(kx, ny, -ky, nx)
     h = np.sqrt(aa * c * c + bb * s * s) / knorm
@@ -506,7 +504,8 @@ def _report(trials: int, tolerance: float,
     return VerifyReport(
         trials=trials,
         max_rel_err=max_err,
-        mean_rel_err=total / trials,
+        # over the answered trials, as max_rel_err; 0.0 when none was
+        mean_rel_err=total / max(trials - root_failures, 1),
         failures=failures,
         root_failures=root_failures,
     )

@@ -174,8 +174,9 @@ def _near_biquadratic(c: QuarticCoeffs, beta):
 
 
 def _biquadratic_root(alpha: float, gamma: float, shift: float) -> float:
-    """The larger root of u^4 + alpha u^2 + gamma, shifted back; W = 0 takes
-    it too, as alpha + 2y = 0 implies beta = 0 up to rounding."""
+    """The larger root of u^4 + alpha u^2 + gamma, shifted back.  At W = 0 it
+    is only a candidate, which the polish and the residual test must accept:
+    s1 = 0 need not mean beta = 0 (beta = -1.08 on one stratified row)."""
     disc = alpha * alpha - 4.0 * gamma
     half = (-alpha + math.sqrt(0.0 if 0.0 > disc else disc)) / 2.0
     return shift + math.sqrt(0.0 if 0.0 > half else half)

@@ -122,19 +122,19 @@ def columns(cfgs) -> list[np.ndarray]:
     ))]
 
 
-def mp_support_distance(cfgs, mp):
-    """Contact distances from the support functions alone, to 60 digits.
+def bisected_normal_angles(cols) -> np.ndarray:
+    """The angle of the contact normal of each row of the ten columns, by
+    64 midpoint halvings of (theta - pi/2, theta + pi/2) in floats, theta
+    the angle of dhat.
 
     The excluded region is K1 + K2, whose support function is h1 + h2 with
     h = sqrt(a^2 (k.n)^2 + b^2 (k x n)^2), so d = min (h1 + h2) / (n.dhat)
     over normals n with n.dhat > 0.  The minimizing normal is the one whose
     support point s1 + s2, s = (a^2 (k.n) k + b^2 (k x n) kperp) / h, lies
-    along dhat; it is bisected in floats (the sign of dhat x (s1 + s2) is
-    monotone in the angle of n), and the quotient is evaluated in 60-digit
-    mpmath at that angle.  The quotient is stationary there, so the angle's
-    rounding enters at second order, far below 1e-20 here.  It shares
-    nothing with the transform, the quartic or the sampled oracle."""
-    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = columns(cfgs)
+    along dhat, and the sign of dhat x (s1 + s2) is monotone in the angle
+    of n.  Unlike oracle.support_distances, the support points are summed
+    as vectors and the bracket's ends are kept."""
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = cols
     theta = np.arctan2(dy, dx)
     lo, hi = theta - 0.5 * math.pi, theta + 0.5 * math.pi
     for _ in range(64):
@@ -148,9 +148,21 @@ def mp_support_distance(cfgs, mp):
             py = py + (a * a * c * ky + b * b * s * kx) / h
         below = dx * py - dy * px < 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+    return 0.5 * (lo + hi)
+
+
+def mp_support_distance(cfgs, mp):
+    """Contact distances from the support functions alone, to 60 digits:
+    the quotient (h1 + h2) / (n.dhat) in 60-digit mpmath at the angle of
+    bisected_normal_angles.  The quotient is stationary there, so the
+    angle's rounding enters at second order, far below 1e-20 here.  It
+    shares nothing with the transform, the quartic or the sampled
+    oracle."""
+    cols = columns(cfgs)
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = cols
     out = []
     with mp.workdps(60):
-        for i, ti in enumerate((0.5 * (lo + hi)).tolist()):
+        for i, ti in enumerate(bisected_normal_angles(cols).tolist()):
             n = (mp.cos(ti), mp.sin(ti))
             total = 0
             for a, b, kx, ky in ((a1, b1, k1x, k1y), (a2, b2, k2x, k2y)):

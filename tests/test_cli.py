@@ -644,8 +644,8 @@ def test_verify_command(capsys):
 
 # three blocks of trials, the last one short
 VERIFY_GOLDEN = {
-    3: ("9.413540131516687e-15", "2.865937004305529e-16"),
-    11: ("2.047024242173268e-14", "3.057449551568064e-16"),
+    3: ("9.564076777226241e-15", "2.896915400342568e-16"),
+    11: ("2.0639417978937087e-14", "2.9998144162907363e-16"),
 }
 
 

@@ -22,7 +22,9 @@ from ellipse_contact.oracle import (
     support_distances,
     verify_random,
 )
-from conftest import columns, mp_support_distance, oracle_circle_ellipse_distance
+from conftest import (
+    bisected_normal_angles, columns, mp_support_distance, oracle_circle_ellipse_distance,
+)
 
 
 def test_settings_validation():
@@ -238,6 +240,12 @@ def test_verify_counts_root_failures(monkeypatch):
     assert report.root_failures == 2
     assert report.failures == [(1, math.inf), (3, math.inf)]
     assert report.max_rel_err <= 1e-7
+    # the mean runs over the two answered trials, as the max does
+    cfgs = list(stratified_configurations(4, 7))
+    ref = support_distances(*columns(cfgs)).tolist()
+    answered = [abs(real(cfgs[i]).d - ref[i]) / ref[i] for i in (0, 2)]
+    assert report.max_rel_err == max(answered)
+    assert report.mean_rel_err == sum(answered) / 2
 
 
 @pytest.mark.parametrize("max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5)])
@@ -249,6 +257,36 @@ def test_support_distances_against_mpmath(max_aspect, seed):
     worst = max(abs(g - float(ref)) / float(ref)
                 for g, ref in zip(got.tolist(), mp_support_distance(cfgs, mp)))
     assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5)])
+def test_support_distances_within_4e16_of_mpmath(max_aspect, seed):
+    # a tighter gate beside the one above: 44 signed half-steps leave the
+    # normal's angle within pi/2^45 of the bisected one, which the
+    # stationary quotient turns into 1e-26; measured 2.6-3.2e-16
+    mp = pytest.importorskip("mpmath")
+    cfgs = list(stratified_configurations(200, seed, max_aspect))
+    got = support_distances(*columns(cfgs))
+    worst = max(abs(g - float(ref)) / float(ref)
+                for g, ref in zip(got.tolist(), mp_support_distance(cfgs, mp)))
+    assert worst <= 4e-16
+
+
+@pytest.mark.parametrize("max_aspect", [20.0, 1e3, 1e4])
+def test_support_distances_match_a_64_halving_bisection(max_aspect):
+    # on 20,000 rows, the oracle against its quotient at the normal angle
+    # of 64 midpoint halvings; measured <= 6.6e-16 on seeds 11 and 5
+    cols = columns(list(stratified_configurations(20_000, 11, max_aspect)))
+    a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = cols
+    t = bisected_normal_angles(cols)
+    nx, ny = np.cos(t), np.sin(t)
+    total = 0.0
+    for a, b, kx, ky in ((a1, b1, k1x, k1y), (a2, b2, k2x, k2y)):
+        knorm = np.hypot(kx, ky)
+        c, s = oracle._dot2(kx, nx, ky, ny) / knorm, oracle._dot2(kx, ny, -ky, nx) / knorm
+        total = total + np.sqrt(a * a * c * c + b * b * s * s)
+    ref = total * np.hypot(dx, dy) / oracle._dot2(nx, dx, ny, dy)
+    assert np.max(abs(support_distances(*cols) - ref) / ref) <= 1e-15
 
 
 def test_support_distances_against_sampled_oracle():
