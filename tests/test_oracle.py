@@ -261,9 +261,9 @@ def test_support_distances_against_mpmath(max_aspect, seed):
 
 @pytest.mark.parametrize("max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5)])
 def test_support_distances_within_4e16_of_mpmath(max_aspect, seed):
-    # a tighter gate beside the one above: 44 signed half-steps leave the
-    # normal's angle within pi/2^45 of the bisected one, which the
-    # stationary quotient turns into 1e-26; measured 2.6-3.2e-16
+    # a tighter gate beside the one above: after 44 signed half-steps the
+    # normal's angle is off by at most pi/2^45, which enters the stationary
+    # quotient only squared; measured 2.6-3.2e-16
     mp = pytest.importorskip("mpmath")
     cfgs = list(stratified_configurations(200, seed, max_aspect))
     got = support_distances(*columns(cfgs))
