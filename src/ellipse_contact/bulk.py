@@ -10,12 +10,12 @@ verify and the curves of analysis.py call it.
 
 The formulas are the scalar kernel's own, written once for floats and
 arrays (transform._transform; quartic's coefficients, depressed form,
-Ferrari root with W > 0 and root acceptance; contact's psi, d', contact
-point and tangency check), here with numpy's sqrt and where.  What is
-this module's own:
+Cardano's resolvent root, Ferrari root with W > 0 and root acceptance;
+contact's psi, d', contact point and tangency check), here with numpy's
+sqrt, where and copysign.  What is this module's own:
 
-* math.hypot, cos/sin and the resolvent run per element on Python
-  floats, because numpy's versions round differently on some inputs;
+* math.hypot, cos/sin, pow and the resolvent's complex branch (disc < 0)
+  run per element on Python floats: numpy's versions round differently;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
 * the five branches of contact.py become masks.
 
@@ -40,6 +40,7 @@ from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _contact_point, _on_line_pie
 from .contact import _psi_d_prime, _tangency
 from .geometry import _MIN_NORMAL, _UNIT_SLACK
 from .quartic import (
+    _cardano,
     _depressed,
     _larger_real_root,
     _near_biquadratic,
@@ -112,10 +113,11 @@ def _unit(x: np.ndarray, y: np.ndarray, bad: np.ndarray):
 
 
 def _arrays(bad: np.ndarray) -> SimpleNamespace:
-    """The array namespace of the shared formulas; rows where a hypot
-    raises are flagged in bad."""
+    """The array namespace of the shared formulas; rows where a hypot or a
+    pow raises are flagged in bad."""
     return SimpleNamespace(
-        sqrt=np.sqrt, where=np.where, hypot=partial(_each, math.hypot, bad), same=_same_rows
+        sqrt=np.sqrt, where=np.where, copysign=np.copysign, hypot=partial(_each, math.hypot, bad),
+        pow=partial(_each, pow, bad), same=_same_rows,
     )
 
 
@@ -123,6 +125,15 @@ def _same_rows(x: np.ndarray, y: np.ndarray) -> bool:
     """x == y on every row, a nan row counting only where both are nan."""
     eq = x == y
     return bool(eq.all()) or bool((eq | (x != x) & (y != y)).all())
+
+
+def _resolvent_roots(alpha, beta, gamma, bad):
+    """_resolvent_root of each row: _cardano's y, or its own where disc < 0 or y is not finite."""
+    y, _, _, disc = _cardano(alpha, beta, gamma, _arrays(bad))
+    rows = np.flatnonzero(~(disc >= 0.0) | ~np.isfinite(y))
+    y[rows] = _each(_resolvent_root, row_bad := bad[rows], alpha[rows], beta[rows], gamma[rows])
+    bad[rows] = row_bad
+    return y
 
 
 def _quartic_roots(b2p, delta, tan2phi, bad):
@@ -134,7 +145,7 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
     alpha, beta, gamma, shift = _depressed(c)
     _flag_nonfinite(bad, *c, hi, alpha, beta, gamma, shift)
 
-    y = _each(_resolvent_root, bad, alpha, beta, gamma)
+    y = _resolvent_roots(alpha, beta, gamma, bad)
     s1 = alpha + 2.0 * y
     s1 = np.where((-1e-12 < s1) & (s1 < 0.0), 0.0, s1)
     # biquadratic, W = 0, s1 < 0 and nan s1 rows: the scalar solver's

@@ -366,9 +366,8 @@ def _write_curve(
             }
             print(json.dumps(payload), file=out)
         else:
-            print(f"{angle_label},x,y", file=out)
-            for theta, p in curve:
-                print(f"{math.degrees(theta)},{p.x},{p.y}", file=out)
+            out.write(f"{angle_label},x,y\n" + "".join(
+                [f"{math.degrees(theta)},{p.x},{p.y}\n" for theta, p in curve]))
 
 
 def cmd_boundary(args) -> int:

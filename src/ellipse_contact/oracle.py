@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
 from typing import Iterator, Sequence
@@ -320,8 +321,21 @@ def _draws(seed: int | Sequence[int], start: int, stop: int, max_aspect: float) 
         raise ValueError(f"stream indices start at 0, got {start}")
     if not (math.isfinite(max_aspect) and max_aspect >= 1.0):
         raise ValueError(f"max_aspect must be a finite number >= 1, got {max_aspect!r}")
-    bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(_DRAWS * start)
-    return np.random.Generator(bits).random((stop - start, _DRAWS))
+    if type(seed) is int:  # the cached seeded state, in this thread's PCG64
+        if (bits := getattr(_SCRATCH, "bits", None)) is None:
+            bits = _SCRATCH.bits = np.random.PCG64(0)
+        bits.state = _seeded_state(seed)
+    else:
+        bits = np.random.PCG64(np.random.SeedSequence(seed))
+    return np.random.Generator(bits.advance(_DRAWS * start)).random((stop - start, _DRAWS))
+
+
+@lru_cache(maxsize=16)
+def _seeded_state(seed: int) -> dict:
+    return np.random.PCG64(np.random.SeedSequence(seed)).state
+
+
+_SCRATCH = threading.local()
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:

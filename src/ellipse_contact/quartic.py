@@ -11,7 +11,7 @@ The solver is defensive in layers:
 1. the depressed-quartic resolvent is solved by Cardano with the
    cancellation-free product form of the radicand and the real cube root
    when the radicand is real (the principal complex branch would select a
-   complex resolvent root there);
+   complex resolvent root there), the complex one when it is negative;
 2. the largest real Ferrari root, which is the physical one: of the
    four sign assemblies shift + (+-W +- sqrt(arg))/2 it is the larger of
    the two +sqrt(arg) ones whose arg is non-negative (the biquadratic and
@@ -26,10 +26,10 @@ The solver is defensive in layers:
    zero or several such roots raise NoPhysicalRoot instead of guessing;
    that root must pass the same polish, clamp and residual test.
 
-The formulas of step 3 and of a Ferrari root with W > 0 take floats or
-arrays and a namespace m (geometry._FLOATS), so bulk.contact_arrays runs
-them too; the rare cases (near-biquadratic, W = 0, s1 < 0) are the
-scalar solver's alone, and the array kernel leaves those rows to it.
+The formulas of steps 1 (real radicand) and 3 and of a Ferrari root with
+W > 0 take floats or arrays and a namespace m (geometry._FLOATS), so
+bulk.contact_arrays runs them too; the array kernel leaves the rare
+cases (near-biquadratic, W = 0, s1 < 0) to the scalar solver.
 """
 
 from __future__ import annotations
@@ -124,29 +124,34 @@ def _horner_compensated(coeffs: tuple[float, ...], x: float) -> float:
     return s + comp
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+def _cardano(alpha, beta, gamma, m):
+    """(y, p, q, disc) of the resolvent cubic in Cardano's form, y its real
+    root where disc >= 0.  No unused m.where arm divides by zero or roots a
+    negative, so floats raise only where the formulas do."""
+    p = -alpha * alpha / 12.0 - gamma
+    q = -m.pow(alpha, 3) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
+    p3 = m.pow(p, 3)
+    disc = q * q / 4.0 + p3 / 27.0
+    s = m.sqrt(abs(disc))
+    # (-q/2 + s)(-q/2 - s) = -p^3/27 rewrites away the cancellation
+    w = m.where(q <= 0.0, -q / 2.0 + s, p3 / (27.0 * (abs(q / 2.0 + s) + (q <= 0.0))))
+    u = m.copysign(m.pow(abs(w), 1.0 / 3.0), w)
+    cbrt_q = m.pow(abs(q), 1.0 / 3.0)
+    small = abs(u) < 1e-12 * m.where(cbrt_q > 1.0, cbrt_q, 1.0)
+    a = -5.0 / 6.0 * alpha
+    y = m.where(small, a - m.copysign(cbrt_q, q), a + u - p / (3.0 * m.where(small, 1.0, u)))
+    return y, p, q, disc
 
 
 def _resolvent_root(alpha: float, beta: float, gamma: float) -> float:
     """A real root y of the resolvent cubic of the depressed quartic
-    (coefficients alpha, beta, gamma), by Cardano.  The scalar solver and
-    the array kernel (bulk.py) both call it, one float at a time."""
-    p = -alpha * alpha / 12.0 - gamma
-    q = -(alpha**3) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
-    disc = q * q / 4.0 + p**3 / 27.0
+    (coefficients alpha, beta, gamma), by Cardano; floats only."""
+    y, p, q, disc = _cardano(alpha, beta, gamma, _FLOATS)
     if disc >= 0.0:
-        s = math.sqrt(disc)
-        # (-q/2 + s)(-q/2 - s) = -p^3/27 rewrites away the cancellation
-        w = (-q / 2.0 + s) if q <= 0.0 else (p**3) / (27.0 * (q / 2.0 + s))
-        u = _cbrt(w)
-        if abs(u) < 1e-12 * max(1.0, abs(q) ** (1.0 / 3.0)):
-            return -5.0 / 6.0 * alpha - _cbrt(q)
-        return -5.0 / 6.0 * alpha + u - p / (3.0 * u)
+        return y
     # three real resolvent roots: u is complex, y = -5a/6 + 2 Re(u)
     uc = complex(-q / 2.0, math.sqrt(-disc)) ** (1.0 / 3.0)
-    yc = -5.0 / 6.0 * alpha + uc - p / (3.0 * uc)
-    return yc.real
+    return (-5.0 / 6.0 * alpha + uc - p / (3.0 * uc)).real
 
 
 def _depressed(c: QuarticCoeffs):

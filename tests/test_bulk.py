@@ -31,6 +31,7 @@ from ellipse_contact import (
 from ellipse_contact import bulk, cli, quartic, transformed_pair
 from ellipse_contact.bulk import BRANCHES, contact_arrays, unit_vectors
 from ellipse_contact.contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
+from ellipse_contact.geometry import _FLOATS
 
 
 def scalar_row(a1, b1, a2, b2, k1, k2, dhat):
@@ -208,21 +209,99 @@ def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
     assert np.flatnonzero(bad).tolist() == fell_back
 
 
+def assert_resolvent_rows_match(alpha, beta, gamma):
+    """bulk._resolvent_roots (_cardano on the arrays, _resolvent_root per
+    row where disc < 0) gives quartic._resolvent_root's bits on every row
+    it does not flag, and flags exactly the rows where that raises.
+    Returns the share of rows with disc < 0."""
+    alpha, beta, gamma = (np.array(x, dtype=np.float64) for x in (alpha, beta, gamma))
+    bad = np.zeros(len(alpha), dtype=bool)
+    with np.errstate(all="ignore"):
+        y = bulk._resolvent_roots(alpha, beta, gamma, bad)
+        disc = quartic._cardano(alpha, beta, gamma, bulk._arrays(bad.copy()))[3]
+    for i, args in enumerate(zip(alpha.tolist(), beta.tolist(), gamma.tolist())):
+        try:
+            want = quartic._resolvent_root(*args).hex()
+        except ArithmeticError:
+            want = None
+        assert (None if bad[i] else float(y[i]).hex()) == want, args
+    return float(np.mean(disc < 0.0))
+
+
+@pytest.mark.parametrize("max_aspect", [20.0, 1e3, 1e4])
+def test_resolvent_roots_match_the_float_function_on_streams(monkeypatch, max_aspect):
+    # the depressed quartics that contact_arrays solves for 20,000 rows
+    seen, real = [], bulk._resolvent_roots
+    monkeypatch.setattr(bulk, "_resolvent_roots",
+                        lambda *args: seen.append([a.copy() for a in args[:3]]) or real(*args))
+    contact_arrays(*oracle._stratified_columns(11, 0, 20_000, max_aspect))
+    (abg,) = seen
+    assert len(abg[0]) > 15_000
+    assert 0.02 < assert_resolvent_rows_match(*abg) < 0.2
+
+
+def test_resolvent_roots_match_the_float_function_on_random_triples():
+    rng = np.random.default_rng(29)
+    n = 200_000
+    alpha, beta, gamma = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+                          for _ in range(3))
+    assert 0.2 < assert_resolvent_rows_match(alpha, beta, gamma) < 0.5
+
+
+def test_resolvent_roots_match_the_float_function_on_edges():
+    def disc(*abg):
+        return quartic._cardano(*abg, _FLOATS)[3]
+
+    # u = (beta^2 / 8)^(1/3) at alpha = gamma = 0 straddles the 1e-12 test
+    straddle = [math.sqrt(8.0) * 1e-18 * (1.0 + k * 1e-3) for k in range(-3, 4)]
+    straddle += [math.sqrt(8.0) * 1e-18 * (1.0 + k * 2.0**-52) for k in range(-8, 9)]
+    # q = 2^-1074 > 0 and disc = 0: q/2 + s rounds to 0
+    tiny = -4.683755824008966e-108
+    edges = [
+        (0.0, 0.0, -1.0),                    # q = 0
+        (6.0, 0.0, 0.0),                     # disc = 0 (p = -3, q = -2)
+        (0.0, 0.0, 0.0),                     # p = q = 0
+        (-3.0, 0.1, -9.0 / 12.0),            # p = 0 (test_u_zero_branch)
+        (tiny, 0.0, -(tiny * tiny / 12.0)),
+        (1e103, 1.0, 1.0), (-1e103, 0.5, 2.0),  # alpha^3 overflows
+    ] + [(0.0, b, 0.0) for b in straddle]
+    for bad_value in (math.nan, math.inf, -math.inf):
+        for slot in range(3):
+            row = [1.5, -0.5, 0.25]
+            row[slot] = bad_value
+            edges.append(tuple(row))
+    assert quartic._cardano(0.0, 0.0, -1.0, _FLOATS)[2] == 0.0
+    assert disc(6.0, 0.0, 0.0) == 0.0
+    assert quartic._cardano(-3.0, 0.1, -9.0 / 12.0, _FLOATS)[1] == 0.0
+    with pytest.raises(ZeroDivisionError):
+        quartic._resolvent_root(tiny, 0.0, -(tiny * tiny / 12.0))
+    with pytest.raises(OverflowError):
+        quartic._resolvent_root(1e103, 1.0, 1.0)
+    cbrt_q = [(b * b / 8.0) ** (1.0 / 3.0) for b in straddle]
+    assert min(cbrt_q) < 1e-12 < max(cbrt_q)
+    assert_resolvent_rows_match(*zip(*edges))
+
+
 @pytest.mark.parametrize("module, exempt", [
     ("transform.py", ()),
     ("contact.py", ()),
-    ("quartic.py", ("_resolvent_root", "_cbrt")),
+    ("quartic.py", ("_resolvent_root", "_cardano")),
     ("bulk.py", ()),
 ])
 def test_kernel_raises_no_variable_to_a_power(module, exempt):
-    # the array kernel matches the scalar one because neither uses ** or
-    # pow: Python's pow and numpy's power round differently, and the scalar
-    # code's products are what numpy repeats; the resolvent runs per
-    # element in both
+    # the array kernel matches the scalar one because every power goes
+    # through m.pow, which is Python's pow on floats and, element by
+    # element, on arrays (bulk._arrays: partial(_each, pow, bad)): Python's
+    # pow and numpy's power round differently, and the scalar code's
+    # products are what numpy repeats.  Only Cardano's form and the float
+    # resolvent take powers; nothing anywhere names numpy's power or
+    # raises a variable with **
     def powers(node, func):
         if isinstance(node, ast.FunctionDef):
             func = node.name
         if func in exempt:
+            return
+        if func == "_arrays" and ast.unparse(node) == "partial(_each, pow, bad)":
             return
         if isinstance(node, (ast.BinOp, ast.AugAssign)):
             base = node.left if isinstance(node, ast.BinOp) else node.target
@@ -235,6 +314,13 @@ def test_kernel_raises_no_variable_to_a_power(module, exempt):
 
     tree = ast.parse((Path(bulk.__file__).parent / module).read_text())
     assert list(powers(tree, None)) == []
+    nodes = list(ast.walk(tree))
+    assert [n.lineno for n in nodes if "power" in (getattr(n, "id", None), getattr(n, "attr", None))] == []
+    assert [
+        n.lineno for n in nodes
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and isinstance(n.left, ast.Name)
+        or isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Pow)
+    ] == []
 
 
 def edge_rows():

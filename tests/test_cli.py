@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_input_error, run_cli, run_cli_bounded
-from ellipse_contact import cli
+from ellipse_contact import analysis, cli
 from ellipse_contact.cli import main
 
 PAIR_21 = ("--a1", "2", "--b1", "1", "--a2", "2", "--b2", "1")
@@ -622,6 +622,33 @@ def test_boundary_and_locus(tmp_path, capsys):
     lines = lout.read_text().strip().splitlines()
     assert lines[0] == "theta1_deg,x,y"
     assert len(lines) == 65
+
+
+CURVE_PAIR = ("--a1", "7.25", "--b1", "1.1", "--a2", "2", "--b2", "1",
+              "--theta1", "33.5", "--theta2", "171.25")
+
+
+@pytest.mark.parametrize("n", [16, 720])
+@pytest.mark.parametrize("command", ["boundary", "locus"])
+def test_curve_csv_is_one_formatted_line_per_sample(tmp_path, capsys, command, n):
+    # the exact bytes: the header, then "theta_deg,x,y" in Python's float
+    # repr for each sample, to --output and to stdout alike
+    cfg = cli._configuration(7.25, 1.1, 2.0, 1.0, 33.5, 171.25, 80.5)
+    if command == "boundary":
+        header, curve = "theta_d_deg", analysis.excluded_boundary(
+            cfg.shape1, cfg.shape2, cfg.k1, cfg.k2, n)
+        argv = (command, *CURVE_PAIR, "--n", str(n))
+    else:
+        header, curve = "theta1_deg", analysis.contact_locus(
+            cfg.shape1, cfg.shape2, cfg.k2, cfg.dhat, n)
+        argv = (command, *CURVE_PAIR, "--theta-d", "80.5", "--n", str(n))
+    expect = f"{header},x,y\n" + "".join(
+        f"{math.degrees(t)},{p.x},{p.y}\n" for t, p in curve
+    )
+    out_file = tmp_path / "curve.csv"
+    assert run_cli(capsys, *argv, "--output", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == expect.encode()
+    assert run_cli(capsys, *argv) == (0, expect, "")
 
 
 def test_boundary_json_payload(capsys):

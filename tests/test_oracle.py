@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -162,6 +164,55 @@ def test_stratified_configurations_take_any_entropy(seed):
     # numpy takes a sequence of ints as a seed; the blocks take it too
     got = list(stratified_configurations(7, seed))
     assert got == [stratified_configuration(seed, i) for i in range(7)]
+
+
+def fresh_draws(seed, start, stop):
+    """oracle._draws as a PCG64 seeded for the call gives them."""
+    bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(oracle._DRAWS * start)
+    return np.random.Generator(bits).random((stop - start, oracle._DRAWS))
+
+
+def test_draws_equal_a_freshly_seeded_generator():
+    # an int seed's seeded state is cached and loaded into one PCG64 per
+    # thread: interleaved int, bool and sequence seeds, scalar calls and
+    # blocks must still draw what a PCG64 seeded for the call draws
+    calls = [(3, 0, 5), (7, 2, 3), (3, 1, 2), ([3, 7], 0, 4), (3, 4, 5), (True, 0, 3),
+             ((1 << 70) + 1, 10, 12), (7, 0, 1), (3, 0, 2000), (7, 1 << 40, (1 << 40) + 3)]
+    for seed, start, stop in calls:
+        assert oracle._draws(seed, start, stop, 20.0).tobytes() == fresh_draws(seed, start, stop).tobytes()
+        stratified_configuration(seed, stop + 3)
+    # a block right after a scalar call of the same seed, against the
+    # uncached chain of the sequence seed [3] (the same entropy as 3)
+    stratified_configuration(3, 17)
+    got = oracle._stratified_columns(3, 0, 30)
+    expect = columns(stratified_configuration([3], i) for i in range(30))
+    for g, e in zip(bits(got), bits(expect)):
+        assert np.array_equal(g, e)
+
+
+def test_draws_in_two_threads_at_once():
+    seeds = (3, 7)
+    expect = {(s, i): fresh_draws(s, i, i + 2).tobytes() for s in seeds for i in range(150)}
+    start, wrong = threading.Barrier(2), []
+
+    def work(seed):
+        start.wait()
+        for i in range(150):
+            wrong.extend([(seed, i)] * (oracle._draws(seed, i, i + 2, 20.0).tobytes() != expect[seed, i]))
+
+    # switch threads as often as the interpreter allows, so that the two
+    # interleave inside _draws
+    threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_verify_random_report():
