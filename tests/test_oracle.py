@@ -190,18 +190,18 @@ def test_draws_equal_a_freshly_seeded_generator():
         assert np.array_equal(g, e)
 
 
-def test_draws_in_two_threads_at_once():
-    seeds = (3, 7)
+def test_draws_in_threads_at_once():
+    # more threads than cores, each drawing its own seed's blocks, switched
+    # as often as the interpreter allows so that they interleave in _draws
+    seeds = (3, 7, 11, 13)
     expect = {(s, i): fresh_draws(s, i, i + 2).tobytes() for s in seeds for i in range(150)}
-    start, wrong = threading.Barrier(2), []
+    start, wrong = threading.Barrier(len(seeds)), []
 
     def work(seed):
         start.wait()
         for i in range(150):
             wrong.extend([(seed, i)] * (oracle._draws(seed, i, i + 2, 20.0).tobytes() != expect[seed, i]))
 
-    # switch threads as often as the interpreter allows, so that the two
-    # interleave inside _draws
     threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -209,9 +209,10 @@ def test_draws_in_two_threads_at_once():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60.0)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert wrong == []
 
 
