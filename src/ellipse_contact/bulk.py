@@ -10,20 +10,20 @@ verify and the curves of analysis.py call it.
 
 The formulas are the scalar kernel's own, written once for floats and
 arrays (transform._transform; quartic's coefficients, depressed form,
-Cardano's resolvent root, Ferrari root with W > 0 and root acceptance;
+Cardano's resolvent root, Ferrari root and root acceptance;
 contact's psi, d', contact point and tangency check), here with numpy's
 sqrt, where and copysign.  What is this module's own:
 
-* math.hypot, cos/sin, pow and the resolvent's complex branch (disc < 0)
+* math.hypot, cos/sin, exp, pow and the resolvent's complex branch (disc < 0)
   run per element on Python floats: numpy's versions round differently;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
 * the five branches of contact.py become masks.
 
 A row goes to the scalar path when its input fails validation, when any
 intermediate it uses is non-finite or a per-element call raises (where
-the scalar code may raise), when its quartic is one of the rare cases
-only the scalar solver handles (near-biquadratic, or s1 <= 0), or when
-the Ferrari root is not real or not accepted (the fallback).
+the scalar code may raise), or when its quartic has no accepted
+closed-form root, so that the scalar solver takes the companion-matrix
+fallback.
 """
 
 from __future__ import annotations
@@ -113,11 +113,11 @@ def _unit(x: np.ndarray, y: np.ndarray, bad: np.ndarray):
 
 
 def _arrays(bad: np.ndarray) -> SimpleNamespace:
-    """The array namespace of the shared formulas; rows where a hypot or a
-    pow raises are flagged in bad."""
+    """The array namespace of the shared formulas; rows where a hypot, a
+    pow or an exp raises are flagged in bad."""
     return SimpleNamespace(
         sqrt=np.sqrt, where=np.where, copysign=np.copysign, hypot=partial(_each, math.hypot, bad),
-        pow=partial(_each, pow, bad), same=_same_rows,
+        pow=partial(_each, pow, bad), exp=partial(_each, math.exp, bad), same=_same_rows,
     )
 
 
@@ -138,7 +138,7 @@ def _resolvent_roots(alpha, beta, gamma, bad):
 
 def _quartic_roots(b2p, delta, tan2phi, bad):
     """quartic_coefficients + solve_contact_quartic over arrays, for rows
-    that a Ferrari root with W > 0 answers; the others are flagged."""
+    that the closed form answers; the fallback's rows are flagged."""
     m = _arrays(bad)
     c = quartic_coefficients(b2p, delta, tan2phi)
     hi = np.sqrt(1.0 + delta)
@@ -147,12 +147,10 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
 
     y = _resolvent_roots(alpha, beta, gamma, bad)
     s1 = alpha + 2.0 * y
-    s1 = np.where((-1e-12 < s1) & (s1 < 0.0), 0.0, s1)
-    # biquadratic, W = 0, s1 < 0 and nan s1 rows: the scalar solver's
+    # near-biquadratic, s1 <= 0, no real assembly (nan), out of the bracket
+    # or not accepted: the rows where solve_contact_quartic falls back
     bad |= _near_biquadratic(c, beta) | ~(s1 > 0.0)
     root = _larger_real_root(alpha, beta, y, shift, np.sqrt(s1), m)
-
-    # no real root (nan), out of the bracket or not accepted: the fallback's
     q, ok = _polish_and_test(c, root, hi, m)
     bad |= ~ok
     return q

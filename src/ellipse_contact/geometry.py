@@ -183,10 +183,10 @@ def _ellipse_form(a, b, kx, ky):
 # for bit and the float path free of exceptions: m.where(c, x, y) gets both
 # x and y evaluated, so select an operand before it can raise, as in
 # m.sqrt(m.where(ok, arg, 0.0)); c may be a Python bool, so combine with &
-# and |, never ~ (~True == -2); powers only through m.pow, Python's pow on
-# both paths (numpy's power rounds differently); a max(x, y) keeps
-# Python's order, x unless y > x.  m.same(x, y) is one bool: x == y on
-# every row, a nan row counting only where both are nan.
+# and |, never ~ (~True == -2); powers and exponentials only through m.pow
+# and m.exp, Python's on both paths (numpy's round differently); a
+# max(x, y) keeps Python's order, x unless y > x.  m.same(x, y) is one
+# bool: x == y on every row, a nan row counting only where both are nan.
 _FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y,
                           same=lambda x, y: x == y or (x != x and y != y),
-                          pow=pow, copysign=math.copysign)
+                          pow=pow, exp=math.exp, copysign=math.copysign)

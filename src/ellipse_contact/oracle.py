@@ -29,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
-from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -338,17 +337,6 @@ def _seeded_state(seed: int) -> dict:
 _SCRATCH = threading.local()
 
 
-def _map(fn, x: np.ndarray) -> np.ndarray:
-    """fn on Python floats, element by element: numpy's exp and power round
-    differently on some inputs."""
-    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
-
-
-# The namespace m of _strata for one row's Python floats and for a block's
-# columns.  exp and 10^x run on Python floats either way.
-_POW10 = partial(pow, 10.0)
-_ROW = SimpleNamespace(where=_FLOATS.where, exp=math.exp, pow10=_POW10)
-_BLOCK = SimpleNamespace(where=np.where, exp=partial(_map, math.exp), pow10=partial(_map, _POW10))
 # Generator.uniform(lo, hi) is exactly lo + (hi - lo) * random(), and a
 # draw from U(0, hi) is exactly hi * random()
 _LOG_SCALE, _LOG_SCALE_SPAN = math.log(0.3), math.log(3.0) - math.log(0.3)
@@ -357,8 +345,10 @@ _LOG_SCALE, _LOG_SCALE_SPAN = math.log(0.3), math.log(3.0) - math.log(0.3)
 def _strata(u, stratum, max_aspect: float, m) -> tuple:
     """(a1, b1, a2, b2, theta1, theta2, theta_d) of a configuration of the
     stratified stream, from its draws u(j) and its stratum (index mod 5):
-    Python floats, or a block's columns.  The rules at geometry._FLOATS
-    hold; both arms of every m.where are finite (10^U(-18, -4) included).
+    Python floats with m = geometry._FLOATS, or a block's columns with
+    bulk._arrays (exp and 10^x on Python floats either way).  The rules at
+    geometry._FLOATS hold; both arms of every m.where are finite
+    (10^U(-18, -4) included).
 
     Each shape has minor semi-axis e^U(log 0.3, log 3) and aspect
     e^U(0, log max_aspect).
@@ -368,7 +358,7 @@ def _strata(u, stratum, max_aspect: float, m) -> tuple:
     drives phi toward pi/2; stratum 2 eccentricity below 1e-4 for one or
     both shapes; strata 3 and 4 are uniform.
     """
-    where, exp, pow10, log_aspect = m.where, m.exp, m.pow10, math.log(max_aspect)
+    where, exp, log_aspect = m.where, m.exp, math.log(max_aspect)
     u7, u8, u9 = u(7), u(8), u(9)
     scale1 = exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(0))
     scale2 = exp(_LOG_SCALE + _LOG_SCALE_SPAN * u(2))
@@ -377,7 +367,7 @@ def _strata(u, stratum, max_aspect: float, m) -> tuple:
     s1, s2 = stratum == 1, stratum == 2
     # the axis offset of stratum 0 (from draw 7) and the center-line tilt of
     # stratum 1 (from draw 8): one 10^x, as a row uses at most one of them
-    tiny = pow10(-18.0 + 14.0 * where(s1, u8, u7))
+    tiny = m.pow(10.0, -18.0 + 14.0 * where(s1, u8, u7))
     # stratum 0
     parallel = th1 + where(u8 < 0.25, 0.0, tiny) + where(u9 < 0.5, math.pi, 0.0)
     # stratum 1
@@ -385,7 +375,7 @@ def _strata(u, stratum, max_aspect: float, m) -> tuple:
     thd = where(s1, th1 + 0.5 * math.pi + where(near, tiny, 0.0), thd)
     # the next draw is the 8th or, after a tilt, the 9th
     at = 8 + near
-    tilted = th1 + pow10(-18.0 + 14.0 * u(at + 1))
+    tilted = th1 + m.pow(10.0, -18.0 + 14.0 * u(at + 1))
     th2 = where(stratum == 0, parallel, where(s1 & (u(at) < 0.5), tilted, th2))
     # stratum 2
     b1 = where(s2, a1 * (1.0 - 5e-9 * u7), scale1)
@@ -400,7 +390,7 @@ def stratified_configuration(
     over-samples the degenerate regimes (_strata) so every branch of the
     kernel sees real coverage."""
     draw = _draws(seed, index, index + 1, max_aspect)[0].tolist().__getitem__
-    a1, b1, a2, b2, th1, th2, thd = _strata(draw, index % 5, max_aspect, _ROW)
+    a1, b1, a2, b2, th1, th2, thd = _strata(draw, index % 5, max_aspect, _FLOATS)
     return PairConfiguration(
         EllipseShape(a1, b1), EllipseShape(a2, b2),
         UnitVec2.from_angle(th1), UnitVec2.from_angle(th2), UnitVec2.from_angle(thd),
@@ -416,7 +406,8 @@ def _stratified_columns(
     u = _draws(seed, start, stop, max_aspect)
     rows = np.arange(len(u))
     a1, b1, a2, b2, *angles = _strata(
-        lambda j: u[rows, j], np.arange(start, stop) % 5, max_aspect, _BLOCK
+        lambda j: u[rows, j], np.arange(start, stop) % 5, max_aspect,
+        bulk._arrays(np.zeros(len(u), dtype=bool)),
     )
     x, y = bulk.from_angles(np.concatenate(angles))
     (k1x, k2x, dx), (k1y, k2y, dy) = np.split(x, 3), np.split(y, 3)

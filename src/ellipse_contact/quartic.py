@@ -13,23 +13,24 @@ The solver is defensive in layers:
    when the radicand is real (the principal complex branch would select a
    complex resolvent root there), the complex one when it is negative;
 2. the largest real Ferrari root, which is the physical one: of the
-   four sign assemblies shift + (+-W +- sqrt(arg))/2 it is the larger of
-   the two +sqrt(arg) ones whose arg is non-negative (the biquadratic and
-   W = 0 cases take their larger root), since every other root is
-   negative or complex;
+   four sign assemblies shift + (+-W +- sqrt(arg))/2, W = sqrt(s1) > 0,
+   it is the larger of the two +sqrt(arg) ones whose arg is non-negative,
+   since every other root is negative or complex; a near-biquadratic
+   quartic, s1 <= 0 or no real assembly gives no closed-form root;
 3. that root is polished by Newton steps with a compensated Horner
    evaluation (they stop at a fixed point, which the first step typically
    reaches), clamped to the bracket, and accepted only if the stated
    residual test passes;
-4. if the closed-form root fails, all four roots are computed by a
-   companion-matrix method and the unique in-bracket real root is taken;
-   zero or several such roots raise NoPhysicalRoot instead of guessing;
-   that root must pass the same polish, clamp and residual test.
+4. if there is no closed-form root or it fails, all four roots are
+   computed by a companion-matrix method and the unique in-bracket real
+   root is taken; zero or several such roots raise NoPhysicalRoot instead
+   of guessing; that root must pass the same polish, clamp and residual
+   test.
 
-The formulas of steps 1 (real radicand) and 3 and of a Ferrari root with
-W > 0 take floats or arrays and a namespace m (geometry._FLOATS), so
-bulk.contact_arrays runs them too; the array kernel leaves the rare
-cases (near-biquadratic, W = 0, s1 < 0) to the scalar solver.
+The formulas of steps 1 (real radicand), 2 and 3 take floats or arrays
+and a namespace m (geometry._FLOATS), so bulk.contact_arrays runs them
+too.  It leaves to the scalar solver the quartics that reach step 4 (or
+raise) there, and no others.
 """
 
 from __future__ import annotations
@@ -178,15 +179,6 @@ def _near_biquadratic(c: QuarticCoeffs, beta):
     return (small < 1e-11) | (small < 1e-11 * (ratio * ratio * ratio))
 
 
-def _biquadratic_root(alpha: float, gamma: float, shift: float) -> float:
-    """The larger root of u^4 + alpha u^2 + gamma, shifted back.  At W = 0 it
-    is only a candidate, which the polish and the residual test must accept:
-    s1 = 0 need not mean beta = 0 (beta = -1.08 on one stratified row)."""
-    disc = alpha * alpha - 4.0 * gamma
-    half = (-alpha + math.sqrt(0.0 if 0.0 > disc else disc)) / 2.0
-    return shift + math.sqrt(0.0 if 0.0 > half else half)
-
-
 def _larger_real_root(alpha, beta, y, shift, big_w, m):
     """Of the Ferrari roots shift + (+-W + sqrt(arg))/2, W = sqrt(alpha + 2y)
     != 0, the larger real (arg >= 0) one, +W on a tie; nan if neither is."""
@@ -200,20 +192,18 @@ def _larger_real_root(alpha, beta, y, shift, big_w, m):
 
 
 def _ferrari_root(c: QuarticCoeffs) -> float:
-    """The largest real root by Ferrari's method; nan when the resolvent
-    gives s1 = alpha + 2y < 0 or no assembly is real."""
+    """The largest real root by Ferrari's method with W = sqrt(s1) > 0,
+    s1 = alpha + 2y; nan, for the fallback, when s1 <= 0, no assembly is
+    real or the quartic is near biquadratic.  The resolvent of a near-
+    biquadratic quartic is not evaluated: its pow can overflow there."""
     alpha, beta, gamma, shift = _depressed(c)
-    if not _near_biquadratic(c, beta):
-        y = _resolvent_root(alpha, beta, gamma)
-        s1 = alpha + 2.0 * y
-        if -1e-12 < s1 < 0.0:
-            s1 = 0.0
-        if s1 < 0.0:
-            return math.nan
-        big_w = math.sqrt(s1)
-        if big_w != 0.0:
-            return _larger_real_root(alpha, beta, y, shift, big_w, _FLOATS)
-    return _biquadratic_root(alpha, gamma, shift)
+    if _near_biquadratic(c, beta):
+        return math.nan
+    y = _resolvent_root(alpha, beta, gamma)
+    s1 = alpha + 2.0 * y
+    if not s1 > 0.0:
+        return math.nan
+    return _larger_real_root(alpha, beta, y, shift, math.sqrt(s1), _FLOATS)
 
 
 def _polish_and_test(c: QuarticCoeffs, q, hi, m):

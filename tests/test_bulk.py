@@ -106,14 +106,25 @@ def test_contact_arrays_match_scalar_on_streams(seed, n, max_aspect, deferred):
 
 
 @pytest.mark.parametrize("max_aspect, rtol", [(20.0, 1e-13), (1e3, 1e-9), (1e4, 1e-7)])
-def test_contact_arrays_against_support_oracle(max_aspect, rtol):
+def test_contact_arrays_against_support_oracle(monkeypatch, max_aspect, rtol):
     # the array kernel, with the rows it defers answered by the scalar
-    # one, against the support-function oracle on 20,000 configurations
+    # one, against the support-function oracle on 20,000 configurations;
+    # the deferred rows are exactly those whose scalar solve needs np.roots
     cfgs = list(oracle.stratified_configurations(20_000, 11, max_aspect))
     cols = columns(cfgs)
     res = contact_arrays(*cols)
-    d, deferred = res.d, np.flatnonzero(res.scalar)
-    d[deferred] = [closest_approach(cfgs[i]).d for i in deferred.tolist()]
+    counter = CountingRoots(allow=True)
+    monkeypatch.setattr(quartic, "np", counter)
+    d, reach = res.d, []
+    for i, cfg in enumerate(cfgs):
+        calls = counter.calls
+        scalar_d = closest_approach(cfg).d
+        if counter.calls > calls:
+            reach.append(i)
+        if res.scalar[i]:
+            d[i] = scalar_d
+    assert np.flatnonzero(res.scalar).tolist() == reach
+    assert len(reach) == {20.0: 0, 1e3: 377, 1e4: 1973}[max_aspect]
     ref = oracle.support_distances(*cols)
     assert np.max(abs(d - ref) / ref) <= rtol
 
@@ -126,24 +137,23 @@ def test_contact_arrays_defer_the_fallback_row():
 
 
 @pytest.mark.parametrize("index, expect", [
-    # the first near-biquadratic quartic; its biquadratic root is then
-    # rejected and np.roots answers
+    # the first near-biquadratic quartic: no closed-form root
     (126, ("0x1.70b4b0fb4f9f8p+1", "0x1.edde8a0c178dfp+1", "0x1.0000000000000p+0",
            "-0x1.7286189315cf3p-1", "-0x1.77acd1d14f0a8p-3", "0x0.0p+0", "0x0.0p+0")),
-    # s1 = 0 (W = 0): the biquadratic root answers
+    # s1 = 0 (W = 0): no closed-form root either
     (5680, ("0x1.f516aa02452d7p+1", "0x1.2d5309297586ep+0", "0x1.16da2c0a8096cp+9",
             "0x1.521a3af195486p-1", "0x1.c990a75228a39p+1", "0x1.0000000000000p-52",
             "0x1.0000000000000p-51")),
 ])
 def test_contact_arrays_defer_the_biquadratic_rows(monkeypatch, index, expect):
-    # seed 11, aspect up to 1000: rows whose scalar solve reaches
-    # _biquadratic_root go to the scalar path, which gives these floats
+    # seed 11, aspect up to 1000: rows whose quartic is (near-)biquadratic
+    # go to the scalar path, whose np.roots fallback gives these floats
     rows = stream_rows([oracle.stratified_configuration(11, index, 1000.0)])
     assert array_rows(rows) == [None]
-    calls, real = [], quartic._biquadratic_root
-    monkeypatch.setattr(quartic, "_biquadratic_root", lambda *args: calls.append(args) or real(*args))
+    counter = CountingRoots(allow=True)
+    monkeypatch.setattr(quartic, "np", counter)
     assert scalar_row(*rows[0]) == expect + (BRANCHES[0],)
-    assert len(calls) == 1
+    assert counter.calls == 1
 
 
 def test_larger_real_ferrari_root_in_both_kernels():
@@ -179,7 +189,7 @@ def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
     # raw quartics over a wider range than any stream reaches: the array
     # stage gives solve_contact_quartic's root bit for bit, and leaves to
     # the scalar path exactly the rows on which that solver needs np.roots
-    # or the biquadratic root (the rare cases only it handles)
+    # (or raises)
     rng = np.random.default_rng(2)
     n = 20_000
     b2p = 10.0 ** rng.uniform(-6.0, 6.0, n)
@@ -191,21 +201,18 @@ def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
 
     counter = CountingRoots(allow=True)
     monkeypatch.setattr(quartic, "np", counter)
-    biquadratic, real_biquadratic = [], quartic._biquadratic_root
-    monkeypatch.setattr(quartic, "_biquadratic_root",
-                        lambda *args: biquadratic.append(args) or real_biquadratic(*args))
     fell_back = []
     for i, (bp, dl, t2) in enumerate(zip(b2p.tolist(), delta.tolist(), tan2phi.tolist())):
-        calls = counter.calls + len(biquadratic)
+        calls = counter.calls
         try:
             q = quartic.solve_contact_quartic(quartic.quartic_coefficients(bp, dl, t2), dl)
         except (ArithmeticError, ValueError):
             q = None
-        if counter.calls + len(biquadratic) > calls or q is None:
+        if counter.calls > calls or q is None:
             fell_back.append(i)
         elif not bad[i]:
             assert got[i].hex() == q.hex(), i
-    assert len(fell_back) > 1000 and biquadratic
+    assert len(fell_back) > 1000
     assert np.flatnonzero(bad).tolist() == fell_back
 
 

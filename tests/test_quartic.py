@@ -19,7 +19,7 @@ from ellipse_contact import (
 from ellipse_contact import bulk, oracle, quartic, transformed_pair
 from ellipse_contact.contact import COS_PHI_TOL, DELTA_CIRCLE_TOL
 from ellipse_contact.geometry import _FLOATS
-from conftest import CountingRoots, oracle_quartic_roots
+from conftest import CountingRoots, columns, oracle_quartic_roots
 
 
 def evaluate(c, q):
@@ -151,11 +151,29 @@ def test_fallback_success_path(monkeypatch):
 def test_beta_zero_branch(monkeypatch):
     # beta = 0 never arises from valid contact geometry; exercise the
     # branch with a synthetic biquadratic -(q^2-4)(q^2+1), whose largest
-    # real root 2 lies in the bracket [1, 2.1]: the closed form answers
-    monkeypatch.setattr(quartic, "np", CountingRoots(allow=False))
+    # real root 2 lies in the bracket [1, 2.1]: the closed form gives no
+    # root for a biquadratic, and the fallback answers
+    counter = CountingRoots(allow=True)
+    monkeypatch.setattr(quartic, "np", counter)
     c = QuarticCoeffs(-1.0, 0.0, 3.0, 0.0, 4.0)
     q = solve_contact_quartic(c, 3.41)
     assert math.isclose(q, 2.0, rel_tol=1e-12)
+    assert counter.calls == 1
+
+
+@pytest.mark.parametrize("seed, index, max_aspect", [
+    (11, 2026, 1e6), (5, 5781, 1e6), (3, 17556, 1e5),
+])
+def test_fallback_answers_near_biquadratic_rows_accurately(seed, index, max_aspect):
+    # stream rows whose depressed quartic is near biquadratic: the larger
+    # root of u^4 + alpha u^2 + gamma, which drops the small beta u term,
+    # is 3e-12 to 2e-10 off on them (with a residual of 3.5e-9 on row
+    # 5781), while the companion-matrix fallback answers them to rounding
+    cfg = stratified_configuration(seed, index, max_aspect)
+    sol = closest_approach(cfg)
+    ref = oracle.support_distances(*columns([cfg]))[0]
+    assert abs(sol.d - ref) <= 1e-15 * ref
+    assert max(tangency_residuals(cfg, sol)[:2]) <= 1e-14
 
 
 def test_polish_stops_at_zero_derivative():
