@@ -146,8 +146,8 @@ def test_contact_arrays_defer_the_fallback_row():
             "0x1.0000000000000p-51")),
 ])
 def test_contact_arrays_defer_the_biquadratic_rows(monkeypatch, index, expect):
-    # seed 11, aspect up to 1000: rows whose quartic is (near-)biquadratic
-    # go to the scalar path, whose np.roots fallback gives these floats
+    # seed 11, aspect up to 1000: rows with no closed-form root go to the
+    # scalar path, whose np.roots fallback gives these floats
     rows = stream_rows([oracle.stratified_configuration(11, index, 1000.0)])
     assert array_rows(rows) == [None]
     counter = CountingRoots(allow=True)
