@@ -5,9 +5,10 @@ quartic, contact, bulk):
 
 * support_distances() works on arrays of configurations.  The excluded
   region of a pair is K1 + K2 (a Minkowski sum), whose support function
-  is h1 + h2, so the contact distance is a one-dimensional bisection over
-  the normal angle, run for every row at once.  ``verify`` compares the
-  array kernel against it on the stratified stream.
+  is h1 + h2, so the contact distance is a one-dimensional root in the
+  normal angle, found by safeguarded Newton for every row at once (9-13
+  steps per 100-row block at aspect 20, 22-27 at 10^6).  ``verify``
+  compares the array kernel against it on the stratified stream.
 * oracle_distance() bisects an overlap predicate built on dense boundary
   sampling (with local refinement of the sampled minimum, so grazing
   contact is not missed).  It costs about half a millisecond per
@@ -53,9 +54,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # support-function oracle
 
-# signed half-steps of the normal angle: 44 leave it the midpoint of a
-# bracket of width pi/2^44 (1.8e-13 rad), whose error enters d squared
-_HALVINGS = 44
+# support_distances stops once no row's step of the normal angle exceeds
+# this (rad), and after _MAX_STEPS steps whatever the steps are: no block
+# of the stratified stream took more than 27, at aspect 10^6
+_ANGLE_TOL = 2.0 ** -36
+_MAX_STEPS = 100
 # Dekker's splitter for doubles, 2^27 + 1
 _SPLIT = 134217729.0
 
@@ -90,35 +93,59 @@ def support_distances(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> np.ndarray:
     h = sqrt(a^2 (k.n)^2 + b^2 (k x n)^2) (Santalo 1976; Vieillard-Baron
     1972).  So d = (h1 + h2) / (n.dhat) at the normal n whose support point
     s1 + s2, s = (a^2 (k.n) k + b^2 (k x n) kperp) / h, lies along dhat.
-    The sign of dhat x (s1 + s2) is monotone in the angle t of n on
-    (theta - pi/2, theta + pi/2), theta the angle of dhat, so t is bisected
-    there for every row at once: from t = theta, t -= copysign(step, sign)
-    with step = pi/4, pi/8, ... leaves t the midpoint of a bracket of width
-    pi/2^k after k steps (a sign of exactly +-0 may step either way).  The
-    quotient is stationary in n, so the angle's error enters only squared.
-    Its dot products are compensated, so projections of the axes on n that
-    nearly cancel keep their digits: on 200 stratified configurations each
-    at aspect 20, 10^3 and 10^4 it is within 3.2e-16 of 60-digit arithmetic.
+    f(t) = dhat x (s1 + s2) is increasing in the angle t of n on
+    (theta - pi/2, theta + pi/2), theta the angle of dhat, with slope
+    f' = (n.dhat) (rho1 + rho2), rho = a^2 b^2 / h^3 the radius of
+    curvature at the support point.  All rows run the safeguarded Newton
+    of Numerical Recipes' rtsafe at once, from t = theta: the sign of f
+    narrows the bracket, and a row takes the bracket's midpoint where the
+    Newton point falls outside it (ends included) or the Newton step is
+    more than half the step before last, unless that step is already
+    below _ANGLE_TOL (2^-36 rad).  The block stops when no row stepped by more than that,
+    which a nan row never does.  It measured 9-13 steps per 100-row block at
+    aspect 20, 13-17 at 10^3, 16-21 at 10^4 and 22-27 at 10^6.  The loop
+    ends: t is at an end of the bracket, so no step exceeds the bracket's
+    width, a bisection halves that width, and a run of Newton steps halves
+    the step at least every second step.  _MAX_STEPS caps it all the same,
+    and any t left in the bracket gives an upper bound on d.  The quotient
+    is stationary in n, so the angle's error enters only squared.  Its dot
+    products are compensated, so projections of the axes on n that nearly
+    cancel keep their digits: on 200 stratified configurations each at
+    aspect 20, 10^3, 10^4 and 10^6 it is within 4.4e-16 of 60-digit
+    arithmetic.
     """
     a, b, kx, ky = (
         np.array(pair, dtype=np.float64) for pair in ((a1, a2), (b1, b2), (k1x, k2x), (k1y, k2y))
     )
     dx, dy = np.asarray(dx, dtype=np.float64), np.asarray(dy, dtype=np.float64)
-    aa, bb, knorm = a * a, b * b, np.hypot(kx, ky)
-    # dhat x s = (a^2 (k.n) (dhat x k) + b^2 (k x n) (dhat.k)) / h for unit
-    # k; one 1/|k| in the constants makes it so for any length, since k.n,
-    # k x n and h below all carry a factor |k|
-    across = aa * (dx * ky - dy * kx) / knorm
-    bdot = bb * (dx * kx + dy * ky) / knorm
-    t, step = np.arctan2(dy, dx), 0.25 * math.pi
-    for _ in range(_HALVINGS):
+    aa, bb, ab, knorm = a * a, b * b, a * b, np.hypot(kx, ky)
+    # the iteration takes unit axes, the final quotient the given ones;
+    # dhat x s = (a^2 (k.n) (dhat x k) + b^2 (k x n) (dhat.k)) / h
+    ux, uy = kx / knorm, ky / knorm
+    across, bdot = aa * (dx * uy - dy * ux), bb * (dx * ux + dy * uy)
+    t = np.arctan2(dy, dx)
+    lo, hi = t - 0.5 * math.pi, t + 0.5 * math.pi
+    # sizes of the last step and of the one before it
+    last = before = np.full_like(t, math.pi)
+    for _ in range(_MAX_STEPS):
         nx, ny = np.cos(t), np.sin(t)
-        c, s = kx * nx + ky * ny, kx * ny - ky * nx
+        c, s = ux * nx + uy * ny, ux * ny - uy * nx
         h = np.sqrt(aa * c * c + bb * s * s)
-        num = across * c + bdot * s
-        # dhat x (s1 + s2) = num1 / h1 + num2 / h2 has the sign of num1 h2 + num2 h1
-        t -= np.copysign(step, num[0] * h[1] + num[1] * h[0])
-        step *= 0.5
+        # f = dhat x (s1 + s2) and f' = (n.dhat) (rho1 + rho2), with the
+        # radius of curvature rho = a^2 b^2 / h^3 written so that it
+        # overflows only where a^2 does
+        q, r = (across * c + bdot * s) / h, ab / h
+        rho = r * r / h
+        f = q[0] + q[1]
+        newton = f / ((nx * dx + ny * dy) * (rho[0] + rho[1]))
+        lo, hi = np.where(f < 0.0, t, lo), np.where(f > 0.0, t, hi)
+        to, size = t - newton, abs(newton)
+        take = ((lo <= to) & (to <= hi) & (size + size <= before)) | (size <= _ANGLE_TOL)
+        t_next = np.where(take, to, 0.5 * (lo + hi))
+        before, last = last, abs(t_next - t)
+        t = t_next
+        if not (last > _ANGLE_TOL).any():
+            break
     nx, ny = np.cos(t), np.sin(t)
     c, s = _dot2(kx, nx, ky, ny), _dot2(kx, ny, -ky, nx)
     h = np.sqrt(aa * c * c + bb * s * s) / knorm

@@ -62,7 +62,9 @@ class NoPhysicalRoot(ArithmeticError):
 
     Valid input can reach it at extreme aspect: the strict xfail in
     tests/test_contact.py (aspects 1,183 and 8,756) raises it, its root
-    lost to rounding before the bracket test.  See ROADMAP items 1-2.
+    lost to rounding before the bracket test.  ROADMAP.md's open item on
+    solving the rows the closed form rejects on the support function
+    covers it.
     """
 
 

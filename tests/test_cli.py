@@ -671,8 +671,8 @@ def test_verify_command(capsys):
 
 # three blocks of trials, the last one short
 VERIFY_GOLDEN = {
-    3: ("9.564076777226241e-15", "2.896915400342568e-16"),
-    11: ("2.0639417978937087e-14", "2.9998144162907363e-16"),
+    3: ("9.413540131516687e-15", "2.8924146665600854e-16"),
+    11: ("2.047024242173268e-14", "3.0156350664889735e-16"),
 }
 
 

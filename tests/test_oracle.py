@@ -313,9 +313,11 @@ def test_support_distances_against_mpmath(max_aspect, seed):
 
 @pytest.mark.parametrize("max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5)])
 def test_support_distances_within_4e16_of_mpmath(max_aspect, seed):
-    # a tighter gate beside the one above: after 44 signed half-steps the
-    # normal's angle is off by at most pi/2^45, which enters the stationary
-    # quotient only squared; measured 2.6-3.2e-16
+    # a tighter gate beside the one above: the Newton iteration stops with
+    # the normal's angle off by far less than its last step of at most
+    # 2^-36 rad, and that error enters the stationary quotient only
+    # squared, so what is left is the quotient's own rounding; measured
+    # 3.7e-16, 4.0e-16 and 3.8e-16
     mp = pytest.importorskip("mpmath")
     cfgs = list(stratified_configurations(200, seed, max_aspect))
     got = support_distances(*columns(cfgs))
@@ -327,7 +329,7 @@ def test_support_distances_within_4e16_of_mpmath(max_aspect, seed):
 @pytest.mark.parametrize("max_aspect", [20.0, 1e3, 1e4])
 def test_support_distances_match_a_64_halving_bisection(max_aspect):
     # on 20,000 rows, the oracle against its quotient at the normal angle
-    # of 64 midpoint halvings; measured <= 6.6e-16 on seeds 11 and 5
+    # of 64 midpoint halvings; measured <= 6.3e-16 on seeds 11 and 5
     cols = columns(list(stratified_configurations(20_000, 11, max_aspect)))
     a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = cols
     t = bisected_normal_angles(cols)
@@ -360,11 +362,78 @@ def test_support_distances_scale_free_in_directions():
 
 
 def test_support_distances_closed_forms():
-    # circles: r1 + r2; identical parallel ellipses: 2a along the axis,
-    # 2b across it
-    x, y = np.array([1.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])
+    # circles: r1 + r2; parallel ellipses: a1 + a2 along the axis, b1 + b2
+    # across it; at the scales of the aspect-10^6 stream too, and with dhat
+    # exactly perpendicular to k
+    x = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    y = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     got = support_distances(
-        [1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 1.0, 1.0], [2.0, 0.5, 2.0, 2.0], [2.0, 0.5, 1.0, 1.0],
-        x, y, x, y, np.array([0.6, -0.8, 1.0, 1.0]), np.array([0.8, 0.6, 0.0, 0.0]),
+        [1.0, 2.0, 2.0, 2.0, 1e6, 3e5, 1e-6],
+        [1.0, 2.0, 1.0, 1.0, 1.0, 0.3, 1e-6],
+        [2.0, 0.5, 2.0, 2.0, 2e6, 2.7e6, 1e6],
+        [2.0, 0.5, 1.0, 1.0, 2.0, 2.7, 1e6],
+        x, y, x, y,
+        np.array([0.6, -0.8, 1.0, 1.0, 1.0, 0.0, 0.0]),
+        np.array([0.8, 0.6, 0.0, 0.0, 0.0, 1.0, 1.0]),
     )
-    assert np.allclose(got, [3.0, 2.5, 4.0, 2.0], rtol=1e-15, atol=0.0)
+    want = [3.0, 2.5, 4.0, 2.0, 3e6, 0.3 + 2.7, 1e-6 + 1e6]
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [11, 5])
+def test_support_distances_within_1e15_of_mpmath_at_aspect_1e6(seed):
+    # measured 4.3e-16 and 2.9e-16; a fixed 44 halvings of the bracket
+    # read 1.1e-15 and 1.9e-15 here, so the gate tells the two apart
+    mp = pytest.importorskip("mpmath")
+    cfgs = list(stratified_configurations(200, seed, 1e6))
+    got = support_distances(*columns(cfgs))
+    worst = max(abs(g - float(ref)) / float(ref)
+                for g, ref in zip(got.tolist(), mp_support_distance(cfgs, mp)))
+    assert worst <= 1e-15
+
+
+def test_support_distances_scale_with_the_shapes():
+    # d scales with the semi-axes, far beyond the stream's scales
+    cols = [np.array(c) for c in columns(list(stratified_configurations(200, 13, 1e3)))]
+    ref = support_distances(*cols)
+    for scale in (1e-100, 1e100):
+        got = support_distances(*(c * scale for c in cols[:4]), *cols[4:]) / scale
+        assert np.all(abs(got - ref) <= 1e-15 * ref)
+
+
+def test_support_distances_of_an_empty_block():
+    got = support_distances(*([np.array([])] * 10))
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
+def support_steps(monkeypatch, cols):
+    """support_distances of the columns, and the Newton steps it took: one
+    np.cos call per step, and one for the final quotient."""
+    cos, calls = np.cos, []
+    with monkeypatch.context() as m:
+        m.setattr(np, "cos", lambda t: calls.append(1) or cos(t))
+        got = support_distances(*cols)
+    return got, len(calls) - 1
+
+
+def test_support_distances_nan_row_holds_no_block(monkeypatch):
+    # a row with a nan input comes out nan, and the other rows take the
+    # same steps, to the same bits, as without it
+    cols = [np.array(c) for c in columns(list(stratified_configurations(100, 3)))]
+    clean, clean_steps = support_steps(monkeypatch, cols)
+    cols[0][7] = cols[9][9] = math.nan
+    got, nan_steps = support_steps(monkeypatch, cols)
+    assert np.flatnonzero(np.isnan(got)).tolist() == [7, 9]
+    keep = ~np.isnan(got)
+    assert np.array_equal(got[keep], clean[keep])
+    assert nan_steps == clean_steps < oracle._MAX_STEPS
+
+
+@pytest.mark.parametrize("max_aspect, most", [(20.0, 16), (1e6, 32)])
+def test_support_distances_steps_per_block(monkeypatch, max_aspect, most):
+    # 100-row blocks of the stream converge in a few Newton steps: measured
+    # at most 13 at aspect 20 and 27 at 10^6 on 20,000 rows each of seeds
+    # 11 and 5
+    for start in range(0, 2000, 100):
+        cols = oracle._stratified_columns(11, start, start + 100, max_aspect)
+        assert support_steps(monkeypatch, cols)[1] <= most
