@@ -300,9 +300,13 @@ def test_verify_counts_root_failures(monkeypatch):
     assert report.mean_rel_err == sum(answered) / 2
 
 
-@pytest.mark.parametrize("max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5)])
+@pytest.mark.parametrize(
+    "max_aspect, seed", [(20.0, 11), (1e3, 3), (1e4, 5), (1e6, 11), (1e6, 5)]
+)
 def test_support_distances_against_mpmath(max_aspect, seed):
-    # the oracle's own reference: 60-digit arithmetic at the bisected angle
+    # the oracle's own reference: 60-digit arithmetic at the bisected angle;
+    # at 10^6 measured 4.3e-16 and 2.9e-16, where a fixed 44 halvings of
+    # the bracket read 1.1e-15 and 1.9e-15
     mp = pytest.importorskip("mpmath")
     cfgs = list(stratified_configurations(200, seed, max_aspect))
     got = support_distances(*columns(cfgs))
@@ -378,18 +382,6 @@ def test_support_distances_closed_forms():
     )
     want = [3.0, 2.5, 4.0, 2.0, 3e6, 0.3 + 2.7, 1e-6 + 1e6]
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
-
-
-@pytest.mark.parametrize("seed", [11, 5])
-def test_support_distances_within_1e15_of_mpmath_at_aspect_1e6(seed):
-    # measured 4.3e-16 and 2.9e-16; a fixed 44 halvings of the bracket
-    # read 1.1e-15 and 1.9e-15 here, so the gate tells the two apart
-    mp = pytest.importorskip("mpmath")
-    cfgs = list(stratified_configurations(200, seed, 1e6))
-    got = support_distances(*columns(cfgs))
-    worst = max(abs(g - float(ref)) / float(ref)
-                for g, ref in zip(got.tolist(), mp_support_distance(cfgs, mp)))
-    assert worst <= 1e-15
 
 
 def test_support_distances_scale_with_the_shapes():
