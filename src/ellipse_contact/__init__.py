@@ -46,7 +46,6 @@ from .oracle import (
     verify_random,
 )
 from .quartic import (
-    NoPhysicalRoot,
     QuarticCoeffs,
     quartic_coefficients,
     solve_contact_quartic,

@@ -14,16 +14,16 @@ Cardano's resolvent root, Ferrari root and root acceptance;
 contact's psi, d', contact point and tangency check), here with numpy's
 sqrt, where and copysign.  What is this module's own:
 
-* math.hypot, cos/sin, exp, pow and the resolvent's complex branch (disc < 0)
+* math.hypot, cos/sin, exp, pow, the resolvent's complex branch (disc < 0)
+  and quartic._angle_root, for the rows whose Ferrari root is not accepted,
   run per element on Python floats: numpy's versions round differently;
 * _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is;
 * the five branches of contact.py become masks.
 
-A row goes to the scalar path when its input fails validation, when any
-intermediate it uses is non-finite or a per-element call raises (where
-the scalar code may raise), or when its quartic has no accepted
-closed-form root, so that the scalar solver takes the companion-matrix
-fallback.
+A row goes to the scalar path when its input fails validation, or when
+any intermediate it uses is non-finite or a per-element call raises
+(where the scalar code may raise).  No row of the stratified stream does,
+up to aspect 10^6.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .contact import COS_PHI_TOL, DELTA_CIRCLE_TOL, _contact_point, _on_line_pie
 from .contact import _psi_d_prime, _tangency
 from .geometry import _MIN_NORMAL, _UNIT_SLACK
 from .quartic import (
+    _angle_root,
     _cardano,
     _depressed,
     _larger_real_root,
@@ -137,8 +138,8 @@ def _resolvent_roots(alpha, beta, gamma, bad):
 
 
 def _quartic_roots(b2p, delta, tan2phi, bad):
-    """quartic_coefficients + solve_contact_quartic over arrays, for rows
-    that the closed form answers; the fallback's rows are flagged."""
+    """solve_contact_quartic over arrays: Ferrari's root where it is
+    accepted, _angle_root's, element by element, on the other rows."""
     m = _arrays(bad)
     c = quartic_coefficients(b2p, delta, tan2phi)
     hi = np.sqrt(1.0 + delta)
@@ -147,12 +148,13 @@ def _quartic_roots(b2p, delta, tan2phi, bad):
 
     y = _resolvent_roots(alpha, beta, gamma, bad)
     s1 = alpha + 2.0 * y
-    # near-biquadratic, s1 <= 0, no real assembly (nan), out of the bracket
-    # or not accepted: the rows where solve_contact_quartic falls back
-    bad |= _near_biquadratic(c, beta) | ~(s1 > 0.0)
     root = _larger_real_root(alpha, beta, y, shift, np.sqrt(s1), m)
     q, ok = _polish_and_test(c, root, hi, m)
-    bad |= ~ok
+    # near-biquadratic, s1 <= 0, no real assembly (nan), out of the bracket
+    # or not accepted: the rows where solve_contact_quartic calls _angle_root
+    rows = np.flatnonzero(~bad & ~(ok & ~_near_biquadratic(c, beta) & (s1 > 0.0)))
+    q[rows] = _each(_angle_root, row_bad := bad[rows], b2p[rows], delta[rows], tan2phi[rows])
+    bad[rows] = row_bad
     return q
 
 
@@ -181,8 +183,9 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     the components of a UnitVec2 stay as they are.  Where ``scalar`` is
     False, d, d_prime, q, rc_x, rc_y and the branch are those of
     closest_approach and residual_e1/residual_e2 the first two values of
-    tangency_residuals, bit for bit.  Rows flagged in ``scalar`` must be
-    computed with the scalar API, which may raise for them.
+    tangency_residuals, bit for bit, also on rows whose quartic root comes
+    from the contact angle.  Rows flagged in ``scalar`` must be computed
+    with the scalar API, which may raise for them.
     """
     cols = [np.asarray(v, dtype=np.float64) for v in (a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy)]
     if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):

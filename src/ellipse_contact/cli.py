@@ -400,7 +400,6 @@ def cmd_verify(args) -> int:
     print(f"trials        {report.trials}")
     print(f"max rel err   {report.max_rel_err}")
     print(f"mean rel err  {report.mean_rel_err}")
-    print(f"root failures {report.root_failures}")
     print(f"failures      {len(report.failures)}")
     for idx, err in report.failures[:20]:
         print(f"  trial {idx}: rel err {err}")
@@ -519,10 +518,10 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (ValueError, ArithmeticError, OSError, csv.Error) as exc:
-        # bad shapes, directions and counts, NoPhysicalRoot, an infeasible
-        # packing, the overflow, zero division or math domain errors of
-        # non-finite or extreme inputs, files that cannot be opened, and
-        # batch input that cannot be read or parsed or is mostly rejected
+        # bad shapes, directions and counts, an infeasible packing, the
+        # overflow, zero division or math domain errors of non-finite or
+        # extreme inputs, files that cannot be opened, and batch input
+        # that cannot be read or parsed or is mostly rejected
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .geometry import _FLOATS, EllipseShape, PairConfiguration, UnitVec2, Vec2, _ellipse_form
 from .geometry import _finite_components
-from .quartic import quartic_coefficients, solve_contact_quartic
+from .quartic import solve_contact_quartic
 from .transform import ContactBranch, transformed_pair
 
 __all__ = [
@@ -153,7 +153,7 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         branch = ContactBranch.CIRCLE_LIKE if circle else ContactBranch.PHI_RIGHT_ANGLE
     else:
         tan2phi = (sin_phi * sin_phi) / (cos_phi * cos_phi)
-        q = solve_contact_quartic(quartic_coefficients(b2p, delta, tan2phi), delta)
+        q = solve_contact_quartic(b2p, delta, tan2phi)
         sin_psi, cos_psi, d_prime = _psi_d_prime(b2p, delta, sin_phi, cos_phi, q, _FLOATS)
     d = d_prime / dhat_scale
     if not math.isfinite(d):

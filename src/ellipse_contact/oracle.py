@@ -37,7 +37,6 @@ import numpy as np
 from . import bulk
 from .contact import closest_approach
 from .geometry import _FLOATS, EllipseShape, PairConfiguration, UnitVec2, make_pair_configuration
-from .quartic import NoPhysicalRoot
 
 __all__ = [
     "NonConvergence",
@@ -112,7 +111,9 @@ def support_distances(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> np.ndarray:
     products are compensated, so projections of the axes on n that nearly
     cancel keep their digits: on 200 stratified configurations each at
     aspect 20, 10^3, 10^4 and 10^6 it is within 4.4e-16 of 60-digit
-    arithmetic.
+    arithmetic.  That is its measured range: far beyond it a float angle
+    cannot resolve the normal, and at aspect 3.8e69 it read 1.35e102 for
+    a pair whose d is 2.06e44.
     """
     a, b, kx, ky = (
         np.array(pair, dtype=np.float64) for pair in ((a1, a2), (b1, b2), (k1x, k2x), (k1y, k2y))
@@ -461,23 +462,19 @@ class VerifyReport:
     max_rel_err: float
     mean_rel_err: float
     failures: list[tuple[int, float]]
-    root_failures: int
 
 
 def _verify_block(seed: int, start: int, stop: int) -> list[tuple[float, float]]:
-    """(analytic, oracle) distance of trials start..stop-1; the analytic one
-    is nan where the kernel raises NoPhysicalRoot.  Rows the array kernel
-    leaves to the scalar path go through closest_approach."""
+    """(analytic, oracle) distance of trials start..stop-1.  Rows the array
+    kernel leaves to the scalar path, none on this stream, go through
+    closest_approach."""
     cols = _stratified_columns(seed, start, stop)
     res = bulk.contact_arrays(*cols)
     analytic = res.d.tolist()
     for j in np.flatnonzero(res.scalar).tolist():
-        try:
-            a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = (c[j] for c in cols)
-            cfg = make_pair_configuration(a1, b1, a2, b2, (k1x, k1y), (k2x, k2y), (dx, dy))
-            analytic[j] = closest_approach(cfg).d
-        except NoPhysicalRoot:
-            analytic[j] = math.nan
+        a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = (c[j] for c in cols)
+        cfg = make_pair_configuration(a1, b1, a2, b2, (k1x, k1y), (k2x, k2y), (dx, dy))
+        analytic[j] = closest_approach(cfg).d
     return list(zip(analytic, support_distances(*cols).tolist()))
 
 
@@ -518,15 +515,10 @@ def verify_random(
 def _report(trials: int, tolerance: float,
             blocks: Iterator[list[tuple[float, float]]]) -> VerifyReport:
     """The report of verify_random, reading the blocks in trial order."""
-    root_failures = 0
     failures: list[tuple[int, float]] = []
     total = 0.0
     max_err = 0.0
     for i, (d_analytic, d_oracle) in enumerate(chain.from_iterable(blocks)):
-        if math.isnan(d_analytic):
-            root_failures += 1
-            failures.append((i, math.inf))
-            continue
         err = abs(d_analytic - d_oracle) / d_oracle
         total += err
         if err > max_err:
@@ -536,8 +528,6 @@ def _report(trials: int, tolerance: float,
     return VerifyReport(
         trials=trials,
         max_rel_err=max_err,
-        # over the answered trials, as max_rel_err; 0.0 when none was
-        mean_rel_err=total / max(trials - root_failures, 1),
+        mean_rel_err=total / trials,
         failures=failures,
-        root_failures=root_failures,
     )

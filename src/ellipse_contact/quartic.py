@@ -21,16 +21,15 @@ The solver is defensive in layers:
    evaluation (they stop at a fixed point, which the first step typically
    reaches), clamped to the bracket, and accepted only if the stated
    residual test passes;
-4. if there is no closed-form root or it fails, all four roots are
-   computed by a companion-matrix method and the unique in-bracket real
-   root is taken; zero or several such roots raise NoPhysicalRoot instead
-   of guessing; that root must pass the same polish, clamp and residual
-   test.
+4. if there is no closed-form root or it fails, q comes from the
+   unsquared tangency relation instead, solved for the angle psi of the
+   contact normal (_angle_root): there are no coefficients to round, and
+   q = sqrt(1 + delta sin^2 psi) lies in the bracket by construction.
 
 The formulas of steps 1 (real radicand), 2 and 3 take floats or arrays
 and a namespace m (geometry._FLOATS), so bulk.contact_arrays runs them
-too.  It leaves to the scalar solver the quartics that reach step 4 (or
-raise) there, and no others.
+too; it maps the float functions of step 1 (complex radicand) and step 4
+over the rows that need them, so both kernels give the same bits.
 """
 
 from __future__ import annotations
@@ -38,12 +37,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .geometry import _FLOATS
 
 __all__ = [
-    "NoPhysicalRoot",
     "QuarticCoeffs",
     "quartic_coefficients",
     "solve_contact_quartic",
@@ -55,17 +51,10 @@ RESIDUAL_RTOL = 1e-8
 BRACKET_TOL = 1e-9
 # Newton steps that polish a candidate root, at most
 POLISH_STEPS = 3
-
-
-class NoPhysicalRoot(ArithmeticError):
-    """The quartic has no unique real root in [1, sqrt(1+delta)].
-
-    Valid input can reach it at extreme aspect: the strict xfail in
-    tests/test_contact.py (aspects 1,183 and 8,756) raises it, its root
-    lost to rounding before the bracket test.  ROADMAP.md's open item on
-    solving the rows the closed form rejects on the support function
-    covers it.
-    """
+# _angle_root stops once a step moves psi by at most this, relative, and
+# after _ANGLE_STEPS steps whatever the steps are
+_ANGLE_RTOL = 2.0 ** -40
+_ANGLE_STEPS = 64
 
 
 class QuarticCoeffs(NamedTuple):
@@ -195,7 +184,7 @@ def _larger_real_root(alpha, beta, y, shift, big_w, m):
 
 def _ferrari_root(c: QuarticCoeffs) -> float:
     """The largest real root by Ferrari's method with W = sqrt(s1) > 0,
-    s1 = alpha + 2y; nan, for the fallback, when s1 <= 0, no assembly is
+    s1 = alpha + 2y; nan, for _angle_root, when s1 <= 0, no assembly is
     real or the quartic is near biquadratic.  The resolvent of a near-
     biquadratic quartic is not evaluated: its pow can overflow there."""
     alpha, beta, gamma, shift = _depressed(c)
@@ -235,37 +224,53 @@ def _polish_and_test(c: QuarticCoeffs, q, hi, m):
     return q, ok & (res <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
 
 
-def solve_contact_quartic(c: QuarticCoeffs, delta: float) -> float:
-    """The unique real root in [1, sqrt(1+delta)].
+def _angle_root(b2p: float, delta: float, tan2phi: float) -> float:
+    """The root q from the angle psi of the contact normal; floats only.
 
-    Raises NoPhysicalRoot when neither the closed form nor the fallback
-    all-roots method produces exactly one in-bracket real root that passes
-    the residual test.
+    In the transformed frame psi, measured from k+, satisfies
+    tan(psi) (q + b2p(1+delta)) = tan(phi) (q + b2p) with
+    q = sqrt(1 + delta sin^2 psi), the unsquared relation that the quartic
+    squares.  f(psi) = sin(psi) (q + b2p(1+delta)) - t cos(psi) (q + b2p),
+    t = tan(phi) >= 0, is negative at 0 and positive at atan(t), so a
+    safeguarded Newton on [0, atan(t)] finds the root: the sign of f
+    narrows the bracket, and a Newton point outside the bracket, or none
+    (f' <= 0, as where delta is large and psi small), gives way to the
+    bracket's midpoint.  The start is the root for q = 1, below the true
+    one since q >= 1.  It stops after a Newton step of at most
+    _ANGLE_RTOL * psi, which it takes wherever it lands, when f is 0 or
+    not a number, and after _ANGLE_STEPS steps.  On the rows of 20,000
+    stratified configurations (seeds 11, 5 and 3) that Ferrari's root
+    misses, it took 2-3 steps (median) and at most 11, up to aspect 10^6.
     """
-    hi = math.sqrt(1.0 + delta)
-    q, ok = _polish_and_test(c, _ferrari_root(c), hi, _FLOATS)
-    if ok:
-        return q
+    t = math.sqrt(tan2phi)
+    big = b2p * (1.0 + delta)
+    lo, hi = 0.0, math.atan(t)
+    psi = math.atan(t * (1.0 + b2p) / (1.0 + big))
+    for _ in range(_ANGLE_STEPS):
+        s, c = math.sin(psi), math.cos(psi)
+        q = math.sqrt(1.0 + delta * s * s)
+        f = s * (q + big) - t * c * (q + b2p)
+        if f < 0.0:
+            lo = psi
+        elif f > 0.0:
+            hi = psi
+        else:
+            break
+        # dq/dpsi = delta s c / q
+        fp = c * (q + big) + t * s * (q + b2p) + delta * s * c / q * (s - t * c)
+        to = psi - f / fp if fp > 0.0 else math.nan
+        if abs(to - psi) <= _ANGLE_RTOL * psi:
+            psi = to
+            break
+        psi = to if lo <= to <= hi else 0.5 * (lo + hi)
+    s = math.sin(psi)
+    return math.sqrt(1.0 + delta * s * s)
 
-    # defensive path: companion-matrix roots, then demand uniqueness; a
-    # companion row that overflows raises LinAlgError, not a warning too
-    with np.errstate(all="ignore"):
-        roots = np.roots(c)
-    in_bracket = [
-        float(r.real)
-        for r in roots
-        if abs(r.imag) <= 1e-9 * max(1.0, abs(r))
-        and 1.0 - BRACKET_TOL <= r.real <= hi + BRACKET_TOL
-    ]
-    if len(in_bracket) != 1:
-        raise NoPhysicalRoot(
-            f"{len(in_bracket)} bracket roots for coefficients {tuple(c)}, "
-            f"delta={delta!r}"
-        )
-    q, ok = _polish_and_test(c, in_bracket[0], hi, _FLOATS)
-    if not ok:
-        raise NoPhysicalRoot(
-            f"fallback root {in_bracket[0]!r} fails the residual test for "
-            f"{tuple(c)}"
-        )
-    return q
+
+def solve_contact_quartic(b2p: float, delta: float, tan2phi: float) -> float:
+    """The unique real root in [1, sqrt(1+delta)] of the tangency quartic
+    of (b2p, delta, tan^2 phi): Ferrari's root where it passes the residual
+    test, and _angle_root's otherwise."""
+    c = quartic_coefficients(b2p, delta, tan2phi)
+    q, ok = _polish_and_test(c, _ferrari_root(c), math.sqrt(1.0 + delta), _FLOATS)
+    return q if ok else _angle_root(b2p, delta, tan2phi)

