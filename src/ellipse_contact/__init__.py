@@ -37,8 +37,6 @@ from .mcsim import (
     run_simulation,
 )
 from .oracle import (
-    NonConvergence,
-    OracleSettings,
     oracle_distance,
     stratified_configuration,
     stratified_configurations,

@@ -1,24 +1,19 @@
-"""Independent ground truths for the analytic kernel.
+"""Independent ground truth for the analytic kernel.
 
-Neither oracle shares code with the closed-form pipeline (transform,
-quartic, contact, bulk):
+support_distances() shares no code with the closed-form pipeline
+(transform, quartic, contact, bulk).  The excluded region of a pair is
+K1 + K2 (a Minkowski sum), whose support function is h1 + h2, so the
+contact distance is a one-dimensional root in the normal angle, found by
+safeguarded Newton for every row at once (9-13 steps per 100-row block at
+aspect 20, 22-27 at 10^6).  ``verify`` compares the array kernel against
+it on the stratified stream, and oracle_distance() is the same solve for
+one configuration.
 
-* support_distances() works on arrays of configurations.  The excluded
-  region of a pair is K1 + K2 (a Minkowski sum), whose support function
-  is h1 + h2, so the contact distance is a one-dimensional root in the
-  normal angle, found by safeguarded Newton for every row at once (9-13
-  steps per 100-row block at aspect 20, 22-27 at 10^6).  ``verify``
-  compares the array kernel against it on the stratified stream.
-* oracle_distance() bisects an overlap predicate built on dense boundary
-  sampling (with local refinement of the sampled minimum, so grazing
-  contact is not missed).  It costs about half a millisecond per
-  configuration and does not hold at aspect 10^4 (one of 300 stratified
-  configurations off by 56%); the tests keep it as a second reference.
-  Only its sampling is vectorised: the tables and each t-profile are
-  numpy arrays over the boundary samples (4,096 by default), while the
-  refinement works on Python floats, since numpy costs more than the
-  arithmetic on 2-vectors.  A bisection step samples the second boundary
-  only when the first does not already show overlap.
+The tests check it against two 60-digit references: conftest's
+mp_support_distance, the same support quotient in mpmath at a bisected
+normal angle, and mp_perram_wertheim_distance, Perram and Wertheim's
+contact function (J. Comput. Phys. 58:409, 1985), which shares no
+formula with the support function.
 """
 
 from __future__ import annotations
@@ -39,8 +34,6 @@ from .contact import closest_approach
 from .geometry import _FLOATS, EllipseShape, PairConfiguration, UnitVec2, make_pair_configuration
 
 __all__ = [
-    "NonConvergence",
-    "OracleSettings",
     "oracle_distance",
     "stratified_configuration",
     "stratified_configurations",
@@ -153,180 +146,18 @@ def support_distances(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> np.ndarray:
     return (h[0] + h[1]) * np.hypot(dx, dy) / _dot2(nx, dx, ny, dy)
 
 
-class NonConvergence(ArithmeticError):
-    """The oracle failed to bracket or converge within its iteration budget."""
-
-
-# each boundary holds a few float tables of this length: ~8 MB each
-MAX_BOUNDARY_SAMPLES = 1 << 20
-# a sampled minimum of the form within this of 1 is refined on the
-# continuous parameter
-_REFINE_BAND = 5e-2
+def oracle_distance(cfg: PairConfiguration) -> float:
+    """support_distances of the one configuration cfg."""
+    row = (cfg.shape1.a, cfg.shape1.b, cfg.shape2.a, cfg.shape2.b,
+           cfg.k1.x, cfg.k1.y, cfg.k2.x, cfg.k2.y, cfg.dhat.x, cfg.dhat.y)
+    return float(support_distances(*([v] for v in row))[0])
 
 
 @dataclass(frozen=True)
 class OracleSettings:
-    boundary_samples: int = 4096
-    bisection_tol: float = 1e-10
-    refine_iters: int = 64
-
-    def __post_init__(self) -> None:
-        if not 64 <= self.boundary_samples <= MAX_BOUNDARY_SAMPLES:
-            raise ValueError(
-                f"boundary_samples must be between 64 and {MAX_BOUNDARY_SAMPLES}"
-            )
-        if self.bisection_tol <= 0.0 or self.refine_iters <= 0:
-            raise ValueError("tolerances and iteration counts must be positive")
-
-
-class _SampledBoundary:
-    """One ellipse boundary, sampled densely, tested against the other
-    ellipse's quadratic form as a function of the center separation t.
-
-    With the boundary point p(u) and the other form M, the value
-    f(u, t) = (p(u) + t*s).M.(p(u) + t*s) is quadratic in t, so the
-    u-profile for any t costs two vector operations on the precomputed
-    tables.  The sampled minimum is then refined on the continuous
-    parameter by guarded Newton (analytic derivatives) with golden-section
-    fallback, because a grid minimum alone cannot certify grazing contact.
-
-    The form entries (m00, m01, m11), the shift s and the axis k are plain
-    floats: a refinement step is a few dozen scalar operations, and each
-    form value is written out as x*(m00*x + m01*y) + y*(m01*x + m11*y).
-    """
-
-    def __init__(self, shape: EllipseShape, axis: UnitVec2,
-                 form: tuple[float, float, float], shift: tuple[float, float],
-                 n: int) -> None:
-        self.a, self.b = shape.a, shape.b
-        self.kx, self.ky = axis.x, axis.y
-        self.m00, self.m01, self.m11 = m00, m01, m11 = form
-        # separation direction as seen from this boundary
-        self.sx, self.sy = sx, sy = shift
-        u = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        self.u = u
-        self.du = 2.0 * math.pi / n
-        ac = self.a * np.cos(u)
-        bs = self.b * np.sin(u)
-        x = ac * self.kx - bs * self.ky
-        y = ac * self.ky + bs * self.kx
-        self.const = x * (m00 * x + m01 * y) + y * (m01 * x + m11 * y)
-        self.lin = x * (m00 * sx + m01 * sy) + y * (m01 * sx + m11 * sy)
-        self.quad = sx * (m00 * sx + m01 * sy) + sy * (m01 * sx + m11 * sy)
-
-    def _value(self, u: float, t: float) -> float:
-        ac = self.a * math.cos(u)
-        bs = self.b * math.sin(u)
-        x = ac * self.kx - bs * self.ky + t * self.sx
-        y = ac * self.ky + bs * self.kx + t * self.sy
-        return x * (self.m00 * x + self.m01 * y) + y * (self.m01 * x + self.m11 * y)
-
-    def _refined_min(self, t: float, i: int) -> float:
-        """Minimum of f(., t) near grid index i on the continuous parameter."""
-        u = float(self.u[i])
-        lo = u - self.du
-        hi = u + self.du
-        a, b, kx, ky = self.a, self.b, self.kx, self.ky
-        m00, m01, m11 = self.m00, self.m01, self.m11
-        tx, ty = t * self.sx, t * self.sy
-        for _ in range(12):
-            cu, su = math.cos(u), math.sin(u)
-            # q = p(u) on the boundary, p = q + t*s, dp = dp/du
-            qx = (a * cu) * kx - (b * su) * ky
-            qy = (a * cu) * ky + (b * su) * kx
-            px, py = qx + tx, qy + ty
-            dx = (-a * su) * kx - (b * cu) * ky
-            dy = (-a * su) * ky + (b * cu) * kx
-            mx = m00 * px + m01 * py
-            my = m01 * px + m11 * py
-            f1 = 2.0 * (dx * mx + dy * my)
-            f2 = 2.0 * ((dx * (m00 * dx + m01 * dy) + dy * (m01 * dx + m11 * dy))
-                        - (qx * mx + qy * my))
-            if f2 <= 0.0:
-                break
-            step = f1 / f2
-            nu = u - step
-            if not (lo <= nu <= hi):
-                break
-            u = nu
-            if abs(step) < 1e-13:
-                return self._value(u, t)
-        # golden-section fallback over the bracketing grid cell
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - gr * (hi - lo)
-        x2 = lo + gr * (hi - lo)
-        v1, v2 = self._value(x1, t), self._value(x2, t)
-        for _ in range(48):
-            if v1 < v2:
-                hi, x2, v2 = x2, x1, v1
-                x1 = hi - gr * (hi - lo)
-                v1 = self._value(x1, t)
-            else:
-                lo, x1, v1 = x1, x2, v2
-                x2 = lo + gr * (hi - lo)
-                v2 = self._value(x2, t)
-        return min(v1, v2)
-
-    def min_form(self, t: float) -> float:
-        profile = self.const + (2.0 * t) * self.lin
-        i = int(np.argmin(profile))
-        m = float(profile[i]) + t * t * self.quad
-        if abs(m - 1.0) < _REFINE_BAND:
-            m = self._refined_min(t, i)
-        return m
-
-
-def _form_entries(shape: EllipseShape, axis: UnitVec2) -> tuple[float, float, float]:
-    """Entries m00, m01, m11 of the symmetric form (I - e^2 k k^T) / b^2."""
-    e2 = shape.eccentricity_sq()
-    kx, ky = axis.x, axis.y
-    b2 = shape.b * shape.b
-    return (
-        (1.0 - e2 * (kx * kx)) / b2,
-        -e2 * (kx * ky) / b2,
-        (1.0 - e2 * (ky * ky)) / b2,
-    )
-
-
-def oracle_distance(cfg: PairConfiguration, settings: OracleSettings = OracleSettings()) -> float:
-    """Contact distance by bisection on the sampled-overlap predicate.
-
-    The bracket [b1+b2, a1+a2] (with a small outward margin) always
-    straddles the contact distance for convex ellipses; both boundaries are
-    tested against the other ellipse so one-sided containment cannot fool
-    the predicate.
-    """
-    dx, dy = cfg.dhat.x, cfg.dhat.y
-    n = settings.boundary_samples
-    # boundary of 1 relative to the center of 2 sits at -t*dhat, and vice versa
-    b1 = _SampledBoundary(cfg.shape1, cfg.k1, _form_entries(cfg.shape2, cfg.k2), (-dx, -dy), n)
-    b2 = _SampledBoundary(cfg.shape2, cfg.k2, _form_entries(cfg.shape1, cfg.k1), (dx, dy), n)
-
-    lo = (cfg.shape1.b + cfg.shape2.b) * (1.0 - 1e-6)
-    hi = (cfg.shape1.a + cfg.shape2.a) * (1.0 + 1e-6)
-
-    def overlapping(t: float) -> bool:
-        # min(m1, m2) < 1.0, NaN included, without sampling boundary 2
-        # when boundary 1 already decides
-        m1 = b1.min_form(t)
-        if m1 < 1.0:
-            return True
-        return m1 >= 1.0 and b2.min_form(t) < 1.0
-
-    if not overlapping(lo) or overlapping(hi):
-        raise NonConvergence("bisection bracket does not straddle the contact")
-    for _ in range(settings.refine_iters):
-        mid = 0.5 * (lo + hi)
-        if overlapping(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= settings.bisection_tol * mid:
-            return 0.5 * (lo + hi)
-    raise NonConvergence(
-        f"bisection did not reach tol {settings.bisection_tol} in "
-        f"{settings.refine_iters} iterations"
-    )
+    """No settings: the support-function solve takes none.  The class is
+    left only because the benchmark's verify_oracle set-up still builds
+    one; the next change to the benchmark deletes it."""
 
 
 # ---------------------------------------------------------------------------

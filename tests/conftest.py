@@ -9,8 +9,6 @@ import pytest
 from ellipse_contact import (
     EllipseShape,
     mcsim,
-    NonConvergence,
-    OracleSettings,
     PairConfiguration,
     QuarticCoeffs,
     UnitVec2,
@@ -91,17 +89,16 @@ def oracle_circle_ellipse_distance(
     b2p: float,
     axis: UnitVec2,
     dhat: UnitVec2,
-    settings: OracleSettings = OracleSettings(),
 ) -> float:
     """Contact distance of the unit circle and an (a2p, b2p) ellipse.
 
-    Validates the transformed-frame stage in isolation; same machinery as
-    oracle_distance with shape1 pinned to the unit circle.
+    Validates the transformed-frame stage in isolation: oracle_distance
+    with shape1 pinned to the unit circle.
     """
     cfg = PairConfiguration(
         EllipseShape(1.0, 1.0), EllipseShape(a2p, b2p), UnitVec2(1.0, 0.0), axis, dhat
     )
-    return oracle_distance(cfg, settings)
+    return oracle_distance(cfg)
 
 
 def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
@@ -113,7 +110,7 @@ def oracle_quartic_roots(c: QuarticCoeffs) -> list[complex]:
         res = abs((((c.a * r + c.b) * r + c.c) * r + c.d) * r + c.e)
         scale = max(abs(c[i]) * abs(r) ** (4 - i) for i in range(5))
         if res > 1e-9 * max(scale, abs(c.e)):
-            raise NonConvergence(f"companion root {r!r} residual {res!r} too large")
+            raise ArithmeticError(f"companion root {r!r} residual {res!r} too large")
     return roots
 
 
@@ -160,8 +157,7 @@ def mp_support_distance(cfgs, mp):
     the quotient (h1 + h2) / (n.dhat) in 60-digit mpmath at the angle of
     bisected_normal_angles.  The quotient is stationary there, so the
     angle's rounding enters at second order, far below 1e-20 here.  It
-    shares nothing with the transform, the quartic or the sampled
-    oracle."""
+    shares nothing with the transform or the quartic."""
     cols = columns(cfgs)
     a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy = cols
     out = []
@@ -177,6 +173,60 @@ def mp_support_distance(cfgs, mp):
                 total += mp.sqrt(mp.mpf(a[i]) ** 2 * c ** 2 + mp.mpf(b[i]) ** 2 * s ** 2)
             along = (n[0] * dx[i] + n[1] * dy[i]) / mp.sqrt(mp.mpf(dx[i]) ** 2 + mp.mpf(dy[i]) ** 2)
             out.append(total / along)
+    return out
+
+
+def mp_perram_wertheim_distance(cfgs, mp):
+    """Contact distances from Perram and Wertheim's contact function (J.
+    Comput. Phys. 58:409, 1985), to 60 digits: it shares no formula with
+    the support function or the quartic.
+
+    For unit k and dhat, F(l) = l (1 - l) dhat.C(l)^-1.dhat with
+    C(l) = (1 - l) A1^-1 + l A2^-1 and A^-1 = a^2 k k^T + b^2 kperp kperp^T,
+    and d = 1 / sqrt(max of F over l in [0, 1]).  In 2x2 form both parts
+    of F are sums of non-negative terms, F = l (1 - l) ((1 - l) N1 + l N2)
+    / det C, with N = b^2 (k.dhat)^2 + a^2 (k x dhat)^2 and
+    det C = (1 - l)^2 a1^2 b1^2 + l^2 a2^2 b2^2 + l (1 - l) M,
+    M = (a1^2 b2^2 + b1^2 a2^2) c^2 + (a1^2 a2^2 + b1^2 b2^2) s^2 for
+    c = k1.k2 and s = k1 x k2.  F is concave, and 60 golden-section steps
+    find its maximum; F is stationary there, so the error in l enters d
+    only squared."""
+    out = []
+    with mp.workdps(60):
+        golden = (mp.sqrt(5) - 1) / 2
+
+        def unit(x, y):
+            norm = mp.sqrt(mp.mpf(x) ** 2 + mp.mpf(y) ** 2)
+            return mp.mpf(x) / norm, mp.mpf(y) / norm
+
+        for a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy in zip(
+            *(c.tolist() for c in columns(cfgs))
+        ):
+            aa1, bb1, aa2, bb2 = (mp.mpf(v) ** 2 for v in (a1, b1, a2, b2))
+            (u1x, u1y), (u2x, u2y), (ex, ey) = unit(k1x, k1y), unit(k2x, k2y), unit(dx, dy)
+            n1 = bb1 * (u1x * ex + u1y * ey) ** 2 + aa1 * (u1x * ey - u1y * ex) ** 2
+            n2 = bb2 * (u2x * ex + u2y * ey) ** 2 + aa2 * (u2x * ey - u2y * ex) ** 2
+            c, s = u1x * u2x + u1y * u2y, u1x * u2y - u1y * u2x
+            m = (aa1 * bb2 + bb1 * aa2) * c ** 2 + (aa1 * aa2 + bb1 * bb2) * s ** 2
+
+            def f(lam):
+                mu = 1 - lam
+                det = mu ** 2 * aa1 * bb1 + lam ** 2 * aa2 * bb2 + lam * mu * m
+                return lam * mu * (mu * n1 + lam * n2) / det
+
+            lo, hi = mp.mpf(0), mp.mpf(1)
+            x1, x2 = hi - golden, lo + golden
+            f1, f2 = f(x1), f(x2)
+            for _ in range(60):
+                if f1 > f2:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - golden * (hi - lo)
+                    f1 = f(x1)
+                else:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + golden * (hi - lo)
+                    f2 = f(x2)
+            out.append(1 / mp.sqrt(max(f1, f2)))
     return out
 
 

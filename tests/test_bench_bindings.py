@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps names it looks up on the package modules;
-a name pruned from the package would stop a traced run partway through."""
+"""The benchmark's tracer wraps names it looks up on the package modules,
+and its workloads build their state from the package before any timing;
+a name pruned from the package would stop a benchmark run partway
+through."""
 
 import importlib.util
 import io
@@ -11,22 +13,30 @@ import pytest
 
 from ellipse_contact import EllipseShape, MCConfig, mcsim
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    """perfbench/<name>.py as a module named perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.mark.parametrize(
-    "module, attr", [(m.__name__, a) for m, a, _ in load_spans().BINDINGS]
+    "module, attr", [(m.__name__, a) for m, a, _ in load_perfbench("spans").BINDINGS]
 )
 def test_traced_binding_is_callable(module, attr):
     mod = importlib.import_module(module)
     assert callable(getattr(mod, attr, None)), f"{module}.{attr} is gone"
+
+
+@pytest.mark.parametrize("name", sorted(load_perfbench("workloads").WORKLOADS))
+def test_workload_setup_runs(name):
+    # what the benchmark's set-up probe runs, at the self-check's size
+    workloads = load_perfbench("workloads")
+    workloads.WORKLOADS[name].setup(1, workloads.SIZES["tiny"])
 
 
 def test_wrapped_pair_predicate_sees_sweep_and_audit(monkeypatch):

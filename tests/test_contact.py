@@ -24,7 +24,6 @@ from ellipse_contact import (
 )
 from ellipse_contact import contact as contact_module
 from ellipse_contact.oracle import (
-    OracleSettings,
     stratified_configuration,
     stratified_configurations,
     support_distances,
@@ -218,12 +217,11 @@ def test_identical_parallel_tip_and_side():
 
 def test_direction_sweep_against_oracle():
     # d(theta) curve for the 30-degree configuration, 360 directions
-    settings = OracleSettings(boundary_samples=2048, bisection_tol=1e-11)
     for j in range(360):
         theta = 2.0 * math.pi * j / 360.0
         cfg = pair(2.0, 1.0, 2.0, 1.0, 0.0, math.radians(30.0), theta)
         sol = closest_approach(cfg)
-        d_oracle = oracle_distance(cfg, settings)
+        d_oracle = oracle_distance(cfg)
         assert abs(sol.d - d_oracle) <= 1e-8 * d_oracle
 
 

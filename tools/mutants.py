@@ -37,6 +37,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 QUARTIC = "src/ellipse_contact/quartic.py"
 BULK = "src/ellipse_contact/bulk.py"
+ORACLE = "src/ellipse_contact/oracle.py"
 
 
 class Mutant(NamedTuple):
@@ -78,6 +79,10 @@ MUTANTS = (
            "~(ok & ~_near_biquadratic(c, beta) & (s1 > 0.0))", "~(ok & (s1 > 0.0))"),
     Mutant("bulk-angle-rows-with-bad", BULK, "rows = np.flatnonzero(~bad & ~(ok",
            "rows = np.flatnonzero(~(ok"),
+    # oracle.py: support_distances' stop, its last quotient and its Newton guard
+    Mutant("support-angle-tol-2^-20", ORACLE, "_ANGLE_TOL = 2.0 ** -36", "_ANGLE_TOL = 2.0 ** -20"),
+    Mutant("support-plain-final-dot", ORACLE, "/ _dot2(nx, dx, ny, dy)", "/ (nx * dx + ny * dy)"),
+    Mutant("support-no-half-step-rule", ORACLE, " & (size + size <= before))", ")"),
 )
 
 
