@@ -87,14 +87,14 @@ def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: 
 def _curve_chunks(shape1, shape2, k1, k2, dhat, n, solve):
     """The contact kernel at theta_j = 2 pi j / n for j < n, in chunks of
     at most bulk.CHUNK_ROWS: arrays (theta, cos theta, sin theta, d, rc_x,
-    rc_y).  The direction passed as None is UnitVec2.from_angle(theta_j).
+    rc_y), cos and sin from bulk.from_angles.  The direction passed as None
+    is UnitVec2.from_angle(theta_j).
     A row bulk.contact_arrays leaves to the scalar path is solve(cfg),
     which returns the ContactSolution or raises."""
     for lo in range(0, n, bulk.CHUNK_ROWS):
         theta = 2.0 * math.pi * np.arange(lo, min(lo + bulk.CHUNK_ROWS, n)) / n
         rows = len(theta)
-        cos = np.array([math.cos(t) for t in theta.tolist()])
-        sin = np.array([math.sin(t) for t in theta.tolist()])
+        cos, sin = bulk.from_angles(theta)
         cols = [np.full(rows, x) for x in (shape1.a, shape1.b, shape2.a, shape2.b)]
         for v in (k1, k2, dhat):
             cols += (cos, sin) if v is None else (np.full(rows, v.x), np.full(rows, v.y))

@@ -6,9 +6,9 @@ the circular and perpendicular special cases), then map the distance and
 the contact normal back.  Every solution carries enough data to be
 self-validating: the contact point must lie on both boundaries and the two
 outward normals must be anti-parallel, and tangency_residuals() measures
-exactly that.  _on_line_pieces, _psi_d_prime, _contact_point and _tangency
-take floats or arrays (geometry._FLOATS), so bulk.contact_arrays runs them
-too.
+exactly that.  _branches, _on_line_pieces, _psi_d_prime, _contact_point
+and _tangency take floats or arrays (geometry._FLOATS), so
+bulk.contact_arrays runs them too.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ class ContactSolution(NamedTuple):
     contact_point: Vec2
     contact_normal: UnitVec2
     branch: ContactBranch
+
+
+def _branches(delta, cos_phi):
+    """(circle, on_line): the image of ellipse 2 is a circle, or the
+    transformed normal is the center line (a circle, or phi = pi/2)."""
+    circle = delta < DELTA_CIRCLE_TOL
+    return circle, circle | (abs(cos_phi) < COS_PHI_TOL)
 
 
 def _on_line_pieces(circle, a2p, b2p, delta, sin_phi, cos_phi, m):
@@ -144,8 +151,7 @@ def closest_approach(cfg: PairConfiguration) -> ContactSolution:
         _, _, _, _, _, kplus, kminus, a2p, b2p, delta, cos_phi, sin_phi, dhat_scale,
         sin_gamma, cos_gamma, branch,
     ) = transformed_pair(cfg)
-    circle = delta < DELTA_CIRCLE_TOL
-    on_line = circle or abs(cos_phi) < COS_PHI_TOL
+    circle, on_line = _branches(delta, cos_phi)
     if on_line:
         d_prime, q, sin_psi, cos_psi = _on_line_pieces(
             circle, a2p, b2p, delta, sin_phi, cos_phi, _FLOATS
@@ -205,7 +211,7 @@ def tangency_residuals(
     _finite_components(*p2)
     _finite_components(n1x, n1y)
     _finite_components(n2x, n2y)
-    # Vec2.cross and Vec2.norm
+    # |n1 x n2| / (|n1| |n2|), the norms by Vec2.norm's hypot
     cross = abs(n1x * n2y - n1y * n2x) / (math.hypot(n1x, n1y) * math.hypot(n2x, n2y))
     if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(cross)):
         raise ValueError(f"non-finite tangency residuals ({r1!r}, {r2!r}, {cross!r})")

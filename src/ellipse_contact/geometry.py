@@ -47,6 +47,19 @@ def _finite_components(x: float, y: float) -> None:
         raise ValueError(f"non-finite vector components ({x}, {y})")
 
 
+def _valid_axes(a, b):
+    """EllipseShape's rule, finite a >= b > 0, on floats or arrays: b <= a
+    < inf bounds b too, and a nan fails every comparison."""
+    return (0.0 < b) & (b <= a) & (a < math.inf)
+
+
+def _eccentricity_sq(a, b):
+    """e^2 = 1 - (b/a)^2 on floats or arrays, as (1 - b/a)(1 + b/a), which
+    keeps full precision for near-circular shapes."""
+    r = b / a
+    return (1.0 - r) * (1.0 + r)
+
+
 @dataclass(frozen=True, slots=True)
 class Vec2:
     """A point or displacement in the plane.  Slotted: a curve of 2^20
@@ -57,10 +70,6 @@ class Vec2:
 
     def __post_init__(self) -> None:
         _finite_components(self.x, self.y)
-
-    def cross(self, other) -> float:
-        """z-component of the 3D cross product (signed parallelogram area)."""
-        return self.x * other.y - self.y * other.x
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -106,21 +115,10 @@ class EllipseShape:
     b: float
 
     def __post_init__(self) -> None:
-        ok = (
-            math.isfinite(self.a)
-            and math.isfinite(self.b)
-            and self.b > 0.0
-            and self.a >= self.b
-        )
-        if not ok:
+        if not _valid_axes(self.a, self.b):
             raise DegenerateShape(
                 f"need finite a >= b > 0, got a={self.a!r}, b={self.b!r}"
             )
-
-    def eccentricity_sq(self) -> float:
-        # (1 - b/a)(1 + b/a) keeps full precision for near-circular shapes
-        r = self.b / self.a
-        return (1.0 - r) * (1.0 + r)
 
     def area(self) -> float:
         return math.pi * self.a * self.b
@@ -172,8 +170,7 @@ def _ellipse_form(a, b, kx, ky):
     boundary p.M.p = 1 for semi-axes a, b and major-axis direction (kx, ky):
     Python floats or numpy arrays, with the same operations in the same
     order either way."""
-    r = b / a
-    e2 = (1.0 - r) * (1.0 + r)  # eccentricity_sq()
+    e2 = _eccentricity_sq(a, b)
     f = 1.0 / (b * b)
     return f * (1.0 - e2 * kx * kx), f * (-e2 * kx * ky), f * (1.0 - e2 * ky * ky)
 

@@ -16,11 +16,12 @@ The solver is defensive in layers:
    four sign assemblies shift + (+-W +- sqrt(arg))/2, W = sqrt(s1) > 0,
    it is the larger of the two +sqrt(arg) ones whose arg is non-negative,
    since every other root is negative or complex; a near-biquadratic
-   quartic, s1 <= 0 or no real assembly gives no closed-form root;
+   quartic (its resolvent gets zeros: Cardano's pow can overflow there),
+   s1 <= 0 or no real assembly gives no closed-form root;
 3. that root is polished by Newton steps with a compensated Horner
    evaluation (they stop at a fixed point, which the first step typically
    reaches), clamped to the bracket, and accepted only if the stated
-   residual test passes;
+   residual test passes (steps 2-3 are _closed_form_root, in both kernels);
 4. if there is no closed-form root or it fails, q comes from the
    unsquared tangency relation instead, solved for the angle psi of the
    contact normal (_angle_root): there are no coefficients to round, and
@@ -182,21 +183,6 @@ def _larger_real_root(alpha, beta, y, shift, big_w, m):
     return where((r_m > r_p) | ((r_p != r_p) & (r_m == r_m)), r_m, r_p)
 
 
-def _ferrari_root(c: QuarticCoeffs) -> float:
-    """The largest real root by Ferrari's method with W = sqrt(s1) > 0,
-    s1 = alpha + 2y; nan, for _angle_root, when s1 <= 0, no assembly is
-    real or the quartic is near biquadratic.  The resolvent of a near-
-    biquadratic quartic is not evaluated: its pow can overflow there."""
-    alpha, beta, gamma, shift = _depressed(c)
-    if _near_biquadratic(c, beta):
-        return math.nan
-    y = _resolvent_root(alpha, beta, gamma)
-    s1 = alpha + 2.0 * y
-    if not s1 > 0.0:
-        return math.nan
-    return _larger_real_root(alpha, beta, y, shift, math.sqrt(s1), _FLOATS)
-
-
 def _polish_and_test(c: QuarticCoeffs, q, hi, m):
     """(q, ok): the candidate clamped to [1, hi], polished by at most
     POLISH_STEPS Newton steps and clamped again; ok if it lay within
@@ -222,6 +208,20 @@ def _polish_and_test(c: QuarticCoeffs, q, hi, m):
     res = abs(f if same(q, x) else _horner_compensated(c, q))
     lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
     return q, ok & (res <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
+
+
+def _closed_form_root(c: QuarticCoeffs, depressed, hi, resolvent, m):
+    """(q, ok) by _polish_and_test from the larger real Ferrari root with
+    W = sqrt(s1) > 0, s1 = alpha + 2 resolvent(alpha, beta, gamma); none
+    (nan) where s1 <= 0, no assembly is real or the quartic is near
+    biquadratic, whose resolvent gets zeros: its pow can overflow there."""
+    alpha, beta, gamma, shift = depressed
+    where = m.where
+    near = _near_biquadratic(c, beta)
+    y = resolvent(where(near, 0.0, alpha), where(near, 0.0, beta), where(near, 0.0, gamma))
+    s1 = where(near, math.nan, alpha + 2.0 * y)
+    big_w = m.sqrt(where(s1 > 0.0, s1, math.nan))
+    return _polish_and_test(c, _larger_real_root(alpha, beta, y, shift, big_w, m), hi, m)
 
 
 def _angle_root(b2p: float, delta: float, tan2phi: float) -> float:
@@ -272,5 +272,5 @@ def solve_contact_quartic(b2p: float, delta: float, tan2phi: float) -> float:
     of (b2p, delta, tan^2 phi): Ferrari's root where it passes the residual
     test, and _angle_root's otherwise."""
     c = quartic_coefficients(b2p, delta, tan2phi)
-    q, ok = _polish_and_test(c, _ferrari_root(c), math.sqrt(1.0 + delta), _FLOATS)
+    q, ok = _closed_form_root(c, _depressed(c), math.sqrt(1.0 + delta), _resolvent_root, _FLOATS)
     return q if ok else _angle_root(b2p, delta, tan2phi)

@@ -39,7 +39,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .geometry import _FLOATS, PairConfiguration, UnitVec2
+from .geometry import _FLOATS, PairConfiguration, UnitVec2, _eccentricity_sq
 
 __all__ = [
     "ContactBranch",
@@ -110,8 +110,7 @@ def _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, m):
     k2x, k2y = m.where(flip, -k2x, k2x), m.where(flip, -k2y, k2y)
 
     eta = a1 / b1 - 1.0
-    r2 = b2 / a2
-    e2s = (1.0 - r2) * (1.0 + r2)  # EllipseShape.eccentricity_sq()
+    e2s = _eccentricity_sq(a2, b2)  # e^2 of ellipse 2
     ratio = (b1 * b1) / (b2 * b2)
     w = eta * (2.0 + eta)
 

@@ -179,7 +179,8 @@ def test_larger_real_ferrari_root_in_both_kernels():
             if arg >= 0.0:
                 roots[sign_w] = shift + 0.5 * (sign_w * big_w + math.sqrt(arg))
         both_real += len(roots) == 2
-        minus_w += roots.get(1.0) != roots.get(-1.0) == quartic._ferrari_root(c)
+        picked = quartic._larger_real_root(alpha, beta, y, shift, big_w, _FLOATS)
+        minus_w += roots.get(1.0) != roots.get(-1.0) == picked
     assert both_real >= 300
     assert minus_w >= 400
     assert assert_matches_scalar(stream_rows(cfgs)) == []
@@ -205,6 +206,30 @@ def test_quartic_stage_matches_scalar_solver_or_defers(angle_calls):
     assert np.all((1.0 <= got) & (got <= np.sqrt(1.0 + delta)))
 
 
+def test_near_biquadratic_rows_whose_resolvent_overflows_are_answered():
+    # raw quartics with b2p, delta and tan^2 phi each 10^U(-150, 150): on
+    # near-biquadratic rows Cardano's pow can overflow, but the closed form
+    # solves their resolvent for zeros, so the array stage flags none of
+    # them and gives solve_contact_quartic's root (the angle solve's) bit for bit
+    rng = np.random.default_rng(2)
+    b2p, delta, tan2phi = 10.0 ** rng.uniform(-150.0, 150.0, (3, 4000))
+    overflow = np.zeros(len(b2p), dtype=bool)
+    with np.errstate(all="ignore"):
+        c = quartic.quartic_coefficients(b2p, delta, tan2phi)
+        depressed = quartic._depressed(c)
+        quartic._cardano(*depressed[:3], bulk._arrays(overflow))
+        near = quartic._near_biquadratic(c, depressed[1])
+    finite = np.all([np.isfinite(x) for x in (*c, *depressed)], axis=0)
+    rows = np.flatnonzero(overflow & finite & near)
+    assert len(rows) >= 100
+    bad = np.zeros(len(rows), dtype=bool)
+    with np.errstate(all="ignore"):
+        got = bulk._quartic_roots(b2p[rows], delta[rows], tan2phi[rows], bad)
+    assert not bad.any()
+    for i, args in enumerate(zip(b2p[rows].tolist(), delta[rows].tolist(), tan2phi[rows].tolist())):
+        assert got[i].hex() == quartic.solve_contact_quartic(*args).hex(), args
+
+
 def assert_resolvent_rows_match(alpha, beta, gamma):
     """bulk._resolvent_roots (_cardano on the arrays, _resolvent_root per
     row where disc < 0) gives quartic._resolvent_root's bits on every row
@@ -228,8 +253,8 @@ def assert_resolvent_rows_match(alpha, beta, gamma):
 def test_resolvent_roots_match_the_float_function_on_streams(monkeypatch, max_aspect):
     # the depressed quartics that contact_arrays solves for 20,000 rows
     seen, real = [], bulk._resolvent_roots
-    monkeypatch.setattr(bulk, "_resolvent_roots",
-                        lambda *args: seen.append([a.copy() for a in args[:3]]) or real(*args))
+    monkeypatch.setattr(bulk, "_resolvent_roots", lambda *args, **kw: (
+        seen.append([a.copy() for a in args[:3]]) or real(*args, **kw)))
     contact_arrays(*oracle._stratified_columns(11, 0, 20_000, max_aspect))
     (abg,) = seen
     assert len(abg[0]) > 15_000
@@ -319,6 +344,22 @@ def test_kernel_raises_no_variable_to_a_power(module, exempt):
     ] == []
 
 
+def test_array_kernel_restates_no_scalar_rule():
+    # the branch thresholds and the near-biquadratic test live in contact.py
+    # and quartic.py (contact._branches, quartic._closed_form_root), and a
+    # curve's directions come from bulk.from_angles, UnitVec2.from_angle's
+    # rule on arrays; naming them here would mean a second copy of the rule
+    def names(module):
+        tree = ast.parse((Path(bulk.__file__).parent / module).read_text())
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                yield f"{n.value.id}.{n.attr}"
+            yield getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+
+    assert {"DELTA_CIRCLE_TOL", "COS_PHI_TOL", "_near_biquadratic"} & set(names("bulk.py")) == set()
+    assert {"math.cos", "math.sin"} & set(names("analysis.py")) == set()
+
+
 def edge_rows():
     x, y = (1.0, 0.0), (0.0, 1.0)
     diag = (math.sqrt(0.5), math.sqrt(0.5))
@@ -403,6 +444,16 @@ def test_unit_vectors_match_from_angle():
             assert math.isnan(x) and math.isnan(y)
             continue
         assert (x.hex(), y.hex()) == (u.x.hex(), u.y.hex())
+
+
+@pytest.mark.parametrize("n", [16, 720, 4096])
+def test_from_angles_on_curve_angles_is_cos_and_sin(n):
+    # a curve's points are d (cos theta, sin theta): from_angles leaves the
+    # components of every curve angle as math.cos and math.sin give them
+    theta = 2.0 * math.pi * np.arange(n) / n
+    x, y = bulk.from_angles(theta)
+    assert x.tobytes() == np.array([math.cos(t) for t in theta.tolist()]).tobytes()
+    assert y.tobytes() == np.array([math.sin(t) for t in theta.tolist()]).tobytes()
 
 
 # ---------------------------------------------------------------------------

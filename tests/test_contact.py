@@ -92,6 +92,20 @@ def test_transformed_distance_phi_right_angle():
     assert math.isclose(closest_approach(cfg).d, 6.0, rel_tol=1e-12)
 
 
+def test_branches_one_rule_for_floats_and_arrays():
+    # both thresholds are strict: a value at one takes the general branch;
+    # closest_approach and contact_arrays get their masks from _branches
+    branches = contact_module._branches
+    tol_d, tol_c = contact_module.DELTA_CIRCLE_TOL, contact_module.COS_PHI_TOL
+    rows = [(0.0, 0.5), (tol_d, 0.5), (0.5 * tol_d, 0.5), (1.0, tol_c), (1.0, -tol_c),
+            (1.0, 0.5 * tol_c), (1.0, -0.5 * tol_c), (1.0, 0.0), (0.0, 0.0), (math.nan, 0.5)]
+    got = [branches(*row) for row in rows]
+    assert got == [(True, True), (False, False), (True, True), (False, False), (False, False),
+                   (False, True), (False, True), (False, True), (True, True), (False, False)]
+    circle, on_line = branches(*(np.array(x) for x in zip(*rows)))
+    assert list(zip(circle.tolist(), on_line.tolist())) == got
+
+
 def test_transformed_distance_against_circle_ellipse_oracle(rng):
     for _ in range(12):
         cfg = random_pair(rng, max_aspect=5.0)

@@ -13,6 +13,7 @@ from ellipse_contact import (
     bulk,
     make_pair_configuration,
 )
+from ellipse_contact.geometry import _eccentricity_sq, _valid_axes
 from ellipse_contact.oracle import stratified_configurations
 from conftest import flipped, form, mat_as_array, on_form
 
@@ -27,8 +28,8 @@ def test_vec2_rejects_non_finite():
 def test_vec2_algebra():
     v = Vec2(3.0, 4.0)
     w = Vec2(-1.0, 2.0)
-    assert v.cross(w) == 10.0
-    assert w.cross(v) == -10.0
+    assert v.x * w.y - v.y * w.x == 10.0
+    assert w.x * v.y - w.y * v.x == -10.0
     assert v.norm() == 5.0
     u = UnitVec2(0.0, 2.0)
     assert u.x * v.x + u.y * v.y == 4.0
@@ -130,21 +131,43 @@ def test_shape_validation():
         EllipseShape(1.0, 0.0)
     with pytest.raises(DegenerateShape):
         EllipseShape(-1.0, -2.0)
+    for a, b in [(math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0), (2.0, math.nan)]:
+        with pytest.raises(DegenerateShape):
+            EllipseShape(a, b)
+
+
+def test_valid_axes_one_rule_for_floats_and_arrays():
+    # EllipseShape's check and contact_arrays' row mask are _valid_axes
+    values = [-1.0, -0.0, 0.0, 5e-324, 1.0, 2.0, 1e308, math.inf, -math.inf, math.nan]
+    pairs = [(a, b) for a in values for b in values]
+    accepted = []
+    for a, b in pairs:
+        try:
+            EllipseShape(a, b)
+        except DegenerateShape:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    a, b = (np.array(x) for x in zip(*pairs))
+    assert _valid_axes(a, b).tolist() == accepted
+    assert sum(accepted) == 10  # b <= a among the five finite positive values
 
 
 def test_eccentricity():
-    assert EllipseShape(1.0, 1.0).eccentricity_sq() == 0.0
-    assert EllipseShape(2.0, 1.0).eccentricity_sq() == 0.75
-    assert 0.0 <= EllipseShape(50.0, 1.0).eccentricity_sq() < 1.0
+    assert _eccentricity_sq(1.0, 1.0) == 0.0
+    assert _eccentricity_sq(2.0, 1.0) == 0.75
+    assert 0.0 <= _eccentricity_sq(50.0, 1.0) < 1.0
     # the factored form keeps near-circular shapes accurate
-    assert math.isclose(
-        EllipseShape(1.0, 1.0 - 1e-12).eccentricity_sq(), 2e-12, rel_tol=1e-3
-    )
+    assert math.isclose(_eccentricity_sq(1.0, 1.0 - 1e-12), 2e-12, rel_tol=1e-3)
+    # one definition for floats and arrays
+    a, b = np.array([1.0, 2.0, 50.0]), np.array([1.0, 1.0, 1.0])
+    want = [_eccentricity_sq(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert _eccentricity_sq(a, b).tolist() == want
 
 
 def test_make_pair_configuration_examples():
     cfg = make_pair_configuration(2, 1, 2, 1, (1, 0), (1, 0), (1, 0))
-    assert cfg.shape1.eccentricity_sq() == 0.75
+    assert (cfg.shape1.a, cfg.shape1.b) == (2.0, 1.0)
 
     cfg = make_pair_configuration(1, 1, 1, 1, (0, 3), (5, 0), (1, 1))
     assert (cfg.k1.x, cfg.k1.y) == (0.0, 1.0)

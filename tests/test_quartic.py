@@ -148,12 +148,19 @@ def test_beta_zero_branch():
     # beta = 0 never arises from valid contact geometry; exercise the
     # branch with a synthetic biquadratic -(q^2-4)(q^2+1), whose largest
     # real root 2 lies in the bracket [1, 2.1]: the closed form gives no
-    # root for a biquadratic, and the root test rejects the nan
+    # root for a biquadratic, its resolvent gets zeros, and the root test
+    # rejects the nan
     c = QuarticCoeffs(-1.0, 0.0, 3.0, 0.0, 4.0)
     assert quartic._near_biquadratic(c, quartic._depressed(c)[1])
-    root = quartic._ferrari_root(c)
-    assert math.isnan(root)
-    assert not quartic._polish_and_test(c, root, 2.1, _FLOATS)[1]
+    seen = []
+
+    def resolvent(*args):
+        seen.append(args)
+        return quartic._resolvent_root(*args)
+
+    q, ok = quartic._closed_form_root(c, quartic._depressed(c), 2.1, resolvent, _FLOATS)
+    assert math.isnan(q) and not ok
+    assert seen == [(0.0, 0.0, 0.0)]
 
 
 @pytest.mark.parametrize("seed, index, max_aspect", [
@@ -268,6 +275,18 @@ def fixed_step_polish(c, q, hi, m):
     return q, ok & (res <= quartic.RESIDUAL_RTOL * where(tail > lead, tail, lead))
 
 
+def ferrari_candidate(c):
+    """The root that _closed_form_root polishes, or nan where it has none."""
+    alpha, beta, gamma, shift = quartic._depressed(c)
+    if quartic._near_biquadratic(c, beta):
+        return math.nan
+    y = quartic._resolvent_root(alpha, beta, gamma)
+    s1 = alpha + 2.0 * y
+    if not s1 > 0.0:
+        return math.nan
+    return quartic._larger_real_root(alpha, beta, y, shift, math.sqrt(s1), _FLOATS)
+
+
 def stream_quartics(max_aspect):
     """(coefficients, Ferrari candidate or nan, hi) of every row of 20,000
     stratified rows that reaches the quartic."""
@@ -278,7 +297,7 @@ def stream_quartics(max_aspect):
             continue
         tan2phi = (tp.sin_phi * tp.sin_phi) / (tp.cos_phi * tp.cos_phi)
         c = quartic_coefficients(tp.b2p, tp.delta, tan2phi)
-        out.append((c, quartic._ferrari_root(c), math.sqrt(1.0 + tp.delta)))
+        out.append((c, ferrari_candidate(c), math.sqrt(1.0 + tp.delta)))
     return out
 
 
@@ -346,7 +365,7 @@ def test_u_zero_branch():
     real = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
     target = real[0]
     hi = target * 1.1
-    q, ok = quartic._polish_and_test(c, quartic._ferrari_root(c), hi, _FLOATS)
+    q, ok = quartic._closed_form_root(c, quartic._depressed(c), hi, quartic._resolvent_root, _FLOATS)
     assert ok and math.isclose(q, target, rel_tol=1e-10)
 
 

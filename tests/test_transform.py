@@ -10,6 +10,7 @@ from ellipse_contact import (
     transformed_pair,
 )
 from conftest import flipped, form, mat_as_array, random_pair, rotated
+from ellipse_contact.geometry import _eccentricity_sq
 from ellipse_contact.oracle import stratified_configuration
 
 
@@ -96,7 +97,7 @@ def test_parallel_case_phi_zero():
     assert tp.branch in (ContactBranch.PARALLEL_AXES_2A, ContactBranch.PARALLEL_AXES_2B)
     assert math.isclose(abs(tp.cos_phi), 1.0, rel_tol=1e-12)
     # the parallel-limit closed form: (b1/a1)(k1.d)/sqrt(1-e1^2 (k1.d)^2)
-    e1sq = cfg.shape1.eccentricity_sq()
+    e1sq = _eccentricity_sq(cfg.shape1.a, cfg.shape1.b)
     expected = 0.5 / math.sqrt(1.0 - e1sq)
     assert math.isclose(abs(tp.cos_phi), expected, rel_tol=1e-12)
 
@@ -176,7 +177,7 @@ def test_transformed_pair_invariants(rng):
         tr = tp.a11 + tp.a22
         assert math.isclose(tr, tp.lambda_plus + tp.lambda_minus, rel_tol=1e-12)
         # dhat_scale formula
-        e1sq = cfg.shape1.eccentricity_sq()
+        e1sq = _eccentricity_sq(cfg.shape1.a, cfg.shape1.b)
         k1_dhat = cfg.k1.x * cfg.dhat.x + cfg.k1.y * cfg.dhat.y
         expected = math.sqrt(1.0 - e1sq * k1_dhat ** 2) / cfg.shape1.b
         assert math.isclose(tp.dhat_scale, expected, rel_tol=1e-12)

@@ -37,6 +37,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 QUARTIC = "src/ellipse_contact/quartic.py"
 BULK = "src/ellipse_contact/bulk.py"
+CONTACT = "src/ellipse_contact/contact.py"
+GEOMETRY = "src/ellipse_contact/geometry.py"
 ORACLE = "src/ellipse_contact/oracle.py"
 
 
@@ -56,7 +58,7 @@ MUTANTS = (
     Mutant("residual-rtol-1e-6", QUARTIC, "RESIDUAL_RTOL = 1e-8", "RESIDUAL_RTOL = 1e-6"),
     Mutant("near-biquadratic-1e-13", QUARTIC, "(small < 1e-11) | (small < 1e-11 *",
            "(small < 1e-13) | (small < 1e-13 *"),
-    Mutant("no-s1-exit", QUARTIC, "    if not s1 > 0.0:\n        return math.nan\n", ""),
+    Mutant("no-s1-exit", QUARTIC, "m.sqrt(where(s1 > 0.0, s1, math.nan))", "m.sqrt(s1)"),
     Mutant("cardano-small-u-1e-14", QUARTIC, "abs(u) < 1e-12 *", "abs(u) < 1e-14 *"),
     Mutant("cardano-small-u-1e-9", QUARTIC, "abs(u) < 1e-12 *", "abs(u) < 1e-9 *"),
     Mutant("larger-root-tie", QUARTIC, "where((r_m > r_p) |", "where((r_m >= r_p) |"),
@@ -70,15 +72,30 @@ MUTANTS = (
            "psi = to if lo < to < hi else"),
     Mutant("angle-start-0", QUARTIC, "    psi = math.atan(t * (1.0 + b2p) / (1.0 + big))\n",
            "    psi = 0.0\n"),
-    # bulk.py: the guards of the array kernel and its angle-solve rows
+    # the closed-form rule once restated in bulk.py's angle-solve rows, now
+    # quartic._closed_form_root's for both kernels: near-biquadratic
+    # quartics keep their resolvent and their Ferrari root
+    Mutant("bulk-angle-rows-keep-biquadratic", QUARTIC,
+           "near = _near_biquadratic(c, beta)", "near = False"),
+    # bulk.py: the guards on the normals' magnitudes are deliberate
+    # conservative margins inside the float edges where the scalar code
+    # raises (bulk.py says so where they are), and all four mutants are
+    # expected to survive: at the edges (off, 1e-320) no test row lies
+    # between margin and edge, and tightened (1e300, 1e-250) they only
+    # defer more rows, which the scalar path answers alike
     Mutant("bulk-big-n-off", BULK, "(big_n > 1e307)", "(big_n > 1.7e308)"),
     Mutant("bulk-big-n-1e300", BULK, "(big_n > 1e307)", "(big_n > 1e300)"),
     Mutant("bulk-nn-1e-320", BULK, "(big_nn < 1e-300)", "(big_nn < 1e-320)"),
     Mutant("bulk-nn-1e-250", BULK, "(big_nn < 1e-300)", "(big_nn < 1e-250)"),
-    Mutant("bulk-angle-rows-keep-biquadratic", BULK,
-           "~(ok & ~_near_biquadratic(c, beta) & (s1 > 0.0))", "~(ok & (s1 > 0.0))"),
-    Mutant("bulk-angle-rows-with-bad", BULK, "rows = np.flatnonzero(~bad & ~(ok",
-           "rows = np.flatnonzero(~(ok"),
+    Mutant("bulk-angle-rows-with-bad", BULK, "rows = np.flatnonzero(~bad & ~ok)",
+           "rows = np.flatnonzero(~ok)"),
+    # geometry.py and contact.py: the shape check and the branch choice
+    # that both kernels call
+    Mutant("valid-axes-no-inf", GEOMETRY, " & (a < math.inf)", ""),
+    Mutant("branches-inclusive", CONTACT, "    circle = delta < DELTA_CIRCLE_TOL\n"
+           "    return circle, circle | (abs(cos_phi) < COS_PHI_TOL)",
+           "    circle = delta <= DELTA_CIRCLE_TOL\n"
+           "    return circle, circle | (abs(cos_phi) <= COS_PHI_TOL)"),
     # oracle.py: support_distances' stop, its last quotient and its Newton guard
     Mutant("support-angle-tol-2^-20", ORACLE, "_ANGLE_TOL = 2.0 ** -36", "_ANGLE_TOL = 2.0 ** -20"),
     Mutant("support-plain-final-dot", ORACLE, "/ _dot2(nx, dx, ny, dy)", "/ (nx * dx + ny * dy)"),
