@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import operator
@@ -145,9 +146,10 @@ _RESULT_FIELDS = (
 )
 
 
-def _process_batch_row(row: dict) -> tuple:
-    """The _RESULT_FIELDS values of one row through the scalar API."""
-    cfg = _configuration(*(row[k] for k in _BATCH_FIELDS))
+def _process_batch_row(values) -> tuple:
+    """The _RESULT_FIELDS values of one row's seven raw inputs, in
+    _BATCH_FIELDS order, through the scalar API."""
+    cfg = _configuration(*values)
     sol = closest_approach(cfg)
     r1, r2, _ = tangency_residuals(cfg, sol)
     return (
@@ -156,24 +158,22 @@ def _process_batch_row(row: dict) -> tuple:
     )
 
 
-def _iter_batch_chunks(path: str, fmt: str):
-    """Yield lists of at most bulk.CHUNK_ROWS (line number, row dict or None,
-    error or None) triples.  On a read error the rows read before it are
-    yielded first, then the error is raised."""
-    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
-        chunk = []
-        try:
-            for item in (_jsonl_rows if fmt == "jsonl" else _csv_rows)(fh):
-                chunk.append(item)
-                if len(chunk) == bulk.CHUNK_ROWS:
-                    yield chunk
-                    chunk = []
-        except (OSError, ValueError, csv.Error):
-            if chunk:
+def _chunks(rows):
+    """Lists of at most bulk.CHUNK_ROWS entries of rows.  On a read error
+    the entries read before it are yielded first, then the error is raised."""
+    chunk = []
+    try:
+        for item in rows:
+            chunk.append(item)
+            if len(chunk) == bulk.CHUNK_ROWS:
                 yield chunk
-            raise
+                chunk = []
+    except (OSError, ValueError, csv.Error):
         if chunk:
             yield chunk
+        raise
+    if chunk:
+        yield chunk
 
 
 def _jsonl_rows(fh):
@@ -197,39 +197,59 @@ def _jsonl_rows(fh):
 
 
 def _csv_rows(fh):
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or any(k not in reader.fieldnames for k in _BATCH_FIELDS):
+    """(rows, inputs, echo, header) of a CSV file.  rows yields (line
+    number, record or None, error or None), the line being the one the
+    record ends on; inputs(record) is its seven raw inputs in _BATCH_FIELDS
+    order, echo(record) the cells an output row starts with and header the
+    output's column names.  As with csv.DictReader, a repeated name stands
+    for its last column and blank records are skipped."""
+    reader = csv.reader(fh)
+    names = next(reader, None)
+    if names is None or any(k not in names for k in _BATCH_FIELDS):
         raise ValueError(f"CSV header must contain {', '.join(_BATCH_FIELDS)}")
-    width = len(reader.fieldnames)
-    for row in reader:
-        lineno = reader.line_num  # the file line the record ends on
-        if None in row:  # DictReader files the fields beyond the header here
-            yield lineno, None, f"{width + len(row[None])} fields for {width} header columns"
-        else:
-            yield lineno, row, None
+    column = {name: i for i, name in enumerate(names)}
+    header = [k for k in column if k not in _BATCH_FIELDS + _RESULT_FIELDS] + list(_BATCH_FIELDS)
+    echo = operator.itemgetter(*(column[k] for k in header))
+    inputs = operator.itemgetter(*(column[k] for k in _BATCH_FIELDS))
+    rows = _csv_records(reader, len(names), max(column[k] for k in _BATCH_FIELDS))
+    return rows, inputs, echo, header + list(_RESULT_FIELDS)
 
 
-def _batch_results(chunk: list):
+def _csv_records(reader, width: int, last_input: int):
+    """A record shorter than the header but holding every input gets empty
+    cells in place of its missing extra columns; any other record whose
+    length differs from the header's is rejected."""
+    for record in reader:
+        if len(record) == width:
+            yield reader.line_num, record, None
+        elif last_input < len(record) < width:
+            yield reader.line_num, record + [None] * (width - len(record)), None
+        elif record:
+            yield reader.line_num, None, f"{len(record)} fields for {width} header columns"
+
+
+def _batch_results(chunk: list, inputs):
     """(line number, row, results or None, error or None) for each entry of
-    a chunk, in order.  Rows go through bulk.contact_arrays together; the
-    rows it leaves to the scalar path, and rows whose fields do not parse,
-    go through _process_batch_row, which gives the same floats or raises."""
-    fields = operator.itemgetter(*_BATCH_FIELDS)
+    a chunk, in order; inputs(row) is the row's seven raw input values, in
+    _BATCH_FIELDS order.  Rows go through bulk.contact_arrays together, the
+    three directions through one bulk.unit_vectors call; the rows it leaves
+    to the scalar path, and rows whose inputs do not parse, go through
+    _process_batch_row, which gives the same floats or raises."""
     todo, values = [], []
     for i, (_, row, err) in enumerate(chunk):
         if err is None:
             try:
-                values.append(list(map(float, fields(row))))
+                values.append(list(map(float, inputs(row))))
                 todo.append(i)
             except (ValueError, ArithmeticError, KeyError, TypeError):
                 pass
     results: list = [None] * len(chunk)
     if todo:
-        a1, b1, a2, b2, t1, t2, td = np.array(values, dtype=np.float64).T
-        res = bulk.contact_arrays(
-            a1, b1, a2, b2,
-            *bulk.unit_vectors(t1), *bulk.unit_vectors(t2), *bulk.unit_vectors(td),
-        )
+        cols = np.array(values, dtype=np.float64).T
+        # theta1, theta2 and theta_d end to end
+        x, y = bulk.unit_vectors(cols[4:].ravel())
+        (k1x, k2x, dx), (k1y, k2y, dy) = np.split(x, 3), np.split(y, 3)
+        res = bulk.contact_arrays(*cols[:4], k1x, k1y, k2x, k2y, dx, dy)
         branch = [bulk.BRANCHES[code].value for code in res.branch.tolist()]
         rows = zip(
             res.d.tolist(), res.d_prime.tolist(), res.q.tolist(), branch,
@@ -242,53 +262,61 @@ def _batch_results(chunk: list):
     for (lineno, row, err), result in zip(chunk, results):
         if err is None and result is None:
             try:
-                result = _process_batch_row(row)
+                result = _process_batch_row(inputs(row))
             except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
                 err = str(exc)
         yield lineno, row, result, err
 
 
 def cmd_batch(args) -> int:
-    """Rows are read, computed and written bulk.CHUNK_ROWS at a time.  The
-    output goes to a temporary file first, so a read error, which reaches
-    main after the rows before it are done, leaves --output untouched; the
-    CSV header is written last because its extra columns appear only when
-    some row is accepted."""
+    """Rows are streamed as records (lists for CSV, dicts for JSONL) and
+    read, computed and written bulk.CHUNK_ROWS at a time, each chunk's
+    output in one write to a temporary file.  That file is copied to
+    --output only once every row is read and at most half are rejected, so
+    every exit 2 leaves --output as it was.  A CSV output with no accepted
+    row has the header _BATCH_FIELDS + _RESULT_FIELDS."""
     csv_format = args.format == "csv"
     newline = "" if csv_format else None
-    header = None
     total = rejected = 0
     rejects = open(args.rejects, "w", encoding="utf-8") if args.rejects else sys.stderr
     try:
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline=newline) as body:
-            for chunk in _iter_batch_chunks(args.input, args.format):
-                outs = []
-                for lineno, row, result, err in _batch_results(chunk):
-                    total += 1
+        with (
+            open(args.input, "r", encoding="utf-8", newline=newline) as src,
+            tempfile.TemporaryFile("w+", encoding="utf-8", newline=newline) as body,
+        ):
+            if csv_format:
+                rows, inputs, echo, header = _csv_rows(src)
+            else:
+                rows, inputs = _jsonl_rows(src), operator.itemgetter(*_BATCH_FIELDS)
+            for chunk in _chunks(rows):
+                accepted = []
+                for lineno, row, result, err in _batch_results(chunk, inputs):
                     if err is None:
-                        out = dict(row)
-                        out.update(zip(_RESULT_FIELDS, result))
-                        outs.append(out)
-                        if header is None:
-                            extra = [k for k in row if k not in _BATCH_FIELDS + _RESULT_FIELDS]
-                            header = extra + list(_BATCH_FIELDS) + list(_RESULT_FIELDS)
+                        accepted.append((row, result))
                     else:
-                        rejected += 1
                         print(f"line {lineno}: {err}", file=rejects)
-                if not outs:
+                total += len(chunk)
+                rejected += len(chunk) - len(accepted)
+                if not accepted:
                     continue
                 if csv_format:
-                    csv.writer(body).writerows(map(operator.itemgetter(*header), outs))
+                    buf = io.StringIO()
+                    csv.writer(buf).writerows([echo(row) + result for row, result in accepted])
+                    body.write(buf.getvalue())
                 else:
-                    body.write("".join([json.dumps(out) + "\n" for out in outs]))
-
+                    body.write("".join([
+                        json.dumps({**row, **dict(zip(_RESULT_FIELDS, result))}) + "\n"
+                        for row, result in accepted
+                    ]))
+            if total and rejected * 2 > total:
+                raise ValueError(f"{rejected}/{total} rows rejected")
             body.seek(0)
             with open(args.output, "w", encoding="utf-8", newline=newline) as fh:
                 if csv_format:
-                    csv.writer(fh).writerow(header or _BATCH_FIELDS + _RESULT_FIELDS)
+                    # the extra columns appear only when some row is accepted
+                    csv.writer(fh).writerow(
+                        header if rejected < total else _BATCH_FIELDS + _RESULT_FIELDS)
                 shutil.copyfileobj(body, fh)
-        if total and rejected * 2 > total:
-            raise ValueError(f"{rejected}/{total} rows rejected")
         return EXIT_OK
     finally:
         if args.rejects:

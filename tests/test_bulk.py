@@ -465,7 +465,9 @@ RESULTS = ("d", "d_prime", "q", "branch", "rc_x", "rc_y", "residual_e1", "residu
 
 def reference_batch(path, output, fmt, rejects_path):
     """The batch command as it was before the array kernel: one scalar
-    call per row, every output row held until the end."""
+    call per row, every output row held until the end and written only on
+    exit 0.  A CSV record that ends before an input column is rejected by
+    its length."""
     def process(row):
         cfg = make_pair_configuration(
             float(row["a1"]), float(row["b1"]), float(row["a2"]), float(row["b2"]),
@@ -506,8 +508,15 @@ def reference_batch(path, output, fmt, rejects_path):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or any(k not in reader.fieldnames for k in FIELDS):
                 raise ValueError(f"CSV header must contain {', '.join(FIELDS)}")
+            width = len(reader.fieldnames)
             for row in reader:
-                yield reader.line_num, row, None
+                if any(row[k] is None for k in FIELDS):
+                    # DictReader's fill for a short record; no header here
+                    # repeats a name, so the other values are its fields
+                    fields = sum(v is not None for v in row.values())
+                    yield reader.line_num, None, f"{fields} fields for {width} header columns"
+                else:
+                    yield reader.line_num, row, None
 
     with open(rejects_path, "w", encoding="utf-8") as rejects:
         rows_out, extra = [], []
@@ -526,6 +535,8 @@ def reference_batch(path, output, fmt, rejects_path):
                 print(f"line {lineno}: {err}", file=rejects)
         except (OSError, ValueError):
             return 2
+    if total and rejected * 2 > total:
+        return 2
     if fmt == "jsonl":
         with open(output, "w", encoding="utf-8") as fh:
             for out in rows_out:
@@ -537,7 +548,7 @@ def reference_batch(path, output, fmt, rejects_path):
             writer.writerow(header)
             for out in rows_out:
                 writer.writerow([out.get(k, "") for k in header])
-    return 2 if total and rejected * 2 > total else 0
+    return 0
 
 
 def run_both(tmp_path, capsys, text, fmt, chunk=None):
@@ -546,6 +557,8 @@ def run_both(tmp_path, capsys, text, fmt, chunk=None):
     inp = tmp_path / f"in.{fmt}"
     inp.write_text(text, encoding="utf-8")
     files = {side: (tmp_path / f"{side}.out", tmp_path / f"{side}.rej") for side in ("new", "ref")}
+    for out, _ in files.values():
+        out.write_text("previous\n")
     expect = reference_batch(inp, files["ref"][0], fmt, files["ref"][1])
     saved = bulk.CHUNK_ROWS
     bulk.CHUNK_ROWS = chunk or saved

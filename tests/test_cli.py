@@ -308,6 +308,28 @@ def test_batch_rejects_surplus_field_rows(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_batch_short_rows(tmp_path, capsys):
+    # a row that ends before an input column is rejected like a surplus
+    # row; one that ends among the extra columns echoes them as empty cells
+    inp, outp, rej = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "rej.txt"
+    inp.write_text(
+        "id,a1,b1,a2,b2,theta1,theta2,theta_d,note,tag\n"
+        "r1,2,1,2,1,0,30\n"
+        "r2,2,1,2,1,0,30,10,n2\n"
+        "r3,2,1,2,1,0,30,10\n"
+    )
+    code, _, _ = run_cli(
+        capsys, "batch", "--input", str(inp), "--output", str(outp), "--rejects", str(rej),
+    )
+    assert code == 0
+    assert rej.read_text() == "line 2: 7 fields for 10 header columns\n"
+    with open(outp, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0][:10] == ["id", "note", "tag", "a1", "b1", "a2", "b2", "theta1", "theta2", "theta_d"]
+    assert [row[:3] for row in got[1:]] == [["r2", "n2", ""], ["r3", "", ""]]
+    assert got[1][3:] == got[2][3:]
+
+
 def test_batch_rejects_report_file_lines(tmp_path, capsys):
     # a blank line and a quoted two-line field: each reject names the file
     # line its record ends on, not its record count
@@ -339,11 +361,14 @@ def test_batch_majority_rejected_exit_2(tmp_path, capsys):
         "1,3,1,1,0,0,0\n"
         "2,1,2,1,0,0,0\n"
     )
+    outp = tmp_path / "out.csv"
+    outp.write_text("previous\n")
     err = assert_input_error(
-        capsys, "batch", "--input", str(inp), "--output", str(inp) + ".out",
+        capsys, "batch", "--input", str(inp), "--output", str(outp),
         "--rejects", str(inp) + ".rej",
     )
     assert err == "error: ValueError: 2/3 rows rejected\n"
+    assert outp.read_text() == "previous\n"
 
 
 BATCH_HEADER = "a1,b1,a2,b2,theta1,theta2,theta_d\n"
@@ -1146,6 +1171,126 @@ def test_batch_second_pass_reproduces_first(tmp_path, capsys, fmt):
             capsys, "batch", "--input", str(src), "--output", str(dst), "--format", fmt,
         )
         assert (code, err) == (0, "")
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
+
+
+# one edge corpus, in CSV and JSONL: extra columns before and after the
+# inputs, a quoted comma and line break, a blank line, a repeated name, an
+# input column named d, surplus and short rows, an unparsable number, a row
+# the kernel raises on and the ROOTS_OVERFLOW row
+EDGE_CSV = (
+    "id,a1,b1,a2,b2,theta1,theta2,theta_d,d,note,id\n"
+    'r1,2,1,2,1,0,30,10,old,"a, b",R1\n'
+    'r2,2,1,1.5,0.5,15,100,200,,"two\nlines",R2\n'
+    "\n"
+    "r3,1,1,1,1,0,0,0,5,n3,R3\n"
+    "r4,2,1,2,1,0,30,10,1,2,3,4\n"
+    "r5,2,1,2,1,0,30,10,,n5\n"
+    "r6,2,1,2,1,0\n"
+    "r7,x,1,1,1,0,0,0,,n7,R7\n"
+    "r8,1e308,1,2,1,0,0,0,,n8,R8\n"
+    "r9," + ",".join(ROOTS_OVERFLOW[1::2]) + ",,n9,R9\n"
+    "r10,2,1,3,1,0,90,45,,n10,R10\n"
+)
+_EDGE_ROW = '"a1": 2, "b1": 1, "a2": 2, "b2": 1, "theta1": 0, "theta2": 30, "theta_d": 10'
+_EDGE_ZEROS = '"b1": 1, "a2": 2, "b2": 1, "theta1": 0, "theta2": 0, "theta_d": 0'
+EDGE_JSONL = "".join(line + "\n" for line in (
+    '{"id": "j1", %s, "note": "x, y"}' % _EDGE_ROW,
+    "",
+    '{"id": "j2", "d": 7, %s, "id": "J2"}' % _EDGE_ROW,
+    "not json",
+    '{"a1": 2, "b1": 1}',
+    '{"a1": "x", %s}' % _EDGE_ZEROS,
+    '{"a1": null, %s}' % _EDGE_ZEROS,
+    '{"a1": 1e308, %s}' % _EDGE_ZEROS,
+    '{"id": "j9", %s}' % ", ".join(
+        f'"{k}": {v}' for k, v in zip(cli._BATCH_FIELDS, ROOTS_OVERFLOW[1::2])),
+    '{"id": "j10", "a1": 2, "b1": 1, "a2": 3, "b2": 1, "theta1": 0, "theta2": 90, "theta_d": 45}',
+    '{"id": "j11", "a1": 2, "b1": 1, "a2": 1.5, "b2": 0.5, '
+    '"theta1": 15, "theta2": 100, "theta_d": 200}',
+))
+# written by the record-per-dict reader this one replaced; only the short
+# row's reject (CSV line 9) changed, from "float() argument must be a string
+# or a real number, not 'NoneType'"
+EDGE_CSV_OUT = (
+    "id,note,a1,b1,a2,b2,theta1,theta2,theta_d,d,d_prime,q,branch,rc_x,rc_y,"
+    "residual_e1,residual_e2",
+    'R1,"a, b",2,1,2,1,0,30,10,3.860366845133059,2.0155968174432637,1.2790972110947743,'
+    "general,1.9995620107554288,-0.02092704675597651,2.220446049250313e-16,6.661338147750939e-16",
+    'R2,"two\nlines",2,1,1.5,0.5,15,100,200,2.523099991138927,1.2758433580057775,'
+    "1.0130092949613783,general,-1.934923871933509,-0.5055736484534059,2.220446049250313e-16,"
+    "8.881784197001252e-16",
+    "R3,n3,1,1,1,1,0,0,0,2.0,2.0,1.0,circle-like,1.0,0.0,0.0,0.0",
+    ",n5,2,1,2,1,0,30,10,3.860366845133059,2.0155968174432637,1.2790972110947743,general,"
+    "1.9995620107554288,-0.02092704675597651,2.220446049250313e-16,6.661338147750939e-16",
+    "R9,n9,1.3960396648826036e+16,1.3960394716893794e+16,1.7023807787871663e+113,"
+    "4.425377349627024e+43,62.29497744621404,309.4771385037617,297.0901693199237,"
+    "2.0629860650672418e+44,1.4777418633352444e+28,1.0,general,-1.0775726444336958e+16,"
+    "-8875606237160816.0,2.220446049250313e-16,2.6645352591003757e-15",
+    "R10,n10,2,1,3,1,0,90,45,3.6372910812209316,2.8755310824186604,1.5879340571339573,general,"
+    "1.9560445636230592,0.20850039875302123,1.1102230246251565e-16,6.661338147750939e-16",
+)
+EDGE_CSV_REJECTS = (
+    "line 7: 12 fields for 11 header columns",
+    "line 9: 6 fields for 11 header columns",
+    "line 10: could not convert string to float: 'x'",
+    "line 11: float division by zero",
+)
+EDGE_JSONL_OUT = (
+    '{"id": "j1", "a1": 2, "b1": 1, "a2": 2, "b2": 1, "theta1": 0, "theta2": 30, "theta_d": 10, '
+    '"note": "x, y", "d": 3.860366845133059, "d_prime": 2.0155968174432637, '
+    '"q": 1.2790972110947743, "branch": "general", "rc_x": 1.9995620107554288, '
+    '"rc_y": -0.02092704675597651, "residual_e1": 2.220446049250313e-16, '
+    '"residual_e2": 6.661338147750939e-16}',
+    '{"id": "J2", "d": 3.860366845133059, "a1": 2, "b1": 1, "a2": 2, "b2": 1, "theta1": 0, '
+    '"theta2": 30, "theta_d": 10, "d_prime": 2.0155968174432637, "q": 1.2790972110947743, '
+    '"branch": "general", "rc_x": 1.9995620107554288, "rc_y": -0.02092704675597651, '
+    '"residual_e1": 2.220446049250313e-16, "residual_e2": 6.661338147750939e-16}',
+    '{"id": "j9", "a1": 1.3960396648826036e+16, "b1": 1.3960394716893794e+16, '
+    '"a2": 1.7023807787871663e+113, "b2": 4.425377349627024e+43, "theta1": 62.29497744621404, '
+    '"theta2": 309.4771385037617, "theta_d": 297.0901693199237, "d": 2.0629860650672418e+44, '
+    '"d_prime": 1.4777418633352444e+28, "q": 1.0, "branch": "general", '
+    '"rc_x": -1.0775726444336958e+16, "rc_y": -8875606237160816.0, '
+    '"residual_e1": 2.220446049250313e-16, "residual_e2": 2.6645352591003757e-15}',
+    '{"id": "j10", "a1": 2, "b1": 1, "a2": 3, "b2": 1, "theta1": 0, "theta2": 90, "theta_d": 45, '
+    '"d": 3.6372910812209316, "d_prime": 2.8755310824186604, "q": 1.5879340571339573, '
+    '"branch": "general", "rc_x": 1.9560445636230592, "rc_y": 0.20850039875302123, '
+    '"residual_e1": 1.1102230246251565e-16, "residual_e2": 6.661338147750939e-16}',
+    '{"id": "j11", "a1": 2, "b1": 1, "a2": 1.5, "b2": 0.5, "theta1": 15, "theta2": 100, '
+    '"theta_d": 200, "d": 2.523099991138927, "d_prime": 1.2758433580057775, '
+    '"q": 1.0130092949613783, "branch": "general", "rc_x": -1.934923871933509, '
+    '"rc_y": -0.5055736484534059, "residual_e1": 2.220446049250313e-16, '
+    '"residual_e2": 8.881784197001252e-16}',
+)
+EDGE_JSONL_REJECTS = (
+    "line 4: Expecting value: line 1 column 1 (char 0)",
+    "line 5: \"missing fields ['a2', 'b2', 'theta1', 'theta2', 'theta_d']\"",
+    "line 6: string fields ['a1']",
+    "line 7: float() argument must be a string or a real number, not 'NoneType'",
+    "line 8: float division by zero",
+)
+
+
+@pytest.mark.parametrize("fmt, text, out, rejects, eol", [
+    ("csv", EDGE_CSV, EDGE_CSV_OUT, EDGE_CSV_REJECTS, "\r\n"),
+    ("jsonl", EDGE_JSONL, EDGE_JSONL_OUT, EDGE_JSONL_REJECTS, "\n"),
+], ids=["csv", "jsonl"])
+def test_batch_edge_corpus_bytes(tmp_path, capsys, fmt, text, out, rejects, eol):
+    inp = tmp_path / f"in.{fmt}"
+    inp.write_bytes(text.encode())
+    outputs = [tmp_path / f"once.{fmt}", tmp_path / f"twice.{fmt}"]
+    rejected = []
+    for src, dst in zip([inp] + outputs, outputs):
+        rej = dst.with_suffix(".rej")
+        code, _, _ = run_cli(
+            capsys, "batch", "--input", str(src), "--output", str(dst), "--format", fmt,
+            "--rejects", str(rej),
+        )
+        assert code == 0
+        rejected.append(rej.read_bytes())
+    assert outputs[0].read_bytes() == "".join(line + eol for line in out).encode()
+    assert rejected == ["".join(line + "\n" for line in rejects).encode(), b""]
+    # a second pass over the output writes it again
     assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
