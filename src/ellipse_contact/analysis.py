@@ -10,21 +10,23 @@ takes ellipse 2 onto D, A_ex = A1 + A2 + a2 b2 P(T E1): one perimeter,
 by the arithmetic-geometric mean, and no contact distance.
 
 The excluded boundary and the contact locus are the contact kernel at n
-angles: bulk.contact_arrays solves each curve bulk.CHUNK_ROWS points at a
-time, with exactly the floats of one closest_approach call per point, and
-the points it leaves to the scalar path go through closest_approach or
+angles, returned as three float64 arrays (angle, x, y):
+bulk.contact_arrays solves each curve bulk.CHUNK_ROWS points at a time,
+with exactly the floats of one closest_approach call per point, and the
+points it leaves to the scalar path go through closest_approach or
 contact_point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from . import bulk
 from .contact import closest_approach, contact_point
-from .geometry import EllipseShape, PairConfiguration, UnitVec2, Vec2
+from .geometry import EllipseShape, PairConfiguration, UnitVec2
 
 __all__ = [
     "MIN_SAMPLES",
@@ -84,29 +86,36 @@ def excluded_area(shape1: EllipseShape, shape2: EllipseShape, k1: UnitVec2, k2: 
     return area
 
 
-def _curve_chunks(shape1, shape2, k1, k2, dhat, n, solve):
-    """The contact kernel at theta_j = 2 pi j / n for j < n, in chunks of
-    at most bulk.CHUNK_ROWS: arrays (theta, cos theta, sin theta, d, rc_x,
-    rc_y), cos and sin from bulk.from_angles.  The direction passed as None
-    is UnitVec2.from_angle(theta_j).
-    A row bulk.contact_arrays leaves to the scalar path is solve(cfg),
-    which returns the ContactSolution or raises."""
+def _curve(shape1, shape2, k1, k2, dhat, n, solve):
+    """The contact kernel at theta_j = 2 pi j / n for j < n: length-n
+    arrays (theta, cos theta, sin theta, d, rc_x, rc_y), cos and sin from
+    bulk.from_angles.  The direction passed as None is
+    UnitVec2.from_angle(theta_j).  bulk.contact_arrays runs on at most
+    bulk.CHUNK_ROWS rows at a time, which bounds its temporaries; a row it
+    leaves to the scalar path is solve(cfg), which returns the
+    ContactSolution or raises."""
+    n = operator.index(n)
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    theta = 2.0 * math.pi * np.arange(n) / n
+    cos, sin = bulk.from_angles(theta)
+    d, rc_x, rc_y = np.empty(n), np.empty(n), np.empty(n)
     for lo in range(0, n, bulk.CHUNK_ROWS):
-        theta = 2.0 * math.pi * np.arange(lo, min(lo + bulk.CHUNK_ROWS, n)) / n
-        rows = len(theta)
-        cos, sin = bulk.from_angles(theta)
+        part = slice(lo, lo + bulk.CHUNK_ROWS)
+        spin = cos[part], sin[part]
+        rows = len(spin[0])
         cols = [np.full(rows, x) for x in (shape1.a, shape1.b, shape2.a, shape2.b)]
         for v in (k1, k2, dhat):
-            cols += (cos, sin) if v is None else (np.full(rows, v.x), np.full(rows, v.y))
+            cols += spin if v is None else (np.full(rows, v.x), np.full(rows, v.y))
         res = bulk.contact_arrays(*cols)
-        d, rc_x, rc_y = res.d, res.rc_x, res.rc_y
-        for j in np.flatnonzero(res.scalar).tolist():
+        d[part], rc_x[part], rc_y[part] = res.d, res.rc_x, res.rc_y
+        for j in (lo + np.flatnonzero(res.scalar)).tolist():
             turned = UnitVec2.from_angle(theta[j].item())
             sol = solve(PairConfiguration(
                 shape1, shape2, *(turned if v is None else v for v in (k1, k2, dhat))
             ))
             d[j], rc_x[j], rc_y[j] = sol.d, sol.contact_point.x, sol.contact_point.y
-        yield theta, cos, sin, d, rc_x, rc_y
+    return theta, cos, sin, d, rc_x, rc_y
 
 
 def excluded_boundary(
@@ -115,18 +124,12 @@ def excluded_boundary(
     k1: UnitVec2,
     k2: UnitVec2,
     n: int,
-) -> list[tuple[float, Vec2]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The curve traced by the center of shape2 as it slides around shape1
     staying tangent, the boundary of the excluded area, as n closed-curve
-    samples (center-line angle, point)."""
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    samples = []
-    for theta, cos, sin, d, _, _ in _curve_chunks(
-        shape1, shape2, k1, k2, None, n, closest_approach
-    ):
-        samples += zip(theta.tolist(), map(Vec2, (d * cos).tolist(), (d * sin).tolist()))
-    return samples
+    samples: float64 arrays (center-line angle, x, y)."""
+    theta, cos, sin, d, _, _ = _curve(shape1, shape2, k1, k2, None, n, closest_approach)
+    return theta, d * cos, d * sin
 
 
 def contact_locus(
@@ -135,15 +138,12 @@ def contact_locus(
     k2: UnitVec2,
     dhat: UnitVec2,
     n: int,
-) -> list[tuple[float, Vec2]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The contact point's trace as shape1 spins in place while shape2 keeps
     its orientation and stays tangent along the fixed center line, as n
-    closed-curve samples (angle of shape1's major axis, point)."""
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    samples = []
-    for theta, _, _, _, rc_x, rc_y in _curve_chunks(
+    closed-curve samples: float64 arrays (angle of shape1's major axis,
+    x, y)."""
+    theta, _, _, _, rc_x, rc_y = _curve(
         shape1, shape2, None, k2, dhat, n, lambda cfg: contact_point(cfg)[1]
-    ):
-        samples += zip(theta.tolist(), map(Vec2, rc_x.tolist(), rc_y.tolist()))
-    return samples
+    )
+    return theta, rc_x, rc_y

@@ -382,20 +382,16 @@ def cmd_excluded_area(args) -> int:
 
 
 def _write_curve(
-    curve: list[tuple[float, Vec2]], output, angle_label: str, as_json: bool
+    curve: tuple[np.ndarray, np.ndarray, np.ndarray], output, angle_label: str, as_json: bool
 ) -> None:
+    theta, x, y = (column.tolist() for column in curve)
+    samples = zip(map(math.degrees, theta), x, y)
     with _open_output(output) as out:
         if as_json:
-            payload = {
-                "angle_label": angle_label,
-                "samples": [
-                    [math.degrees(theta), p.x, p.y] for theta, p in curve
-                ],
-            }
-            print(json.dumps(payload), file=out)
+            print(json.dumps({"angle_label": angle_label, "samples": list(samples)}), file=out)
         else:
             out.write(f"{angle_label},x,y\n" + "".join(
-                [f"{math.degrees(theta)},{p.x},{p.y}\n" for theta, p in curve]))
+                [f"{deg},{px},{py}\n" for deg, px, py in samples]))
 
 
 def cmd_boundary(args) -> int:

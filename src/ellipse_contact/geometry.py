@@ -62,8 +62,7 @@ def _eccentricity_sq(a, b):
 
 @dataclass(frozen=True, slots=True)
 class Vec2:
-    """A point or displacement in the plane.  Slotted: a curve of 2^20
-    points holds that many, at 48 bytes each instead of 88."""
+    """A point or displacement in the plane."""
 
     x: float
     y: float

@@ -176,6 +176,17 @@ def mp_support_distance(cfgs, mp):
     return out
 
 
+def mp_mean_excluded_area(shape1, shape2, mp):
+    """Cauchy's mean of the excluded area over a uniform relative angle,
+    A1 + A2 + P1 P2 / (2 pi) (Santalo 1976; Vieillard-Baron 1972), in 40
+    digits.  Each perimeter is 4 a E(1 - b^2 / a^2) from mpmath's ellipe,
+    so nothing is shared with analysis._unit_perimeter."""
+    with mp.workdps(40):
+        (a1, b1), (a2, b2) = ((mp.mpf(s.a), mp.mpf(s.b)) for s in (shape1, shape2))
+        p1, p2 = (4 * a * mp.ellipe(1 - (b / a) ** 2) for a, b in ((a1, b1), (a2, b2)))
+        return float(mp.pi * (a1 * b1 + a2 * b2) + p1 * p2 / (2 * mp.pi))
+
+
 def mp_perram_wertheim_distance(cfgs, mp):
     """Contact distances from Perram and Wertheim's contact function (J.
     Comput. Phys. 58:409, 1985), to 60 digits: it shares no formula with

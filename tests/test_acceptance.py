@@ -413,10 +413,10 @@ def test_emit_figure_data(tmp_path):
     lpath = tmp_path / "contact_locus.csv"
     with open(bpath, "w") as fh:
         fh.write("theta_d_deg,x,y\n")
-        for theta, p in boundary:
-            fh.write(f"{math.degrees(theta)},{p.x},{p.y}\n")
+        for theta, x, y in zip(*(c.tolist() for c in boundary)):
+            fh.write(f"{math.degrees(theta)},{x},{y}\n")
     with open(lpath, "w") as fh:
         fh.write("theta1_deg,x,y\n")
-        for theta, p in locus:
-            fh.write(f"{math.degrees(theta)},{p.x},{p.y}\n")
+        for theta, x, y in zip(*(c.tolist() for c in locus)):
+            fh.write(f"{math.degrees(theta)},{x},{y}\n")
     assert bpath.exists() and lpath.exists()

@@ -28,9 +28,14 @@ def k_at(deg):
     return UnitVec2.from_angle(math.radians(deg))
 
 
+def curve_rows(curve):
+    """(theta, x, y) of each sample of a curve's three arrays, as floats."""
+    return list(zip(*(column.tolist() for column in curve)))
+
+
 def shoelace_area(curve):
     """Area of the polygon through the curve's samples."""
-    pts = [p for _, p in curve]
+    pts = [Vec2(x, y) for _, x, y in curve_rows(curve)]
     n = len(pts)
     return 0.5 * abs(
         math.fsum(
@@ -208,6 +213,33 @@ def test_excluded_area_calls_no_kernel(monkeypatch):
     assert abs(excluded_area(*args) - ref) <= 1e-9 * ref
 
 
+# (shape1 axes, shape2 axes, equally spaced angles, relative gate)
+CAUCHY_PAIRS = [
+    ((2.0, 1.0), (2.0, 1.0), 256, 2e-15),
+    ((10.0, 1.0), (1.0, 1.0), 256, 2e-15),
+    ((3.0, 0.5), (7.0, 0.1), 256, 2e-15),
+    ((1e4, 1.0), (5.0, 1.0), 256, 2e-15),
+    # crossing needles: the area peaks sharply where the axes cross
+    ((1e3, 1.0), (1.0, 1e-3), 4096, 1e-9),
+]
+
+
+@pytest.mark.parametrize("axes1, axes2, angles, rtol", CAUCHY_PAIRS)
+def test_mean_excluded_area_is_cauchys(axes1, axes2, angles, rtol):
+    # the mean over equally spaced relative angles is the trapezoid rule of
+    # a smooth periodic function, which converges spectrally
+    mp = pytest.importorskip("mpmath")
+    from conftest import mp_mean_excluded_area
+
+    shape1, shape2 = EllipseShape(*axes1), EllipseShape(*axes2)
+    exact = mp_mean_excluded_area(shape1, shape2, mp)
+    mean = math.fsum(
+        excluded_area(shape1, shape2, X, UnitVec2.from_angle(2.0 * math.pi * j / angles))
+        for j in range(angles)
+    ) / angles
+    assert abs(mean - exact) <= rtol * exact
+
+
 def test_exchange_symmetry():
     e1 = EllipseShape(2.0, 1.0)
     e2 = EllipseShape(1.5, 0.4)
@@ -225,15 +257,15 @@ def test_determinism_bit_exact():
 def test_boundary_circles():
     c1, c2 = EllipseShape(1.0, 1.0), EllipseShape(0.5, 0.5)
     curve = excluded_boundary(c1, c2, X, X, 64)
-    for theta, p in curve:
-        assert abs(p.norm() - 1.5) <= 1e-9
+    for theta, x, y in curve_rows(curve):
+        assert abs(math.hypot(x, y) - 1.5) <= 1e-9
 
 
 def test_boundary_parallel_minkowski():
     curve = excluded_boundary(E21, E21, X, X, 256)
     # Minkowski sum of identical parallel ellipses: same shape, doubled
-    for theta, p in curve:
-        val = (p.x / 4.0) ** 2 + (p.y / 2.0) ** 2
+    for theta, x, y in curve_rows(curve):
+        val = (x / 4.0) ** 2 + (y / 2.0) ** 2
         assert abs(val - 1.0) <= 1e-9
 
 
@@ -245,7 +277,7 @@ def test_boundary_shoelace_matches_area():
 
 def test_boundary_continuity():
     curve = excluded_boundary(E21, E21, X, k_at(30.0), 512)
-    pts = [p for _, p in curve]
+    pts = [Vec2(x, y) for _, x, y in curve_rows(curve)]
     perimeter = sum(
         _gap(pts, i) for i in range(len(pts))
     )
@@ -258,23 +290,23 @@ def test_boundary_continuity():
 def test_locus_circles_fixed_point():
     c1, c2 = EllipseShape(1.5, 1.5), EllipseShape(1.0, 1.0)
     curve = contact_locus(c1, c2, X, k_at(25.0), 32)
-    for theta, p in curve:
-        assert abs(p.x - 1.5 * math.cos(math.radians(25.0))) <= 1e-9
-        assert abs(p.y - 1.5 * math.sin(math.radians(25.0))) <= 1e-9
+    for theta, x, y in curve_rows(curve):
+        assert abs(x - 1.5 * math.cos(math.radians(25.0))) <= 1e-9
+        assert abs(y - 1.5 * math.sin(math.radians(25.0))) <= 1e-9
 
 
 def test_locus_points_on_first_ellipse():
     from conftest import form, on_form
 
     curve = contact_locus(E21, EllipseShape(1.5, 0.5), k_at(20.0), X, 128)
-    for theta, p in curve:
+    for theta, x, y in curve_rows(curve):
         m = form(E21, UnitVec2.from_angle(theta))
-        assert abs(on_form(m, p) - 1.0) <= 1e-9
+        assert abs(on_form(m, Vec2(x, y)) - 1.0) <= 1e-9
 
 
 def test_locus_continuity():
     curve = contact_locus(E21, EllipseShape(1.5, 0.5), k_at(20.0), X, 512)
-    pts = [p for _, p in curve]
+    pts = [Vec2(x, y) for _, x, y in curve_rows(curve)]
     perimeter = sum(
         _gap(pts, i) for i in range(len(pts))
     )
@@ -288,6 +320,11 @@ def test_locus_sample_count_validation():
         contact_locus(E21, E21, X, X, 8)
     with pytest.raises(ValueError):
         excluded_boundary(E21, E21, X, X, 8)
+    # a count must be an integer, as range() required of it
+    with pytest.raises(TypeError):
+        contact_locus(E21, E21, X, X, 16.5)
+    with pytest.raises(TypeError):
+        excluded_boundary(E21, E21, X, X, 16.5)
 
 
 def scalar_boundary(shape1, shape2, k1, k2, n, branches):
@@ -317,7 +354,12 @@ def scalar_locus(shape1, shape2, k2, dhat, n, branches):
 
 
 def hexed(curve):
-    return [(theta.hex(), p.x.hex(), p.y.hex()) for theta, p in curve]
+    return [tuple(map(float.hex, sample)) for sample in curve_rows(curve)]
+
+
+def hexed_loop(loop):
+    """hexed of the scalar loops' (theta, Vec2) samples."""
+    return [(theta.hex(), p.x.hex(), p.y.hex()) for theta, p in loop]
 
 
 Y = UnitVec2(0.0, 1.0)
@@ -357,9 +399,9 @@ def test_curves_equal_scalar_loop_hex_for_hex(kind):
     branches = Counter()
     for shape1, shape2, k1, k2, dhat, n in curve_pairs(kind, 44, CURVE_KINDS.index(kind)):
         ref = scalar_boundary(shape1, shape2, k1, k2, n, branches)
-        assert hexed(excluded_boundary(shape1, shape2, k1, k2, n)) == hexed(ref)
+        assert hexed(excluded_boundary(shape1, shape2, k1, k2, n)) == hexed_loop(ref)
         ref = scalar_locus(shape1, shape2, k2, dhat, n, branches)
-        assert hexed(contact_locus(shape1, shape2, k2, dhat, n)) == hexed(ref)
+        assert hexed(contact_locus(shape1, shape2, k2, dhat, n)) == hexed_loop(ref)
     expect = {
         "circles": {ContactBranch.CIRCLE_LIKE},
         "parallel": {ContactBranch.PARALLEL_AXES_2A, ContactBranch.PARALLEL_AXES_2B},
@@ -433,3 +475,24 @@ def test_curves_make_no_scalar_kernel_call(monkeypatch):
     assert scalar == []
     assert sum(core_rows) == 2 * n
     assert max(core_rows) <= bulk.CHUNK_ROWS
+
+
+def test_curves_are_three_arrays_and_build_no_vec2(monkeypatch):
+    # a curve goes from the kernel's arrays to the caller as arrays: no
+    # validated Vec2 per point
+    made = []
+    check = Vec2.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(Vec2, "__post_init__", counted)
+    shape1, shape2, k1, k2, dhat = CURVE_ARGS
+    for curve in (
+        excluded_boundary(shape1, shape2, k1, k2, 720),
+        contact_locus(shape1, shape2, k2, dhat, 720),
+    ):
+        assert len(curve) == 3
+        assert all(c.dtype == np.float64 and c.shape == (720,) for c in curve)
+    assert made == []

@@ -672,7 +672,7 @@ def test_curve_csv_is_one_formatted_line_per_sample(tmp_path, capsys, command, n
             cfg.shape1, cfg.shape2, cfg.k2, cfg.dhat, n)
         argv = (command, *CURVE_PAIR, "--theta-d", "80.5", "--n", str(n))
     expect = f"{header},x,y\n" + "".join(
-        f"{math.degrees(t)},{p.x},{p.y}\n" for t, p in curve
+        f"{math.degrees(t)},{x},{y}\n" for t, x, y in zip(*(c.tolist() for c in curve))
     )
     out_file = tmp_path / "curve.csv"
     assert run_cli(capsys, *argv, "--output", str(out_file)) == (0, "", "")

@@ -409,6 +409,40 @@ def test_two_particle_pair_distribution():
     assert abs(ratio - expect) < 0.35  # loose: statistical smoke test
 
 
+@pytest.mark.parametrize("species", [
+    ((EllipseShape(2.0, 1.0), 1.0),),
+    ((EllipseShape(2.0, 1.0), 0.5), (EllipseShape(3.0, 0.3), 0.5)),
+    ((EllipseShape(10.0, 1.0), 1.0),),
+], ids=["(2,1)", "(2,1)+(3,0.3)", "(10,1)"])
+def test_two_particle_rejection_rate_is_cauchys(species):
+    # Two particles in a box of side L = 4 a_max (a 2 x 2 cell grid, whose
+    # stencil holds each neighbouring cell under two shifts) with moves of
+    # the full box and the full turn: every trial position and orientation
+    # is uniform, whatever the state, so each move is rejected
+    # independently with probability <A_ex> / L^2, Cauchy's mean over the
+    # relative angle.  Proposal, minimum image, stencil and every rung of
+    # _pair_clear answer together to a number none of them computes.
+    mp = pytest.importorskip("mpmath")
+    from conftest import mp_mean_excluded_area
+
+    side = 4.0 * max(shape.a for shape, _ in species)
+    cfg = MCConfig(
+        n_particles=2, species=species, box=(side, side), max_translation=side / 2.0,
+        max_rotation=math.pi, seed=7, sweeps=50_000,
+    )
+    state = init_state(cfg)
+    assert state.n_cells == (2, 2)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.sweeps):
+        mc_sweep(state, cfg, rng)
+    moves = state.stats.attempted
+    p = mp_mean_excluded_area(*state.particle_shapes(), mp) / side**2
+    rejected = moves - state.stats.accepted
+    z = (rejected - moves * p) / math.sqrt(moves * p * (1.0 - p))
+    assert moves == 100_000
+    assert abs(z) <= 4.0, z
+
+
 def test_trajectory_format(tmp_path):
     cfg = config(n=12, packing=0.2, sweeps=10, seed=8)
     path = tmp_path / "traj.jsonl"

@@ -1,5 +1,6 @@
 """Mutation audit of the test suite's gates: which constants and guards of
-the kernel can the tests tell apart from a changed version?
+the kernel, the excluded area and the Monte Carlo can the tests tell apart
+from a changed version?
 
 Each mutant is one textual replacement in one file under src/.  For each,
 the script copies src/, tests/, perfbench/ (which a test loads) and
@@ -40,6 +41,8 @@ BULK = "src/ellipse_contact/bulk.py"
 CONTACT = "src/ellipse_contact/contact.py"
 GEOMETRY = "src/ellipse_contact/geometry.py"
 ORACLE = "src/ellipse_contact/oracle.py"
+ANALYSIS = "src/ellipse_contact/analysis.py"
+MCSIM = "src/ellipse_contact/mcsim.py"
 
 
 class Mutant(NamedTuple):
@@ -100,6 +103,24 @@ MUTANTS = (
     Mutant("support-angle-tol-2^-20", ORACLE, "_ANGLE_TOL = 2.0 ** -36", "_ANGLE_TOL = 2.0 ** -20"),
     Mutant("support-plain-final-dot", ORACLE, "/ _dot2(nx, dx, ny, dy)", "/ (nx * dx + ny * dy)"),
     Mutant("support-no-half-step-rule", ORACLE, " & (size + size <= before))", ")"),
+    # analysis.py: the perimeter series' stop and the choice of the ellipse
+    # mapped onto the unit disk (the larger, for range)
+    Mutant("perimeter-stop-2^-20", ANALYSIS, "if c2 <= 2.0**-54 * a * a:",
+           "if c2 <= 2.0**-20 * a * a:"),
+    Mutant("area-size-swap-inverted", ANALYSIS, "if shape1.a * shape1.b > shape2.a * shape2.b:",
+           "if shape1.a * shape1.b < shape2.a * shape2.b:"),
+    # mcsim.py: the stencil's shifts across the box edge, the proposal's
+    # width, the audit's minimum image and the clear-side band of the bounds
+    Mutant("stencil-shift-flipped", MCSIM,
+           "side if k + d < 0 else -side if k + d >= count else 0.0",
+           "-side if k + d < 0 else side if k + d >= count else 0.0"),
+    Mutant("proposal-half-width", MCSIM, "t_range = cfg.max_translation - t_low",
+           "t_range = cfg.max_translation"),
+    Mutant("audit-trunc-image", MCSIM, "np.round(d", "np.trunc(d", count=2),
+    Mutant("clear-band-0", MCSIM, "_CLEAR_BAND = 1.0 + 4.0 * TANGENT_RTOL",
+           "_CLEAR_BAND = 1.0 + 0.0 * TANGENT_RTOL"),
+    Mutant("clear-band-2", MCSIM, "_CLEAR_BAND = 1.0 + 4.0 * TANGENT_RTOL",
+           "_CLEAR_BAND = 1.0 + 2.0 * TANGENT_RTOL"),
 )
 
 
