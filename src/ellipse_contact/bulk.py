@@ -9,16 +9,22 @@ gives the result or raises the exception the scalar API raises.  batch,
 verify and the curves of analysis.py call it.
 
 The formulas and decisions are the scalar kernel's own, written once for
-floats and arrays (geometry's shape check; transform._transform; quartic's
-coefficients, depressed form, resolvent root and _closed_form_root;
-contact's branch choice, psi, d', contact point and tangency check), here
-with numpy's sqrt, where and copysign.  What is this module's own:
+floats and arrays (geometry's shape check and hypot; transform._transform;
+quartic's coefficients, depressed form, resolvent root and
+_closed_form_root; contact's branch choice, psi, d', contact point and
+tangency check), here with numpy's sqrt, where and copysign.  What is this
+module's own:
 
-* math.hypot, cos/sin, exp, pow, the resolvent's complex branch (disc < 0)
-  and quartic._angle_root, for the rows whose Ferrari root is not accepted,
-  run per element on Python floats: numpy's versions round differently;
-* _unit() normalizes by UnitVec2's rule, so a unit vector stays as it is,
-  and flags the rows with a non-finite component;
+* cos/sin, exp, pow (Cardano's two cube roots), the resolvent's complex
+  branch (disc < 0) and quartic._angle_root, for the rows whose Ferrari
+  root is not accepted, run per element on Python floats: numpy's versions
+  round differently;
+* _unit() is UnitVec2's rule, math.hypot included, for the input
+  directions and for k+ and k-: a unit vector stays as it is, the rows
+  off its square screen are mapped through math.hypot, and the rows with
+  a non-finite component are flagged;
+* m.patch, which lets the Newton polish step again only the rows that
+  have not settled;
 * the branch codes, and the guards on the normals' magnitudes.
 
 A row goes to the scalar path when its input fails validation, or when
@@ -38,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contact import _branches, _contact_point, _on_line_pieces, _psi_d_prime, _tangency
-from .geometry import _MIN_NORMAL, _UNIT_SLACK, _valid_axes
+from .geometry import _MIN_NORMAL, _UNIT_SLACK, _hypot, _valid_axes
 from .quartic import (
     _angle_root,
     _cardano,
@@ -55,6 +61,13 @@ __all__ = ["BRANCHES", "CHUNK_ROWS", "ContactArrays", "contact_arrays", "from_an
 # computes and writes this many rows per step, and a curve solves this many
 # points at a time, so the arrays in memory stay small at any length
 CHUNK_ROWS = 1024
+
+# a row with |x x + y y - 1| <= 2^-52 is unit to rounding: the three
+# roundings of x x + y y add at most 2^-52 near 1, so |(x, y)| lies strictly
+# within 2^-52 of 1, a faithful math.hypot(x, y) within _UNIT_SLACK, and
+# UnitVec2 keeps (x, y).  (Near 1 the computed sum steps by 2^-53 below and
+# 2^-52 above, so a screen at 2^-53 would turn away every sum of 1 + 2^-52.)
+_UNIT_SCREEN = 2.0**-52
 
 # branch codes index this tuple; scalar-path rows read -1
 BRANCHES = (
@@ -103,27 +116,51 @@ def _flag_nonfinite(bad: np.ndarray, *xs: np.ndarray) -> None:
         bad |= ~np.isfinite(x)
 
 
+@np.errstate(all="ignore")  # on the rows it flags
 def _unit(x: np.ndarray, y: np.ndarray, bad: np.ndarray):
-    """UnitVec2(x, y): rows it would reject are flagged."""
-    n = _each(math.hypot, bad, x, y)
-    bad |= ~((_MIN_NORMAL <= n) & (n < math.inf))
+    """UnitVec2(x, y) on new arrays: rows it would reject are flagged.  A
+    row within _UNIT_SCREEN stays as it is, as UnitVec2 leaves it;
+    math.hypot runs on the other rows only."""
+    x, y = x.copy(), y.copy()
+    rows = np.flatnonzero(~(abs(x * x + y * y - 1.0) <= _UNIT_SCREEN))
+    if len(rows) == 0:
+        return x, y
+    rx, ry = x[rows], y[rows]
+    n = _each(math.hypot, row_bad := bad[rows], rx, ry)
+    bad[rows] = row_bad | ~((_MIN_NORMAL <= n) & (n < math.inf))
     renorm = abs(n - 1.0) > _UNIT_SLACK
-    return np.where(renorm, x / n, x), np.where(renorm, y / n, y)
+    x[rows], y[rows] = np.where(renorm, rx / n, rx), np.where(renorm, ry / n, ry)
+    return x, y
 
 
 def _arrays(bad: np.ndarray) -> SimpleNamespace:
-    """The array namespace of the shared formulas; rows where a hypot, a
-    pow or an exp raises are flagged in bad."""
-    return SimpleNamespace(
-        sqrt=np.sqrt, where=np.where, copysign=np.copysign, hypot=partial(_each, math.hypot, bad),
-        pow=partial(_each, pow, bad), exp=partial(_each, math.exp, bad), same=_same_rows,
+    """The array namespace of the shared formulas; rows where a pow or an
+    exp raises are flagged in bad."""
+    m = SimpleNamespace(
+        sqrt=np.sqrt, where=np.where, copysign=np.copysign,
+        pow=partial(_each, pow, bad), exp=partial(_each, math.exp, bad), patch=_patch,
     )
+    m.hypot = partial(_hypot, m)
+    return m
 
 
-def _same_rows(x: np.ndarray, y: np.ndarray) -> bool:
-    """x == y on every row, a nan row counting only where both are nan."""
-    eq = x == y
-    return bool(eq.all()) or bool((eq | (x != x) & (y != y)).all())
+def _patch(keep: np.ndarray, values: tuple, fn, *args) -> tuple:
+    """m.patch on arrays: copies of the arrays in values, with fn's values
+    on the rows not in keep; fn gets those rows of each argument (of each
+    array in a tuple argument; a float stays as it is)."""
+    rows = np.flatnonzero(~keep)
+    if len(rows) == 0:
+        return values
+    values = tuple(v.copy() for v in values)
+    for v, new in zip(values, fn(*(_take(a, rows) for a in args))):
+        v[rows] = new
+    return values
+
+
+def _take(a, rows: np.ndarray):
+    if isinstance(a, tuple):
+        return type(a)(*(_take(x, rows) for x in a))
+    return a[rows] if isinstance(a, np.ndarray) else a
 
 
 def _resolvent_roots(alpha, beta, gamma, bad):
@@ -187,13 +224,15 @@ def contact_arrays(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dx, dy) -> ContactArrays:
     bad = ~(_valid_axes(a1, b1) & _valid_axes(a2, b2))
     (k1x, k1y), (k2x, k2y) = _unit(k1x, k1y, bad), _unit(k2x, k2y, bad)
     dhx, dhy = _unit(dhx, dhy, bad)
-    # transform.transformed_pair: a row is flagged where a hypot raises or a
-    # field below is non-finite (its other intermediates follow from these)
+    # transform.transformed_pair: a row is flagged where a field below is
+    # non-finite (its other intermediates follow from these)
     (
         eta, a11, a22, a12, _, _, b2p, a2p, delta, dhat_scale,
         kplus, kminus, cos_phi, sin_phi, parallel, par_a, _, _,
     ) = _transform(a1, b1, a2, b2, k1x, k1y, k2x, k2y, dhx, dhy, _arrays(bad))
-    _flag_nonfinite(bad, eta, a11, a22, a12, b2p, a2p, delta, dhat_scale, *kplus, cos_phi, sin_phi)
+    _flag_nonfinite(bad, eta, a11, a22, a12, b2p, a2p, delta, dhat_scale, cos_phi, sin_phi)
+    # transformed_pair's UnitVec2(kplus) and UnitVec2(kminus)
+    kplus, kminus = _unit(*kplus, bad), _unit(*kminus, bad)
     codes = np.where(parallel, np.where(par_a, _PAR_A, _PAR_B), _GENERAL).astype(np.int8)
 
     # contact.closest_approach: the branches, psi and d'

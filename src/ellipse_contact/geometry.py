@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 __all__ = [
@@ -33,8 +34,10 @@ class ZeroVector(ValueError):
     """A direction was given as a zero, subnormal or non-finite vector."""
 
 
-# |hypot(x, y) - 1| above this is more than rounding: hypot(x / n, y / n)
-# for n = hypot(x, y) lies in {1 - 2^-52, 1 - 2^-53, 1, 1 + 2^-52}
+# |hypot(x, y) - 1| above this is more than rounding: math.hypot(x / n,
+# y / n) for n = math.hypot(x, y) lies in {1 - 2^-52, 1 - 2^-53, 1, 1 + 2^-52}.
+# For n = _hypot(x, y), the kernel's, it leaves the slack on 16 of 200,000
+# stream vectors, which UnitVec2 divides once more (transformed_pair's k+)
 _UNIT_SLACK = 2.0**-52
 # shorter vectors are zero: hypot and x / n lose bits below the normal range
 _MIN_NORMAL = 2.0**-1022
@@ -174,15 +177,31 @@ def _ellipse_form(a, b, kx, ky):
     return f * (1.0 - e2 * kx * kx), f * (-e2 * kx * ky), f * (1.0 - e2 * ky * ky)
 
 
+def _hypot(m, x, y):
+    """hypot(x, y) as big * sqrt(1 + r^2), r = small / big in [0, 1], on
+    floats or arrays: only abs, + - * /, sqrt and m.where, which round the
+    same on both, so the two kernels agree bit for bit by construction
+    (math.hypot and numpy's hypot round differently).  It overflows only
+    where the result does; (0, 0) gives 0 and (inf, inf) inf."""
+    ax, ay = abs(x), abs(y)
+    swap = ay > ax
+    big, small = m.where(swap, ay, ax), m.where(swap, ax, ay)
+    # big == small covers (0, 0), where r's divisor is 1, and (inf, inf)
+    r = m.where(small == big, 1.0, small / (big + (big == 0.0)))
+    return big * m.sqrt(1.0 + r * r)
+
+
 # The float namespace m of the kernel stages written once for floats and
 # arrays (bulk.py builds the array one).  Rules that keep the two equal bit
 # for bit and the float path free of exceptions: m.where(c, x, y) gets both
 # x and y evaluated, so select an operand before it can raise, as in
 # m.sqrt(m.where(ok, arg, 0.0)); c may be a Python bool, so combine with &
-# and |, never ~ (~True == -2); powers and exponentials only through m.pow
-# and m.exp, Python's on both paths (numpy's round differently); a
-# max(x, y) keeps Python's order, x unless y > x.  m.same(x, y) is one
-# bool: x == y on every row, a nan row counting only where both are nan.
-_FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, where=lambda c, x, y: x if c else y,
-                          same=lambda x, y: x == y or (x != x and y != y),
+# and |, never ~ (~True == -2); m.hypot is _hypot on both paths; powers and
+# exponentials only through m.pow and m.exp, Python's on both paths
+# (numpy's round differently); a max(x, y) keeps Python's order, x unless
+# y > x.  m.patch(keep, values, fn, *args) is the tuple values where keep
+# and fn(*args) elsewhere, with fn called on the other rows only.
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, where=lambda c, x, y: x if c else y,
+                          patch=lambda keep, values, fn, *args: values if keep else fn(*args),
                           pow=pow, exp=math.exp, copysign=math.copysign)
+_FLOATS.hypot = partial(_hypot, _FLOATS)

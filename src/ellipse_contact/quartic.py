@@ -16,11 +16,12 @@ The solver is defensive in layers:
    four sign assemblies shift + (+-W +- sqrt(arg))/2, W = sqrt(s1) > 0,
    it is the larger of the two +sqrt(arg) ones whose arg is non-negative,
    since every other root is negative or complex; a near-biquadratic
-   quartic (its resolvent gets zeros: Cardano's pow can overflow there),
+   quartic (its resolvent gets zeros: Cardano's cubes can overflow there),
    s1 <= 0 or no real assembly gives no closed-form root;
 3. that root is polished by Newton steps with a compensated Horner
    evaluation (they stop at a fixed point, which the first step typically
-   reaches), clamped to the bracket, and accepted only if the stated
+   reaches; on arrays only the rows not yet there step again), clamped to
+   the bracket, and accepted only if the stated
    residual test passes (steps 2-3 are _closed_form_root, in both kernels);
 4. if there is no closed-form root or it fails, q comes from the
    unsquared tangency relation instead, solved for the angle psi of the
@@ -122,8 +123,8 @@ def _cardano(alpha, beta, gamma, m):
     root where disc >= 0.  No unused m.where arm divides by zero or roots a
     negative, so floats raise only where the formulas do."""
     p = -alpha * alpha / 12.0 - gamma
-    q = -m.pow(alpha, 3) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
-    p3 = m.pow(p, 3)
+    q = -(alpha * alpha * alpha) / 108.0 + alpha * gamma / 3.0 - beta * beta / 8.0
+    p3 = p * p * p
     disc = q * q / 4.0 + p3 / 27.0
     s = m.sqrt(abs(disc))
     # (-q/2 + s)(-q/2 - s) = -p^3/27 rewrites away the cancellation
@@ -183,38 +184,45 @@ def _larger_real_root(alpha, beta, y, shift, big_w, m):
     return where((r_m > r_p) | ((r_p != r_p) & (r_m == r_m)), r_m, r_p)
 
 
+def _polish(steps, m, x, c: QuarticCoeffs):
+    """(q, f): at most `steps` Newton steps from x, and f the quartic at q.
+    A step is a function of its point alone, so a row that a step leaves
+    where it was has settled, and only the other rows take the next step
+    (m.patch); with no step left, f is the quartic at x."""
+    f = _horner_compensated(c, x)
+    if steps == 0:
+        return x, f
+    fp = c.derivative(x)
+    # at f' = 0 the step is 0 * (f / 1), and q then stays as it is
+    q = x - (fp != 0.0) * (f / (fp + (fp == 0.0)))
+    settled = (q == x) | ((q != q) & (x != x))
+    return m.patch(settled, (q, f), _polish, steps - 1, m, q, c)
+
+
 def _polish_and_test(c: QuarticCoeffs, q, hi, m):
     """(q, ok): the candidate clamped to [1, hi], polished by at most
-    POLISH_STEPS Newton steps and clamped again; ok if it lay within
-    BRACKET_TOL of the bracket and the polished q passes the residual
-    test.  A step is a function of its point alone, so once a step leaves
-    q where it was (m.same), the steps left would too and are skipped;
-    and when the clamps leave q at the last point f was taken at, the
-    residual test reuses that f."""
-    where, same = m.where, m.same
+    POLISH_STEPS Newton steps (_polish) and clamped again; ok if it lay
+    within BRACKET_TOL of the bracket and the polished q passes the
+    residual test, which reuses the quartic's value at the last point
+    where the clamps leave q there."""
+    where = m.where
     ok = (1.0 - BRACKET_TOL <= q) & (q <= hi + BRACKET_TOL)
     q = where(1.0 > q, 1.0, q)
     q = where(hi < q, hi, q)
-    for _ in range(POLISH_STEPS):
-        x = q
-        f = _horner_compensated(c, x)
-        fp = c.derivative(x)
-        # at f' = 0 the step is 0 * (f / 1), and q then stays as it is
-        q = x - (fp != 0.0) * (f / (fp + (fp == 0.0)))
-        if same(q, x):
-            break
-    q = where(1.0 > q, 1.0, q)
+    x, f = _polish(POLISH_STEPS, m, q, c)
+    q = where(1.0 > x, 1.0, x)
     q = where(hi < q, hi, q)
-    res = abs(f if same(q, x) else _horner_compensated(c, q))
+    # f is the quartic at x; where the clamps moved q, take it at q
+    q, f = m.patch((q == x) | (x != x), (q, f), _polish, 0, m, q, c)
     lead, tail = abs(c.a) * (q * q * (q * q)), abs(c.e)
-    return q, ok & (res <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
+    return q, ok & (abs(f) <= RESIDUAL_RTOL * where(tail > lead, tail, lead))
 
 
 def _closed_form_root(c: QuarticCoeffs, depressed, hi, resolvent, m):
     """(q, ok) by _polish_and_test from the larger real Ferrari root with
     W = sqrt(s1) > 0, s1 = alpha + 2 resolvent(alpha, beta, gamma); none
     (nan) where s1 <= 0, no assembly is real or the quartic is near
-    biquadratic, whose resolvent gets zeros: its pow can overflow there."""
+    biquadratic, whose resolvent gets zeros: its cubes can overflow there."""
     alpha, beta, gamma, shift = depressed
     where = m.where
     near = _near_biquadratic(c, beta)

@@ -122,9 +122,9 @@ def test_contact_arrays_against_support_oracle(angle_calls, max_aspect, rtol):
             assert closest_approach(cfg).d == res.d[i]
         # the arguments of each call, in row order
         assert angle_calls.arrays == angle_calls.scalar
-        sizes = {20.0: (0, 0), 1e3: (377, 411), 1e4: (1973, 2127)}[max_aspect]
+        sizes = {20.0: (0, 0), 1e3: (366, 397), 1e4: (2025, 2191)}[max_aspect]
         assert len(angle_calls.scalar) == sizes[seed == 5]
-        # seed 5 reads 1.0023e-9 at 10^3, on a row Ferrari's root answers
+        # seed 5 reads 8.98e-10 at 10^3, on a row Ferrari's root answers
         ref = oracle.support_distances(*cols)
         assert np.max(abs(res.d - ref) / ref) <= (rtol if seed == 11 else 2.0 * rtol)
 
@@ -140,12 +140,13 @@ def test_contact_arrays_defer_the_fallback_row(angle_calls):
 
 @pytest.mark.parametrize("index, expect", [
     # the first near-biquadratic quartic: no closed-form root
-    (126, ("0x1.70b4b0fb4f9f8p+1", "0x1.edde8a0c178dfp+1", "0x1.0000000000000p+0",
-           "-0x1.7286189315cf3p-1", "-0x1.77acd1d14f0a8p-3", "0x0.0p+0", "0x0.0p+0")),
+    (126, ("0x1.70b4b0fb4f9f7p+1", "0x1.edde8a0c178dfp+1", "0x1.0000000000000p+0",
+           "-0x1.7286189315cf4p-1", "-0x1.77acd1d14f0aap-3", "0x1.0000000000000p-52",
+           "0x1.0000000000000p-51")),
     # s1 = 0 (W = 0): no closed-form root either
     (5680, ("0x1.f516aa02452d7p+1", "0x1.2d5309297586ep+0", "0x1.16da2c0a8096cp+9",
-            "0x1.521a3af195486p-1", "0x1.c990a75228a39p+1", "0x1.0000000000000p-52",
-            "0x1.0000000000000p-51")),
+            "0x1.521a3af195482p-1", "0x1.c990a75228a39p+1", "0x1.0000000000000p-52",
+            "0x1.4000000000000p-49")),
 ])
 def test_contact_arrays_defer_the_biquadratic_rows(angle_calls, index, expect):
     # seed 11, aspect up to 1000: rows with no closed-form root, which both
@@ -189,7 +190,7 @@ def test_larger_real_ferrari_root_in_both_kernels():
 def test_quartic_stage_matches_scalar_solver_or_defers(angle_calls):
     # raw quartics over a wider range than any stream reaches: the array
     # stage gives solve_contact_quartic's root bit for bit on every row and
-    # flags none; both call the angle solve on the same 3,545 rows, with
+    # flags none; both call the angle solve on the same 3,523 rows, with
     # the same arguments, and every root lies in [1, sqrt(1+delta)]
     rng = np.random.default_rng(2)
     n = 20_000
@@ -202,26 +203,29 @@ def test_quartic_stage_matches_scalar_solver_or_defers(angle_calls):
     assert not bad.any()
     for i, args in enumerate(zip(b2p.tolist(), delta.tolist(), tan2phi.tolist())):
         assert got[i].hex() == quartic.solve_contact_quartic(*args).hex(), i
-    assert len(angle_calls.arrays) == 3545 and angle_calls.arrays == angle_calls.scalar
+    assert len(angle_calls.arrays) == 3523 and angle_calls.arrays == angle_calls.scalar
     assert np.all((1.0 <= got) & (got <= np.sqrt(1.0 + delta)))
 
 
 def test_near_biquadratic_rows_whose_resolvent_overflows_are_answered():
     # raw quartics with b2p, delta and tan^2 phi each 10^U(-150, 150): on
-    # near-biquadratic rows Cardano's pow can overflow, but the closed form
-    # solves their resolvent for zeros, so the array stage flags none of
-    # them and gives solve_contact_quartic's root (the angle solve's) bit for bit
+    # near-biquadratic rows Cardano's cubes alpha^3 and p^3 can overflow and
+    # its y is then not finite, but the closed form solves their resolvent
+    # for zeros, so the array stage flags none of them and gives
+    # solve_contact_quartic's root (the angle solve's) bit for bit
     rng = np.random.default_rng(2)
     b2p, delta, tan2phi = 10.0 ** rng.uniform(-150.0, 150.0, (3, 4000))
-    overflow = np.zeros(len(b2p), dtype=bool)
     with np.errstate(all="ignore"):
         c = quartic.quartic_coefficients(b2p, delta, tan2phi)
         depressed = quartic._depressed(c)
-        quartic._cardano(*depressed[:3], bulk._arrays(overflow))
+        alpha = depressed[0]
+        y, p, _, _ = quartic._cardano(*depressed[:3], bulk._arrays(np.zeros(len(b2p), dtype=bool)))
+        overflow = ~np.isfinite(alpha * alpha * alpha) | ~np.isfinite(p * p * p)
         near = quartic._near_biquadratic(c, depressed[1])
     finite = np.all([np.isfinite(x) for x in (*c, *depressed)], axis=0)
     rows = np.flatnonzero(overflow & finite & near)
     assert len(rows) >= 100
+    assert not np.isfinite(y[rows]).any()
     bad = np.zeros(len(rows), dtype=bool)
     with np.errstate(all="ignore"):
         got = bulk._quartic_roots(b2p[rows], delta[rows], tan2phi[rows], bad)
@@ -296,8 +300,10 @@ def test_resolvent_roots_match_the_float_function_on_edges():
     assert quartic._cardano(-3.0, 0.1, -9.0 / 12.0, _FLOATS)[1] == 0.0
     with pytest.raises(ZeroDivisionError):
         quartic._resolvent_root(tiny, 0.0, -(tiny * tiny / 12.0))
-    with pytest.raises(OverflowError):
-        quartic._resolvent_root(1e103, 1.0, 1.0)
+    # alpha^3 overflows to inf: the resolvent is then not a number, on
+    # floats as on arrays, and raises nothing; the closed form has no root
+    assert math.isnan(quartic._resolvent_root(1e103, 1.0, 1.0))
+    assert math.isnan(quartic._resolvent_root(-1e103, 0.5, 2.0))
     cbrt_q = [(b * b / 8.0) ** (1.0 / 3.0) for b in straddle]
     assert min(cbrt_q) < 1e-12 < max(cbrt_q)
     assert_resolvent_rows_match(*zip(*edges))
@@ -388,6 +394,25 @@ def test_contact_arrays_edge_cases():
     assert branches == set(BRANCHES)  # all five branches answered
 
 
+def test_contact_arrays_answer_every_row_at_the_domain_corners():
+    # aspects 1 and 10^4, size ratios b1/b2 = 10^+-6, lengths 10^+-100,
+    # axes near parallel and center lines along an axis: both kernels answer
+    # every row, with the same bits (so did they on 100,000 such rows)
+    rng = np.random.default_rng(35)
+    n = 2000
+    b1 = 10.0 ** rng.uniform(-90.0, 90.0, n)
+    b2 = b1 * 10.0 ** rng.choice([-6.0, 6.0], n)
+    a1, a2 = (b * 10.0 ** rng.choice([0.0, 4.0], n) for b in (b1, b2))
+    t1 = rng.uniform(0.0, 2.0 * math.pi, n)
+    t2 = t1 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17.0, 0.0, n)
+    td = np.where(rng.random(n) < 0.5, t1 + rng.integers(0, 4, n) * (math.pi / 2.0),
+                  rng.uniform(0.0, 2.0 * math.pi, n))
+    directions = [list(zip(*bulk.from_angles(t))) for t in (t1, t2, td)]
+    rows = list(zip(a1.tolist(), b1.tolist(), a2.tolist(), b2.tolist(), *directions))
+    assert assert_matches_scalar(rows) == []
+    assert all(scalar_row(*row) is not None for row in rows)
+
+
 def test_contact_arrays_leave_invalid_rows():
     x = (1.0, 0.0)
     rows = [
@@ -444,6 +469,79 @@ def test_unit_vectors_match_from_angle():
             assert math.isnan(x) and math.isnan(y)
             continue
         assert (x.hex(), y.hex()) == (u.x.hex(), u.y.hex())
+
+
+def test_unit_is_unitvec2_bit_for_bit():
+    # bulk._unit keeps a row with |x x + y y - 1| <= 2^-52 without calling
+    # math.hypot; 240,000 vectors: cos/sin pairs, the same pairs off unit
+    # length by 1 + U(+-3e-16) (a screen at 2^-51 keeps ~90 of these that
+    # UnitVec2 divides), lengths 10^U(+-300), and zeros, subnormals, inf
+    # and nan.  Every row is UnitVec2's vector, or flagged where it raises
+    rng = np.random.default_rng(37)
+    theta = rng.uniform(-math.pi, math.pi, 100_000)
+    c, s = np.cos(theta), np.sin(theta)
+    off = 1.0 + rng.uniform(-3e-16, 3e-16, len(theta))
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, 30_000)
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1e-200, 1.0,
+                     1e300, 1.7e308, math.inf, -math.inf, math.nan])
+    ex, ey = np.meshgrid(edge, edge)
+    tiny = rng.uniform(-1.0, 1.0, (2, 10_000)) * 2.0**-1022
+    x = np.concatenate([c, c * off, c[:30_000] * scale, ex.ravel(), tiny[0]])
+    y = np.concatenate([s, s * off, s[:30_000] * scale, ey.ravel(), tiny[1]])
+    bad = np.zeros(len(x), dtype=bool)
+    ux, uy = bulk._unit(x, y, bad)
+    assert len(x) >= 240_000
+    with np.errstate(over="ignore"):
+        assert 0.5 < np.mean(abs(x * x + y * y - 1.0) <= 2.0**-52) < 0.7
+    for i, (vx, vy) in enumerate(zip(x.tolist(), y.tolist())):
+        try:
+            u = UnitVec2(vx, vy)
+        except ValueError:
+            assert bad[i], (vx, vy)
+            continue
+        assert not bad[i] and (ux[i].hex(), uy[i].hex()) == (u.x.hex(), u.y.hex()), (vx, vy)
+    assert bad.sum() > 5_000
+
+
+def test_array_kernel_maps_hypot_only_off_the_unit_screen():
+    # bulk.py names math.hypot only in _unit, for the rows off its screen,
+    # and pow only in the array namespace; the kernel's m.pow calls are
+    # Cardano's two cube roots, and its hypots are geometry._hypot on
+    # both paths.  On a stream block the per-element maps are those two
+    # cube roots, the resolvent's rows with disc < 0 and the angle solve
+    def names(module):
+        """(function, dotted name, node) of every name in module's functions."""
+        tree = ast.parse((Path(bulk.__file__).parent / module).read_text())
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            for n in ast.walk(func):
+                if isinstance(n, (ast.Name, ast.Attribute, ast.Call)):
+                    yield func.name, ast.unparse(n.func if isinstance(n, ast.Call) else n), n
+
+    assert {f for f, name, _ in names("bulk.py") if name == "math.hypot"} == {"_unit"}
+    assert {f for f, name, _ in names("bulk.py") if name == "pow"} == {"_arrays"}
+    for module in ("transform.py", "contact.py", "quartic.py"):
+        found = [(f, n) for f, name, n in names(module) if name == "m.pow"]
+        pows = [(f, ast.unparse(n.args[1])) for f, n in found if isinstance(n, ast.Call)]
+        # every m.pow is called where it is named, once per call
+        assert len(found) == 2 * len(pows), module
+        assert pows == ([("_cardano", "1.0 / 3.0")] * 2 if module == "quartic.py" else []), module
+
+    mapped = []
+    each = bulk._each
+    def spy(fn, bad, *cols):
+        mapped.append((fn, len(bad), cols[1:]))
+        return each(fn, bad, *cols)
+
+    cols = oracle._stratified_columns(11, 0, 1024, 1e3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bulk, "_each", spy)
+        assert not contact_arrays(*cols).scalar.any()
+    fns = [fn for fn, _, _ in mapped]
+    assert fns.count(pow) == 2 and all(rest == (1.0 / 3.0,) for fn, _, rest in mapped if fn is pow)
+    assert set(fns) <= {pow, math.hypot, quartic._resolvent_root, quartic._angle_root}
+    # _unit sees the three input directions and kplus, kminus: 5 x 1024
+    # vectors, of which the screen turns away kplus and kminus on ~10%
+    assert sum(n for fn, n, _ in mapped if fn is math.hypot) < 0.1 * 5 * 1024
 
 
 @pytest.mark.parametrize("n", [16, 720, 4096])
@@ -597,7 +695,7 @@ def test_batch_matches_reference_on_stratified_rows(tmp_path, capsys, fmt):
 
 
 def test_batch_answers_deferred_rows_through_the_scalar_api(tmp_path, capsys, angle_calls):
-    # at aspect up to 10^3 the closed-form root of ten of these rows is
+    # at aspect up to 10^3 the closed-form root of twelve of these rows is
     # rejected; the array kernel solves them on the contact angle and
     # leaves none to the scalar API, and batch writes every row as the
     # per-row loop does
@@ -612,7 +710,7 @@ def test_batch_answers_deferred_rows_through_the_scalar_api(tmp_path, capsys, an
         contact_arrays(*(c[i:i + 1] for c in cols))
         if len(angle_calls.arrays) > calls:
             reach.append(i)
-    assert reach == [18, 56, 78, 126, 194, 246, 258, 316, 356, 373]
+    assert reach == [18, 56, 78, 126, 171, 194, 219, 246, 258, 316, 356, 373]
     assert run_both(tmp_path, capsys, text, "csv") == 0
     with open(tmp_path / "new.out", newline="") as fh:
         assert [r["id"] for r in csv.DictReader(fh)] == [r["id"] for r in rows]

@@ -700,8 +700,8 @@ def test_verify_command(capsys):
 
 # three blocks of trials, the last one short
 VERIFY_GOLDEN = {
-    3: ("9.413540131516687e-15", "2.8924146665600854e-16"),
-    11: ("2.047024242173268e-14", "3.0156350664889735e-16"),
+    3: ("9.413540131516687e-15", "3.01658370614957e-16"),
+    11: ("2.047024242173268e-14", "3.1120582303970096e-16"),
 }
 
 
@@ -1211,15 +1211,16 @@ EDGE_JSONL = "".join(line + "\n" for line in (
 ))
 # written by the record-per-dict reader this one replaced; only the short
 # row's reject (CSV line 9) changed, from "float() argument must be a string
-# or a real number, not 'NoneType'"
+# or a real number, not 'NoneType'".  Rows R2 and j11 were written again
+# for the kernel's geometry._hypot, which moves their last bits
 EDGE_CSV_OUT = (
     "id,note,a1,b1,a2,b2,theta1,theta2,theta_d,d,d_prime,q,branch,rc_x,rc_y,"
     "residual_e1,residual_e2",
     'R1,"a, b",2,1,2,1,0,30,10,3.860366845133059,2.0155968174432637,1.2790972110947743,'
     "general,1.9995620107554288,-0.02092704675597651,2.220446049250313e-16,6.661338147750939e-16",
-    'R2,"two\nlines",2,1,1.5,0.5,15,100,200,2.523099991138927,1.2758433580057775,'
-    "1.0130092949613783,general,-1.934923871933509,-0.5055736484534059,2.220446049250313e-16,"
-    "8.881784197001252e-16",
+    'R2,"two\nlines",2,1,1.5,0.5,15,100,200,2.5230999911389276,1.2758433580057775,'
+    "1.0130092949613783,general,-1.9349238719335085,-0.5055736484534058,3.3306690738754696e-16,"
+    "2.886579864025407e-15",
     "R3,n3,1,1,1,1,0,0,0,2.0,2.0,1.0,circle-like,1.0,0.0,0.0,0.0",
     ",n5,2,1,2,1,0,30,10,3.860366845133059,2.0155968174432637,1.2790972110947743,general,"
     "1.9995620107554288,-0.02092704675597651,2.220446049250313e-16,6.661338147750939e-16",
@@ -1257,10 +1258,10 @@ EDGE_JSONL_OUT = (
     '"branch": "general", "rc_x": 1.9560445636230592, "rc_y": 0.20850039875302123, '
     '"residual_e1": 1.1102230246251565e-16, "residual_e2": 6.661338147750939e-16}',
     '{"id": "j11", "a1": 2, "b1": 1, "a2": 1.5, "b2": 0.5, "theta1": 15, "theta2": 100, '
-    '"theta_d": 200, "d": 2.523099991138927, "d_prime": 1.2758433580057775, '
-    '"q": 1.0130092949613783, "branch": "general", "rc_x": -1.934923871933509, '
-    '"rc_y": -0.5055736484534059, "residual_e1": 2.220446049250313e-16, '
-    '"residual_e2": 8.881784197001252e-16}',
+    '"theta_d": 200, "d": 2.5230999911389276, "d_prime": 1.2758433580057775, '
+    '"q": 1.0130092949613783, "branch": "general", "rc_x": -1.9349238719335085, '
+    '"rc_y": -0.5055736484534058, "residual_e1": 3.3306690738754696e-16, '
+    '"residual_e2": 2.886579864025407e-15}',
 )
 EDGE_JSONL_REJECTS = (
     "line 4: Expecting value: line 1 column 1 (char 0)",

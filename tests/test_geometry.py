@@ -13,7 +13,7 @@ from ellipse_contact import (
     bulk,
     make_pair_configuration,
 )
-from ellipse_contact.geometry import _eccentricity_sq, _valid_axes
+from ellipse_contact.geometry import _FLOATS, _eccentricity_sq, _valid_axes
 from ellipse_contact.oracle import stratified_configurations
 from conftest import flipped, form, mat_as_array, on_form
 
@@ -151,6 +151,32 @@ def test_valid_axes_one_rule_for_floats_and_arrays():
     a, b = (np.array(x) for x in zip(*pairs))
     assert _valid_axes(a, b).tolist() == accepted
     assert sum(accepted) == 10  # b <= a among the five finite positive values
+
+
+def test_hypot_one_rule_for_floats_and_arrays():
+    # _hypot is the kernels' hypot on both paths: the same bits on floats
+    # and on arrays, within 3.25 2^-53 of 40 digits (the quotient, square,
+    # sum, sqrt and product round once each) at lengths 10^U(+-100), and
+    # exact or infinite where math.hypot is
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(-1.0, 1.0, (2, 20_000)) * 10.0 ** rng.uniform(-100.0, 100.0, (2, 20_000))
+    edge = [0.0, -0.0, 5e-324, 1e-310, 3.0, -4.0, 1e300, 1.7e308, math.inf, -math.inf, math.nan]
+    ex, ey = (np.array(v) for v in zip(*((a, b) for a in edge for b in edge)))
+    x, y = np.concatenate([x, ex]), np.concatenate([y, ey])
+    with np.errstate(all="ignore"):  # as in contact_arrays
+        got = bulk._arrays(np.zeros(len(x), dtype=bool)).hypot(x, y)
+    floats = [_FLOATS.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]  # raises nothing
+    assert got.tobytes() == np.array(floats).tobytes()
+    with mp.workdps(40):
+        worst = max(
+            abs(mp.mpf(h) - mp.hypot(a, b)) / mp.hypot(a, b)
+            for a, b, h in zip(x[:20_000].tolist(), y[:20_000].tolist(), floats)
+        )
+    assert worst <= 3.25 * 2.0**-53
+    assert _FLOATS.hypot(0.0, 0.0) == 0.0 and _FLOATS.hypot(3.0, -4.0) == 5.0
+    assert _FLOATS.hypot(1.7e308, 1.7e308) == math.inf == _FLOATS.hypot(-math.inf, math.inf)
+    assert _FLOATS.hypot(5e-324, 0.0) == 5e-324 and math.isnan(_FLOATS.hypot(math.nan, 1.0))
 
 
 def test_eccentricity():

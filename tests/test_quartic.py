@@ -352,6 +352,22 @@ def test_polish_evaluates_the_quartic_twice_on_the_common_path(monkeypatch):
     assert [evaluations(*case) for case in POLISH_EDGES] == [1, 3, 3, 1, 4]
 
 
+def test_polish_steps_only_the_unsettled_rows(monkeypatch):
+    # on arrays, a Newton step after the first takes only the rows that the
+    # step before moved: the 19,671 Ferrari candidates of 20,000 stream rows
+    # at aspect 20 are evaluated 36,251 times in all (16,504 rows move in the
+    # first step, 38 in the second), not POLISH_STEPS + 1 = 4 times each
+    cases = [case for case in stream_quartics(20.0) if case[1] == case[1]]
+    coeffs = QuarticCoeffs(*(np.array(x) for x in zip(*(c for c, _, _ in cases))))
+    roots, his = (np.array(x) for x in zip(*((r, h) for _, r, h in cases)))
+    calls = []
+    horner = quartic._horner_compensated
+    monkeypatch.setattr(quartic, "_horner_compensated", lambda c, x: calls.append(len(x)) or horner(c, x))
+    with np.errstate(all="ignore"):
+        quartic._polish_and_test(coeffs, roots, his, bulk._arrays(np.zeros(len(cases), dtype=bool)))
+    assert calls[:3] == [19_671, 16_504, 38] and sum(calls) == 36_251, calls
+
+
 def test_u_zero_branch():
     # p = 0 with q_resolvent > 0 forces u = 0; built from alpha=-3,
     # gamma=-alpha^2/12, beta chosen to keep the resolvent discriminant

@@ -92,8 +92,12 @@ MUTANTS = (
     Mutant("bulk-nn-1e-250", BULK, "(big_nn < 1e-300)", "(big_nn < 1e-250)"),
     Mutant("bulk-angle-rows-with-bad", BULK, "rows = np.flatnonzero(~bad & ~ok)",
            "rows = np.flatnonzero(~ok)"),
-    # geometry.py and contact.py: the shape check and the branch choice
-    # that both kernels call
+    # bulk.py: _unit's square screen, loosened twofold (2^-51 keeps rows
+    # whose math.hypot UnitVec2 would divide by)
+    Mutant("unit-screen-loose", BULK, "_UNIT_SCREEN = 2.0**-52", "_UNIT_SCREEN = 2.0**-51"),
+    # geometry.py: the kernels' hypot with its ratio inverted, and the shape
+    # check and the branch choice that both kernels call
+    Mutant("hypot-swap", GEOMETRY, "small / (big + (big == 0.0))", "big / (small + (small == 0.0))"),
     Mutant("valid-axes-no-inf", GEOMETRY, " & (a < math.inf)", ""),
     Mutant("branches-inclusive", CONTACT, "    circle = delta < DELTA_CIRCLE_TOL\n"
            "    return circle, circle | (abs(cos_phi) < COS_PHI_TOL)",
